@@ -122,7 +122,6 @@ def _cmd_scan(args) -> int:
         ids, n=args.n, max_xyz=args.max_xyz,
         tau_grid=args.tau_grid or fermat.DEFAULT_TAU_GRID,
         window=window, cache=_load_cache(), t_cap=args.t_cap,
-        threads=args.threads,
     )
     _emit(rep.to_json(), args.out)
     return 0
@@ -186,7 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--tau-grid", type=_floats, default=None, metavar="T1,T2,...")
     q.add_argument("--window-eps", type=float, default=None)
     q.add_argument("--t-cap", type=float, default=fermat.DEFAULT_T_CAP)
-    q.add_argument("--threads", type=int, default=1)
     q.add_argument("--out", default=None)
     q.set_defaults(fn=_cmd_scan)
 

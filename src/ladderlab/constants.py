@@ -1,5 +1,5 @@
 """Shared numerical constants. Every module pulls these from here so the
-Euler constant and log(2*pi) are defined exactly once."""
+Euler constant, log(2*pi) and the Bernoulli numbers are defined exactly once."""
 
 import math
 
@@ -16,3 +16,10 @@ T_MIN = 10.0
 
 # Ladder operations refuse arguments below this floor.
 T_FLOOR = 100.0
+
+# Bernoulli numbers B_2, B_4, ..., B_28.
+B2K = (
+    1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730,
+    7.0 / 6, -3617.0 / 510, 43867.0 / 798, -174611.0 / 330, 854513.0 / 138,
+    -236364091.0 / 2730, 8553103.0 / 6, -23749461029.0 / 870,
+)

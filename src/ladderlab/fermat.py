@@ -17,25 +17,24 @@ want, so many rows are honestly flagged infeasible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
+from .arith import dirichlet_D
 from .constants import EULER_GAMMA, T_FLOOR
 from .errors import DomainError, InfeasibleError, LadderLabError
+from .gammalab import ln_gamma
 from .gram import DEFAULT_STRATEGY, t1_increment, t2_increment
 from .integral import CheckpointCache, hl_integral, hl_representation
 from .ladder import ascend
 from .serialize import to_json
 
-FUNCTIONAL_IDS = (
-    "zeta-segment", "zeta-ratio", "zeta-log", "zeta-log-ratio",
-    "d-linear", "d-log", "t1", "t2", "gamma", "gamma-exp",
-)
-# forms whose rung ordinate grows exponentially in the rational
-_EXP_SCALE = frozenset(("zeta-log", "zeta-log-ratio", "d-log", "gamma-exp"))
 DEFAULT_TAU_GRID = (1e2, 3e2, 1e3, 3e3, 1e4)
 DEFAULT_T_CAP = 5e4
 _EXP_Q_CAP = 500.0  # beyond this, e^q and exp(value) overflow float64
+_SCALE = 1.0 - EULER_GAMMA
 _STATUS_RESOLVED = "resolved"
 _STATUS_UNRESOLVED = "unresolved at desk scale"
 _STATUS_INFEASIBLE = "infeasible"
@@ -185,35 +184,134 @@ class ScanReport:
         })
 
 
-def _tau_window(functional: str, q: FermatRational, t_cap: float) -> tuple[float, float]:
-    """Feasible open tau range for a functional on q, or raises."""
-    scale = 1.0 - EULER_GAMMA
-    v = q.value
-    if functional in ("zeta-segment", "d-linear", "t1", "t2", "gamma", "gamma-exp"):
-        lo, hi = T_FLOOR * scale / v, t_cap * scale / v
-    elif functional == "zeta-ratio":
-        a, b = float(q.numerator), float(q.z ** q.n)
-        lo = T_FLOOR * scale / min(a, b)
-        hi = t_cap * scale / max(a, b)
-    elif functional in ("zeta-log", "d-log"):
-        # T = tau^q must land in [T_FLOOR, t_cap]
-        lo, hi = T_FLOOR ** (1.0 / v), t_cap ** (1.0 / v)
-    elif functional == "zeta-log-ratio":
-        a, b = float(q.numerator), float(q.z ** q.n)
-        lo, hi = T_FLOOR ** (1.0 / min(a, b)), t_cap ** (1.0 / max(a, b))
-    else:
+def _rung_integral(T: float, cache: CheckpointCache) -> tuple[float, float]:
+    """(integral of Z^2 over (T, T^1], numeric error) via the defining identity."""
+    j = hl_integral(T, cache=cache)
+    return hl_representation(T) - j.value, j.abs_error_estimate + 1e-6
+
+
+def _over_ascent(delta: Callable[[float, float], float], err: float):
+    """Increment delta(T, U) over the rung (T, U = ascend(T)], fixed numeric error."""
+    return lambda T, cache: (delta(T, ascend(T, cache=cache)), err)
+
+
+_D = _over_ascent(lambda T, U: dirichlet_D(U) - dirichlet_D(T), 2.0)
+_LN_GAMMA = _over_ascent(lambda T, U: ln_gamma(U) - ln_gamma(T), 1e-5)
+_T1 = _over_ascent(lambda T, U: t1_increment(T, U, strategy=DEFAULT_STRATEGY), 1e-5)
+_T2 = _over_ascent(lambda T, U: t2_increment(T, U, strategy=DEFAULT_STRATEGY), 1e-5)
+
+
+# Value forms: (tau, one (increment, error) pair per multiplier) -> (value, error).
+
+def _per_tau(tau: float, inc) -> tuple[float, float]:
+    d, err = inc
+    return d / tau, err / tau
+
+
+def _log_per_log_tau(tau: float, inc) -> tuple[float, float]:
+    d, err = inc
+    return math.log(d) / math.log(tau), err / d / math.log(tau)
+
+
+def _exp_per_tau(tau: float, inc) -> tuple[float, float]:
+    d, err = inc
+    g = d / tau
+    if g > 700.0:
+        raise InfeasibleError(f"exp overflow at tau={tau:g}")
+    return math.exp(g), math.exp(g) * err / tau
+
+
+def _ratio(tau: float, num, den) -> tuple[float, float]:
+    (a, ea), (b, eb) = num, den
+    r = a / b
+    return r, abs(r) * (ea / a + eb / b)
+
+
+def _log_ratio(tau: float, num, den) -> tuple[float, float]:
+    (a, ea), (b, eb) = num, den
+    r = math.log(a) / math.log(b)
+    return r, (ea / a + abs(r) * eb / b) / abs(math.log(b))
+
+
+@dataclass(frozen=True)
+class _Functional:
+    """Everything one functional id needs.
+
+    power: the T-map is T = tau^a, else T = a*tau/(1-c).
+    ratio: a runs over the numerator and the denominator of q, else a = q.
+    increment: (T, cache) -> (rung increment from T, numeric error).
+    value: (tau, increment per a) -> (functional value, numeric error).
+    limit: q -> the value's limit; the forbidden value is limit(1).
+    """
+
+    power: bool
+    ratio: bool
+    increment: Callable[[float, CheckpointCache], tuple[float, float]]
+    value: Callable[..., tuple[float, float]]
+    limit: Callable[[float], float]
+
+    @property
+    def exp_valued(self) -> bool:
+        return self.value is _exp_per_tau
+
+    def multipliers(self, q: FermatRational) -> tuple[float, ...]:
+        return (float(q.numerator), float(q.z ** q.n)) if self.ratio else (q.value,)
+
+    def t_of(self, tau: float, a: float) -> float:
+        return _pow(tau, a) if self.power else a * tau / _SCALE
+
+    def tau_of(self, T: float, a: float) -> float:
+        return _pow(T, 1.0 / a) if self.power else T * _SCALE / a
+
+
+def _pow(x: float, y: float) -> float:
+    """x ** y, or inf where that overflows float64."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
+# The single definition of every functional id; the order is FUNCTIONAL_IDS.
+_FUNCTIONALS = {
+    #                            power  ratio  increment       value             limit
+    "zeta-segment":   _Functional(False, False, _rung_integral, _per_tau,         lambda q: q),
+    "zeta-ratio":     _Functional(False, True,  _rung_integral, _ratio,           lambda q: q),
+    "zeta-log":       _Functional(True,  False, _rung_integral, _log_per_log_tau, lambda q: q),
+    "zeta-log-ratio": _Functional(True,  True,  _rung_integral, _log_ratio,       lambda q: q),
+    "d-linear":       _Functional(False, False, _D,             _per_tau,         lambda q: q),
+    "d-log":          _Functional(True,  False, _D,             _log_per_log_tau, lambda q: q),
+    "t1":             _Functional(False, False, _T1,            _per_tau,         lambda q: q / math.pi),
+    "t2":             _Functional(False, False, _T2,            _per_tau,
+                                  lambda q: (1.0 + EULER_GAMMA) * q / math.pi),
+    "gamma":          _Functional(False, False, _LN_GAMMA,      _per_tau,         lambda q: q),
+    "gamma-exp":      _Functional(False, False, _LN_GAMMA,      _exp_per_tau,     math.exp),
+}
+FUNCTIONAL_IDS = tuple(_FUNCTIONALS)
+
+
+def _lookup(functional: str) -> _Functional:
+    f = _FUNCTIONALS.get(functional)
+    if f is None:
         raise DomainError(f"unknown functional id {functional!r}")
-    lo = max(lo, 20.0)  # keep ln(tau) away from 0 for the log forms
-    if functional == "gamma-exp" and v > _EXP_Q_CAP:
+    return f
+
+
+def _row_grid(fid: str, f: _Functional, q: FermatRational, tau_grid,
+              t_cap: float) -> list[float]:
+    """Taus in the feasible window, whose every T(tau, a) lies in [T_FLOOR, t_cap]."""
+    v = q.value
+    mults = f.multipliers(q)
+    a_lo = min(mults)
+    lo = max(f.tau_of(T_FLOOR, a_lo), 20.0)  # keep ln(tau) away from 0 for the log forms
+    while f.t_of(lo, a_lo) < T_FLOOR:  # the inverse map can round under the floor
+        lo = math.nextafter(lo, math.inf)
+    hi = min(f.tau_of(t_cap, max(mults)), sys.float_info.max)
+    if f.exp_valued and v > _EXP_Q_CAP:
         raise InfeasibleError(f"e^q overflows for q={v:g}")
     if hi <= lo * 1.05:
         raise InfeasibleError(
-            f"{functional}: no feasible tau (window [{lo:.3g}, {hi:.3g}], engine cap {t_cap:g})")
-    return lo, hi
-
-
-def _row_grid(functional: str, q: FermatRational, tau_grid, t_cap: float) -> list[float]:
-    lo, hi = _tau_window(functional, q, t_cap)
+            f"{fid}: no feasible tau (window [{lo:.3g}, {hi:.3g}], engine cap {t_cap:g})")
     inside = [t for t in tau_grid if lo <= t <= hi]
     if len(inside) >= 2:
         if hi > 1.5 * inside[-1]:
@@ -223,79 +321,6 @@ def _row_grid(functional: str, q: FermatRational, tau_grid, t_cap: float) -> lis
     m = 5
     ratio = (hi / lo) ** (1.0 / (m - 1))
     return [lo * ratio ** i for i in range(m - 1)] + [hi]
-
-
-def _rung_integral(T: float, cache: CheckpointCache) -> tuple[float, float]:
-    """(integral of Z^2 over (T, T^1], numeric error) via the defining identity."""
-    j = hl_integral(T, cache=cache)
-    return hl_representation(T) - j.value, j.abs_error_estimate + 1e-6
-
-
-def _evaluate_point(functional: str, q: FermatRational, tau: float,
-                    cache: CheckpointCache) -> tuple[float, float]:
-    """(functional value at tau, propagated numeric error)."""
-    scale = 1.0 - EULER_GAMMA
-    v = q.value
-    if functional == "zeta-segment":
-        seg, err = _rung_integral(v * tau / scale, cache)
-        return seg / tau, err / tau
-    if functional == "zeta-ratio":
-        num, e1 = _rung_integral(float(q.numerator) * tau / scale, cache)
-        den, e2 = _rung_integral(float(q.z ** q.n) * tau / scale, cache)
-        r = num / den
-        return r, abs(r) * (e1 / num + e2 / den)
-    if functional == "zeta-log":
-        seg, err = _rung_integral(tau ** v, cache)
-        return math.log(seg) / math.log(tau), err / seg / math.log(tau)
-    if functional == "zeta-log-ratio":
-        num, e1 = _rung_integral(tau ** float(q.numerator), cache)
-        den, e2 = _rung_integral(tau ** float(q.z ** q.n), cache)
-        r = math.log(num) / math.log(den)
-        return r, (e1 / num + abs(r) * e2 / den) / abs(math.log(den))
-    from .arith import dirichlet_D
-    from .gammalab import ln_gamma
-
-    if functional == "d-linear":
-        T = v * tau / scale
-        u = ascend(T, cache=cache)
-        return (dirichlet_D(u) - dirichlet_D(T)) / tau, 2.0 / tau
-    if functional == "d-log":
-        T = tau ** v
-        u = ascend(T, cache=cache)
-        dd = dirichlet_D(u) - dirichlet_D(T)
-        return math.log(dd) / math.log(tau), 2.0 / dd / math.log(tau)
-    if functional == "t1":
-        T = v * tau / scale
-        u = ascend(T, cache=cache)
-        return t1_increment(T, u, strategy=DEFAULT_STRATEGY) / tau, 1e-5 / tau
-    if functional == "t2":
-        T = v * tau / scale
-        u = ascend(T, cache=cache)
-        return t2_increment(T, u, strategy=DEFAULT_STRATEGY) / tau, 1e-5 / tau
-    if functional == "gamma":
-        T = v * tau / scale
-        u = ascend(T, cache=cache)
-        return (ln_gamma(u) - ln_gamma(T)) / tau, 1e-5 / tau
-    if functional == "gamma-exp":
-        T = v * tau / scale
-        u = ascend(T, cache=cache)
-        g = (ln_gamma(u) - ln_gamma(T)) / tau
-        if g > 700.0:
-            raise InfeasibleError(f"exp overflow at tau={tau:g}")
-        return math.exp(g), math.exp(g) * 1e-5 / tau
-    raise DomainError(f"unknown functional id {functional!r}")
-
-
-def _target_forbidden(functional: str, q: FermatRational) -> tuple[float | None, float]:
-    v = q.value
-    if functional == "t1":
-        return v / math.pi, 1.0 / math.pi
-    if functional == "t2":
-        return (1.0 + EULER_GAMMA) * v / math.pi, (1.0 + EULER_GAMMA) / math.pi
-    if functional == "gamma-exp":
-        target = math.exp(v) if v <= _EXP_Q_CAP else None
-        return target, math.e
-    return v, 1.0
 
 
 def evaluate_equivalent(functional: str, q: FermatRational,
@@ -309,20 +334,21 @@ def evaluate_equivalent(functional: str, q: FermatRational,
     propagated numeric error. status is resolved only when the distance
     from the forbidden value exceeds est_error.
     """
-    if functional not in FUNCTIONAL_IDS:
-        raise DomainError(f"unknown functional id {functional!r}")
+    f = _lookup(functional)
     cache = cache if cache is not None else CheckpointCache()
-    target, forbidden = _target_forbidden(functional, q)
+    v = q.value
+    target = None if f.exp_valued and v > _EXP_Q_CAP else f.limit(v)
+    forbidden = f.limit(1.0)
     try:
-        grid = _row_grid(functional, q, tau_grid, t_cap)
+        grid = _row_grid(functional, f, q, tau_grid, t_cap)
         values = []
         for tau in grid:
-            val, num_err = _evaluate_point(functional, q, tau, cache)
-            values.append((tau, val, num_err))
+            incs = (f.increment(f.t_of(tau, a), cache) for a in f.multipliers(q))
+            values.append((tau, *f.value(tau, *incs)))
     except InfeasibleError as exc:
         # exp-scale forms hit a hard representability guard; linear forms
         # merely ran out of engine range, which is a desk-scale limit
-        status = _STATUS_INFEASIBLE if functional in _EXP_SCALE else _STATUS_UNRESOLVED
+        status = _STATUS_INFEASIBLE if f.power or f.exp_valued else _STATUS_UNRESOLVED
         return ScanRow(functional=functional, x=q.x, y=q.y, z=q.z, n=q.n,
                        q=q.value, tau_max=None, value=None, target=target,
                        forbidden=forbidden, distance=None, est_error=None,
@@ -358,34 +384,25 @@ def scan(functional_ids, n: int, max_xyz: int,
          tau_grid=DEFAULT_TAU_GRID,
          window: tuple[float, float] | None = None,
          cache: CheckpointCache | None = None,
-         t_cap: float = DEFAULT_T_CAP,
-         threads: int = 1) -> ScanReport:
+         t_cap: float = DEFAULT_T_CAP) -> ScanReport:
     """Cross product of enumerated rationals and functionals.
 
-    Rows are independent; with threads > 1 they are evaluated in a pool
-    after the checkpoint cache has been pre-extended serially, so the
-    report is identical for any thread count.
+    Rows are independent: the checkpoint cache is extended once, before
+    the first row, and checkpoint values do not depend on evaluation
+    order, so the report is the same for any row order.
     """
     ids = list(functional_ids)
     for f in ids:
-        if f not in FUNCTIONAL_IDS:
-            raise DomainError(f"unknown functional id {f!r}")
+        _lookup(f)
     rationals = enumerate_fermat_rationals(n, max_xyz, window=window)
     cache = cache if cache is not None else CheckpointCache()
     jobs = [(f, q) for f in ids for q in rationals]
     if jobs:
-        # serial pre-extension pins every anchor the parallel rows will read;
-        # the margin covers one bracket widening of the ascent solver
-        reach = t_cap * (1.0 + 5.0 * (1.0 - EULER_GAMMA) / math.log(t_cap))
+        # pre-extension pins every checkpoint the rows will read; the
+        # margin covers one bracket widening of the ascent solver
+        reach = t_cap * (1.0 + 5.0 * _SCALE / math.log(t_cap))
         cache.extend_to(reach)
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda fq: evaluate_equivalent(fq[0], fq[1], tau_grid, cache, t_cap), jobs))
-    else:
-        rows = [evaluate_equivalent(f, q, tau_grid, cache, t_cap) for f, q in jobs]
+    rows = [evaluate_equivalent(f, q, tau_grid, cache, t_cap) for f, q in jobs]
     return ScanReport(
         functional_ids=ids, n=n, max_xyz=max_xyz, window=window, rows=rows,
         metadata={

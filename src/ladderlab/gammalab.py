@@ -18,17 +18,13 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from .constants import EULER_GAMMA, T_FLOOR
+from .constants import B2K, EULER_GAMMA, T_FLOOR
 from .errors import DomainError, LadderLabError
 from .gram import DEFAULT_STRATEGY, gram_points, t1_increment, t2_increment
 from .integral import CheckpointCache
 from .ladder import ascend, build_tower
 from .serialize import to_json
 
-_B2K = (
-    1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730,
-    7.0 / 6, -3617.0 / 510,
-)
 _SHIFT_TO = 20.0
 _HALF_LN_TWO_PI = 0.91893853320467274
 
@@ -51,7 +47,7 @@ def ln_gamma(x: float) -> float:
     res = (w - 0.5) * math.log(w) - w + _HALF_LN_TWO_PI
     w2 = w * w
     p = w
-    for k, b in enumerate(_B2K, start=1):
+    for k, b in enumerate(B2K[:8], start=1):
         res += b / ((2 * k) * (2 * k - 1) * p)
         p *= w2
     for j in range(shift):

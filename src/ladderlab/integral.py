@@ -13,10 +13,10 @@ lookup plus a tail segment shorter than the stride.
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,10 +168,9 @@ def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralR
 class CheckpointCache:
     """Ordered checkpoints T -> (J(T), error estimate), strictly monotone.
 
-    Writes are serialized by an internal lock; reads see an append-only
-    prefix, so concurrent readers are safe and each checkpoint value is
+    The cache only grows by appending, and each checkpoint value is
     independent of evaluation order (every stride cell integrates the
-    same fixed interval).
+    same fixed interval). Not safe for concurrent writers.
     """
 
     stride: float = DEFAULT_STRIDE
@@ -180,7 +179,6 @@ class CheckpointCache:
     ts: list[float] = field(default_factory=list)
     js: list[float] = field(default_factory=list)
     errs: list[float] = field(default_factory=list)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     def _validate(self) -> None:
         for i in range(1, len(self.ts)):
@@ -194,29 +192,25 @@ class CheckpointCache:
 
     def nearest_below(self, T: float) -> tuple[float, float, float]:
         """Largest checkpoint (T0, J0, err0) with T0 <= T; (0,0,0) if none."""
-        best = (0.0, 0.0, 0.0)
-        for t, j, e in zip(self.ts, self.js, self.errs):
-            if t <= T:
-                best = (t, j, e)
-            else:
-                break
-        return best
+        i = bisect.bisect_right(self.ts, T)
+        if i == 0:
+            return (0.0, 0.0, 0.0)
+        return (self.ts[i - 1], self.js[i - 1], self.errs[i - 1])
 
     def extend_to(self, T: float, tol: float | None = None) -> None:
         """Add checkpoints at stride multiples up to T."""
         tol = self.tol if tol is None else tol
-        with self._lock:
-            cur_t, cur_j, cur_e = (self.ts[-1], self.js[-1], self.errs[-1]) if self.ts else (0.0, 0.0, 0.0)
-            k = int(math.floor(cur_t / self.stride)) + 1
-            while k * self.stride <= T:
-                nxt = k * self.stride
-                seg = integrate_segment(cur_t, nxt, tol=tol)
-                cur_t, cur_j, cur_e = nxt, cur_j + seg.value, cur_e + seg.abs_error_estimate
-                self.ts.append(cur_t)
-                self.js.append(cur_j)
-                self.errs.append(cur_e)
-                k += 1
-            self._validate()
+        cur_t, cur_j, cur_e = (self.ts[-1], self.js[-1], self.errs[-1]) if self.ts else (0.0, 0.0, 0.0)
+        k = int(math.floor(cur_t / self.stride)) + 1
+        while k * self.stride <= T:
+            nxt = k * self.stride
+            seg = integrate_segment(cur_t, nxt, tol=tol)
+            cur_t, cur_j, cur_e = nxt, cur_j + seg.value, cur_e + seg.abs_error_estimate
+            self.ts.append(cur_t)
+            self.js.append(cur_j)
+            self.errs.append(cur_e)
+            k += 1
+        self._validate()
 
     def save(self, path: str) -> None:
         buf = io.StringIO()
@@ -261,7 +255,7 @@ def hl_integral(T: float, cache: CheckpointCache | None = None, tol: float | Non
     """J(T): cached checkpoint plus a fresh tail segment.
 
     With a cache, checkpoints at the cache stride are computed (and
-    memoized) on the way; the caller owns writer serialization.
+    memoized in the cache) on the way.
     """
     if T < 0.0:
         raise DomainError("hl_integral requires T >= 0")

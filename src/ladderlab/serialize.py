@@ -30,8 +30,6 @@ def to_json(obj, indent: int = 0) -> str:
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
         out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
         return f'"{out}"'
-    if isinstance(obj, bool):  # unreachable, bool handled above; keeps order explicit
-        return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import T_MIN, TWO_PI
+from .constants import B2K, T_MIN, TWO_PI
 from .errors import DomainError
 
 # Seam between the Euler-Maclaurin and Riemann-Siegel branches. Chosen
@@ -48,13 +48,6 @@ RS_SEAM = 100.0
 _PI2 = math.pi ** 2
 _PI4 = _PI2 * _PI2
 _PI6 = _PI4 * _PI2
-
-# Bernoulli numbers B_2, B_4, ..., B_28.
-_B2K = (
-    1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730,
-    7.0 / 6, -3617.0 / 510, 43867.0 / 798, -174611.0 / 330, 854513.0 / 138,
-    -236364091.0 / 2730, 8553103.0 / 6, -23749461029.0 / 870,
-)
 
 
 def _psi_taylor(n_coeff: int = 56, radius: float = 1.5, n_fft: int = 4096) -> np.ndarray:
@@ -137,7 +130,7 @@ def _lngamma_quarter(t: np.ndarray) -> np.ndarray:
     w = z + shift
     res = (w - 0.5) * np.log(w) - w
     for k in range(1, 9):
-        res = res + _B2K[k - 1] / ((2 * k) * (2 * k - 1) * w ** (2 * k - 1))
+        res = res + B2K[k - 1] / ((2 * k) * (2 * k - 1) * w ** (2 * k - 1))
     im = res.imag
     for j in range(13):
         mask = shift > j
@@ -217,7 +210,7 @@ def _zeta_euler_maclaurin(t: np.ndarray, kmax: int = 12) -> np.ndarray:
     for k in range(1, kmax + 1):
         if k > 1:
             rising = rising * (s + (2 * k - 3)) * (s + (2 * k - 2))
-        total += _B2K[k - 1] / math.factorial(2 * k) * rising * n_minus_s * nf ** (1 - 2 * k)
+        total += B2K[k - 1] / math.factorial(2 * k) * rising * n_minus_s * nf ** (1 - 2 * k)
     return total
 
 

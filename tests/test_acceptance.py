@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 
 from ladderlab.constants import EULER_GAMMA
-from ladderlab.fermat import FermatRational, exhaustive_exact_check, scan
+from ladderlab.fermat import (
+    FermatRational,
+    ScanReport,
+    evaluate_equivalent,
+    exhaustive_exact_check,
+    scan,
+)
 from ladderlab.gammalab import (
     gamma_functional,
     verify_factorization_D,
@@ -210,15 +216,21 @@ def test_criterion_09_scan_evidence_table(shared_cache, calibration):
 
 
 def test_criterion_10_determinism(shared_cache):
-    """Repeated scans byte-identical; thread count changes nothing."""
-    def run(threads):
-        rep = scan(["gamma", "zeta-segment"], n=3, max_xyz=3,
-                   cache=shared_cache, t_cap=1e4, threads=threads)
-        return rep.to_json()
+    """Repeated scans byte-identical; row evaluation order changes nothing."""
+    def run():
+        return scan(["gamma", "zeta-segment"], n=3, max_xyz=3,
+                    cache=shared_cache, t_cap=1e4)
 
-    one, two, four = run(1), run(1), run(4)
+    rep = run()
+    one, two = rep.to_json(), run().to_json()
     assert one == two
-    assert one == four
+    jobs = [(r.functional, FermatRational(r.x, r.y, r.z, r.n)) for r in rep.rows]
+    backwards = [evaluate_equivalent(f, q, cache=shared_cache, t_cap=1e4)
+                 for f, q in reversed(jobs)]
+    reordered = ScanReport(functional_ids=rep.functional_ids, n=rep.n,
+                           max_xyz=rep.max_xyz, window=rep.window,
+                           rows=backwards[::-1], metadata=rep.metadata)
+    assert reordered.to_json() == one
     parsed = json.loads(one)
     print(f"criterion 10: {len(parsed['rows'])} rows byte-stable across "
-          "repeats and thread counts")
+          "repeats and row order")

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ladderlab.errors import DomainError
+from ladderlab import fermat
+from ladderlab.constants import EULER_GAMMA, T_FLOOR
+from ladderlab.errors import DomainError, InfeasibleError
 from ladderlab.fermat import (
+    DEFAULT_T_CAP,
     DEFAULT_TAU_GRID,
     FUNCTIONAL_IDS,
     FermatRational,
@@ -106,6 +109,12 @@ def test_exp_scale_guard(shared_cache):
     assert row.status == "infeasible"
     assert row.value is None and row.distance is None
     assert "no feasible tau" in row.note
+    # q = 1/864: 100**864 overflows float64, so no tau reaches the floor
+    tiny = FermatRational(1, 1, 12, 3)
+    for fid in ("zeta-log", "d-log"):
+        row = evaluate_equivalent(fid, tiny, cache=shared_cache, t_cap=1e4)
+        assert row.status == "infeasible"
+        assert "no feasible tau" in row.note
 
 
 def test_linear_scale_cap_is_unresolved(shared_cache):
@@ -168,6 +177,30 @@ def test_all_functional_ids_run(shared_cache):
         assert row.status in ("resolved", "unresolved at desk scale", "infeasible")
         if row.value is not None:
             assert math.isfinite(row.value)
+
+
+def test_log_window_lower_edge_reaches_floor(shared_cache):
+    # (1e6) ** (1/3) rounds to 99.99999999999997 < T_FLOOR; the window
+    # must not hand the ascent solver such a point
+    row = evaluate_equivalent("d-log", FermatRational(1, 2, 3, 3),
+                              cache=shared_cache, t_cap=1e4)
+    assert not row.note.startswith("solver:")
+    assert row.value is not None
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=4), st.sampled_from([1e4, DEFAULT_T_CAP]))
+def test_row_grid_maps_into_served_range(x, y, z, t_cap):
+    q = FermatRational(x, y, z, 3)
+    reach = t_cap * (1.0 + 5.0 * (1.0 - EULER_GAMMA) / math.log(t_cap))
+    for fid, f in fermat._FUNCTIONALS.items():
+        try:
+            grid = fermat._row_grid(fid, f, q, DEFAULT_TAU_GRID, t_cap)
+        except InfeasibleError:
+            continue
+        for tau in grid:
+            for a in f.multipliers(q):
+                assert T_FLOOR <= f.t_of(tau, a) <= reach, (fid, tau, a)
 
 
 def test_default_grid_is_sane():

@@ -96,17 +96,6 @@ def _eval_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return v15, v7, eng
 
 
-def _kahan_sum(values: np.ndarray) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = float(v) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralResult:
     """Quadrature of Z^2 over [a, b] with |error| <= estimate <= tol.
 
@@ -136,7 +125,7 @@ def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralR
         if float(np.sum(eng)) > 0.5 * tol:
             raise ToleranceError(
                 f"engine error floor exceeds tol={tol:g} on [{a},{b}]",
-                best_value=_kahan_sum(v15),
+                best_value=math.fsum(v15),
                 best_error=float(np.sum(quad_err + eng)),
             )
         bad = quad_err > 0.25 * tol * (hi - lo) / (b - a)
@@ -152,13 +141,13 @@ def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralR
     else:
         raise ToleranceError(
             f"refinement budget exhausted on [{a},{b}] at tol={tol:g}",
-            best_value=_kahan_sum(v15),
+            best_value=math.fsum(v15),
             best_error=float(np.sum(np.abs(v15 - v7) + eng)),
         )
     return IntegralResult(
         a=a,
         b=b,
-        value=_kahan_sum(v15),
+        value=math.fsum(v15),
         abs_error_estimate=float(np.sum(np.abs(v15 - v7) + eng)),
         node_count=nodes,
     )

@@ -169,14 +169,15 @@ class CheckpointCache:
     js: list[float] = field(default_factory=list)
     errs: list[float] = field(default_factory=list)
 
-    def _validate(self) -> None:
-        for i in range(1, len(self.ts)):
+    def _validate(self, start: int = 0) -> None:
+        """Check rows start.. and the seam with row start-1."""
+        for i in range(max(start, 1), len(self.ts)):
             if not (self.ts[i] > self.ts[i - 1] and self.js[i] > self.js[i - 1]):
                 raise CacheCorruptionError(
                     f"cache not strictly increasing at row {i}: "
                     f"T {self.ts[i-1]}->{self.ts[i]}, J {self.js[i-1]}->{self.js[i]}"
                 )
-        if any(e < 0 for e in self.errs):
+        if any(e < 0 for e in self.errs[start:]):
             raise CacheCorruptionError("negative error estimate in cache")
 
     def nearest_below(self, T: float) -> tuple[float, float, float]:
@@ -189,6 +190,7 @@ class CheckpointCache:
     def extend_to(self, T: float, tol: float | None = None) -> None:
         """Add checkpoints at stride multiples up to T."""
         tol = self.tol if tol is None else tol
+        start = len(self.ts)
         cur_t, cur_j, cur_e = (self.ts[-1], self.js[-1], self.errs[-1]) if self.ts else (0.0, 0.0, 0.0)
         k = int(math.floor(cur_t / self.stride)) + 1
         while k * self.stride <= T:
@@ -199,7 +201,7 @@ class CheckpointCache:
             self.js.append(cur_j)
             self.errs.append(cur_e)
             k += 1
-        self._validate()
+        self._validate(start)
 
     def save(self, path: str) -> None:
         buf = io.StringIO()

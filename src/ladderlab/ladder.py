@@ -22,12 +22,13 @@ from .integral import CheckpointCache, hl_integral, hl_representation, integrate
 DEFAULT_RESIDUAL_TOL = 1e-6
 
 
-def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float, maxiter: int = 120) -> float:
-    """Brent's method on a bracketing pair; returns the root abscissa."""
+def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float,
+           maxiter: int = 120) -> tuple[float, float]:
+    """Brent's method on a bracketing pair; returns (root, f(root))."""
     if fa == 0.0:
-        return a
+        return a, fa
     if fb == 0.0:
-        return b
+        return b, fb
     if fa * fb > 0.0:
         raise BracketError(f"no sign change on [{a}, {b}]")
     c, fc = a, fa
@@ -42,7 +43,7 @@ def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float, maxiter: in
         tol1 = 2.0 * 2.22e-16 * abs(b) + 0.5 * xtol
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
-            return b
+            return b, fb
         if abs(e) >= tol1 and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:
@@ -108,8 +109,8 @@ def descend(T: float, cache: CheckpointCache | None = None,
         raise BracketError(f"representation(T) < J(T) at T={T}; inconsistent engine state")
     # residual slope is ln(phi)+1+c-ln(2pi), bounded below by ~ln(lo)
     xtol = tol / max(1.0, math.log(lo))
-    phi = _brent(f, lo, hi, flo, fhi, xtol=xtol)
-    resid = abs(f(phi))
+    phi, fphi = _brent(f, lo, hi, flo, fhi, xtol=xtol)
+    resid = abs(fphi)
     if resid > tol:
         raise ToleranceError(f"descend residual {resid:g} > {tol:g} at T={T}",
                              best_value=phi, best_error=resid)
@@ -127,28 +128,26 @@ def ascend(T: float, cache: CheckpointCache | None = None,
     _require_floor(T)
     target = hl_representation(T)
     cache = cache if cache is not None else CheckpointCache()
+
+    def jfun(U: float) -> float:
+        return hl_integral(U, cache=cache).value - target
+
     gap = 2.0 * (1.0 - EULER_GAMMA) * T / math.log(T)
     hi = T + gap
     for _ in range(40):
-        cache.extend_to(hi)
-        if hl_integral(hi, cache=cache).value >= target:
+        fhi = jfun(hi)
+        if fhi >= 0.0:
             break
         hi = T + (hi - T) * 2.0
     else:
         raise BracketError(f"ascend bracket failed at T={T}")
-
-    def jfun(U: float) -> float:
-        t0, j0, _ = cache.nearest_below(U)
-        return j0 + integrate_segment(t0, U).value - target
-
     flo = jfun(T)
-    fhi = jfun(hi)
     if flo > 0.0:
         raise BracketError(f"J(T) > representation(T) at T={T}; inconsistent engine state")
     # J' = Z^2 averages ln(T/2pi) + 2c but has zeros; xtol from the mean slope
     xtol = tol / (math.log(T / (2.0 * math.pi)) + 2.0 * EULER_GAMMA)
-    U = _brent(jfun, T, hi, flo, fhi, xtol=xtol)
-    resid = abs(jfun(U))
+    U, fU = _brent(jfun, T, hi, flo, fhi, xtol=xtol)
+    resid = abs(fU)
     if resid > 10.0 * tol:
         raise ToleranceError(f"ascend residual {resid:g} > {10*tol:g} at T={T}",
                              best_value=U, best_error=resid)

@@ -29,7 +29,7 @@ _X15, _W15 = np.polynomial.legendre.leggauss(15)
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _NODES_PER_PANEL = _X15.size + _X7.size
 
-ENGINE_VERSION = "1"
+ENGINE_VERSION = "2"
 # Default absolute tolerance per unit of integration length. The engine's
 # own error bound contributes ~6e-6 per unit in the worst band, so this
 # is the tightest default that cannot trip the infeasibility guard.
@@ -218,7 +218,7 @@ class CheckpointCache:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
         if not lines:
             raise CacheCorruptionError(f"empty cache file {path}")
-        stride, tol, version = DEFAULT_STRIDE, AUTO_TOL_RATE * DEFAULT_STRIDE, ENGINE_VERSION
+        stride, tol, version = DEFAULT_STRIDE, AUTO_TOL_RATE * DEFAULT_STRIDE, None
         if lines[0].startswith("#"):
             for tokpair in lines[0].split():
                 if tokpair.startswith("stride="):
@@ -230,7 +230,13 @@ class CheckpointCache:
             lines = lines[1:]
         if not lines or lines[0] != "T,J,abs_err":
             raise CacheCorruptionError(f"bad cache header in {path}")
-        cache = cls(stride=stride, tol=tol, engine_version=version)
+        if version != ENGINE_VERSION:
+            found = "no engine version" if version is None else f"engine v{version}"
+            raise CacheCorruptionError(
+                f"stale cache {path}: {found}, this engine is v{ENGINE_VERSION}; "
+                "delete it and rebuild with `ladderlab cache`"
+            )
+        cache = cls(stride=stride, tol=tol)
         for ln in lines[1:]:
             parts = ln.split(",")
             if len(parts) != 3:

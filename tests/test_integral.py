@@ -8,6 +8,7 @@ from ladderlab.constants import EULER_GAMMA, LN_TWO_PI
 from ladderlab.errors import CacheCorruptionError, DomainError, ToleranceError
 from ladderlab.integral import (
     AUTO_TOL_RATE,
+    ENGINE_VERSION,
     CheckpointCache,
     hl_integral,
     hl_representation,
@@ -94,9 +95,9 @@ def test_cache_roundtrip(tmp_path):
 def test_cache_corruption(tmp_path):
     path = os.path.join(tmp_path, "bad.csv")
     with open(path, "w") as fh:
-        fh.write("# ladderlab cache v1 stride=50 tol=0.0015\n")
+        fh.write(f"# ladderlab cache v{ENGINE_VERSION} stride=50 tol=0.0015\n")
         fh.write("T,J,abs_err\n50,10,0\n40,20,0\n")
-    with pytest.raises(CacheCorruptionError):
+    with pytest.raises(CacheCorruptionError, match="not strictly increasing"):
         CheckpointCache.load(path)
 
     with open(path, "w") as fh:
@@ -108,6 +109,16 @@ def test_cache_corruption(tmp_path):
         fh.write("")
     with pytest.raises(CacheCorruptionError):
         CheckpointCache.load(path)
+
+    # stale: another engine version, or no version header at all
+    for header, found in (("# ladderlab cache v1 stride=50 tol=0.0015\n", "engine v1"),
+                          ("", "no engine version")):
+        with open(path, "w") as fh:
+            fh.write(header + "T,J,abs_err\n50,10,0\n100,20,0\n")
+        with pytest.raises(CacheCorruptionError) as exc:
+            CheckpointCache.load(path)
+        msg = str(exc.value)
+        assert found in msg and f"v{ENGINE_VERSION}" in msg and "ladderlab cache" in msg
 
 
 def test_cached_matches_fresh(shared_cache):

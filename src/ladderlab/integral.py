@@ -137,7 +137,7 @@ def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralR
         order = np.argsort(new_lo, kind="stable")
         lo, hi = new_lo[order], new_hi[order]
         v15, v7, eng = _eval_panels(lo, hi)
-        nodes += int(np.sum(bad)) * 2 * _NODES_PER_PANEL
+        nodes += lo.size * _NODES_PER_PANEL
     else:
         raise ToleranceError(
             f"refinement budget exhausted on [{a},{b}] at tol={tol:g}",

@@ -4,6 +4,7 @@ import os
 import pytest
 from hypothesis import given, strategies as st
 
+from ladderlab import integral
 from ladderlab.constants import EULER_GAMMA, LN_TWO_PI
 from ladderlab.errors import CacheCorruptionError, DomainError, ToleranceError
 from ladderlab.integral import (
@@ -119,6 +120,22 @@ def test_cache_corruption(tmp_path):
             CheckpointCache.load(path)
         msg = str(exc.value)
         assert found in msg and f"v{ENGINE_VERSION}" in msg and "ladderlab cache" in msg
+
+
+def test_node_count_counts_every_evaluated_node(monkeypatch):
+    # tol=1e-10 on [0, 30] forces refinement rounds that re-evaluate
+    # every panel, not only the bisected ones
+    sizes = []
+    z_array = integral.z_array
+
+    def counting(t):
+        sizes.append(len(t))
+        return z_array(t)
+
+    monkeypatch.setattr(integral, "z_array", counting)
+    res = integrate_segment(0.0, 30.0, tol=1e-10)
+    assert len(sizes) > 1
+    assert res.node_count == sum(sizes)
 
 
 def test_cached_matches_fresh(shared_cache):

@@ -129,3 +129,18 @@ def test_error_bound_monotone_regions():
     assert b[1] == 1e-6
     assert b[2] == 5e-8
     assert b[3] == 1e-8
+
+
+def test_batch_invariance_bitwise():
+    # both branches and the seam: a value must not depend on its batch
+    rng = np.random.default_rng(20260101)
+    ts = np.concatenate([
+        rng.uniform(0.0, RS_SEAM, 100),
+        rng.uniform(RS_SEAM, 6e4, 290),
+        RS_SEAM + np.array([-1e-9, -1e-12, 0.0, 1e-12, 1e-9]),
+        np.array([0.0, 6e4]),
+    ])
+    rng.shuffle(ts)
+    batch = z_array(ts)
+    for i in range(ts.size):
+        assert z_array(ts[i:i + 1])[0] == batch[i], ts[i]

@@ -29,6 +29,7 @@ _X15, _W15 = np.polynomial.legendre.leggauss(15)
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _NODES_PER_PANEL = _X15.size + _X7.size
 
+# Bump on every change that moves Z or J values: load() rejects other versions.
 ENGINE_VERSION = "2"
 # Default absolute tolerance per unit of integration length. The engine's
 # own error bound contributes ~6e-6 per unit in the worst band, so this
@@ -164,13 +165,11 @@ class CheckpointCache:
 
     stride: float = DEFAULT_STRIDE
     tol: float = AUTO_TOL_RATE * DEFAULT_STRIDE
-    engine_version: str = ENGINE_VERSION
     ts: list[float] = field(default_factory=list)
     js: list[float] = field(default_factory=list)
     errs: list[float] = field(default_factory=list)
 
     def _validate(self, start: int = 0) -> None:
-        """Check rows start.. and the seam with row start-1."""
         for i in range(max(start, 1), len(self.ts)):
             if not (self.ts[i] > self.ts[i - 1] and self.js[i] > self.js[i - 1]):
                 raise CacheCorruptionError(
@@ -205,7 +204,7 @@ class CheckpointCache:
 
     def save(self, path: str) -> None:
         buf = io.StringIO()
-        buf.write(f"# ladderlab cache v{self.engine_version} stride={self.stride:.17g} tol={self.tol:.17g}\n")
+        buf.write(f"# ladderlab cache v{ENGINE_VERSION} stride={self.stride:.17g} tol={self.tol:.17g}\n")
         buf.write("T,J,abs_err\n")
         for t, j, e in zip(self.ts, self.js, self.errs):
             buf.write(f"{t:.17g},{j:.17g},{e:.17g}\n")
@@ -231,11 +230,9 @@ class CheckpointCache:
         if not lines or lines[0] != "T,J,abs_err":
             raise CacheCorruptionError(f"bad cache header in {path}")
         if version != ENGINE_VERSION:
-            found = "no engine version" if version is None else f"engine v{version}"
             raise CacheCorruptionError(
-                f"stale cache {path}: {found}, this engine is v{ENGINE_VERSION}; "
-                "delete it and rebuild with `ladderlab cache`"
-            )
+                f"stale cache {path}: engine version {version or 'missing'}, expected "
+                f"{ENGINE_VERSION}; delete it and rebuild with `ladderlab cache`")
         cache = cls(stride=stride, tol=tol)
         for ln in lines[1:]:
             parts = ln.split(",")
@@ -256,11 +253,8 @@ def hl_integral(T: float, cache: CheckpointCache | None = None, tol: float | Non
     """
     if T < 0.0:
         raise DomainError("hl_integral requires T >= 0")
-    if T == 0.0:
-        return IntegralResult(a=0.0, b=0.0, value=0.0, abs_error_estimate=0.0, node_count=0)
     if cache is None:
-        seg = integrate_segment(0.0, T, tol=tol)
-        return IntegralResult(a=0.0, b=T, value=seg.value, abs_error_estimate=seg.abs_error_estimate, node_count=seg.node_count)
+        return integrate_segment(0.0, T, tol=tol)
     cache.extend_to(T)
     t0, j0, e0 = cache.nearest_below(T)
     tail = integrate_segment(t0, T, tol=tol)

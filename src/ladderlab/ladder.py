@@ -128,10 +128,7 @@ def ascend(T: float, cache: CheckpointCache | None = None,
     _require_floor(T)
     target = hl_representation(T)
     cache = cache if cache is not None else CheckpointCache()
-
-    def jfun(U: float) -> float:
-        return hl_integral(U, cache=cache).value - target
-
+    jfun = lambda U: hl_integral(U, cache=cache).value - target
     gap = 2.0 * (1.0 - EULER_GAMMA) * T / math.log(T)
     hi = T + gap
     for _ in range(40):

@@ -7,28 +7,25 @@ oscillatory quadrature with millions of nodes.
 Two branches, stitched at ``RS_SEAM``:
 
 * t >= RS_SEAM: Riemann-Siegel main sum plus the first four correction
-  terms C0..C3. Each C_k is a fixed combination of derivatives of the
-  entire function
+  terms C0..C3, one table of polynomials built from derivatives of the
+  entire function (Gabcke 1979)
 
       Psi(p) = cos(2*pi*(p^2 - p - 1/16)) / cos(2*pi*p)
 
-  (Gabcke 1979), whose Taylor coefficients about p = 1/2 are recovered
-  once, at import, by an FFT over a circle of radius 1.5 (all apparent
-  poles of Psi are removable, so the series converges on the whole unit
-  interval). The four polynomials are stored as one 4-row table in
-  (p - 1/2)^2 and evaluated together by one elementwise Horner pass.
+  whose Taylor coefficients about p = 1/2 are recovered once, at import,
+  by an FFT over a circle of radius 1.5 (all apparent poles of Psi are
+  removable, so the series converges on the whole unit interval).
 
 * t < RS_SEAM: direct Euler-Maclaurin evaluation of zeta(1/2 + i*t),
   rotated by a theta value computed from a shifted Stirling expansion of
   log Gamma(1/4 + i*t/2). This branch is machine precision for the small
   t it serves.
 
-Error model (measured against a 50-digit oracle, see tests/fixtures):
-the largest absolute error in Z is 5.8e-14 below RS_SEAM, 5.5e-7 on
-[RS_SEAM, 1e3) and 3.9e-9 on [1e3, 9.9e3]. ``z_error_bound`` publishes
-the step bound 5e-13 below RS_SEAM, 1e-6 on [RS_SEAM, 1e3), 5e-8 on
-[1e3, 1e4) and 1e-8 from 1e4 up. The oracle checks it only up to
-t = 9.9e3; the 1e-8 step rests on the t^(-9/4) decay of the remainder.
+Error model: ``z_error_bound`` is a step bound over the error measured
+against a 50-digit oracle (tests/fixtures): 5e-13 below RS_SEAM, 1e-6
+on [RS_SEAM, 1e3), 5e-8 on [1e3, 1e4) and 1e-8 from 1e4 up. The oracle
+stops at t = 9.9e3; above it the bound rests on the t^(-9/4) decay of
+the remainder, not on a measurement.
 
 All evaluation paths are pure: equal inputs give bitwise-equal outputs
 regardless of how calls are batched.
@@ -61,25 +58,16 @@ def _psi_taylor(n_coeff: int = 56, radius: float = 1.5, n_fft: int = 4096) -> np
     zs = 0.5 + radius * np.exp(2j * np.pi * k / n_fft)
     vals = np.cos(TWO_PI * (zs * zs - zs - 1.0 / 16.0)) / np.cos(TWO_PI * zs)
     coeff = (np.fft.fft(vals) / n_fft)[:n_coeff] / radius ** np.arange(n_coeff)
-    out = coeff.real.copy()
-    out[1::2] = 0.0  # Psi is even about 1/2, odd coefficients are FFT noise
-    return out
+    return coeff.real
 
 
 def _rs_correction_table() -> np.ndarray:
-    """C0..C3 of the Riemann-Siegel remainder as one coefficient table.
+    """C0..C3 of the Riemann-Siegel remainder from Psi derivatives (Gabcke 1979).
 
-    With x = p - 1/2 and Psi^(k) the k-th derivative (Gabcke 1979):
-
-        C0 = Psi
-        C1 = -Psi^(3) / (96 pi^2)
-        C2 = Psi^(2) / (64 pi^2) + Psi^(6) / (18432 pi^4)
-        C3 = -Psi^(1) / (64 pi^2) - Psi^(5) / (3840 pi^4)
-             - Psi^(9) / (5308416 pi^6)
-
-    C0 and C2 are even in x, C1 and C3 odd, so row k holds the
+    C0 and C2 are even in x = p - 1/2, C1 and C3 odd, so row k holds the
     coefficients of C_k / x^(k mod 2) in powers of x^2, zero-padded to
-    one width.
+    one width. Psi is even, so the parity slice also drops the FFT noise
+    in its odd coefficients.
     """
     psi = np.polynomial.Polynomial(_psi_taylor())
     d = psi.deriv
@@ -187,8 +175,7 @@ def _z_riemann_siegel(t: np.ndarray) -> np.ndarray:
         main[i:] += np.cos(th[i:] - t[i:] * logn[n - 1]) * isqn[n - 1]
     main *= 2.0
     v = 1.0 / root
-    # one elementwise Horner pass for all four rows: no BLAS reduction,
-    # so each column is independent of the batch it sits in
+    # elementwise Horner, not a BLAS product: keeps Z batch-invariant
     x = p - 0.5
     x2 = x * x
     c = np.zeros((4, t.size))

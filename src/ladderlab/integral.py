@@ -7,8 +7,10 @@ oscillation wavelength pi/ln t, so a 15-node rule resolves each arch; a
 bound is folded into the estimate via Cauchy-Schwarz on each panel.
 
 J is expensive enough that ladder solves want checkpoints: a
-CheckpointCache holds J at a fixed stride so any J(T) costs one cached
-lookup plus a tail segment shorter than the stride.
+CheckpointCache holds J at a fixed stride, and in memory also J at a
+knot every KNOT_PANELS panel edges inside each stride cell, taken from
+the panel values the cell's quadrature already produced. Any J(T) then
+costs one lookup plus a tail of at most KNOT_PANELS panels.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import bisect
 import io
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +39,8 @@ ENGINE_VERSION = "2"
 # is the tightest default that cannot trip the infeasibility guard.
 AUTO_TOL_RATE = 3e-5
 DEFAULT_STRIDE = 50.0
+# A stride cell keeps an in-memory knot at every KNOT_PANELS-th panel edge.
+KNOT_PANELS = 8
 
 
 def _auto_tol(a: float, b: float) -> float:
@@ -97,37 +102,31 @@ def _eval_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return v15, v7, eng
 
 
-def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralResult:
-    """Quadrature of Z^2 over [a, b] with |error| <= estimate <= tol.
+def _panels(a: float, b: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Final panels of [a, b] at absolute tol: (lo, v15, err, nodes).
 
-    tol is absolute over the whole segment; None picks a width-scaled
-    default that the engine error floor can always meet. Panels whose embedded-rule
-    discrepancy exceeds their share of tol are bisected, up to a fixed
-    refinement budget; exhaustion raises with the best result attached.
-    The engine-bound part of the estimate is a floor no refinement can
-    cross, so impossible tolerances fail fast.
+    lo are the left panel edges, v15 the 15-node panel values, err the
+    per-panel estimate |v15 - v7| + engine error, and nodes every Z node
+    evaluated. Panels whose embedded-rule discrepancy exceeds their share
+    of tol are bisected, up to a fixed refinement budget; exhaustion
+    raises with the best result attached. The engine-bound part of the
+    estimate is a floor no refinement can cross, so impossible
+    tolerances fail fast.
     """
-    if not 0.0 <= a <= b:
-        raise DomainError("integrate_segment requires 0 <= a <= b")
-    if tol is None:
-        tol = _auto_tol(a, b)
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    if a == b:
-        return IntegralResult(a=a, b=b, value=0.0, abs_error_estimate=0.0, node_count=0)
     edges = _panel_edges(a, b)
     lo, hi = edges[:-1], edges[1:]
     v15, v7, eng = _eval_panels(lo, hi)
     nodes = lo.size * _NODES_PER_PANEL
     for _ in range(24):
         quad_err = np.abs(v15 - v7)
-        if float(np.sum(quad_err + eng)) <= tol:
-            break
+        err = quad_err + eng
+        if float(np.sum(err)) <= tol:
+            return lo, v15, err, nodes
         if float(np.sum(eng)) > 0.5 * tol:
             raise ToleranceError(
                 f"engine error floor exceeds tol={tol:g} on [{a},{b}]",
                 best_value=math.fsum(v15),
-                best_error=float(np.sum(quad_err + eng)),
+                best_error=float(np.sum(err)),
             )
         bad = quad_err > 0.25 * tol * (hi - lo) / (b - a)
         if not bad.any():
@@ -139,17 +138,34 @@ def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralR
         lo, hi = new_lo[order], new_hi[order]
         v15, v7, eng = _eval_panels(lo, hi)
         nodes += lo.size * _NODES_PER_PANEL
-    else:
-        raise ToleranceError(
-            f"refinement budget exhausted on [{a},{b}] at tol={tol:g}",
-            best_value=math.fsum(v15),
-            best_error=float(np.sum(np.abs(v15 - v7) + eng)),
-        )
+    raise ToleranceError(
+        f"refinement budget exhausted on [{a},{b}] at tol={tol:g}",
+        best_value=math.fsum(v15),
+        best_error=float(np.sum(np.abs(v15 - v7) + eng)),
+    )
+
+
+def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralResult:
+    """Quadrature of Z^2 over [a, b] with |error| <= estimate <= tol.
+
+    tol is absolute over the whole segment; None picks a width-scaled
+    default that the engine error floor can always meet. Raises
+    ToleranceError when refinement cannot meet tol.
+    """
+    if not 0.0 <= a <= b:
+        raise DomainError("integrate_segment requires 0 <= a <= b")
+    if tol is None:
+        tol = _auto_tol(a, b)
+    if tol <= 0.0:
+        raise DomainError("tol must be positive")
+    if a == b:
+        return IntegralResult(a=a, b=b, value=0.0, abs_error_estimate=0.0, node_count=0)
+    _, v15, err, nodes = _panels(a, b, tol)
     return IntegralResult(
         a=a,
         b=b,
         value=math.fsum(v15),
-        abs_error_estimate=float(np.sum(np.abs(v15 - v7) + eng)),
+        abs_error_estimate=float(np.sum(err)),
         node_count=nodes,
     )
 
@@ -161,6 +177,14 @@ class CheckpointCache:
     The cache only grows by appending, and each checkpoint value is
     independent of evaluation order (every stride cell integrates the
     same fixed interval). Not safe for concurrent writers.
+
+    Each stride cell also holds knots (t, J(t), err(t)) at every
+    KNOT_PANELS-th edge of its final panel list, in memory only: save()
+    never writes them and equality ignores them. A cell without knots
+    (one from load(), or the cell past the last checkpoint) gets them on
+    the first hl_integral read that lands in it, from the same panels at
+    the same tol, so every read sees the same knots whatever the
+    cache's history.
     """
 
     stride: float = DEFAULT_STRIDE
@@ -168,6 +192,11 @@ class CheckpointCache:
     ts: list[float] = field(default_factory=list)
     js: list[float] = field(default_factory=list)
     errs: list[float] = field(default_factory=list)
+    # knots of every filled cell, sorted by t; cell i ends at ts[i]
+    _knot_t: array = field(default_factory=lambda: array("d"), init=False, compare=False, repr=False)
+    _knot_j: array = field(default_factory=lambda: array("d"), init=False, compare=False, repr=False)
+    _knot_e: array = field(default_factory=lambda: array("d"), init=False, compare=False, repr=False)
+    _filled: set[int] = field(default_factory=set, init=False, compare=False, repr=False)
 
     def _validate(self, start: int = 0) -> None:
         for i in range(max(start, 1), len(self.ts)):
@@ -180,27 +209,59 @@ class CheckpointCache:
             raise CacheCorruptionError("negative error estimate in cache")
 
     def nearest_below(self, T: float) -> tuple[float, float, float]:
-        """Largest checkpoint (T0, J0, err0) with T0 <= T; (0,0,0) if none."""
+        """Largest stored point (T0, J0, err0) with T0 <= T, checkpoint or
+        knot; (0,0,0) if none."""
         i = bisect.bisect_right(self.ts, T)
+        k = bisect.bisect_right(self._knot_t, T)
+        if k and (i == 0 or self._knot_t[k - 1] > self.ts[i - 1]):
+            return (self._knot_t[k - 1], self._knot_j[k - 1], self._knot_e[k - 1])
         if i == 0:
             return (0.0, 0.0, 0.0)
         return (self.ts[i - 1], self.js[i - 1], self.errs[i - 1])
 
-    def extend_to(self, T: float, tol: float | None = None) -> None:
-        """Add checkpoints at stride multiples up to T."""
-        tol = self.tol if tol is None else tol
+    def _add_knots(self, i: int, lo: np.ndarray, v15: np.ndarray, err: np.ndarray) -> None:
+        """Store the knots of cell i from its final panels."""
+        j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
+        ends = range(KNOT_PANELS, lo.size, KNOT_PANELS)
+        vals = v15.tolist()
+        k = bisect.bisect_right(self._knot_t, lo[0])
+        self._knot_t[k:k] = array("d", lo[KNOT_PANELS::KNOT_PANELS])
+        self._knot_j[k:k] = array("d", [j0 + math.fsum(vals[:n]) for n in ends])
+        self._knot_e[k:k] = array("d", e0 + np.cumsum(err)[KNOT_PANELS - 1:lo.size - 1:KNOT_PANELS])
+        self._filled.add(i)
+
+    def _fill_knots(self, T: float) -> int:
+        """Integrate the cell holding T once if it has no knots yet; returns
+        the Z nodes evaluated."""
+        i = bisect.bisect_right(self.ts, T)
+        a = self.ts[i - 1] if i else 0.0
+        if T == a or i in self._filled:
+            return 0
+        b = self.ts[i] if i < len(self.ts) else (math.floor(a / self.stride) + 1) * self.stride
+        lo, v15, err, nodes = _panels(a, b, self.tol)
+        self._add_knots(i, lo, v15, err)
+        return nodes
+
+    def extend_to(self, T: float) -> int:
+        """Add checkpoints at stride multiples up to T, with their cells'
+        knots; returns the Z nodes evaluated."""
         start = len(self.ts)
+        nodes = 0
         cur_t, cur_j, cur_e = (self.ts[-1], self.js[-1], self.errs[-1]) if self.ts else (0.0, 0.0, 0.0)
         k = int(math.floor(cur_t / self.stride)) + 1
         while k * self.stride <= T:
             nxt = k * self.stride
-            seg = integrate_segment(cur_t, nxt, tol=tol)
-            cur_t, cur_j, cur_e = nxt, cur_j + seg.value, cur_e + seg.abs_error_estimate
+            lo, v15, err, n = _panels(cur_t, nxt, self.tol)
+            if len(self.ts) not in self._filled:
+                self._add_knots(len(self.ts), lo, v15, err)
+            cur_t, cur_j, cur_e = nxt, cur_j + math.fsum(v15), cur_e + float(np.sum(err))
+            nodes += n
             self.ts.append(cur_t)
             self.js.append(cur_j)
             self.errs.append(cur_e)
             k += 1
         self._validate(start)
+        return nodes
 
     def save(self, path: str) -> None:
         buf = io.StringIO()
@@ -246,22 +307,24 @@ class CheckpointCache:
 
 
 def hl_integral(T: float, cache: CheckpointCache | None = None, tol: float | None = None) -> IntegralResult:
-    """J(T): cached checkpoint plus a fresh tail segment.
+    """J(T): nearest cached checkpoint or knot plus a fresh tail segment.
 
-    With a cache, checkpoints at the cache stride are computed (and
-    memoized in the cache) on the way.
+    With a cache, checkpoints at the cache stride and the knots of the
+    cell holding T are computed (and memoized in the cache) on the way;
+    node_count counts their nodes as well as the tail's.
     """
     if T < 0.0:
         raise DomainError("hl_integral requires T >= 0")
     if cache is None:
         return integrate_segment(0.0, T, tol=tol)
-    cache.extend_to(T)
+    nodes = cache.extend_to(T)
+    nodes += cache._fill_knots(T)
     t0, j0, e0 = cache.nearest_below(T)
     tail = integrate_segment(t0, T, tol=tol)
     return IntegralResult(
         a=0.0, b=T, value=j0 + tail.value,
         abs_error_estimate=e0 + tail.abs_error_estimate,
-        node_count=tail.node_count,
+        node_count=nodes + tail.node_count,
     )
 
 

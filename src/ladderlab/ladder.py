@@ -6,8 +6,8 @@ r(T) climbs one rung up. Both directions are bracketed root solves on
 strictly increasing maps, so every rung carries a certified residual.
 
 Descending is cheap (closed form vs one J evaluation); ascending costs
-one short tail integral per solver iteration, kept short by the
-checkpoint cache.
+one J read per solver iteration, which the checkpoint cache serves as a
+stored knot plus a tail of at most KNOT_PANELS panels.
 """
 
 from __future__ import annotations
@@ -117,14 +117,9 @@ def descend(T: float, cache: CheckpointCache | None = None,
     return phi
 
 
-def ascend(T: float, cache: CheckpointCache | None = None,
-           tol: float = DEFAULT_RESIDUAL_TOL) -> float:
-    """The unique U > T with J(U) = representation(T); one rung up.
-
-    Bracket starts at the expected gap 2(1-c)T/ln T and widens
-    geometrically; J is evaluated as checkpoint plus short tail so each
-    solver iteration stays cheap.
-    """
+def _ascend(T: float, cache: CheckpointCache | None,
+            tol: float) -> tuple[float, float]:
+    """ascend() with its residual: (U, J(U) - representation(T))."""
     _require_floor(T)
     target = hl_representation(T)
     cache = cache if cache is not None else CheckpointCache()
@@ -148,7 +143,18 @@ def ascend(T: float, cache: CheckpointCache | None = None,
     if resid > 10.0 * tol:
         raise ToleranceError(f"ascend residual {resid:g} > {10*tol:g} at T={T}",
                              best_value=U, best_error=resid)
-    return U
+    return U, fU
+
+
+def ascend(T: float, cache: CheckpointCache | None = None,
+           tol: float = DEFAULT_RESIDUAL_TOL) -> float:
+    """The unique U > T with J(U) = representation(T); one rung up.
+
+    Bracket starts at the expected gap 2(1-c)T/ln T and widens
+    geometrically; J is read from the cache's nearest checkpoint or knot
+    plus a short tail, so each solver iteration stays cheap.
+    """
+    return _ascend(T, cache, tol)[0]
 
 
 def build_tower(T: float, k: int, cache: CheckpointCache | None = None,
@@ -162,12 +168,11 @@ def build_tower(T: float, k: int, cache: CheckpointCache | None = None,
     residuals = []
     for r in range(1, k + 1):
         try:
-            nxt = ascend(iterates[-1], cache=cache, tol=tol)
+            nxt, f_nxt = _ascend(iterates[-1], cache, tol)
         except (BracketError, ToleranceError) as exc:
             raise type(exc)(f"rung {r}: {exc}") from exc
-        resid = abs(hl_integral(nxt, cache=cache).value - hl_representation(iterates[-1]))
         iterates.append(nxt)
-        residuals.append(resid)
+        residuals.append(abs(f_nxt))
         if nxt <= iterates[-2]:
             raise BracketError(f"rung {r} did not increase: {iterates[-2]} -> {nxt}")
     return LadderTower(base=float(T), iterates=iterates, residuals=residuals, k=k)

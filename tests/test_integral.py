@@ -1,5 +1,7 @@
+import bisect
 import math
 import os
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from ladderlab.errors import CacheCorruptionError, DomainError, ToleranceError
 from ladderlab.integral import (
     AUTO_TOL_RATE,
     ENGINE_VERSION,
+    KNOT_PANELS,
     CheckpointCache,
     hl_integral,
     hl_representation,
@@ -137,6 +140,80 @@ def test_node_count_counts_every_evaluated_node(monkeypatch):
     res = integrate_segment(0.0, 30.0, tol=1e-10)
     assert len(sizes) > 1
     assert res.node_count == sum(sizes)
+
+    # a cached read counts the checkpoints it builds and the knots it
+    # fills, not only its tail
+    cache = CheckpointCache()
+    for T in (120.0, 149.0, 30.0):
+        sizes.clear()
+        res = hl_integral(T, cache=cache)
+        assert res.node_count == sum(sizes)
+    assert len(cache.ts) == 2 and len(sizes) == 1  # 30.0: cell filled, tail only
+
+    # first read of a loaded cell fills its knots, and counts them
+    loaded = CheckpointCache(ts=list(cache.ts), js=list(cache.js), errs=list(cache.errs))
+    sizes.clear()
+    res = hl_integral(77.0, cache=loaded)
+    assert len(sizes) == 2 and res.node_count == sum(sizes)
+
+
+def _checkpoint_below(cache, T):
+    i = bisect.bisect_right(cache.ts, T)
+    return (cache.ts[i - 1], cache.js[i - 1], cache.errs[i - 1]) if i else (0.0, 0.0, 0.0)
+
+
+def test_knot_reads_match_checkpoint_tail(shared_cache):
+    reach = 6e4
+    shared_cache.extend_to(reach)
+    rng = random.Random(4)
+    for T in [rng.uniform(0.0, reach) for _ in range(60)]:
+        read = hl_integral(T, cache=shared_cache)
+        t0, j0, e0 = _checkpoint_below(shared_cache, T)
+        seg = integrate_segment(t0, T)
+        ref = j0 + seg.value
+        assert abs(read.value - ref) <= 1e-13 * ref
+        assert abs(read.value - ref) <= read.abs_error_estimate + e0 + seg.abs_error_estimate
+        # the read's tail is at most KNOT_PANELS panels
+        k0 = shared_cache.nearest_below(T)[0]
+        assert t0 <= k0 <= T
+        assert T - k0 <= KNOT_PANELS * math.pi / math.log(max(k0, 20.0))
+
+
+def _bits(res):
+    return (res.value, res.abs_error_estimate)
+
+
+def test_knot_reads_independent_of_cache_history(tmp_path):
+    cache = CheckpointCache()
+    cache.extend_to(2000.0)
+    path = os.path.join(tmp_path, "cache.csv")
+    cache.save(path)
+    loaded = CheckpointCache.load(path)
+    assert loaded == cache
+    rng = random.Random(9)
+    # seeded reads, two per cell, plus the cell past the last checkpoint
+    ts = [50.0 * i + rng.uniform(0.0, 50.0) for i in range(40) for _ in range(2)] + [2020.0]
+    rng.shuffle(ts)
+    for T in ts:
+        want = _bits(hl_integral(T, cache=cache))
+        assert _bits(hl_integral(T, cache=loaded)) == want  # first or later read of its cell
+        assert _bits(hl_integral(T, cache=loaded)) == want
+        assert _bits(hl_integral(T, cache=CheckpointCache())) == want  # cold cache
+    assert loaded == cache and len(loaded.ts) == 40
+
+
+def test_save_writes_checkpoints_only(tmp_path):
+    cache = CheckpointCache()
+    hl_integral(333.3, cache=cache)
+    path = os.path.join(tmp_path, "cache.csv")
+    cache.save(path)
+    with open(path, "rb") as fh:
+        written = fh.read()
+    rows = "".join(f"{t:.17g},{j:.17g},{e:.17g}\n" for t, j, e in zip(cache.ts, cache.js, cache.errs))
+    want = (f"# ladderlab cache v{ENGINE_VERSION} stride={cache.stride:.17g} "
+            f"tol={cache.tol:.17g}\nT,J,abs_err\n{rows}").encode()
+    assert written == want
+    assert CheckpointCache.load(path) == cache
 
 
 def test_cached_matches_fresh(shared_cache):

@@ -192,7 +192,8 @@ class CheckpointCache:
     ts: list[float] = field(default_factory=list)
     js: list[float] = field(default_factory=list)
     errs: list[float] = field(default_factory=list)
-    # knots of every filled cell, sorted by t; cell i ends at ts[i]
+    # knots sorted by t; _filled holds the indices of the cells that have
+    # theirs (cell i ends at ts[i], or at the next stride multiple past ts[-1])
     _knot_t: array = field(default_factory=lambda: array("d"), init=False, compare=False, repr=False)
     _knot_j: array = field(default_factory=lambda: array("d"), init=False, compare=False, repr=False)
     _knot_e: array = field(default_factory=lambda: array("d"), init=False, compare=False, repr=False)
@@ -317,8 +318,7 @@ def hl_integral(T: float, cache: CheckpointCache | None = None, tol: float | Non
         raise DomainError("hl_integral requires T >= 0")
     if cache is None:
         return integrate_segment(0.0, T, tol=tol)
-    nodes = cache.extend_to(T)
-    nodes += cache._fill_knots(T)
+    nodes = cache.extend_to(T) + cache._fill_knots(T)
     t0, j0, e0 = cache.nearest_below(T)
     tail = integrate_segment(t0, T, tol=tol)
     return IntegralResult(

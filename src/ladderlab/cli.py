@@ -20,7 +20,7 @@ from . import fermat, gammalab
 from .errors import LadderLabError
 from .gram import DEFAULT_STRATEGY, STRATEGIES, gram_points
 from .integral import CheckpointCache, default_cache_path, hl_integral, integrate_segment
-from .ladder import build_tower
+from .ladder import DEFAULT_RESIDUAL_TOL, build_tower
 from .zeta import theta, z_function
 
 
@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("ladder", help="k ascents from T")
     q.add_argument("--T", type=float, required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--tol", type=float, default=1e-6)
+    q.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL)
     q.set_defaults(fn=_cmd_ladder)
 
     q = sub.add_parser("gram", help="Gram points and Z values on [from, to]")

@@ -22,7 +22,7 @@ from .constants import B2K, EULER_GAMMA, T_FLOOR
 from .errors import DomainError, LadderLabError
 from .gram import DEFAULT_STRATEGY, gram_points, t1_increment, t2_increment
 from .integral import CheckpointCache
-from .ladder import ascend, build_tower
+from .ladder import DEFAULT_RESIDUAL_TOL, ascend, build_tower
 from .serialize import to_json
 
 _SHIFT_TO = 20.0
@@ -97,14 +97,13 @@ class FunctionalReport:
 
 
 def _base_metadata(**extra) -> dict:
-    meta = {"c0_convention": C0_CONVENTION}
+    meta = {"c0_convention": C0_CONVENTION, "residual_tol": DEFAULT_RESIDUAL_TOL}
     meta.update(extra)
     return meta
 
 
 def gamma_functional(x: float, tau_grid: list[float],
-                     cache: CheckpointCache | None = None,
-                     tol: float = 1e-6) -> FunctionalReport:
+                     cache: CheckpointCache | None = None) -> FunctionalReport:
     """(1/tau) * [ln Gamma(ascend(T)) - ln Gamma(T)] at T = x*tau/(1-c).
 
     The limit along tau is x itself. Grid points whose T falls below the
@@ -122,7 +121,7 @@ def gamma_functional(x: float, tau_grid: list[float],
             skipped[f"{tau:.17g}"] = f"T={T:.3f} below ladder floor {T_FLOOR}"
             continue
         try:
-            U = ascend(T, cache=cache, tol=tol)
+            U = ascend(T, cache=cache)
         except LadderLabError as exc:
             skipped[f"{tau:.17g}"] = str(exc)
             continue
@@ -131,20 +130,12 @@ def gamma_functional(x: float, tau_grid: list[float],
     return FunctionalReport(
         functional_id="gamma", parameter=x, target=x,
         tau_grid=taus, values=values,
-        metadata=_base_metadata(residual_tol=tol, skipped=skipped),
+        metadata=_base_metadata(skipped=skipped),
     )
 
 
-def _rung_ranges(tau: float, cache: CheckpointCache, tol: float) -> tuple[float, float]:
-    if tau < T_FLOOR:
-        raise DomainError(f"tau must be >= {T_FLOOR}")
-    u = ascend(tau, cache=cache, tol=tol)
-    return tau, u
-
-
 def verify_factorization_D(tau_grid: list[float],
-                           cache: CheckpointCache | None = None,
-                           tol: float = 1e-6) -> FunctionalReport:
+                           cache: CheckpointCache | None = None) -> FunctionalReport:
     """Divisor-sum factorization: sum d(n) over [tau, tau^1] vs ln Gamma.
 
     value = sum_{tau <= n <= tau^1} d(n) / (ln Gamma(tau^1) - ln Gamma(tau)),
@@ -153,55 +144,50 @@ def verify_factorization_D(tau_grid: list[float],
     from .arith import dirichlet_D
 
     cache = cache if cache is not None else CheckpointCache()
-    taus, values = [], []
-    for tau in tau_grid:
-        lo, hi = _rung_ranges(float(tau), cache, tol)
+    taus, values = [float(tau) for tau in tau_grid], []
+    for lo in taus:
+        hi = ascend(lo, cache=cache)
         num = dirichlet_D(hi) - dirichlet_D(math.ceil(lo) - 1)
         den = ln_gamma(hi) - ln_gamma(lo)
-        taus.append(float(tau))
         values.append(num / den)
     return FunctionalReport(
         functional_id="d", parameter=0.0, target=1.0,
         tau_grid=taus, values=values,
-        metadata=_base_metadata(residual_tol=tol),
+        metadata=_base_metadata(),
     )
 
 
 def _verify_factorization_gram(which: str, tau_grid: list[float],
                                cache: CheckpointCache | None,
-                               strategy: str, tol: float) -> FunctionalReport:
+                               strategy: str) -> FunctionalReport:
     cache = cache if cache is not None else CheckpointCache()
     const = 1.0 / math.pi if which == "t1" else (1.0 + EULER_GAMMA) / math.pi
     inc = t1_increment if which == "t1" else t2_increment
-    taus, values = [], []
-    for tau in tau_grid:
-        lo, hi = _rung_ranges(float(tau), cache, tol)
+    taus, values = [float(tau) for tau in tau_grid], []
+    for lo in taus:
+        hi = ascend(lo, cache=cache)
         num = inc(lo, hi, strategy=strategy)
         den = const * (ln_gamma(hi) - ln_gamma(lo))
-        taus.append(float(tau))
         values.append(num / den)
     return FunctionalReport(
         functional_id=which, parameter=const, target=1.0,
         tau_grid=taus, values=values,
-        metadata=_base_metadata(residual_tol=tol, strategy=strategy,
-                                constant=const),
+        metadata=_base_metadata(strategy=strategy, constant=const),
     )
 
 
 def verify_factorization_T1(tau_grid: list[float],
                             cache: CheckpointCache | None = None,
-                            strategy: str = DEFAULT_STRATEGY,
-                            tol: float = 1e-6) -> FunctionalReport:
+                            strategy: str = DEFAULT_STRATEGY) -> FunctionalReport:
     """Gram one-point sum over (tau, tau^1] vs (1/pi) ln Gamma increment."""
-    return _verify_factorization_gram("t1", tau_grid, cache, strategy, tol)
+    return _verify_factorization_gram("t1", tau_grid, cache, strategy)
 
 
 def verify_factorization_T2(tau_grid: list[float],
                             cache: CheckpointCache | None = None,
-                            strategy: str = DEFAULT_STRATEGY,
-                            tol: float = 1e-6) -> FunctionalReport:
+                            strategy: str = DEFAULT_STRATEGY) -> FunctionalReport:
     """Gram pair sum over (tau, tau^1] vs ((1+c)/pi) ln Gamma increment."""
-    return _verify_factorization_gram("t2", tau_grid, cache, strategy, tol)
+    return _verify_factorization_gram("t2", tau_grid, cache, strategy)
 
 
 @dataclass(frozen=True)
@@ -229,7 +215,7 @@ class ChainReport:
 
 
 def verify_chain(tau: float, k: int, cache: CheckpointCache | None = None,
-                 strategy: str = DEFAULT_STRATEGY, tol: float = 1e-6) -> ChainReport:
+                 strategy: str = DEFAULT_STRATEGY) -> ChainReport:
     """pi * Gram sums along a k-rung tower vs ln Gamma differences.
 
     rung_ratios[r] compares rung r+1 alone; total_ratio compares the
@@ -237,7 +223,7 @@ def verify_chain(tau: float, k: int, cache: CheckpointCache | None = None,
     so additivity_defect is pure floating-point fold noise.
     """
     cache = cache if cache is not None else CheckpointCache()
-    tower = build_tower(tau, k, cache=cache, tol=tol)
+    tower = build_tower(tau, k, cache=cache)
     it = tower.iterates
     rung_sums = [t1_increment(it[r], it[r + 1], strategy=strategy) for r in range(k)]
     rung_ratios = [
@@ -251,12 +237,11 @@ def verify_chain(tau: float, k: int, cache: CheckpointCache | None = None,
         tau=float(tau), k=k, strategy=strategy, iterates=list(it),
         rung_ratios=rung_ratios, total_ratio=total_ratio,
         additivity_defect=defect,
-        metadata=_base_metadata(residual_tol=tol),
+        metadata=_base_metadata(),
     )
 
 
-def pi_via_gamma(tau: float, k: int, cache: CheckpointCache | None = None,
-                 tol: float = 1e-6) -> float:
+def pi_via_gamma(tau: float, k: int, cache: CheckpointCache | None = None) -> float:
     """(tau^k - tau) / ((1-c) k), the prime-counting surrogate.
 
     The defining Gamma-ratio difference collapses exactly through
@@ -265,7 +250,7 @@ def pi_via_gamma(tau: float, k: int, cache: CheckpointCache | None = None,
     """
     if k < 1:
         raise DomainError("pi_via_gamma requires k >= 1")
-    tower = build_tower(tau, k, cache=cache, tol=tol)
+    tower = build_tower(tau, k, cache=cache)
     return (tower.iterates[k] - tau) / ((1.0 - EULER_GAMMA) * k)
 
 
@@ -293,8 +278,7 @@ class ShiftedReport:
 
 
 def verify_shifted_ratio(tau: float, cache: CheckpointCache | None = None,
-                         strategy: str = DEFAULT_STRATEGY,
-                         tol: float = 1e-6) -> ShiftedReport:
+                         strategy: str = DEFAULT_STRATEGY) -> ShiftedReport:
     """Compare Gamma(ascend(tau+1))/Gamma(ascend(tau)) in log space
     against tau * exp(pi * [shifted Gram sum difference]).
 
@@ -304,8 +288,8 @@ def verify_shifted_ratio(tau: float, cache: CheckpointCache | None = None,
     if tau < T_FLOOR:
         raise DomainError(f"tau must be >= {T_FLOOR}")
     cache = cache if cache is not None else CheckpointCache()
-    u_hi = ascend(tau + 1.0, cache=cache, tol=tol)
-    u_lo = ascend(tau, cache=cache, tol=tol)
+    u_hi = ascend(tau + 1.0, cache=cache)
+    u_lo = ascend(tau, cache=cache)
     lhs_log = ln_gamma(u_hi) - ln_gamma(u_lo)
     rhs_log = math.log(tau) + math.pi * (
         t1_increment(tau + 1.0, u_hi, strategy=strategy)
@@ -318,7 +302,7 @@ def verify_shifted_ratio(tau: float, cache: CheckpointCache | None = None,
         count_in_unit=count,
         count_target=math.log(tau) / (2.0 * math.pi),
         strategy=strategy,
-        metadata=_base_metadata(residual_tol=tol),
+        metadata=_base_metadata(),
     )
 
 
@@ -342,8 +326,7 @@ class LegendreReport:
 
 
 def verify_legendre_factorization(tau: float, cache: CheckpointCache | None = None,
-                                  strategy: str = DEFAULT_STRATEGY,
-                                  tol: float = 1e-6) -> LegendreReport:
+                                  strategy: str = DEFAULT_STRATEGY) -> LegendreReport:
     """Duplication formula pushed through the ladder, in log space.
 
     lhs: ln Gamma at the three ascents of 2 tau, tau, tau + 1/2 combined
@@ -356,9 +339,9 @@ def verify_legendre_factorization(tau: float, cache: CheckpointCache | None = No
     if tau < T_FLOOR:
         raise DomainError(f"tau must be >= {T_FLOOR}")
     cache = cache if cache is not None else CheckpointCache()
-    u2 = ascend(2.0 * tau, cache=cache, tol=tol)
-    u1 = ascend(tau, cache=cache, tol=tol)
-    uh = ascend(tau + 0.5, cache=cache, tol=tol)
+    u2 = ascend(2.0 * tau, cache=cache)
+    u1 = ascend(tau, cache=cache)
+    uh = ascend(tau + 0.5, cache=cache)
     log_lhs = (
         ln_gamma(u2)
         - ((2.0 * tau - 1.0) * math.log(2.0) - 0.5 * math.log(math.pi)
@@ -373,7 +356,6 @@ def verify_legendre_factorization(tau: float, cache: CheckpointCache | None = No
         tau=float(tau), log_lhs=log_lhs, log_rhs=log_rhs,
         log_difference=log_lhs - log_rhs, strategy=strategy,
         metadata=_base_metadata(
-            residual_tol=tol,
             exponent_convention="2**(2*tau-1)",
             exponent_variant_seen="2**(2*tau+1)",
         ),

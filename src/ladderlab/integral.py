@@ -7,10 +7,10 @@ oscillation wavelength pi/ln t, so a 15-node rule resolves each arch; a
 bound is folded into the estimate via Cauchy-Schwarz on each panel.
 
 J is expensive enough that ladder solves want checkpoints: a
-CheckpointCache holds J at a fixed stride, and in memory also J at a
-knot every KNOT_PANELS panel edges inside each stride cell, taken from
-the panel values the cell's quadrature already produced. Any J(T) then
-costs one lookup plus a tail of at most KNOT_PANELS panels.
+CheckpointCache holds J at every DEFAULT_STRIDE multiple, and in memory
+also J at a knot every KNOT_PANELS panel edges inside each stride cell,
+taken from the panel values the cell's quadrature already produced. Any
+J(T) then costs one lookup plus a tail of at most KNOT_PANELS panels.
 """
 
 from __future__ import annotations
@@ -39,6 +39,11 @@ ENGINE_VERSION = "2"
 # is the tightest default that cannot trip the infeasibility guard.
 AUTO_TOL_RATE = 3e-5
 DEFAULT_STRIDE = 50.0
+# Absolute tolerance of one stride cell's quadrature.
+CELL_TOL = AUTO_TOL_RATE * DEFAULT_STRIDE
+# First line of every cache file; load() accepts no other.
+_VERSION_TAG = "# ladderlab cache v"
+_HEADER = f"{_VERSION_TAG}{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}"
 # A stride cell keeps an in-memory knot at every KNOT_PANELS-th panel edge.
 KNOT_PANELS = 8
 
@@ -108,10 +113,10 @@ def _panels(a: float, b: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.
     lo are the left panel edges, v15 the 15-node panel values, err the
     per-panel estimate |v15 - v7| + engine error, and nodes every Z node
     evaluated. Panels whose embedded-rule discrepancy exceeds their share
-    of tol are bisected, up to a fixed refinement budget; exhaustion
-    raises with the best result attached. The engine-bound part of the
-    estimate is a floor no refinement can cross, so impossible
-    tolerances fail fast.
+    of tol are bisected, and only the new halves evaluated, up to a fixed
+    refinement budget; exhaustion raises with the best result attached.
+    The engine-bound part of the estimate is a floor no refinement can
+    cross, so impossible tolerances fail fast.
     """
     edges = _panel_edges(a, b)
     lo, hi = edges[:-1], edges[1:]
@@ -132,12 +137,13 @@ def _panels(a: float, b: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.
         if not bad.any():
             bad = quad_err >= np.max(quad_err)
         mid = 0.5 * (lo[bad] + hi[bad])
-        new_lo = np.concatenate([lo[~bad], lo[bad], mid])
-        new_hi = np.concatenate([hi[~bad], mid, hi[bad]])
-        order = np.argsort(new_lo, kind="stable")
-        lo, hi = new_lo[order], new_hi[order]
-        v15, v7, eng = _eval_panels(lo, hi)
-        nodes += lo.size * _NODES_PER_PANEL
+        new_lo = np.concatenate([lo[bad], mid])
+        new_hi = np.concatenate([mid, hi[bad]])
+        new = (new_lo, new_hi, *_eval_panels(new_lo, new_hi))
+        merged = [np.concatenate([old[~bad], n]) for old, n in zip((lo, hi, v15, v7, eng), new)]
+        order = np.argsort(merged[0], kind="stable")
+        lo, hi, v15, v7, eng = (m[order] for m in merged)
+        nodes += new_lo.size * _NODES_PER_PANEL
     raise ToleranceError(
         f"refinement budget exhausted on [{a},{b}] at tol={tol:g}",
         best_value=math.fsum(v15),
@@ -152,8 +158,8 @@ def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralR
     default that the engine error floor can always meet. Raises
     ToleranceError when refinement cannot meet tol.
     """
-    if not 0.0 <= a <= b:
-        raise DomainError("integrate_segment requires 0 <= a <= b")
+    if not 0.0 <= a <= b < math.inf:
+        raise DomainError("integrate_segment requires finite 0 <= a <= b")
     if tol is None:
         tol = _auto_tol(a, b)
     if tol <= 0.0:
@@ -178,22 +184,23 @@ class CheckpointCache:
     independent of evaluation order (every stride cell integrates the
     same fixed interval). Not safe for concurrent writers.
 
+    Every stride cell is integrated at CELL_TOL; load() rejects a file
+    written with another stride or tolerance.
+
     Each stride cell also holds knots (t, J(t), err(t)) at every
     KNOT_PANELS-th edge of its final panel list, in memory only: save()
-    never writes them and equality ignores them. A cell without knots
-    (one from load(), or the cell past the last checkpoint) gets them on
+    never writes them and equality ignores them. extend_to() stores the
+    knots of the cells it integrates; a cell from load() gets them on
     the first hl_integral read that lands in it, from the same panels at
     the same tol, so every read sees the same knots whatever the
     cache's history.
     """
 
-    stride: float = DEFAULT_STRIDE
-    tol: float = AUTO_TOL_RATE * DEFAULT_STRIDE
     ts: list[float] = field(default_factory=list)
     js: list[float] = field(default_factory=list)
     errs: list[float] = field(default_factory=list)
     # knots sorted by t; _filled holds the indices of the cells that have
-    # theirs (cell i ends at ts[i], or at the next stride multiple past ts[-1])
+    # theirs (cell i ends at ts[i])
     _knot_t: array = field(default_factory=lambda: array("d"), init=False, compare=False, repr=False)
     _knot_j: array = field(default_factory=lambda: array("d"), init=False, compare=False, repr=False)
     _knot_e: array = field(default_factory=lambda: array("d"), init=False, compare=False, repr=False)
@@ -232,29 +239,29 @@ class CheckpointCache:
         self._filled.add(i)
 
     def _fill_knots(self, T: float) -> int:
-        """Integrate the cell holding T once if it has no knots yet; returns
-        the Z nodes evaluated."""
+        """Integrate the loaded cell holding T once if it has no knots yet;
+        returns the Z nodes evaluated."""
         i = bisect.bisect_right(self.ts, T)
         a = self.ts[i - 1] if i else 0.0
-        if T == a or i in self._filled:
+        if T == a or i == len(self.ts) or i in self._filled:
             return 0
-        b = self.ts[i] if i < len(self.ts) else (math.floor(a / self.stride) + 1) * self.stride
-        lo, v15, err, nodes = _panels(a, b, self.tol)
+        lo, v15, err, nodes = _panels(a, self.ts[i], CELL_TOL)
         self._add_knots(i, lo, v15, err)
         return nodes
 
     def extend_to(self, T: float) -> int:
         """Add checkpoints at stride multiples up to T, with their cells'
         knots; returns the Z nodes evaluated."""
+        if not math.isfinite(T):
+            raise DomainError(f"extend_to requires finite T, got {T}")
         start = len(self.ts)
         nodes = 0
         cur_t, cur_j, cur_e = (self.ts[-1], self.js[-1], self.errs[-1]) if self.ts else (0.0, 0.0, 0.0)
-        k = int(math.floor(cur_t / self.stride)) + 1
-        while k * self.stride <= T:
-            nxt = k * self.stride
-            lo, v15, err, n = _panels(cur_t, nxt, self.tol)
-            if len(self.ts) not in self._filled:
-                self._add_knots(len(self.ts), lo, v15, err)
+        k = int(math.floor(cur_t / DEFAULT_STRIDE)) + 1
+        while k * DEFAULT_STRIDE <= T:
+            nxt = k * DEFAULT_STRIDE
+            lo, v15, err, n = _panels(cur_t, nxt, CELL_TOL)
+            self._add_knots(len(self.ts), lo, v15, err)
             cur_t, cur_j, cur_e = nxt, cur_j + math.fsum(v15), cur_e + float(np.sum(err))
             nodes += n
             self.ts.append(cur_t)
@@ -266,7 +273,7 @@ class CheckpointCache:
 
     def save(self, path: str) -> None:
         buf = io.StringIO()
-        buf.write(f"# ladderlab cache v{ENGINE_VERSION} stride={self.stride:.17g} tol={self.tol:.17g}\n")
+        buf.write(_HEADER + "\n")
         buf.write("T,J,abs_err\n")
         for t, j, e in zip(self.ts, self.js, self.errs):
             buf.write(f"{t:.17g},{j:.17g},{e:.17g}\n")
@@ -279,23 +286,19 @@ class CheckpointCache:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
         if not lines:
             raise CacheCorruptionError(f"empty cache file {path}")
-        stride, tol, version = DEFAULT_STRIDE, AUTO_TOL_RATE * DEFAULT_STRIDE, None
-        if lines[0].startswith("#"):
-            for tokpair in lines[0].split():
-                if tokpair.startswith("stride="):
-                    stride = float(tokpair[7:])
-                elif tokpair.startswith("tol="):
-                    tol = float(tokpair[4:])
-                elif tokpair.startswith("v") and tokpair[1:].isdigit():
-                    version = tokpair[1:]
-            lines = lines[1:]
+        header = lines.pop(0) if lines[0].startswith("#") else ""
         if not lines or lines[0] != "T,J,abs_err":
             raise CacheCorruptionError(f"bad cache header in {path}")
-        if version != ENGINE_VERSION:
+        if header != _HEADER:
+            version = header[len(_VERSION_TAG):].partition(" ")[0] if header.startswith(_VERSION_TAG) else ""
+            if version != ENGINE_VERSION:
+                raise CacheCorruptionError(
+                    f"stale cache {path}: engine version {version or 'missing'}, expected "
+                    f"{ENGINE_VERSION}; delete it and rebuild with `ladderlab cache`")
             raise CacheCorruptionError(
-                f"stale cache {path}: engine version {version or 'missing'}, expected "
-                f"{ENGINE_VERSION}; delete it and rebuild with `ladderlab cache`")
-        cache = cls(stride=stride, tol=tol)
+                f"cache {path} has header {header!r}, expected {_HEADER!r}; "
+                "delete it and rebuild with `ladderlab cache`")
+        cache = cls()
         for ln in lines[1:]:
             parts = ln.split(",")
             if len(parts) != 3:
@@ -310,15 +313,15 @@ class CheckpointCache:
 def hl_integral(T: float, cache: CheckpointCache | None = None, tol: float | None = None) -> IntegralResult:
     """J(T): nearest cached checkpoint or knot plus a fresh tail segment.
 
-    With a cache, checkpoints at the cache stride and the knots of the
-    cell holding T are computed (and memoized in the cache) on the way;
-    node_count counts their nodes as well as the tail's.
+    With a cache, the checkpoints through the stride cell holding T and
+    that cell's knots are computed (and memoized in the cache) on the
+    way; node_count counts their nodes as well as the tail's.
     """
-    if T < 0.0:
-        raise DomainError("hl_integral requires T >= 0")
+    if not 0.0 <= T < math.inf:
+        raise DomainError("hl_integral requires finite T >= 0")
     if cache is None:
         return integrate_segment(0.0, T, tol=tol)
-    nodes = cache.extend_to(T) + cache._fill_knots(T)
+    nodes = cache.extend_to(math.ceil(T / DEFAULT_STRIDE) * DEFAULT_STRIDE) + cache._fill_knots(T)
     t0, j0, e0 = cache.nearest_below(T)
     tail = integrate_segment(t0, T, tol=tol)
     return IntegralResult(

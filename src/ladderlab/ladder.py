@@ -86,11 +86,11 @@ def _require_floor(T: float) -> None:
                           "representation terms are not small below that")
 
 
-def descend(T: float, cache: CheckpointCache | None = None,
-            tol: float = DEFAULT_RESIDUAL_TOL) -> float:
+def descend(T: float, cache: CheckpointCache | None = None) -> float:
     """The unique phi < T with representation(phi) = J(T).
 
-    tol bounds the residual of the defining equation, not the abscissa.
+    DEFAULT_RESIDUAL_TOL bounds the residual of the defining equation,
+    not the abscissa.
     """
     _require_floor(T)
     target = hl_integral(T, cache=cache).value
@@ -108,11 +108,11 @@ def descend(T: float, cache: CheckpointCache | None = None,
     if fhi < 0.0:
         raise BracketError(f"representation(T) < J(T) at T={T}; inconsistent engine state")
     # residual slope is ln(phi)+1+c-ln(2pi), bounded below by ~ln(lo)
-    xtol = tol / max(1.0, math.log(lo))
+    xtol = DEFAULT_RESIDUAL_TOL / max(1.0, math.log(lo))
     phi, fphi = _brent(f, lo, hi, flo, fhi, xtol=xtol)
     resid = abs(fphi)
-    if resid > tol:
-        raise ToleranceError(f"descend residual {resid:g} > {tol:g} at T={T}",
+    if resid > DEFAULT_RESIDUAL_TOL:
+        raise ToleranceError(f"descend residual {resid:g} > {DEFAULT_RESIDUAL_TOL:g} at T={T}",
                              best_value=phi, best_error=resid)
     return phi
 
@@ -146,20 +146,20 @@ def _ascend(T: float, cache: CheckpointCache | None,
     return U, fU
 
 
-def ascend(T: float, cache: CheckpointCache | None = None,
-           tol: float = DEFAULT_RESIDUAL_TOL) -> float:
+def ascend(T: float, cache: CheckpointCache | None = None) -> float:
     """The unique U > T with J(U) = representation(T); one rung up.
 
     Bracket starts at the expected gap 2(1-c)T/ln T and widens
     geometrically; J is read from the cache's nearest checkpoint or knot
-    plus a short tail, so each solver iteration stays cheap.
+    plus a short tail, so each solver iteration stays cheap. The residual
+    is held to 10 * DEFAULT_RESIDUAL_TOL.
     """
-    return _ascend(T, cache, tol)[0]
+    return _ascend(T, cache, DEFAULT_RESIDUAL_TOL)[0]
 
 
 def build_tower(T: float, k: int, cache: CheckpointCache | None = None,
                 tol: float = DEFAULT_RESIDUAL_TOL) -> LadderTower:
-    """k ascents from T, with per-rung residuals. k >= 1."""
+    """k ascents from T, each solved as ascend() but to residual tol. k >= 1."""
     if k < 1:
         raise DomainError("build_tower requires k >= 1")
     _require_floor(T)
@@ -178,8 +178,8 @@ def build_tower(T: float, k: int, cache: CheckpointCache | None = None,
     return LadderTower(base=float(T), iterates=iterates, residuals=residuals, k=k)
 
 
-def lngamma_increment_pair(T: float, r: int, cache: CheckpointCache | None = None,
-                           tol: float = DEFAULT_RESIDUAL_TOL) -> tuple[float, float]:
+def lngamma_increment_pair(T: float, r: int,
+                           cache: CheckpointCache | None = None) -> tuple[float, float]:
     """(ln Gamma(T^r) - ln Gamma(T^(r-1)), integral of Z^2 over that rung).
 
     The two sides of the asymptotic fundamental-theorem relation for
@@ -190,7 +190,7 @@ def lngamma_increment_pair(T: float, r: int, cache: CheckpointCache | None = Non
     if r < 1:
         raise DomainError("rung index r must be >= 1")
     cache = cache if cache is not None else CheckpointCache()
-    tower = build_tower(T, r, cache=cache, tol=tol)
+    tower = build_tower(T, r, cache=cache)
     lo, hi = tower.iterates[r - 1], tower.iterates[r]
     lhs = ln_gamma(hi) - ln_gamma(lo)
     rhs = integrate_segment(lo, hi).value

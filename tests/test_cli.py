@@ -36,6 +36,18 @@ def test_integral_computation_error_exits_1(capsys):
     assert "ladderlab:" in capsys.readouterr().err
 
 
+def test_non_finite_bound_exits_1(tmp_path, capsys):
+    path = os.path.join(tmp_path, "cache.csv")
+    for argv in (["integral", "--from", "0", "--to", "inf"],
+                 ["integral", "--from", "0", "--to", "nan"],
+                 ["integral", "--from", "1", "--to", "inf"],
+                 ["cache", "--path", path, "--extend-to", "inf"],
+                 ["scan", "--n", "3", "--max-xyz", "2", "--t-cap", "inf"]):
+        assert main(argv) == 1
+        assert "ladderlab:" in capsys.readouterr().err
+    assert not os.path.exists(path)
+
+
 def test_integral_success(capsys):
     assert main(["integral", "--from", "100", "--to", "120"]) == 0
     out = capsys.readouterr().out

@@ -11,6 +11,8 @@ from ladderlab.constants import EULER_GAMMA, LN_TWO_PI
 from ladderlab.errors import CacheCorruptionError, DomainError, ToleranceError
 from ladderlab.integral import (
     AUTO_TOL_RATE,
+    CELL_TOL,
+    DEFAULT_STRIDE,
     ENGINE_VERSION,
     KNOT_PANELS,
     CheckpointCache,
@@ -42,6 +44,16 @@ def test_domain_errors():
         integrate_segment(1.0, 2.0, tol=0.0)
     with pytest.raises(DomainError):
         hl_integral(-0.5)
+    # non-finite bounds are refused, not integrated forever
+    cache = CheckpointCache()
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            integrate_segment(0.0, bad)
+        with pytest.raises(DomainError):
+            hl_integral(bad, cache=cache)
+        with pytest.raises(DomainError):
+            cache.extend_to(bad)
+    assert cache.ts == []
 
 
 def test_additivity():
@@ -82,13 +94,12 @@ def test_integral_nonnegative_within_estimate(a, w):
 
 
 def test_cache_roundtrip(tmp_path):
-    cache = CheckpointCache(stride=25.0)
+    cache = CheckpointCache()
     cache.extend_to(120.0)
-    assert cache.ts == [25.0, 50.0, 75.0, 100.0]
+    assert cache.ts == [50.0, 100.0]
     path = os.path.join(tmp_path, "cache.csv")
     cache.save(path)
     back = CheckpointCache.load(path)
-    assert back.stride == 25.0
     assert back.ts == cache.ts and back.js == cache.js
 
     # idempotent: extending to a lower bound adds nothing
@@ -125,10 +136,20 @@ def test_cache_corruption(tmp_path):
         assert found in msg and f"expected {ENGINE_VERSION};" in msg
         assert "ladderlab cache" in msg
 
+    # current version, other stride or tolerance: rejected, naming both lines
+    for header in (f"# ladderlab cache v{ENGINE_VERSION} stride=25 tol=0.0015",
+                   f"# ladderlab cache v{ENGINE_VERSION} stride=50 tol=0.003"):
+        with open(path, "w") as fh:
+            fh.write(header + "\nT,J,abs_err\n50,10,0\n100,20,0\n")
+        with pytest.raises(CacheCorruptionError) as exc:
+            CheckpointCache.load(path)
+        msg = str(exc.value)
+        assert header in msg and f"stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}" in msg
+
 
 def test_node_count_counts_every_evaluated_node(monkeypatch):
-    # tol=1e-10 on [0, 30] forces refinement rounds that re-evaluate
-    # every panel, not only the bisected ones
+    # tol=1e-10 on [0, 30] forces two refinement rounds; each bisects two
+    # of the panels and evaluates only their four halves
     sizes = []
     z_array = integral.z_array
 
@@ -138,7 +159,7 @@ def test_node_count_counts_every_evaluated_node(monkeypatch):
 
     monkeypatch.setattr(integral, "z_array", counting)
     res = integrate_segment(0.0, 30.0, tol=1e-10)
-    assert len(sizes) > 1
+    assert sizes == [660, 88, 88]
     assert res.node_count == sum(sizes)
 
     # a cached read counts the checkpoints it builds and the knots it
@@ -148,7 +169,11 @@ def test_node_count_counts_every_evaluated_node(monkeypatch):
         sizes.clear()
         res = hl_integral(T, cache=cache)
         assert res.node_count == sum(sizes)
-    assert len(cache.ts) == 2 and len(sizes) == 1  # 30.0: cell filled, tail only
+    assert len(cache.ts) == 3 and len(sizes) == 1  # 30.0: cell filled, tail only
+    # the read of 120.0 built the checkpoint at 150 with the cell's knots,
+    # so extending to it integrates nothing again
+    sizes.clear()
+    assert cache.extend_to(150.0) == 0 and sizes == []
 
     # first read of a loaded cell fills its knots, and counts them
     loaded = CheckpointCache(ts=list(cache.ts), js=list(cache.js), errs=list(cache.errs))
@@ -199,7 +224,7 @@ def test_knot_reads_independent_of_cache_history(tmp_path):
         assert _bits(hl_integral(T, cache=loaded)) == want  # first or later read of its cell
         assert _bits(hl_integral(T, cache=loaded)) == want
         assert _bits(hl_integral(T, cache=CheckpointCache())) == want  # cold cache
-    assert loaded == cache and len(loaded.ts) == 40
+    assert loaded == cache and len(loaded.ts) == 41
 
 
 def test_save_writes_checkpoints_only(tmp_path):
@@ -210,8 +235,8 @@ def test_save_writes_checkpoints_only(tmp_path):
     with open(path, "rb") as fh:
         written = fh.read()
     rows = "".join(f"{t:.17g},{j:.17g},{e:.17g}\n" for t, j, e in zip(cache.ts, cache.js, cache.errs))
-    want = (f"# ladderlab cache v{ENGINE_VERSION} stride={cache.stride:.17g} "
-            f"tol={cache.tol:.17g}\nT,J,abs_err\n{rows}").encode()
+    want = (f"# ladderlab cache v{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} "
+            f"tol={CELL_TOL:.17g}\nT,J,abs_err\n{rows}").encode()
     assert written == want
     assert CheckpointCache.load(path) == cache
 

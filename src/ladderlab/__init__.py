@@ -7,7 +7,7 @@ sign-aware partial sums, a log-gamma ladder, and evidence scanners for
 the forbidden-value functionals on Fermat rationals.
 """
 
-from .constants import EULER_GAMMA, LN_TWO_PI, T_FLOOR, T_MIN, TWO_PI
+from .constants import EULER_GAMMA, LN_TWO_PI, T_FLOOR, T_MAX, T_MIN, TWO_PI
 from .errors import (
     BracketError,
     CacheCorruptionError,
@@ -74,7 +74,7 @@ from .serialize import to_json, write_json
 __version__ = "0.1.0"
 
 __all__ = [
-    "EULER_GAMMA", "LN_TWO_PI", "TWO_PI", "T_MIN", "T_FLOOR",
+    "EULER_GAMMA", "LN_TWO_PI", "TWO_PI", "T_MIN", "T_FLOOR", "T_MAX",
     "LadderLabError", "DomainError", "ToleranceError", "BracketError",
     "CacheCorruptionError", "InfeasibleError",
     "CriticalSample", "NodeSpec", "batch_samples", "theta", "z_function",

@@ -59,8 +59,8 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_integral(args) -> int:
-    if args.frm == 0.0:
-        res = hl_integral(args.to, cache=_load_cache(), tol=args.tol)
+    if args.frm == 0.0 and args.tol is None:
+        res = hl_integral(args.to, cache=_load_cache())
     else:
         res = integrate_segment(args.frm, args.to, tol=args.tol)
     print(f"value={res.value:.17g}")
@@ -83,30 +83,26 @@ def _cmd_gram(args) -> int:
     return 0
 
 
+# functional id -> (args, cache) -> report text
+_FUNCTIONALS = {
+    "gamma": lambda a, c: gammalab.gamma_functional(a.x, a.tau_grid, cache=c).to_json(),
+    "d": lambda a, c: gammalab.verify_factorization_D(a.tau_grid, cache=c).to_json(),
+    "t1": lambda a, c: gammalab.verify_factorization_T1(
+        a.tau_grid, cache=c, strategy=a.strategy).to_json(),
+    "t2": lambda a, c: gammalab.verify_factorization_T2(
+        a.tau_grid, cache=c, strategy=a.strategy).to_json(),
+    "chain": lambda a, c: gammalab.verify_chain(
+        a.tau, a.k, cache=c, strategy=a.strategy).to_json(),
+    "shifted": lambda a, c: gammalab.verify_shifted_ratio(
+        a.tau, cache=c, strategy=a.strategy).to_json(),
+    "legendre": lambda a, c: gammalab.verify_legendre_factorization(
+        a.tau, cache=c, strategy=a.strategy).to_json(),
+    "pi-gamma": lambda a, c: f"pi_surrogate={gammalab.pi_via_gamma(a.tau, a.k, cache=c):.17g}",
+}
+
+
 def _cmd_functional(args) -> int:
-    cache = _load_cache()
-    fid = args.id
-    if fid == "gamma":
-        rep = gammalab.gamma_functional(args.x, args.tau_grid, cache=cache)
-    elif fid == "d":
-        rep = gammalab.verify_factorization_D(args.tau_grid, cache=cache)
-    elif fid == "t1":
-        rep = gammalab.verify_factorization_T1(args.tau_grid, cache=cache, strategy=args.strategy)
-    elif fid == "t2":
-        rep = gammalab.verify_factorization_T2(args.tau_grid, cache=cache, strategy=args.strategy)
-    elif fid == "chain":
-        rep = gammalab.verify_chain(args.tau, args.k, cache=cache, strategy=args.strategy)
-    elif fid == "shifted":
-        rep = gammalab.verify_shifted_ratio(args.tau, cache=cache, strategy=args.strategy)
-    elif fid == "legendre":
-        rep = gammalab.verify_legendre_factorization(args.tau, cache=cache, strategy=args.strategy)
-    elif fid == "pi-gamma":
-        val = gammalab.pi_via_gamma(args.tau, args.k, cache=cache)
-        _emit(f"pi_surrogate={val:.17g}", args.out)
-        return 0
-    else:  # argparse choices guard this
-        return 2
-    _emit(rep.to_json(), args.out)
+    _emit(_FUNCTIONALS[args.id](args, _load_cache()), args.out)
     return 0
 
 
@@ -168,8 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=_cmd_gram)
 
     q = sub.add_parser("functional", help="evaluate a verification functional")
-    q.add_argument("--id", required=True,
-                   choices=("gamma", "d", "t1", "t2", "chain", "shifted", "legendre", "pi-gamma"))
+    q.add_argument("--id", required=True, choices=tuple(_FUNCTIONALS))
     q.add_argument("--x", type=float, default=1.0)
     q.add_argument("--tau-grid", type=_floats, default=[1e2, 1e3, 1e4], metavar="T1,T2,...")
     q.add_argument("--tau", type=float, default=1e3)

@@ -17,6 +17,9 @@ T_MIN = 10.0
 # Ladder operations refuse arguments below this floor.
 T_FLOOR = 100.0
 
+# Quadrature and the checkpoint cache refuse bounds above this ceiling.
+T_MAX = 1e5
+
 # Bernoulli numbers B_2, B_4, ..., B_28.
 B2K = (
     1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730,

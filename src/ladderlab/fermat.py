@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -154,14 +154,7 @@ class ScanRow:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "functional": self.functional, "x": self.x, "y": self.y,
-            "z": self.z, "n": self.n, "q": self.q, "tau_max": self.tau_max,
-            "value": self.value, "target": self.target,
-            "forbidden": self.forbidden, "distance": self.distance,
-            "est_error": self.est_error, "status": self.status,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -345,19 +338,16 @@ def evaluate_equivalent(functional: str, q: FermatRational,
         for tau in grid:
             incs = (f.increment(f.t_of(tau, a), cache) for a in f.multipliers(q))
             values.append((tau, *f.value(tau, *incs)))
-    except InfeasibleError as exc:
+    except LadderLabError as exc:
         # exp-scale forms hit a hard representability guard; linear forms
         # merely ran out of engine range, which is a desk-scale limit
-        status = _STATUS_INFEASIBLE if f.power or f.exp_valued else _STATUS_UNRESOLVED
+        infeasible = isinstance(exc, InfeasibleError)
+        hard = infeasible and (f.power or f.exp_valued)
         return ScanRow(functional=functional, x=q.x, y=q.y, z=q.z, n=q.n,
-                       q=q.value, tau_max=None, value=None, target=target,
+                       q=v, tau_max=None, value=None, target=target,
                        forbidden=forbidden, distance=None, est_error=None,
-                       status=status, note=str(exc))
-    except LadderLabError as exc:
-        return ScanRow(functional=functional, x=q.x, y=q.y, z=q.z, n=q.n,
-                       q=q.value, tau_max=None, value=None, target=target,
-                       forbidden=forbidden, distance=None, est_error=None,
-                       status=_STATUS_UNRESOLVED, note=f"solver: {exc}")
+                       status=_STATUS_INFEASIBLE if hard else _STATUS_UNRESOLVED,
+                       note=str(exc) if infeasible else f"solver: {exc}")
     tau_last, v_last, num_err = values[-1]
     if len(values) >= 2:
         tau_prev, v_prev, _ = values[-2]

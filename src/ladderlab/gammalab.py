@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
+from .arith import dirichlet_D
 from .constants import B2K, EULER_GAMMA, T_FLOOR
 from .errors import DomainError, LadderLabError
 from .gram import DEFAULT_STRATEGY, gram_points, t1_increment, t2_increment
@@ -134,45 +135,33 @@ def gamma_functional(x: float, tau_grid: list[float],
     )
 
 
+def _factorization(fid: str, parameter: float, tau_grid: list[float],
+                   cache: CheckpointCache | None, increment, const: float,
+                   metadata: dict) -> FunctionalReport:
+    """increment(lo, ascend(lo)) / (const * [ln Gamma(ascend(lo)) - ln Gamma(lo)])
+    along tau_grid, target 1."""
+    cache = cache if cache is not None else CheckpointCache()
+    taus, values = [float(tau) for tau in tau_grid], []
+    for lo in taus:
+        hi = ascend(lo, cache=cache)
+        values.append(increment(lo, hi) / (const * (ln_gamma(hi) - ln_gamma(lo))))
+    return FunctionalReport(
+        functional_id=fid, parameter=parameter, target=1.0,
+        tau_grid=taus, values=values, metadata=metadata,
+    )
+
+
 def verify_factorization_D(tau_grid: list[float],
                            cache: CheckpointCache | None = None) -> FunctionalReport:
     """Divisor-sum factorization: sum d(n) over [tau, tau^1] vs ln Gamma.
 
     value = sum_{tau <= n <= tau^1} d(n) / (ln Gamma(tau^1) - ln Gamma(tau)),
-    target 1.
+    target 1. The lower end is closed: D(hi) - D(ceil(lo) - 1).
     """
-    from .arith import dirichlet_D
-
-    cache = cache if cache is not None else CheckpointCache()
-    taus, values = [float(tau) for tau in tau_grid], []
-    for lo in taus:
-        hi = ascend(lo, cache=cache)
-        num = dirichlet_D(hi) - dirichlet_D(math.ceil(lo) - 1)
-        den = ln_gamma(hi) - ln_gamma(lo)
-        values.append(num / den)
-    return FunctionalReport(
-        functional_id="d", parameter=0.0, target=1.0,
-        tau_grid=taus, values=values,
-        metadata=_base_metadata(),
-    )
-
-
-def _verify_factorization_gram(which: str, tau_grid: list[float],
-                               cache: CheckpointCache | None,
-                               strategy: str) -> FunctionalReport:
-    cache = cache if cache is not None else CheckpointCache()
-    const = 1.0 / math.pi if which == "t1" else (1.0 + EULER_GAMMA) / math.pi
-    inc = t1_increment if which == "t1" else t2_increment
-    taus, values = [float(tau) for tau in tau_grid], []
-    for lo in taus:
-        hi = ascend(lo, cache=cache)
-        num = inc(lo, hi, strategy=strategy)
-        den = const * (ln_gamma(hi) - ln_gamma(lo))
-        values.append(num / den)
-    return FunctionalReport(
-        functional_id=which, parameter=const, target=1.0,
-        tau_grid=taus, values=values,
-        metadata=_base_metadata(strategy=strategy, constant=const),
+    return _factorization(
+        "d", 0.0, tau_grid, cache,
+        lambda lo, hi: dirichlet_D(hi) - dirichlet_D(math.ceil(lo) - 1),
+        1.0, _base_metadata(),
     )
 
 
@@ -180,14 +169,24 @@ def verify_factorization_T1(tau_grid: list[float],
                             cache: CheckpointCache | None = None,
                             strategy: str = DEFAULT_STRATEGY) -> FunctionalReport:
     """Gram one-point sum over (tau, tau^1] vs (1/pi) ln Gamma increment."""
-    return _verify_factorization_gram("t1", tau_grid, cache, strategy)
+    const = 1.0 / math.pi
+    return _factorization(
+        "t1", const, tau_grid, cache,
+        lambda lo, hi: t1_increment(lo, hi, strategy=strategy),
+        const, _base_metadata(strategy=strategy, constant=const),
+    )
 
 
 def verify_factorization_T2(tau_grid: list[float],
                             cache: CheckpointCache | None = None,
                             strategy: str = DEFAULT_STRATEGY) -> FunctionalReport:
     """Gram pair sum over (tau, tau^1] vs ((1+c)/pi) ln Gamma increment."""
-    return _verify_factorization_gram("t2", tau_grid, cache, strategy)
+    const = (1.0 + EULER_GAMMA) / math.pi
+    return _factorization(
+        "t2", const, tau_grid, cache,
+        lambda lo, hi: t2_increment(lo, hi, strategy=strategy),
+        const, _base_metadata(strategy=strategy, constant=const),
+    )
 
 
 @dataclass(frozen=True)
@@ -204,14 +203,7 @@ class ChainReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return to_json({
-            "tau": self.tau, "k": self.k, "strategy": self.strategy,
-            "iterates": list(self.iterates),
-            "rung_ratios": list(self.rung_ratios),
-            "total_ratio": self.total_ratio,
-            "additivity_defect": self.additivity_defect,
-            "metadata": self.metadata,
-        })
+        return to_json(asdict(self))
 
 
 def verify_chain(tau: float, k: int, cache: CheckpointCache | None = None,
@@ -268,13 +260,7 @@ class ShiftedReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return to_json({
-            "tau": self.tau, "lhs_log": self.lhs_log, "rhs_log": self.rhs_log,
-            "log_difference": self.log_difference,
-            "count_in_unit": self.count_in_unit,
-            "count_target": self.count_target,
-            "strategy": self.strategy, "metadata": self.metadata,
-        })
+        return to_json(asdict(self))
 
 
 def verify_shifted_ratio(tau: float, cache: CheckpointCache | None = None,
@@ -318,11 +304,7 @@ class LegendreReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return to_json({
-            "tau": self.tau, "log_lhs": self.log_lhs, "log_rhs": self.log_rhs,
-            "log_difference": self.log_difference,
-            "strategy": self.strategy, "metadata": self.metadata,
-        })
+        return to_json(asdict(self))
 
 
 def verify_legendre_factorization(tau: float, cache: CheckpointCache | None = None,

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import EULER_GAMMA, LN_TWO_PI
-from .errors import CacheCorruptionError, DomainError, ToleranceError
+from .constants import EULER_GAMMA, LN_TWO_PI, T_MAX
+from .errors import CacheCorruptionError, DomainError, InfeasibleError, ToleranceError
 from .zeta import z_array, z_error_bound
 
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
@@ -46,6 +46,11 @@ _VERSION_TAG = "# ladderlab cache v"
 _HEADER = f"{_VERSION_TAG}{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}"
 # A stride cell keeps an in-memory knot at every KNOT_PANELS-th panel edge.
 KNOT_PANELS = 8
+
+
+def _check_t_max(T: float) -> None:
+    if T > T_MAX:
+        raise InfeasibleError(f"T={T:g} exceeds the served range T <= T_MAX={T_MAX:g}")
 
 
 def _auto_tol(a: float, b: float) -> float:
@@ -156,10 +161,12 @@ def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralR
 
     tol is absolute over the whole segment; None picks a width-scaled
     default that the engine error floor can always meet. Raises
-    ToleranceError when refinement cannot meet tol.
+    ToleranceError when refinement cannot meet tol, and InfeasibleError
+    when b exceeds T_MAX.
     """
     if not 0.0 <= a <= b < math.inf:
         raise DomainError("integrate_segment requires finite 0 <= a <= b")
+    _check_t_max(b)
     if tol is None:
         tol = _auto_tol(a, b)
     if tol <= 0.0:
@@ -254,6 +261,7 @@ class CheckpointCache:
         knots; returns the Z nodes evaluated."""
         if not math.isfinite(T):
             raise DomainError(f"extend_to requires finite T, got {T}")
+        _check_t_max(T)
         start = len(self.ts)
         nodes = 0
         cur_t, cur_j, cur_e = (self.ts[-1], self.js[-1], self.errs[-1]) if self.ts else (0.0, 0.0, 0.0)
@@ -310,7 +318,7 @@ class CheckpointCache:
         return cache
 
 
-def hl_integral(T: float, cache: CheckpointCache | None = None, tol: float | None = None) -> IntegralResult:
+def hl_integral(T: float, cache: CheckpointCache | None = None) -> IntegralResult:
     """J(T): nearest cached checkpoint or knot plus a fresh tail segment.
 
     With a cache, the checkpoints through the stride cell holding T and
@@ -319,11 +327,12 @@ def hl_integral(T: float, cache: CheckpointCache | None = None, tol: float | Non
     """
     if not 0.0 <= T < math.inf:
         raise DomainError("hl_integral requires finite T >= 0")
+    _check_t_max(T)
     if cache is None:
-        return integrate_segment(0.0, T, tol=tol)
+        return integrate_segment(0.0, T)
     nodes = cache.extend_to(math.ceil(T / DEFAULT_STRIDE) * DEFAULT_STRIDE) + cache._fill_knots(T)
     t0, j0, e0 = cache.nearest_below(T)
-    tail = integrate_segment(t0, T, tol=tol)
+    tail = integrate_segment(t0, T)
     return IntegralResult(
         a=0.0, b=T, value=j0 + tail.value,
         abs_error_estimate=e0 + tail.abs_error_estimate,

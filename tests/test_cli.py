@@ -2,10 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from ladderlab.cli import main
+from ladderlab.cli import _FUNCTIONALS, main
 
 
 def test_usage_error_exits_2():
@@ -48,6 +49,29 @@ def test_non_finite_bound_exits_1(tmp_path, capsys):
     assert not os.path.exists(path)
 
 
+def test_bound_above_t_max_exits_1_at_once(tmp_path, capsys):
+    path = os.path.join(tmp_path, "cache.csv")
+    for argv in (["integral", "--from", "0", "--to", "1e9"],
+                 ["integral", "--from", "1", "--to", "1e9"],
+                 ["cache", "--path", path, "--extend-to", "1e6"],
+                 ["scan", "--n", "3", "--max-xyz", "2", "--t-cap", "1e6"]):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 5.0  # refused before any quadrature
+        assert "T_MAX" in capsys.readouterr().err
+    assert not os.path.exists(path)
+
+
+def test_integral_tol_from_zero_is_met_or_exits_1(capsys, monkeypatch):
+    monkeypatch.delenv("HL_CACHE", raising=False)
+    # below the engine error floor: refused, not answered from the cache
+    assert main(["integral", "--from", "0", "--to", "1000", "--tol", "1e-9"]) == 1
+    assert "ladderlab:" in capsys.readouterr().err
+    assert main(["integral", "--from", "0", "--to", "120", "--tol", "1e-3"]) == 0
+    est = float(capsys.readouterr().out.split("abs_error_estimate=")[1].split()[0])
+    assert est <= 1e-3
+
+
 def test_integral_success(capsys):
     assert main(["integral", "--from", "100", "--to", "120"]) == 0
     out = capsys.readouterr().out
@@ -79,6 +103,18 @@ def test_functional_gamma_json(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["functional"] == "gamma"
     assert rep["tau_grid"] == [300.0, 600.0]
+
+
+@pytest.mark.parametrize("fid", list(_FUNCTIONALS))
+def test_functional_every_id(fid, capsys, monkeypatch):
+    monkeypatch.delenv("HL_CACHE", raising=False)
+    assert main(["functional", "--id", fid, "--tau-grid", "200,400",
+                 "--tau", "300", "--k", "1"]) == 0
+    out = capsys.readouterr().out
+    if fid == "pi-gamma":
+        assert out.startswith("pi_surrogate=")
+    else:
+        assert isinstance(json.loads(out), dict)
 
 
 def test_functional_pi_gamma(capsys):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ladderlab import integral
-from ladderlab.constants import EULER_GAMMA, LN_TWO_PI
-from ladderlab.errors import CacheCorruptionError, DomainError, ToleranceError
+from ladderlab.constants import EULER_GAMMA, LN_TWO_PI, T_MAX
+from ladderlab.errors import CacheCorruptionError, DomainError, InfeasibleError, ToleranceError
 from ladderlab.integral import (
     AUTO_TOL_RATE,
     CELL_TOL,
@@ -53,6 +53,18 @@ def test_domain_errors():
             hl_integral(bad, cache=cache)
         with pytest.raises(DomainError):
             cache.extend_to(bad)
+    # huge finite bounds are refused above T_MAX, before any quadrature
+    with pytest.raises(InfeasibleError):
+        integrate_segment(0.0, 1e9)
+    with pytest.raises(InfeasibleError):
+        integrate_segment(T_MAX, math.nextafter(T_MAX, math.inf))
+    for T in (1e9, 1e6):
+        with pytest.raises(InfeasibleError):
+            hl_integral(T)
+        with pytest.raises(InfeasibleError):
+            hl_integral(T, cache=cache)
+        with pytest.raises(InfeasibleError):
+            cache.extend_to(T)
     assert cache.ts == []
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,6 +6,8 @@ import os
 import pytest
 from hypothesis import given, strategies as st
 
+from ladderlab.fermat import ScanRow
+from ladderlab.gammalab import ChainReport, LegendreReport, ShiftedReport
 from ladderlab.serialize import to_json, write_json
 
 
@@ -72,3 +75,19 @@ def test_write_json_lf_terminated(tmp_path):
 def test_repeatable_bytes():
     obj = {"x": [1.1, 2.2, 3.3], "y": {"k": "v"}}
     assert to_json(obj) == to_json(obj)
+
+
+@pytest.mark.parametrize("report", [
+    ScanRow(functional="gamma", x=1, y=2, z=2, n=3, q=1.125, tau_max=None,
+            value=None, target=1.125, forbidden=1.0, distance=None,
+            est_error=None, status="infeasible", note="n/a"),
+    ChainReport(tau=300.0, k=1, strategy="zeta-values", iterates=[300.0, 700.0],
+                rung_ratios=[1.0], total_ratio=1.0, additivity_defect=0.0),
+    ShiftedReport(tau=300.0, lhs_log=1.0, rhs_log=1.5, log_difference=-0.5,
+                  count_in_unit=1, count_target=0.9, strategy="zeta-values"),
+    LegendreReport(tau=300.0, log_lhs=1.0, log_rhs=1.5, log_difference=-0.5,
+                   strategy="zeta-values", metadata={"a": 1}),
+], ids=lambda r: type(r).__name__)
+def test_report_json_keys_are_the_fields(report):
+    text = to_json(report.to_dict()) if isinstance(report, ScanRow) else report.to_json()
+    assert set(json.loads(text)) == {f.name for f in dataclasses.fields(report)}

@@ -18,7 +18,7 @@ import sys
 
 from . import fermat, gammalab
 from .errors import LadderLabError
-from .gram import DEFAULT_STRATEGY, STRATEGIES, gram_points
+from .gram import gram_points
 from .integral import CheckpointCache, default_cache_path, hl_integral, integrate_segment
 from .ladder import DEFAULT_RESIDUAL_TOL, build_tower
 from .zeta import theta, z_function
@@ -87,16 +87,11 @@ def _cmd_gram(args) -> int:
 _FUNCTIONALS = {
     "gamma": lambda a, c: gammalab.gamma_functional(a.x, a.tau_grid, cache=c).to_json(),
     "d": lambda a, c: gammalab.verify_factorization_D(a.tau_grid, cache=c).to_json(),
-    "t1": lambda a, c: gammalab.verify_factorization_T1(
-        a.tau_grid, cache=c, strategy=a.strategy).to_json(),
-    "t2": lambda a, c: gammalab.verify_factorization_T2(
-        a.tau_grid, cache=c, strategy=a.strategy).to_json(),
-    "chain": lambda a, c: gammalab.verify_chain(
-        a.tau, a.k, cache=c, strategy=a.strategy).to_json(),
-    "shifted": lambda a, c: gammalab.verify_shifted_ratio(
-        a.tau, cache=c, strategy=a.strategy).to_json(),
-    "legendre": lambda a, c: gammalab.verify_legendre_factorization(
-        a.tau, cache=c, strategy=a.strategy).to_json(),
+    "t1": lambda a, c: gammalab.verify_factorization_T1(a.tau_grid, cache=c).to_json(),
+    "t2": lambda a, c: gammalab.verify_factorization_T2(a.tau_grid, cache=c).to_json(),
+    "chain": lambda a, c: gammalab.verify_chain(a.tau, a.k, cache=c).to_json(),
+    "shifted": lambda a, c: gammalab.verify_shifted_ratio(a.tau, cache=c).to_json(),
+    "legendre": lambda a, c: gammalab.verify_legendre_factorization(a.tau, cache=c).to_json(),
     "pi-gamma": lambda a, c: f"pi_surrogate={gammalab.pi_via_gamma(a.tau, a.k, cache=c):.17g}",
 }
 
@@ -169,7 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--tau-grid", type=_floats, default=[1e2, 1e3, 1e4], metavar="T1,T2,...")
     q.add_argument("--tau", type=float, default=1e3)
     q.add_argument("--k", type=int, default=2)
-    q.add_argument("--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY)
     q.add_argument("--out", default=None)
     q.set_defaults(fn=_cmd_functional)
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .arith import dirichlet_D
-from .constants import EULER_GAMMA, T_FLOOR
+from .constants import EULER_GAMMA, T_FLOOR, T_MAX
 from .errors import DomainError, InfeasibleError, LadderLabError
 from .gammalab import ln_gamma
 from .gram import DEFAULT_STRATEGY, t1_increment, t2_increment
@@ -190,8 +190,8 @@ def _over_ascent(delta: Callable[[float, float], float], err: float):
 
 _D = _over_ascent(lambda T, U: dirichlet_D(U) - dirichlet_D(T), 2.0)
 _LN_GAMMA = _over_ascent(lambda T, U: ln_gamma(U) - ln_gamma(T), 1e-5)
-_T1 = _over_ascent(lambda T, U: t1_increment(T, U, strategy=DEFAULT_STRATEGY), 1e-5)
-_T2 = _over_ascent(lambda T, U: t2_increment(T, U, strategy=DEFAULT_STRATEGY), 1e-5)
+_T1 = _over_ascent(t1_increment, 1e-5)
+_T2 = _over_ascent(t2_increment, 1e-5)
 
 
 # Value forms: (tau, one (increment, error) pair per multiplier) -> (value, error).
@@ -380,7 +380,19 @@ def scan(functional_ids, n: int, max_xyz: int,
     Rows are independent: the checkpoint cache is extended once, before
     the first row, and checkpoint values do not depend on evaluation
     order, so the report is the same for any row order.
+
+    t_cap must be finite and at least T_FLOOR (DomainError), and its
+    reach must not pass T_MAX (InfeasibleError, t_cap <= ~84,290); both
+    are checked before any work.
     """
+    if not (math.isfinite(t_cap) and t_cap >= T_FLOOR):
+        raise DomainError(f"t_cap must be finite and >= T_FLOOR={T_FLOOR:g}, got {t_cap:g}")
+    # pre-extension pins every checkpoint the rows will read; the
+    # margin covers one bracket widening of the ascent solver
+    reach = t_cap * (1.0 + 5.0 * _SCALE / math.log(t_cap))
+    if reach > T_MAX:
+        raise InfeasibleError(f"t_cap={t_cap:g} needs the cache up to T={reach:.6g}, "
+                              f"beyond the served range T <= T_MAX={T_MAX:g}")
     ids = list(functional_ids)
     for f in ids:
         _lookup(f)
@@ -388,9 +400,6 @@ def scan(functional_ids, n: int, max_xyz: int,
     cache = cache if cache is not None else CheckpointCache()
     jobs = [(f, q) for f in ids for q in rationals]
     if jobs:
-        # pre-extension pins every checkpoint the rows will read; the
-        # margin covers one bracket widening of the ascent solver
-        reach = t_cap * (1.0 + 5.0 * _SCALE / math.log(t_cap))
         cache.extend_to(reach)
     rows = [evaluate_equivalent(f, q, tau_grid, cache, t_cap) for f, q in jobs]
     return ScanReport(

@@ -166,26 +166,22 @@ def verify_factorization_D(tau_grid: list[float],
 
 
 def verify_factorization_T1(tau_grid: list[float],
-                            cache: CheckpointCache | None = None,
-                            strategy: str = DEFAULT_STRATEGY) -> FunctionalReport:
+                            cache: CheckpointCache | None = None) -> FunctionalReport:
     """Gram one-point sum over (tau, tau^1] vs (1/pi) ln Gamma increment."""
     const = 1.0 / math.pi
     return _factorization(
-        "t1", const, tau_grid, cache,
-        lambda lo, hi: t1_increment(lo, hi, strategy=strategy),
-        const, _base_metadata(strategy=strategy, constant=const),
+        "t1", const, tau_grid, cache, t1_increment,
+        const, _base_metadata(strategy=DEFAULT_STRATEGY, constant=const),
     )
 
 
 def verify_factorization_T2(tau_grid: list[float],
-                            cache: CheckpointCache | None = None,
-                            strategy: str = DEFAULT_STRATEGY) -> FunctionalReport:
+                            cache: CheckpointCache | None = None) -> FunctionalReport:
     """Gram pair sum over (tau, tau^1] vs ((1+c)/pi) ln Gamma increment."""
     const = (1.0 + EULER_GAMMA) / math.pi
     return _factorization(
-        "t2", const, tau_grid, cache,
-        lambda lo, hi: t2_increment(lo, hi, strategy=strategy),
-        const, _base_metadata(strategy=strategy, constant=const),
+        "t2", const, tau_grid, cache, t2_increment,
+        const, _base_metadata(strategy=DEFAULT_STRATEGY, constant=const),
     )
 
 
@@ -206,8 +202,7 @@ class ChainReport:
         return to_json(asdict(self))
 
 
-def verify_chain(tau: float, k: int, cache: CheckpointCache | None = None,
-                 strategy: str = DEFAULT_STRATEGY) -> ChainReport:
+def verify_chain(tau: float, k: int, cache: CheckpointCache | None = None) -> ChainReport:
     """pi * Gram sums along a k-rung tower vs ln Gamma differences.
 
     rung_ratios[r] compares rung r+1 alone; total_ratio compares the
@@ -217,16 +212,16 @@ def verify_chain(tau: float, k: int, cache: CheckpointCache | None = None,
     cache = cache if cache is not None else CheckpointCache()
     tower = build_tower(tau, k, cache=cache)
     it = tower.iterates
-    rung_sums = [t1_increment(it[r], it[r + 1], strategy=strategy) for r in range(k)]
+    rung_sums = [t1_increment(it[r], it[r + 1]) for r in range(k)]
     rung_ratios = [
         math.pi * s / (ln_gamma(it[r + 1]) - ln_gamma(it[r]))
         for r, s in enumerate(rung_sums)
     ]
-    total_sum = t1_increment(it[0], it[k], strategy=strategy)
+    total_sum = t1_increment(it[0], it[k])
     total_ratio = math.pi * total_sum / (ln_gamma(it[k]) - ln_gamma(it[0]))
     defect = abs(math.fsum(rung_sums) - total_sum)
     return ChainReport(
-        tau=float(tau), k=k, strategy=strategy, iterates=list(it),
+        tau=float(tau), k=k, strategy=DEFAULT_STRATEGY, iterates=list(it),
         rung_ratios=rung_ratios, total_ratio=total_ratio,
         additivity_defect=defect,
         metadata=_base_metadata(),
@@ -263,8 +258,7 @@ class ShiftedReport:
         return to_json(asdict(self))
 
 
-def verify_shifted_ratio(tau: float, cache: CheckpointCache | None = None,
-                         strategy: str = DEFAULT_STRATEGY) -> ShiftedReport:
+def verify_shifted_ratio(tau: float, cache: CheckpointCache | None = None) -> ShiftedReport:
     """Compare Gamma(ascend(tau+1))/Gamma(ascend(tau)) in log space
     against tau * exp(pi * [shifted Gram sum difference]).
 
@@ -278,8 +272,7 @@ def verify_shifted_ratio(tau: float, cache: CheckpointCache | None = None,
     u_lo = ascend(tau, cache=cache)
     lhs_log = ln_gamma(u_hi) - ln_gamma(u_lo)
     rhs_log = math.log(tau) + math.pi * (
-        t1_increment(tau + 1.0, u_hi, strategy=strategy)
-        - t1_increment(tau, u_lo, strategy=strategy)
+        t1_increment(tau + 1.0, u_hi) - t1_increment(tau, u_lo)
     )
     count = len(gram_points(tau, tau + 1.0))
     return ShiftedReport(
@@ -287,7 +280,7 @@ def verify_shifted_ratio(tau: float, cache: CheckpointCache | None = None,
         log_difference=lhs_log - rhs_log,
         count_in_unit=count,
         count_target=math.log(tau) / (2.0 * math.pi),
-        strategy=strategy,
+        strategy=DEFAULT_STRATEGY,
         metadata=_base_metadata(),
     )
 
@@ -307,8 +300,8 @@ class LegendreReport:
         return to_json(asdict(self))
 
 
-def verify_legendre_factorization(tau: float, cache: CheckpointCache | None = None,
-                                  strategy: str = DEFAULT_STRATEGY) -> LegendreReport:
+def verify_legendre_factorization(tau: float,
+                                  cache: CheckpointCache | None = None) -> LegendreReport:
     """Duplication formula pushed through the ladder, in log space.
 
     lhs: ln Gamma at the three ascents of 2 tau, tau, tau + 1/2 combined
@@ -330,13 +323,13 @@ def verify_legendre_factorization(tau: float, cache: CheckpointCache | None = No
            + ln_gamma(u1) + ln_gamma(uh))
     )
     log_rhs = math.pi * (
-        t1_increment(2.0 * tau, u2, strategy=strategy)
-        - t1_increment(tau, u1, strategy=strategy)
-        - t1_increment(tau + 0.5, uh, strategy=strategy)
+        t1_increment(2.0 * tau, u2)
+        - t1_increment(tau, u1)
+        - t1_increment(tau + 0.5, uh)
     )
     return LegendreReport(
         tau=float(tau), log_lhs=log_lhs, log_rhs=log_rhs,
-        log_difference=log_lhs - log_rhs, strategy=strategy,
+        log_difference=log_lhs - log_rhs, strategy=DEFAULT_STRATEGY,
         metadata=_base_metadata(
             exponent_convention="2**(2*tau-1)",
             exponent_variant_seen="2**(2*tau+1)",

@@ -5,11 +5,10 @@ the classical first point near 17.8456. Solving is vectorized Newton on
 the strictly increasing theta, seeded by a Lambert-type inversion of
 its leading term; every returned point carries a residual certificate.
 
-The two discrete sums (squared values, and products of neighbors) are
-exposed with the summand as a pluggable strategy because the source
-formulas admit more than one reading; every report records which one it
-used. Sums are exact compensated folds (math.fsum), so batch shape and
-thread count cannot change results.
+The two discrete sums fold the real numbers
+zeta(1/2 + i t_nu) = (-1)^(nu-1) Z(t_nu): the values themselves (T1)
+and the products of neighbors (T2). Sums are exact compensated folds
+(math.fsum), so batch shape cannot change results.
 """
 
 from __future__ import annotations
@@ -27,12 +26,9 @@ from .zeta import theta, z_array
 GRAM_RESIDUAL_TOL = 1e-9
 FIRST_GRAM = 17.8455995404108608  # theta root at index nu = 1
 
-# Summand readings for the discrete sums. "zeta-values" sums the real
-# numbers zeta(1/2 + i t_nu) = (-1)^(nu-1) Z(t_nu) and their neighbor
-# products; it is the default because measured Gram-point means land on
-# the target constants 2 and 2(1+c) (the Z^2 readings drift like ln t
-# or go negative). The alternatives are kept swappable for comparison.
-STRATEGIES = ("zeta-values", "z-squared", "squared-pair")
+# The summand reading, recorded in every report: measured Gram-point
+# means of these values land on the constants 2 and 2(1+c) that the
+# factorization checks need.
 DEFAULT_STRATEGY = "zeta-values"
 
 
@@ -139,39 +135,21 @@ def _gram_sign(nus: np.ndarray) -> np.ndarray:
     return np.where((nus - 1) % 2 == 0, 1.0, -1.0)
 
 
-def _summand_one(nus: np.ndarray, z: np.ndarray, strategy: str) -> np.ndarray:
-    if strategy == "zeta-values":
-        return _gram_sign(nus) * z
-    if strategy in ("z-squared", "squared-pair"):
-        return z * z
-    raise DomainError(f"unknown summand strategy {strategy!r}")
-
-
-def _summand_pair(nus: np.ndarray, z: np.ndarray, z_next: np.ndarray, strategy: str) -> np.ndarray:
-    if strategy == "zeta-values":
-        # zeta_nu * zeta_{nu+1} with opposite rotation signs
-        return -(z * z_next)
-    if strategy == "z-squared":
-        return z * z_next
-    if strategy == "squared-pair":
-        return (z * z) * (z_next * z_next)
-    raise DomainError(f"unknown summand strategy {strategy!r}")
-
-
-def t1_increment(a: float, b: float, strategy: str = DEFAULT_STRATEGY) -> float:
-    """One-point summand folded over Gram points in (a, b]."""
+def t1_increment(a: float, b: float) -> float:
+    """(-1)^(nu-1) Z(t_nu) folded over Gram points in (a, b]."""
     if not a < b:
         raise DomainError("t1_increment requires a < b")
     sl = gram_points(a, b)
     if len(sl) == 0:
         return 0.0
-    return math.fsum(_summand_one(sl.nus, sl.zs, strategy))
+    return math.fsum(_gram_sign(sl.nus) * sl.zs)
 
 
-def t2_increment(a: float, b: float, strategy: str = DEFAULT_STRATEGY) -> float:
-    """Pair summand folded over Gram points t_nu in (a, b].
+def t2_increment(a: float, b: float) -> float:
+    """zeta_nu * zeta_{nu+1} = -Z(t_nu) Z(t_{nu+1}) folded over t_nu in (a, b].
 
-    The nu+1 neighbor is fetched even when it lies beyond b.
+    The neighbors carry opposite rotation signs. The nu+1 neighbor is
+    fetched even when it lies beyond b.
     """
     if not a < b:
         raise DomainError("t2_increment requires a < b")
@@ -180,21 +158,21 @@ def t2_increment(a: float, b: float, strategy: str = DEFAULT_STRATEGY) -> float:
     if n_in == 0:
         return 0.0
     z, z_next = _pair_values(sl, n_in)
-    return math.fsum(_summand_pair(sl.nus[:n_in], z, z_next, strategy))
+    return math.fsum(-(z * z_next))
 
 
-def titchmarsh_T1(X: float, strategy: str = DEFAULT_STRATEGY) -> float:
+def titchmarsh_T1(X: float) -> float:
     """Full one-point sum over all Gram points t_nu <= X."""
     if X < FIRST_GRAM:
         raise DomainError(f"titchmarsh_T1 requires X >= first Gram point {FIRST_GRAM}")
-    return t1_increment(T_MIN, X, strategy=strategy)
+    return t1_increment(T_MIN, X)
 
 
-def titchmarsh_T2(X: float, strategy: str = DEFAULT_STRATEGY) -> float:
+def titchmarsh_T2(X: float) -> float:
     """Full pair sum over all t_nu <= X (neighbor may exceed X)."""
     if X < FIRST_GRAM:
         raise DomainError(f"titchmarsh_T2 requires X >= first Gram point {FIRST_GRAM}")
-    return t2_increment(T_MIN, X, strategy=strategy)
+    return t2_increment(T_MIN, X)
 
 
 def spacing_ratios(slice_: GramSlice, reference: str = "log_t") -> np.ndarray:

@@ -23,9 +23,10 @@ Two branches, stitched at ``RS_SEAM``:
 
 Error model: ``z_error_bound`` is a step bound over the error measured
 against a 50-digit oracle (tests/fixtures): 5e-13 below RS_SEAM, 1e-6
-on [RS_SEAM, 1e3), 5e-8 on [1e3, 1e4) and 1e-8 from 1e4 up. The oracle
-stops at t = 9.9e3; above it the bound rests on the t^(-9/4) decay of
-the remainder, not on a measurement.
+on [RS_SEAM, 1e3), 5e-8 on [1e3, 1e4) and 1e-8 on [1e4, T_MAX]. The
+oracle stops at t = 9.9e3; above it the bound rests on the t^(-9/4)
+decay of the remainder, not on a measurement. Ordinates above T_MAX
+(and NaN) are refused with InfeasibleError rather than served unvouched.
 
 All evaluation paths are pure: equal inputs give bitwise-equal outputs
 regardless of how calls are batched.
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import B2K, T_MIN, TWO_PI
-from .errors import DomainError
+from .constants import B2K, T_MAX, T_MIN, TWO_PI
+from .errors import DomainError, InfeasibleError
 
 # Seam between the Euler-Maclaurin and Riemann-Siegel branches. Chosen
 # from the measured error curve: the four-term remainder is not reliable
@@ -220,12 +221,19 @@ def _z_low(t: np.ndarray) -> np.ndarray:
     return (rot * zeta).real
 
 
+def _check_t_max(ts: np.ndarray) -> None:
+    """Refuse ordinates the error model does not cover; NaN fails the test too."""
+    if ts.size and not ts.max() <= T_MAX:
+        raise InfeasibleError(f"t={ts.max():g} exceeds the served range t <= T_MAX={T_MAX:g}")
+
+
 def _z_kernel(ts: np.ndarray) -> np.ndarray:
     """Z on an arbitrary float64 array, preserving order."""
     if ts.size == 0:
         return ts.copy()
     if np.min(ts) < 0.0:
         raise DomainError("Z is served for t >= 0")
+    _check_t_max(ts)
     order = np.argsort(ts, kind="stable")
     sorted_t = ts[order]
     out_sorted = np.empty_like(sorted_t)
@@ -240,7 +248,7 @@ def _z_kernel(ts: np.ndarray) -> np.ndarray:
 
 
 def z_array(t) -> np.ndarray:
-    """Z(t) for an array of ordinates t >= 0."""
+    """Z(t) for an array of ordinates 0 <= t <= T_MAX."""
     return _z_kernel(np.asarray(t, dtype=float).ravel())
 
 
@@ -253,7 +261,7 @@ def zeta_sq(t):
 
 
 def z_function(t: float) -> CriticalSample:
-    """Sample Z at one ordinate t >= 0."""
+    """Sample Z at one ordinate 0 <= t <= T_MAX."""
     z = float(_z_kernel(np.array([float(t)]))[0])
     return CriticalSample(t=float(t), z=z, zeta_sq=z * z)
 
@@ -262,9 +270,11 @@ def z_error_bound(t) -> np.ndarray:
     """Documented absolute error bound for Z at ordinate t.
 
     Step function over the measured error curve, deliberately
-    conservative; quadrature folds it into its error estimates.
+    conservative; quadrature folds it into its error estimates. Raises
+    InfeasibleError above T_MAX, where Z is not served.
     """
     arr = np.asarray(t, dtype=float)
+    _check_t_max(arr)
     out = np.full(arr.shape, 1e-6)
     out = np.where(arr < RS_SEAM, 5e-13, out)
     out = np.where(arr >= 1e3, 5e-8, out)

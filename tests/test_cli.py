@@ -43,7 +43,10 @@ def test_non_finite_bound_exits_1(tmp_path, capsys):
                  ["integral", "--from", "0", "--to", "nan"],
                  ["integral", "--from", "1", "--to", "inf"],
                  ["cache", "--path", path, "--extend-to", "inf"],
-                 ["scan", "--n", "3", "--max-xyz", "2", "--t-cap", "inf"]):
+                 ["scan", "--n", "3", "--max-xyz", "2", "--t-cap", "inf"],
+                 ["scan", "--n", "3", "--max-xyz", "2", "--t-cap", "1"],
+                 ["scan", "--n", "3", "--max-xyz", "2", "--t-cap", "0"],
+                 ["scan", "--n", "3", "--max-xyz", "2", "--t-cap", "-5"]):
         assert main(argv) == 1
         assert "ladderlab:" in capsys.readouterr().err
     assert not os.path.exists(path)
@@ -54,11 +57,17 @@ def test_bound_above_t_max_exits_1_at_once(tmp_path, capsys):
     for argv in (["integral", "--from", "0", "--to", "1e9"],
                  ["integral", "--from", "1", "--to", "1e9"],
                  ["cache", "--path", path, "--extend-to", "1e6"],
-                 ["scan", "--n", "3", "--max-xyz", "2", "--t-cap", "1e6"]):
+                 ["scan", "--n", "3", "--max-xyz", "2", "--t-cap", "1e6"],
+                 # t_cap below T_MAX whose cache reach is not
+                 ["scan", "--n", "3", "--max-xyz", "2", "--t-cap", "9e4"],
+                 ["zeta", "--t", "2e5"]):
         start = time.perf_counter()
         assert main(argv) == 1
         assert time.perf_counter() - start < 5.0  # refused before any quadrature
-        assert "T_MAX" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "T_MAX" in err
+        if argv[0] == "scan":
+            assert "t_cap" in err
     assert not os.path.exists(path)
 
 

@@ -7,7 +7,6 @@ from ladderlab.constants import EULER_GAMMA
 from ladderlab.errors import DomainError
 from ladderlab.gram import (
     FIRST_GRAM,
-    STRATEGIES,
     GramSlice,
     gram_index_range,
     gram_points,
@@ -88,15 +87,15 @@ def test_titchmarsh_prefix_consistency():
         titchmarsh_T2(300.0) + t2_increment(300.0, 500.0), rel=1e-12)
 
 
-def test_strategies_differ():
-    # the one-point summand splits zeta-values from the z^2 family;
-    # the pair summand separates all three
-    one = {s: t1_increment(200.0, 400.0, strategy=s) for s in STRATEGIES}
-    assert len(set(round(v, 9) for v in one.values())) == 2
-    pair = {s: t2_increment(200.0, 400.0, strategy=s) for s in STRATEGIES}
-    assert len(set(round(v, 9) for v in pair.values())) == len(STRATEGIES)
-    with pytest.raises(DomainError):
-        t1_increment(200.0, 400.0, strategy="nonsense")
+def test_single_summand_reading():
+    # T1 folds zeta(1/2 + i t_nu) = (-1)^(nu-1) Z(t_nu); T2 folds the
+    # neighbor products zeta_nu zeta_{nu+1} = -Z_nu Z_{nu+1}
+    slc = gram_points(200.0, 400.0)
+    want = math.fsum((-1.0) ** (int(nu) - 1) * z for nu, z in zip(slc.nus, slc.zs))
+    assert t1_increment(200.0, 400.0) == want
+    ext = gram_points(200.0, 400.0, extra=1)
+    assert ext.ts[-2] <= 400.0 < ext.ts[-1]
+    assert t2_increment(200.0, 400.0) == -math.fsum(ext.zs[:-1] * ext.zs[1:])
 
 
 def test_one_point_sum_positive_mean():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ladderlab.errors import DomainError
+from ladderlab.constants import T_MAX
+from ladderlab.errors import DomainError, InfeasibleError
 from ladderlab.zeta import (
     RS_SEAM,
     NodeSpec,
@@ -85,6 +86,16 @@ def test_zeta_sq_oracle(oracle):
 def test_z_domain():
     with pytest.raises(DomainError):
         z_function(-1.0)
+
+
+def test_z_refused_above_t_max():
+    assert math.isfinite(float(z_array([T_MAX])[0]))
+    assert z_error_bound(T_MAX) == 1e-8
+    for bad in (math.nextafter(T_MAX, math.inf), math.nan):
+        with pytest.raises(InfeasibleError):
+            z_array([bad])
+        with pytest.raises(InfeasibleError):
+            z_error_bound(bad)
 
 
 @given(st.floats(min_value=0.0, max_value=2e4))

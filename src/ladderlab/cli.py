@@ -21,7 +21,7 @@ from .errors import LadderLabError
 from .gram import gram_points
 from .integral import CheckpointCache, default_cache_path, hl_integral, integrate_segment
 from .ladder import DEFAULT_RESIDUAL_TOL, build_tower
-from .zeta import theta, z_function
+from .zeta import theta, z_array
 
 
 def _load_cache() -> CheckpointCache:
@@ -50,11 +50,13 @@ def _floats(spec: str) -> list[float]:
 
 
 def _cmd_zeta(args) -> int:
-    print("t,z,z_sq,theta")
-    for t in args.t:
-        s = z_function(t)
+    # every sample is evaluated before anything is printed, so a refused
+    # ordinate leaves stdout empty instead of a truncated table
+    lines = ["t,z,z_sq,theta"]
+    for t, z in zip(args.t, z_array(args.t).tolist()):
         th = theta(t) if t >= 10.0 else math.nan
-        print(f"{t:.17g},{s.z:.17g},{s.zeta_sq:.17g},{th:.17g}")
+        lines.append(f"{t:.17g},{z:.17g},{z * z:.17g},{th:.17g}")
+    print("\n".join(lines))
     return 0
 
 

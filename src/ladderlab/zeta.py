@@ -29,7 +29,9 @@ decay of the remainder, not on a measurement. Ordinates above T_MAX
 (and NaN) are refused with InfeasibleError rather than served unvouched.
 
 All evaluation paths are pure: equal inputs give bitwise-equal outputs
-regardless of how calls are batched.
+regardless of how calls are batched. The Riemann-Siegel main sum is built
+as one term array for small batches and by a loop over n for large ones;
+both add each element's terms in n order, so they agree bitwise.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ from .errors import DomainError, InfeasibleError
 # from the measured error curve: the four-term remainder is not reliable
 # to 1e-6 below ~100, while Euler-Maclaurin stays cheap there.
 RS_SEAM = 100.0
+
+# Largest batch, in main-sum terms t.size * N(t_max), whose Riemann-Siegel
+# main sum is built as one (N, t.size) array. Above it a loop over n
+# touches less memory; below it the per-n Python overhead dominates.
+SMALL_BATCH_TERMS = 2 ** 15
 
 
 def _psi_taylor(n_coeff: int = 56, radius: float = 1.5, n_fft: int = 4096) -> np.ndarray:
@@ -159,21 +166,46 @@ def theta(t):
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
+def _rs_main_sum(t: np.ndarray, th: np.ndarray, trunc: np.ndarray) -> np.ndarray:
+    """Sum over n <= N(t) of n^(-1/2) cos(theta(t) - t ln n), t ascending."""
+    nmax = int(trunc[-1])
+    ns = np.arange(1, nmax + 1)
+    nf = ns.astype(float)
+    logn = np.log(nf)
+    isqn = 1.0 / np.sqrt(nf)
+    # Both forms add each element's terms one after another in n order,
+    # so they give the same bits and Z stays batch-invariant. Hence the
+    # sum runs over axis 0 only: an axis-1 sum, `@` or einsum would use
+    # pairwise or BLAS trees whose shape depends on the batch.
+    if t.size * nmax <= SMALL_BATCH_TERMS:
+        terms = np.multiply.outer(logn, t)
+        np.subtract(th, terms, out=terms)
+        np.cos(terms, out=terms)
+        terms *= isqn[:, None]
+        lo = int(trunc[0])  # rows below lo lie inside every element's N(t)
+        tail = terms[lo:]
+        tail[ns[lo:, None] > trunc] = 0.0
+        if t.size > 1:
+            return np.add.reduce(terms, axis=0)
+        # one column is contiguous along axis 0, and numpy sums a
+        # contiguous run pairwise; accumulate stays sequential
+        return np.add.accumulate(terms[:, 0])[-1:]
+    # first index whose truncation length reaches n (trunc is ascending)
+    starts = np.searchsorted(trunc, ns, side="left")
+    main = np.zeros_like(t)
+    for n in range(1, nmax + 1):
+        i = starts[n - 1]
+        main[i:] += np.cos(th[i:] - t[i:] * logn[n - 1]) * isqn[n - 1]
+    return main
+
+
 def _z_riemann_siegel(t: np.ndarray) -> np.ndarray:
     """RS branch. Input ascending, all >= RS_SEAM."""
     th = _theta_series(t)
     root = np.sqrt(t / TWO_PI)
     trunc = np.floor(root).astype(np.int64)
     p = root - trunc
-    nmax = int(trunc[-1])
-    logn = np.log(np.arange(1, nmax + 1, dtype=float))
-    isqn = 1.0 / np.sqrt(np.arange(1, nmax + 1, dtype=float))
-    # first index whose truncation length reaches n (trunc is ascending)
-    starts = np.searchsorted(trunc, np.arange(1, nmax + 1), side="left")
-    main = np.zeros_like(t)
-    for n in range(1, nmax + 1):
-        i = starts[n - 1]
-        main[i:] += np.cos(th[i:] - t[i:] * logn[n - 1]) * isqn[n - 1]
+    main = _rs_main_sum(t, th, trunc)
     main *= 2.0
     v = 1.0 / root
     # elementwise Horner, not a BLAS product: keeps Z batch-invariant

@@ -31,6 +31,14 @@ def test_zeta_output(capsys):
     assert float(first[2]) == pytest.approx(float(first[1]) ** 2, rel=1e-12)
 
 
+def test_zeta_refusal_prints_no_table(capsys):
+    # a refused ordinate after a served one leaves stdout empty
+    assert main(["zeta", "--t", "100,2e5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "T_MAX" in captured.err
+
+
 def test_integral_computation_error_exits_1(capsys):
     rc = main(["integral", "--from", "150", "--to", "250", "--tol", "1e-12"])
     assert rc == 1

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ladderlab import zeta
 from ladderlab.constants import T_MAX
 from ladderlab.errors import DomainError, InfeasibleError
 from ladderlab.zeta import (
     RS_SEAM,
+    SMALL_BATCH_TERMS,
     NodeSpec,
     batch_samples,
     theta,
@@ -155,3 +157,39 @@ def test_batch_invariance_bitwise():
     batch = z_array(ts)
     for i in range(ts.size):
         assert z_array(ts[i:i + 1])[0] == batch[i], ts[i]
+
+
+def _loop_main_sum(t, th, trunc):
+    # reference: one pass per n over the elements whose N(t) reaches n
+    nmax = int(trunc[-1])
+    logn = np.log(np.arange(1, nmax + 1, dtype=float))
+    isqn = 1.0 / np.sqrt(np.arange(1, nmax + 1, dtype=float))
+    starts = np.searchsorted(trunc, np.arange(1, nmax + 1), side="left")
+    main = np.zeros_like(t)
+    for n in range(1, nmax + 1):
+        i = starts[n - 1]
+        main[i:] += np.cos(th[i:] - t[i:] * logn[n - 1]) * isqn[n - 1]
+    return main
+
+
+def test_main_sum_forms_match_loop_bitwise(monkeypatch):
+    # small batches build one term array, large ones loop over n; both
+    # must give the loop's bits, including one-element batches
+    rng = np.random.default_rng(20261018)
+    wide = np.append(rng.uniform(RS_SEAM, 9e4, 248), [RS_SEAM, 9e4])
+    rng.shuffle(wide)
+    batches = [wide]  # 250 * N(9e4) terms: the term array with many masked rows
+    for band in (1e2, 1e3, 1e4, 5e4, 9.9e4):
+        hi = min(1.05 * band, T_MAX)
+        nmax = math.floor(math.sqrt(hi / (2.0 * math.pi)))
+        below = SMALL_BATCH_TERMS // nmax
+        for size in (1, 2, 3, 88, below, below + 1, 3500):
+            ts = np.append(rng.uniform(band, hi, size - 1), hi)
+            rng.shuffle(ts)
+            batches.append(ts)
+    for ts in batches:
+        got = z_array(ts)
+        with monkeypatch.context() as m:
+            m.setattr(zeta, "_rs_main_sum", _loop_main_sum)
+            want = z_array(ts)
+        assert np.array_equal(got, want), (ts.size, ts.max())

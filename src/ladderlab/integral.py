@@ -87,12 +87,14 @@ def _panel_edges(a: float, b: float) -> np.ndarray:
     fixed range is deterministic regardless of how callers batch work.
     """
     edges = [a]
+    add, log, pi = edges.append, math.log, math.pi
     cur = a
     while cur < b:
-        cap = math.pi / math.log(max(cur, 20.0))
-        cur = min(b, cur + cap)
-        edges.append(cur)
-    return np.asarray(edges)
+        cur += pi / log(cur if cur > 20.0 else 20.0)
+        if cur > b:
+            cur = b
+        add(cur)
+    return np.array(edges)
 
 
 def _eval_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,10 +103,9 @@ def _eval_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     half = 0.5 * (hi - lo)
     t15 = (mid[:, None] + half[:, None] * _X15[None, :]).ravel()
     t7 = (mid[:, None] + half[:, None] * _X7[None, :]).ravel()
-    n15 = _X15.size
-    z_all = z_array(np.concatenate([t15, t7]))
-    f15 = (z_all[: t15.size] ** 2).reshape(-1, n15)
-    f7 = (z_all[t15.size:] ** 2).reshape(-1, _X7.size)
+    f_all = z_array(np.concatenate([t15, t7])) ** 2
+    f15 = f_all[: t15.size].reshape(-1, _X15.size)
+    f7 = f_all[t15.size:].reshape(-1, _X7.size)
     v15 = (f15 @ _W15) * half
     v7 = (f7 @ _W7) * half
     # engine contribution: |d integral| <= 2 int |Z| eps <= 2 eps sqrt(I w)
@@ -130,9 +131,9 @@ def _panels(a: float, b: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.
     for _ in range(24):
         quad_err = np.abs(v15 - v7)
         err = quad_err + eng
-        if float(np.sum(err)) <= tol:
+        if float(err.sum()) <= tol:
             return lo, v15, err, nodes
-        if float(np.sum(eng)) > 0.5 * tol:
+        if float(eng.sum()) > 0.5 * tol:
             raise ToleranceError(
                 f"engine error floor exceeds tol={tol:g} on [{a},{b}]",
                 best_value=math.fsum(v15),
@@ -178,7 +179,7 @@ def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralR
         a=a,
         b=b,
         value=math.fsum(v15),
-        abs_error_estimate=float(np.sum(err)),
+        abs_error_estimate=float(err.sum()),
         node_count=nodes,
     )
 

@@ -26,12 +26,17 @@ against a 50-digit oracle (tests/fixtures): 5e-13 below RS_SEAM, 1e-6
 on [RS_SEAM, 1e3), 5e-8 on [1e3, 1e4) and 1e-8 on [1e4, T_MAX]. The
 oracle stops at t = 9.9e3; above it the bound rests on the t^(-9/4)
 decay of the remainder, not on a measurement. Ordinates above T_MAX
-(and NaN) are refused with InfeasibleError rather than served unvouched.
+(and NaN) are refused with InfeasibleError rather than served unvouched,
+negative ones with DomainError.
 
 All evaluation paths are pure: equal inputs give bitwise-equal outputs
-regardless of how calls are batched. The Riemann-Siegel main sum is built
-as one term array for small batches and by a loop over n for large ones;
-both add each element's terms in n order, so they agree bitwise.
+regardless of how calls are batched. Small batches build their sums and
+the correction polynomials as whole arrays, large ones loop over n or
+over the four polynomials; one rule covers every form: each element sees
+the same IEEE operations in the same order, with no BLAS or pairwise
+reduction across elements. Sums therefore reduce over axis 0 of an array
+with two or more columns (numpy adds its rows one after another) or by
+accumulate, never along a contiguous run, by `@` or by einsum.
 """
 
 from __future__ import annotations
@@ -49,10 +54,17 @@ from .errors import DomainError, InfeasibleError
 # to 1e-6 below ~100, while Euler-Maclaurin stays cheap there.
 RS_SEAM = 100.0
 
-# Largest batch, in main-sum terms t.size * N(t_max), whose Riemann-Siegel
-# main sum is built as one (N, t.size) array. Above it a loop over n
-# touches less memory; below it the per-n Python overhead dominates.
+# Largest batch, in terms, that is summed as one array: t.size * N(t_max)
+# for either branch's sum over n, t.size * _RS_C.size for the correction
+# polynomials. Above it a loop touches less memory; below it the per-step
+# Python overhead dominates.
 SMALL_BATCH_TERMS = 2 ** 15
+
+# n, log n and n^(-1/2) for every n either sum reaches: N(T_MAX) = 126
+# Riemann-Siegel terms, at most 1.3 * RS_SEAM + 8 Euler-Maclaurin ones.
+_N = np.arange(1.0, max(math.sqrt(T_MAX / TWO_PI), 1.3 * RS_SEAM + 8) + 1.0)
+_LOGN = np.log(_N)
+_ISQN = 1.0 / np.sqrt(_N)
 
 
 def _psi_taylor(n_coeff: int = 56, radius: float = 1.5, n_fft: int = 4096) -> np.ndarray:
@@ -92,6 +104,10 @@ def _rs_correction_table() -> np.ndarray:
 
 
 _RS_C = _rs_correction_table()
+# Horner order, highest power first: one (4,) column per step for the
+# whole-array form, one list of Python floats per polynomial for the loop
+_RS_COLS = np.ascontiguousarray(_RS_C.T[::-1])
+_RS_ROWS = [row[::-1].tolist() for row in _RS_C]
 
 
 @dataclass(frozen=True)
@@ -169,71 +185,115 @@ def theta(t):
 def _rs_main_sum(t: np.ndarray, th: np.ndarray, trunc: np.ndarray) -> np.ndarray:
     """Sum over n <= N(t) of n^(-1/2) cos(theta(t) - t ln n), t ascending."""
     nmax = int(trunc[-1])
-    ns = np.arange(1, nmax + 1)
-    nf = ns.astype(float)
-    logn = np.log(nf)
-    isqn = 1.0 / np.sqrt(nf)
-    # Both forms add each element's terms one after another in n order,
-    # so they give the same bits and Z stays batch-invariant. Hence the
-    # sum runs over axis 0 only: an axis-1 sum, `@` or einsum would use
-    # pairwise or BLAS trees whose shape depends on the batch.
     if t.size * nmax <= SMALL_BATCH_TERMS:
-        terms = np.multiply.outer(logn, t)
+        terms = np.multiply.outer(_LOGN[:nmax], t)
         np.subtract(th, terms, out=terms)
         np.cos(terms, out=terms)
-        terms *= isqn[:, None]
+        terms *= _ISQN[:nmax, None]
         lo = int(trunc[0])  # rows below lo lie inside every element's N(t)
         tail = terms[lo:]
-        tail[ns[lo:, None] > trunc] = 0.0
+        tail[_N[lo:nmax, None] > trunc] = 0.0
         if t.size > 1:
             return np.add.reduce(terms, axis=0)
         # one column is contiguous along axis 0, and numpy sums a
         # contiguous run pairwise; accumulate stays sequential
         return np.add.accumulate(terms[:, 0])[-1:]
     # first index whose truncation length reaches n (trunc is ascending)
-    starts = np.searchsorted(trunc, ns, side="left")
+    starts = np.searchsorted(trunc, _N[:nmax], side="left").tolist()
     main = np.zeros_like(t)
-    for n in range(1, nmax + 1):
-        i = starts[n - 1]
-        main[i:] += np.cos(th[i:] - t[i:] * logn[n - 1]) * isqn[n - 1]
+    buf = np.empty_like(t)
+    for i, logn, isqn in zip(starts, _LOGN[:nmax].tolist(), _ISQN[:nmax].tolist()):
+        term = buf[i:]
+        np.multiply(t[i:], logn, out=term)
+        np.subtract(th[i:], term, out=term)
+        np.cos(term, out=term)
+        term *= isqn
+        main[i:] += term
     return main
+
+
+def _rs_correction(x: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """C0..C3 at x = p - 1/2 as a (4, x.size) array, by elementwise Horner.
+
+    Not a BLAS product, which would break batch invariance. Small batches
+    run the 28 steps on one (4 * x.size,) vector, large ones on each row
+    in place.
+    """
+    k = x.size
+    if _RS_C.size * k <= SMALL_BATCH_TERMS:
+        cols = np.repeat(_RS_COLS, k, axis=1)
+        x2s = np.concatenate((x2, x2, x2, x2))
+        c = np.zeros(4 * k)
+        for col in cols:
+            c *= x2s
+            c += col
+        c = c.reshape(4, k)
+    else:
+        c = np.zeros((4, k))
+        for row, coeffs in zip(c, _RS_ROWS):
+            for a in coeffs:
+                row *= x2
+                row += a
+    c[1::2] *= x
+    return c
 
 
 def _z_riemann_siegel(t: np.ndarray) -> np.ndarray:
     """RS branch. Input ascending, all >= RS_SEAM."""
     th = _theta_series(t)
     root = np.sqrt(t / TWO_PI)
-    trunc = np.floor(root).astype(np.int64)
+    trunc = np.floor(root)
     p = root - trunc
     main = _rs_main_sum(t, th, trunc)
     main *= 2.0
     v = 1.0 / root
-    # elementwise Horner, not a BLAS product: keeps Z batch-invariant
     x = p - 0.5
-    x2 = x * x
-    c = np.zeros((4, t.size))
-    for col in _RS_C.T[::-1]:
-        c = c * x2 + col[:, None]
-    c[1::2] *= x
+    c = _rs_correction(x, x * x)
     rem = ((c[3] * v + c[2]) * v + c[1]) * v + c[0]
     sign = np.where(trunc % 2 == 0, -1.0, 1.0)  # (-1)^(N-1)
     return main + rem * sign * root ** -0.5
+
+
+def _em_partial_sum(t: np.ndarray, nterms: np.ndarray) -> np.ndarray:
+    """Sum over n < nterms(t) of n^(-s), s = 1/2 + i*t, t ascending.
+
+    Each term is what the complex product isqn * (cos - 1j*sin) of t ln n
+    yields: its cross terms are products with zero, which are exact, so it
+    is (isqn * cos, isqn * (0 - sin)). Small batches build those as one
+    (N, 2 * t.size) array, real parts beside imaginary ones, whose
+    2 * t.size >= 2 columns reduce row after row.
+    """
+    nmax = int(nterms[-1])
+    if t.size * nmax <= SMALL_BATCH_TERMS:
+        m, k = nmax - 1, t.size
+        phase = np.multiply.outer(_LOGN[:m], t)
+        terms = np.empty((m, 2 * k))
+        np.cos(phase, out=terms[:, :k])
+        np.sin(phase, out=terms[:, k:])
+        np.subtract(0.0, terms[:, k:], out=terms[:, k:])
+        terms *= _ISQN[:m, None]
+        lo = int(nterms[0]) - 1  # rows below lo lie inside every element's sum
+        tail = terms[lo:]
+        tail[np.tile(_N[lo:m, None] >= nterms, 2)] = 0.0
+        sums = np.add.reduce(terms, axis=0)
+        total = sums[:k].astype(complex)
+        total.imag = sums[k:]
+        return total
+    # element i takes n = 1 .. nterms[i]-1
+    starts = np.searchsorted(nterms, np.arange(1, nmax + 1), side="right")
+    total = np.zeros_like(t, dtype=complex)
+    for n in range(1, nmax):
+        i = starts[n - 1]  # first element with nterms > n, i.e. n <= N-1
+        phase = t[i:] * _LOGN[n - 1]
+        total[i:] += _ISQN[n - 1] * (np.cos(phase) - 1j * np.sin(phase))
+    return total
 
 
 def _zeta_euler_maclaurin(t: np.ndarray, kmax: int = 12) -> np.ndarray:
     """zeta(1/2 + i*t) for ascending t below the seam."""
     s = 0.5 + 1j * t
     nterms = np.maximum(24, (1.3 * t).astype(np.int64) + 8)
-    nmax = int(nterms[-1])
-    logn = np.log(np.arange(1, nmax + 1, dtype=float))
-    isqn = 1.0 / np.sqrt(np.arange(1, nmax + 1, dtype=float))
-    starts = np.searchsorted(nterms, np.arange(1, nmax + 1), side="right")
-    # partial sum over n < N(t): element i takes n = 1 .. nterms[i]-1
-    total = np.zeros_like(s)
-    for n in range(1, nmax):
-        i = starts[n - 1]  # first element with nterms > n, i.e. n <= N-1
-        phase = t[i:] * logn[n - 1]
-        total[i:] += isqn[n - 1] * (np.cos(phase) - 1j * np.sin(phase))
+    total = _em_partial_sum(t, nterms)
     nf = nterms.astype(float)
     lnN = np.log(nf)
     n_minus_s = np.exp(-s * lnN)
@@ -253,21 +313,24 @@ def _z_low(t: np.ndarray) -> np.ndarray:
     return (rot * zeta).real
 
 
-def _check_t_max(ts: np.ndarray) -> None:
-    """Refuse ordinates the error model does not cover; NaN fails the test too."""
-    if ts.size and not ts.max() <= T_MAX:
-        raise InfeasibleError(f"t={ts.max():g} exceeds the served range t <= T_MAX={T_MAX:g}")
+def _check_range(lo: float, hi: float) -> None:
+    """Refuse a batch by its smallest and largest ordinate: t < 0 with
+    DomainError, and t above T_MAX, which the error model does not cover,
+    or NaN (which sorts last, and makes min and max NaN) with
+    InfeasibleError."""
+    if lo < 0.0 and not math.isnan(hi):
+        raise DomainError("Z is served for t >= 0")
+    if not hi <= T_MAX:
+        raise InfeasibleError(f"t={hi:g} exceeds the served range t <= T_MAX={T_MAX:g}")
 
 
 def _z_kernel(ts: np.ndarray) -> np.ndarray:
     """Z on an arbitrary float64 array, preserving order."""
     if ts.size == 0:
         return ts.copy()
-    if np.min(ts) < 0.0:
-        raise DomainError("Z is served for t >= 0")
-    _check_t_max(ts)
     order = np.argsort(ts, kind="stable")
     sorted_t = ts[order]
+    _check_range(sorted_t[0], sorted_t[-1])
     out_sorted = np.empty_like(sorted_t)
     nlow = int(np.searchsorted(sorted_t, RS_SEAM, side="left"))
     if nlow:
@@ -298,20 +361,24 @@ def z_function(t: float) -> CriticalSample:
     return CriticalSample(t=float(t), z=z, zeta_sq=z * z)
 
 
+# z_error_bound's steps: _Z_BOUNDS[i] holds from _Z_BOUND_EDGES[i - 1] on
+_Z_BOUND_EDGES = np.array([RS_SEAM, 1e3, 1e4])
+_Z_BOUNDS = np.array([5e-13, 1e-6, 5e-8, 1e-8])
+
+
 def z_error_bound(t) -> np.ndarray:
-    """Documented absolute error bound for Z at ordinate t.
+    """Documented absolute error bound for Z at ordinate t, in t's shape.
 
     Step function over the measured error curve, deliberately
     conservative; quadrature folds it into its error estimates. Raises
-    InfeasibleError above T_MAX, where Z is not served.
+    DomainError for t < 0 and InfeasibleError above T_MAX, where Z is
+    not served.
     """
     arr = np.asarray(t, dtype=float)
-    _check_t_max(arr)
-    out = np.full(arr.shape, 1e-6)
-    out = np.where(arr < RS_SEAM, 5e-13, out)
-    out = np.where(arr >= 1e3, 5e-8, out)
-    out = np.where(arr >= 1e4, 1e-8, out)
-    return out
+    if arr.size:
+        _check_range(arr.min(), arr.max())
+    step = np.searchsorted(_Z_BOUND_EDGES, arr.ravel(), side="right")
+    return _Z_BOUNDS[step].reshape(arr.shape)
 
 
 def _nodes(a: float, b: float, spec: NodeSpec) -> np.ndarray:

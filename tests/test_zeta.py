@@ -144,6 +144,21 @@ def test_error_bound_monotone_regions():
     assert b[3] == 1e-8
 
 
+def test_error_bound_steps_shapes_and_domain():
+    below = [math.nextafter(edge, 0.0) for edge in (RS_SEAM, 1e3, 1e4)]
+    ts = np.array([0.0, below[0], RS_SEAM, below[1], 1e3, below[2], 1e4, T_MAX])
+    want = [5e-13, 5e-13, 1e-6, 1e-6, 5e-8, 5e-8, 1e-8, 1e-8]
+    assert z_error_bound(ts).tolist() == want
+    assert z_error_bound(ts.reshape(2, 4)).tolist() == np.reshape(want, (2, 4)).tolist()
+    for scalar in (1e3, np.float64(1e3), np.array(1e3)):
+        b = z_error_bound(scalar)
+        assert b.shape == () and b == 5e-8
+    assert z_error_bound(np.empty((0, 3))).shape == (0, 3)
+    for bad in (-1.0, [5.0, -1e-300], np.array([[1e3], [-0.5]])):
+        with pytest.raises(DomainError):
+            z_error_bound(bad)
+
+
 def test_batch_invariance_bitwise():
     # both branches and the seam: a value must not depend on its batch
     rng = np.random.default_rng(20260101)
@@ -172,6 +187,38 @@ def _loop_main_sum(t, th, trunc):
     return main
 
 
+def _horner_correction(x, x2):
+    # reference: 28 Horner steps broadcast over a (4, n) array
+    c = np.zeros((4, x.size))
+    for col in zeta._RS_C.T[::-1]:
+        c = c * x2 + col[:, None]
+    c[1::2] *= x
+    return c
+
+
+def _loop_em_partial_sum(t, nterms):
+    # reference: one complex pass per n over the elements whose sum reaches n
+    nmax = int(nterms[-1])
+    logn = np.log(np.arange(1, nmax + 1, dtype=float))
+    isqn = 1.0 / np.sqrt(np.arange(1, nmax + 1, dtype=float))
+    starts = np.searchsorted(nterms, np.arange(1, nmax + 1), side="right")
+    total = np.zeros(t.size, dtype=complex)
+    for n in range(1, nmax):
+        i = starts[n - 1]
+        phase = t[i:] * logn[n - 1]
+        total[i:] += isqn[n - 1] * (np.cos(phase) - 1j * np.sin(phase))
+    return total
+
+
+def _assert_matches_reference(monkeypatch, batches, name, reference):
+    for ts in batches:
+        got = z_array(ts)
+        with monkeypatch.context() as m:
+            m.setattr(zeta, name, reference)
+            want = z_array(ts)
+        assert np.array_equal(got, want), (ts.size, ts.max())
+
+
 def test_main_sum_forms_match_loop_bitwise(monkeypatch):
     # small batches build one term array, large ones loop over n; both
     # must give the loop's bits, including one-element batches
@@ -187,9 +234,37 @@ def test_main_sum_forms_match_loop_bitwise(monkeypatch):
             ts = np.append(rng.uniform(band, hi, size - 1), hi)
             rng.shuffle(ts)
             batches.append(ts)
-    for ts in batches:
-        got = z_array(ts)
-        with monkeypatch.context() as m:
-            m.setattr(zeta, "_rs_main_sum", _loop_main_sum)
-            want = z_array(ts)
-        assert np.array_equal(got, want), (ts.size, ts.max())
+    _assert_matches_reference(monkeypatch, batches, "_rs_main_sum", _loop_main_sum)
+
+
+def test_correction_forms_match_horner_bitwise(monkeypatch):
+    # up to `cap` nodes Horner runs on one flat vector, above it on each
+    # row; both must give the broadcast Horner's bits, and a batch split
+    # across the cap must give the same bits as the whole
+    cap = SMALL_BATCH_TERMS // zeta._RS_C.size
+    rng = np.random.default_rng(20261019)
+    batches = []
+    for band in (1e2, 1e3, 1e4, 5e4, 9.9e4):
+        hi = min(1.05 * band, T_MAX)
+        for size in (1, 2, 88, cap, cap + 1, 3500):
+            ts = rng.uniform(band, hi, size)
+            batches.append(ts)
+            if size == cap + 1:
+                split = np.concatenate([z_array(ts[:cap]), z_array(ts[cap:])])
+                assert np.array_equal(z_array(ts), split), band
+    _assert_matches_reference(monkeypatch, batches, "_rs_correction", _horner_correction)
+
+
+def test_em_partial_sum_forms_match_loop_bitwise(monkeypatch):
+    # below the seam small batches build one term array; it must give the
+    # complex loop's bits, and the loop must still serve large batches
+    rng = np.random.default_rng(20261020)
+    batches = []
+    for lo, hi in ((0.0, 10.0), (10.0, 60.0), (60.0, math.nextafter(RS_SEAM, 0.0))):
+        nmax = max(24, int(1.3 * hi) + 8)
+        below = SMALL_BATCH_TERMS // nmax
+        for size in (1, 2, 88, below, below + 1, 1000):
+            ts = np.append(rng.uniform(lo, hi, size - 1), hi)
+            rng.shuffle(ts)
+            batches.append(ts)
+    _assert_matches_reference(monkeypatch, batches, "_em_partial_sum", _loop_em_partial_sum)

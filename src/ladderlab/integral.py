@@ -131,9 +131,9 @@ def _panels(a: float, b: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.
     for _ in range(24):
         quad_err = np.abs(v15 - v7)
         err = quad_err + eng
-        if float(err.sum()) <= tol:
+        if float(np.sum(err)) <= tol:
             return lo, v15, err, nodes
-        if float(eng.sum()) > 0.5 * tol:
+        if float(np.sum(eng)) > 0.5 * tol:
             raise ToleranceError(
                 f"engine error floor exceeds tol={tol:g} on [{a},{b}]",
                 best_value=math.fsum(v15),
@@ -179,7 +179,7 @@ def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralR
         a=a,
         b=b,
         value=math.fsum(v15),
-        abs_error_estimate=float(err.sum()),
+        abs_error_estimate=float(np.sum(err)),
         node_count=nodes,
     )
 

@@ -30,13 +30,15 @@ decay of the remainder, not on a measurement. Ordinates above T_MAX
 negative ones with DomainError.
 
 All evaluation paths are pure: equal inputs give bitwise-equal outputs
-regardless of how calls are batched. Small batches build their sums and
-the correction polynomials as whole arrays, large ones loop over n or
-over the four polynomials; one rule covers every form: each element sees
-the same IEEE operations in the same order, with no BLAS or pairwise
-reduction across elements. Sums therefore reduce over axis 0 of an array
-with two or more columns (numpy adds its rows one after another) or by
-accumulate, never along a contiguous run, by `@` or by einsum.
+regardless of how calls are batched. Small batches build the
+Riemann-Siegel main sum and the correction polynomials as whole arrays,
+large ones loop over n or over the four polynomials, and the
+Euler-Maclaurin sum always loops over n; one rule covers every form:
+each element sees the same IEEE operations in the same order, with no
+BLAS or pairwise reduction across elements. Sums therefore reduce over
+axis 0 of an array with two or more columns (numpy adds its rows one
+after another) or by accumulate, never along a contiguous run, by `@`
+or by einsum.
 """
 
 from __future__ import annotations
@@ -55,14 +57,14 @@ from .errors import DomainError, InfeasibleError
 RS_SEAM = 100.0
 
 # Largest batch, in terms, that is summed as one array: t.size * N(t_max)
-# for either branch's sum over n, t.size * _RS_C.size for the correction
+# for the Riemann-Siegel main sum, t.size * _RS_C.size for the correction
 # polynomials. Above it a loop touches less memory; below it the per-step
 # Python overhead dominates.
 SMALL_BATCH_TERMS = 2 ** 15
 
-# n, log n and n^(-1/2) for every n either sum reaches: N(T_MAX) = 126
-# Riemann-Siegel terms, at most 1.3 * RS_SEAM + 8 Euler-Maclaurin ones.
-_N = np.arange(1.0, max(math.sqrt(T_MAX / TWO_PI), 1.3 * RS_SEAM + 8) + 1.0)
+# n, log n and n^(-1/2) for every n the Riemann-Siegel main sum reaches:
+# n <= N(T_MAX) = 126, and _check_range refuses t above T_MAX.
+_N = np.arange(1.0, math.floor(math.sqrt(T_MAX / TWO_PI)) + 1.0)
 _LOGN = np.log(_N)
 _ISQN = 1.0 / np.sqrt(_N)
 
@@ -254,46 +256,20 @@ def _z_riemann_siegel(t: np.ndarray) -> np.ndarray:
     return main + rem * sign * root ** -0.5
 
 
-def _em_partial_sum(t: np.ndarray, nterms: np.ndarray) -> np.ndarray:
-    """Sum over n < nterms(t) of n^(-s), s = 1/2 + i*t, t ascending.
-
-    Each term is what the complex product isqn * (cos - 1j*sin) of t ln n
-    yields: its cross terms are products with zero, which are exact, so it
-    is (isqn * cos, isqn * (0 - sin)). Small batches build those as one
-    (N, 2 * t.size) array, real parts beside imaginary ones, whose
-    2 * t.size >= 2 columns reduce row after row.
-    """
-    nmax = int(nterms[-1])
-    if t.size * nmax <= SMALL_BATCH_TERMS:
-        m, k = nmax - 1, t.size
-        phase = np.multiply.outer(_LOGN[:m], t)
-        terms = np.empty((m, 2 * k))
-        np.cos(phase, out=terms[:, :k])
-        np.sin(phase, out=terms[:, k:])
-        np.subtract(0.0, terms[:, k:], out=terms[:, k:])
-        terms *= _ISQN[:m, None]
-        lo = int(nterms[0]) - 1  # rows below lo lie inside every element's sum
-        tail = terms[lo:]
-        tail[np.tile(_N[lo:m, None] >= nterms, 2)] = 0.0
-        sums = np.add.reduce(terms, axis=0)
-        total = sums[:k].astype(complex)
-        total.imag = sums[k:]
-        return total
-    # element i takes n = 1 .. nterms[i]-1
-    starts = np.searchsorted(nterms, np.arange(1, nmax + 1), side="right")
-    total = np.zeros_like(t, dtype=complex)
-    for n in range(1, nmax):
-        i = starts[n - 1]  # first element with nterms > n, i.e. n <= N-1
-        phase = t[i:] * _LOGN[n - 1]
-        total[i:] += _ISQN[n - 1] * (np.cos(phase) - 1j * np.sin(phase))
-    return total
-
-
 def _zeta_euler_maclaurin(t: np.ndarray, kmax: int = 12) -> np.ndarray:
     """zeta(1/2 + i*t) for ascending t below the seam."""
     s = 0.5 + 1j * t
     nterms = np.maximum(24, (1.3 * t).astype(np.int64) + 8)
-    total = _em_partial_sum(t, nterms)
+    nmax = int(nterms[-1])
+    logn = np.log(np.arange(1, nmax + 1, dtype=float))
+    isqn = 1.0 / np.sqrt(np.arange(1, nmax + 1, dtype=float))
+    starts = np.searchsorted(nterms, np.arange(1, nmax + 1), side="right")
+    # partial sum over n < N(t): element i takes n = 1 .. nterms[i]-1
+    total = np.zeros_like(s)
+    for n in range(1, nmax):
+        i = starts[n - 1]  # first element with nterms > n, i.e. n <= N-1
+        phase = t[i:] * logn[n - 1]
+        total[i:] += isqn[n - 1] * (np.cos(phase) - 1j * np.sin(phase))
     nf = nterms.astype(float)
     lnN = np.log(nf)
     n_minus_s = np.exp(-s * lnN)

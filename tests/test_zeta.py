@@ -196,20 +196,6 @@ def _horner_correction(x, x2):
     return c
 
 
-def _loop_em_partial_sum(t, nterms):
-    # reference: one complex pass per n over the elements whose sum reaches n
-    nmax = int(nterms[-1])
-    logn = np.log(np.arange(1, nmax + 1, dtype=float))
-    isqn = 1.0 / np.sqrt(np.arange(1, nmax + 1, dtype=float))
-    starts = np.searchsorted(nterms, np.arange(1, nmax + 1), side="right")
-    total = np.zeros(t.size, dtype=complex)
-    for n in range(1, nmax):
-        i = starts[n - 1]
-        phase = t[i:] * logn[n - 1]
-        total[i:] += isqn[n - 1] * (np.cos(phase) - 1j * np.sin(phase))
-    return total
-
-
 def _assert_matches_reference(monkeypatch, batches, name, reference):
     for ts in batches:
         got = z_array(ts)
@@ -254,17 +240,3 @@ def test_correction_forms_match_horner_bitwise(monkeypatch):
                 assert np.array_equal(z_array(ts), split), band
     _assert_matches_reference(monkeypatch, batches, "_rs_correction", _horner_correction)
 
-
-def test_em_partial_sum_forms_match_loop_bitwise(monkeypatch):
-    # below the seam small batches build one term array; it must give the
-    # complex loop's bits, and the loop must still serve large batches
-    rng = np.random.default_rng(20261020)
-    batches = []
-    for lo, hi in ((0.0, 10.0), (10.0, 60.0), (60.0, math.nextafter(RS_SEAM, 0.0))):
-        nmax = max(24, int(1.3 * hi) + 8)
-        below = SMALL_BATCH_TERMS // nmax
-        for size in (1, 2, 88, below, below + 1, 1000):
-            ts = np.append(rng.uniform(lo, hi, size - 1), hi)
-            rng.shuffle(ts)
-            batches.append(ts)
-    _assert_matches_reference(monkeypatch, batches, "_em_partial_sum", _loop_em_partial_sum)

@@ -7,7 +7,9 @@ needs mpmath at runtime. Rerun after any change to the sampling plan:
 
     python3 scripts/make_fixtures.py
 
-Takes a few minutes; the second-moment quadrature dominates.
+Takes a few minutes; the second-moment quadrature dominates. Pass one
+function name, `python3 scripts/make_fixtures.py z_table_high`, to write
+only that fixture.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import pathlib
+import sys
 import time
 
 import mpmath as mp
@@ -43,6 +46,25 @@ def z_table() -> None:
         w.writerow(["t", "z"])
         for t, z in rows:
             w.writerow([f"{t:.17g}", f"{z:.17g}"])
+
+
+def z_table_high() -> None:
+    """300 log-uniform ordinates on [9.9e3, 1e5], above z_table's range.
+
+    Writes a new file, so the older fixtures stay byte-identical. Run it
+    alone with `python3 scripts/make_fixtures.py z_table_high`.
+    """
+    mp.mp.dps = 30
+    rng = np.random.default_rng(SEED + 1)
+    ts = np.sort(np.exp(rng.uniform(np.log(9.9e3), np.log(1e5), 300)))
+    t0 = time.time()
+    with open(OUT / "z_table_high.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "z"])
+        for i, t in enumerate(ts):
+            w.writerow([f"{float(t):.17g}", f"{float(mp.siegelz(mp.mpf(float(t)))):.17g}"])
+            if i % 50 == 0:
+                print(f"  z table high {i}/{len(ts)}  ({time.time()-t0:.0f}s)")
 
 
 def zeros_table() -> None:
@@ -99,12 +121,18 @@ def scalars() -> None:
 
 def main() -> None:
     OUT.mkdir(parents=True, exist_ok=True)
+    if sys.argv[1:] == ["z_table_high"]:
+        print("z table high ...")
+        z_table_high()
+        return
     print("zeros table ...")
     zeros_table()
     print("scalar oracles (second moment is slow) ...")
     scalars()
     print("z table ...")
     z_table()
+    print("z table high ...")
+    z_table_high()
     print("done ->", OUT)
 
 

@@ -377,9 +377,9 @@ def scan(functional_ids, n: int, max_xyz: int,
          t_cap: float = DEFAULT_T_CAP) -> ScanReport:
     """Cross product of enumerated rationals and functionals.
 
-    Rows are independent: the checkpoint cache is extended once, before
-    the first row, and checkpoint values do not depend on evaluation
-    order, so the report is the same for any row order.
+    Rows are independent: each J read extends the checkpoint cache
+    through its own stride cell, and a cell's values do not depend on
+    evaluation order, so the report is the same for any row order.
 
     t_cap must be finite and at least T_FLOOR (DomainError), and its
     reach must not pass T_MAX (InfeasibleError, t_cap <= ~84,290); both
@@ -387,8 +387,8 @@ def scan(functional_ids, n: int, max_xyz: int,
     """
     if not (math.isfinite(t_cap) and t_cap >= T_FLOOR):
         raise DomainError(f"t_cap must be finite and >= T_FLOOR={T_FLOOR:g}, got {t_cap:g}")
-    # pre-extension pins every checkpoint the rows will read; the
-    # margin covers one bracket widening of the ascent solver
+    # the farthest J read of a row; the margin covers one bracket
+    # widening of the ascent solver
     reach = t_cap * (1.0 + 5.0 * _SCALE / math.log(t_cap))
     if reach > T_MAX:
         raise InfeasibleError(f"t_cap={t_cap:g} needs the cache up to T={reach:.6g}, "
@@ -398,10 +398,7 @@ def scan(functional_ids, n: int, max_xyz: int,
         _lookup(f)
     rationals = enumerate_fermat_rationals(n, max_xyz, window=window)
     cache = cache if cache is not None else CheckpointCache()
-    jobs = [(f, q) for f in ids for q in rationals]
-    if jobs:
-        cache.extend_to(reach)
-    rows = [evaluate_equivalent(f, q, tau_grid, cache, t_cap) for f, q in jobs]
+    rows = [evaluate_equivalent(f, q, tau_grid, cache, t_cap) for f in ids for q in rationals]
     return ScanReport(
         functional_ids=ids, n=n, max_xyz=max_xyz, window=window, rows=rows,
         metadata={

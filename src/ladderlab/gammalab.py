@@ -209,7 +209,6 @@ def verify_chain(tau: float, k: int, cache: CheckpointCache | None = None) -> Ch
     whole (tau, tau^k] range. The rung sums partition the total exactly,
     so additivity_defect is pure floating-point fold noise.
     """
-    cache = cache if cache is not None else CheckpointCache()
     tower = build_tower(tau, k, cache=cache)
     it = tower.iterates
     rung_sums = [t1_increment(it[r], it[r + 1]) for r in range(k)]

@@ -188,31 +188,30 @@ def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralR
 class CheckpointCache:
     """Ordered checkpoints T -> (J(T), error estimate), strictly monotone.
 
-    The cache only grows by appending, and each checkpoint value is
-    independent of evaluation order (every stride cell integrates the
-    same fixed interval). Not safe for concurrent writers.
+    Row i is the checkpoint at (i + 1) * DEFAULT_STRIDE, the right end of
+    stride cell i. The cache only grows by appending, and each checkpoint
+    value is independent of evaluation order (every stride cell
+    integrates the same fixed interval). Not safe for concurrent writers.
 
     Every stride cell is integrated at CELL_TOL; load() rejects a file
-    written with another stride or tolerance.
+    written with another stride or tolerance, or with a row off the
+    stride grid.
 
     Each stride cell also holds knots (t, J(t), err(t)) at every
-    KNOT_PANELS-th edge of its final panel list, in memory only: save()
-    never writes them and equality ignores them. extend_to() stores the
-    knots of the cells it integrates; a cell from load() gets them on
-    the first hl_integral read that lands in it, from the same panels at
-    the same tol, so every read sees the same knots whatever the
-    cache's history.
+    KNOT_PANELS-th edge of its final panel list, in memory only and
+    keyed by cell: save() never writes them and equality ignores them.
+    extend_to() stores the knots of the cells it integrates; a cell from
+    load() gets them on the first hl_integral read that lands in it, from
+    the same panels at the same tol, so every read sees the same knots
+    whatever the cache's history.
     """
 
     ts: list[float] = field(default_factory=list)
     js: list[float] = field(default_factory=list)
     errs: list[float] = field(default_factory=list)
-    # knots sorted by t; _filled holds the indices of the cells that have
-    # theirs (cell i ends at ts[i])
-    _knot_t: array = field(default_factory=lambda: array("d"), init=False, compare=False, repr=False)
-    _knot_j: array = field(default_factory=lambda: array("d"), init=False, compare=False, repr=False)
-    _knot_e: array = field(default_factory=lambda: array("d"), init=False, compare=False, repr=False)
-    _filled: set[int] = field(default_factory=set, init=False, compare=False, repr=False)
+    # cell index -> the (t, J, err) arrays of that cell's knots
+    _knots: dict[int, tuple[array, array, array]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def _validate(self, start: int = 0) -> None:
         for i in range(max(start, 1), len(self.ts)):
@@ -221,6 +220,11 @@ class CheckpointCache:
                     f"cache not strictly increasing at row {i}: "
                     f"T {self.ts[i-1]}->{self.ts[i]}, J {self.js[i-1]}->{self.js[i]}"
                 )
+        for i in range(start, len(self.ts)):
+            if self.ts[i] != (i + 1) * DEFAULT_STRIDE:
+                raise CacheCorruptionError(
+                    f"cache row {i} at T={self.ts[i]!r} is off the stride grid, "
+                    f"expected T={(i + 1) * DEFAULT_STRIDE:g}")
         if any(e < 0 for e in self.errs[start:]):
             raise CacheCorruptionError("negative error estimate in cache")
 
@@ -228,34 +232,27 @@ class CheckpointCache:
         """Largest stored point (T0, J0, err0) with T0 <= T, checkpoint or
         knot; (0,0,0) if none."""
         i = bisect.bisect_right(self.ts, T)
-        k = bisect.bisect_right(self._knot_t, T)
-        if k and (i == 0 or self._knot_t[k - 1] > self.ts[i - 1]):
-            return (self._knot_t[k - 1], self._knot_j[k - 1], self._knot_e[k - 1])
+        if i in self._knots:
+            kt, kj, ke = self._knots[i]
+            k = bisect.bisect_right(kt, T)
+            if k:
+                return (kt[k - 1], kj[k - 1], ke[k - 1])
         if i == 0:
             return (0.0, 0.0, 0.0)
         return (self.ts[i - 1], self.js[i - 1], self.errs[i - 1])
 
-    def _add_knots(self, i: int, lo: np.ndarray, v15: np.ndarray, err: np.ndarray) -> None:
-        """Store the knots of cell i from its final panels."""
+    def _cell(self, i: int) -> tuple[float, float, int]:
+        """Integrate stride cell i at CELL_TOL and store its knots; returns
+        the cell's own J increment, error estimate and Z nodes."""
+        lo, v15, err, nodes = _panels(i * DEFAULT_STRIDE, (i + 1) * DEFAULT_STRIDE, CELL_TOL)
         j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
-        ends = range(KNOT_PANELS, lo.size, KNOT_PANELS)
         vals = v15.tolist()
-        k = bisect.bisect_right(self._knot_t, lo[0])
-        self._knot_t[k:k] = array("d", lo[KNOT_PANELS::KNOT_PANELS])
-        self._knot_j[k:k] = array("d", [j0 + math.fsum(vals[:n]) for n in ends])
-        self._knot_e[k:k] = array("d", e0 + np.cumsum(err)[KNOT_PANELS - 1:lo.size - 1:KNOT_PANELS])
-        self._filled.add(i)
-
-    def _fill_knots(self, T: float) -> int:
-        """Integrate the loaded cell holding T once if it has no knots yet;
-        returns the Z nodes evaluated."""
-        i = bisect.bisect_right(self.ts, T)
-        a = self.ts[i - 1] if i else 0.0
-        if T == a or i == len(self.ts) or i in self._filled:
-            return 0
-        lo, v15, err, nodes = _panels(a, self.ts[i], CELL_TOL)
-        self._add_knots(i, lo, v15, err)
-        return nodes
+        self._knots[i] = (
+            array("d", lo[KNOT_PANELS::KNOT_PANELS]),
+            array("d", [j0 + math.fsum(vals[:n]) for n in range(KNOT_PANELS, lo.size, KNOT_PANELS)]),
+            array("d", e0 + np.cumsum(err)[KNOT_PANELS - 1:lo.size - 1:KNOT_PANELS]),
+        )
+        return math.fsum(vals), float(np.sum(err)), nodes
 
     def extend_to(self, T: float) -> int:
         """Add checkpoints at stride multiples up to T, with their cells'
@@ -263,20 +260,15 @@ class CheckpointCache:
         if not math.isfinite(T):
             raise DomainError(f"extend_to requires finite T, got {T}")
         _check_t_max(T)
-        start = len(self.ts)
+        start = i = len(self.ts)
         nodes = 0
-        cur_t, cur_j, cur_e = (self.ts[-1], self.js[-1], self.errs[-1]) if self.ts else (0.0, 0.0, 0.0)
-        k = int(math.floor(cur_t / DEFAULT_STRIDE)) + 1
-        while k * DEFAULT_STRIDE <= T:
-            nxt = k * DEFAULT_STRIDE
-            lo, v15, err, n = _panels(cur_t, nxt, CELL_TOL)
-            self._add_knots(len(self.ts), lo, v15, err)
-            cur_t, cur_j, cur_e = nxt, cur_j + math.fsum(v15), cur_e + float(np.sum(err))
+        while (i + 1) * DEFAULT_STRIDE <= T:
+            j, e, n = self._cell(i)
+            self.ts.append((i + 1) * DEFAULT_STRIDE)
+            self.js.append(self.js[-1] + j if i else j)
+            self.errs.append(self.errs[-1] + e if i else e)
             nodes += n
-            self.ts.append(cur_t)
-            self.js.append(cur_j)
-            self.errs.append(cur_e)
-            k += 1
+            i += 1
         self._validate(start)
         return nodes
 
@@ -322,16 +314,20 @@ class CheckpointCache:
 def hl_integral(T: float, cache: CheckpointCache | None = None) -> IntegralResult:
     """J(T): nearest cached checkpoint or knot plus a fresh tail segment.
 
-    With a cache, the checkpoints through the stride cell holding T and
-    that cell's knots are computed (and memoized in the cache) on the
-    way; node_count counts their nodes as well as the tail's.
+    The checkpoints through the stride cell holding T and that cell's
+    knots are computed on the way, and memoized in the cache; without
+    one, the read goes through a fresh cache, so J(T) has the same bits
+    either way. node_count counts those cells' nodes as well as the
+    tail's.
     """
     if not 0.0 <= T < math.inf:
         raise DomainError("hl_integral requires finite T >= 0")
     _check_t_max(T)
-    if cache is None:
-        return integrate_segment(0.0, T)
-    nodes = cache.extend_to(math.ceil(T / DEFAULT_STRIDE) * DEFAULT_STRIDE) + cache._fill_knots(T)
+    cache = cache if cache is not None else CheckpointCache()
+    nodes = cache.extend_to(math.ceil(T / DEFAULT_STRIDE) * DEFAULT_STRIDE)
+    i = int(T // DEFAULT_STRIDE)
+    if T % DEFAULT_STRIDE and i not in cache._knots:  # first read of a loaded cell
+        nodes += cache._cell(i)[2]
     t0, j0, e0 = cache.nearest_below(T)
     tail = integrate_segment(t0, T)
     return IntegralResult(

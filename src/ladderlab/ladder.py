@@ -169,8 +169,10 @@ def build_tower(T: float, k: int, cache: CheckpointCache | None = None,
     for r in range(1, k + 1):
         try:
             nxt, f_nxt = _ascend(iterates[-1], cache, tol)
-        except (BracketError, ToleranceError) as exc:
-            raise type(exc)(f"rung {r}: {exc}") from exc
+        except ToleranceError as exc:
+            raise ToleranceError(f"rung {r}: {exc}", exc.best_value, exc.best_error) from exc
+        except BracketError as exc:
+            raise BracketError(f"rung {r}: {exc}") from exc
         iterates.append(nxt)
         residuals.append(abs(f_nxt))
         if nxt <= iterates[-2]:
@@ -189,7 +191,6 @@ def lngamma_increment_pair(T: float, r: int,
 
     if r < 1:
         raise DomainError("rung index r must be >= 1")
-    cache = cache if cache is not None else CheckpointCache()
     tower = build_tower(T, r, cache=cache)
     lo, hi = tower.iterates[r - 1], tower.iterates[r]
     lhs = ln_gamma(hi) - ln_gamma(lo)

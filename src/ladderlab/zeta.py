@@ -22,10 +22,11 @@ Two branches, stitched at ``RS_SEAM``:
   t it serves.
 
 Error model: ``z_error_bound`` is a step bound over the error measured
-against a 50-digit oracle (tests/fixtures): 5e-13 below RS_SEAM, 1e-6
-on [RS_SEAM, 1e3), 5e-8 on [1e3, 1e4) and 1e-8 on [1e4, T_MAX]. The
-oracle stops at t = 9.9e3; above it the bound rests on the t^(-9/4)
-decay of the remainder, not on a measurement. Ordinates above T_MAX
+against a 50-digit oracle up to t = 9.9e3 and a 30-digit one on
+[9.9e3, 1e5] (tests/fixtures): 5e-13 below RS_SEAM, 1e-6 on
+[RS_SEAM, 1e3), 5e-8 on [1e3, 1e4) and 1e-8 on [1e4, T_MAX]. Between
+the oracle points the bound rests on the t^(-9/4) decay of the
+remainder. Ordinates above T_MAX
 (and NaN) are refused with InfeasibleError rather than served unvouched,
 negative ones with DomainError.
 

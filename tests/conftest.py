@@ -11,12 +11,22 @@ settings.load_profile("suite")
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
-@pytest.fixture(scope="session")
-def z_table():
-    """(t, Z(t)) rows from the high-precision oracle."""
-    with open(os.path.join(FIXTURES, "z_table.csv")) as fh:
+def _read_z(name):
+    with open(os.path.join(FIXTURES, name)) as fh:
         rdr = csv.DictReader(fh)
         return [(float(r["t"]), float(r["z"])) for r in rdr]
+
+
+@pytest.fixture(scope="session")
+def z_table():
+    """(t, Z(t)) rows from the high-precision oracle, t in [14, 1e4]."""
+    return _read_z("z_table.csv")
+
+
+@pytest.fixture(scope="session")
+def z_table_high():
+    """(t, Z(t)) rows from the oracle on [9.9e3, 1e5], at dps 30."""
+    return _read_z("z_table_high.csv")
 
 
 @pytest.fixture(scope="session")

@@ -159,6 +159,21 @@ def test_cache_corruption(tmp_path):
         assert header in msg and f"stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}" in msg
 
 
+def test_load_rejects_off_grid_rows(tmp_path):
+    # rows off the stride grid would serve other bits than a fresh cache
+    cache = CheckpointCache()
+    cache.extend_to(150.0)
+    j = hl_integral(175.0)
+    rows = list(zip(cache.ts, cache.js, cache.errs)) + [(175.0, j.value, j.abs_error_estimate)]
+    path = os.path.join(tmp_path, "off.csv")
+    with open(path, "w") as fh:
+        fh.write(f"# ladderlab cache v{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}\n")
+        fh.write("T,J,abs_err\n" + "".join(f"{t:.17g},{v:.17g},{e:.17g}\n" for t, v, e in rows))
+    with pytest.raises(CacheCorruptionError, match="row 3 at T=175.0 is off the stride grid") as exc:
+        CheckpointCache.load(path)
+    assert "expected T=200" in str(exc.value)
+
+
 def test_node_count_counts_every_evaluated_node(monkeypatch):
     # tol=1e-10 on [0, 30] forces two refinement rounds; each bisects two
     # of the panels and evaluates only their four halves
@@ -254,10 +269,36 @@ def test_save_writes_checkpoints_only(tmp_path):
 
 
 def test_cached_matches_fresh(shared_cache):
+    # against the independent route: one segment over [0, T], no cells
     cached = hl_integral(333.3, cache=shared_cache)
-    fresh = hl_integral(333.3)
+    fresh = integrate_segment(0.0, 333.3)
     assert abs(cached.value - fresh.value) <= (
         cached.abs_error_estimate + fresh.abs_error_estimate)
+
+
+def test_uncached_read_is_the_cached_read(shared_cache):
+    # one J per ordinate: a read without a cache goes through a fresh one
+    shared_cache.extend_to(6e4)
+    rng = random.Random(17)
+    for T in [rng.uniform(0.0, 6e4) for _ in range(2)]:
+        assert _bits(hl_integral(T)) == _bits(hl_integral(T, cache=shared_cache))
+
+
+def test_uncached_read_integrates_cell_by_cell(monkeypatch):
+    # no Z batch of an uncached read is larger than the densest cell's
+    # first pass, so its memory does not grow with T
+    sizes = []
+    z_array = integral.z_array
+
+    def counting(t):
+        sizes.append(len(t))
+        return z_array(t)
+
+    monkeypatch.setattr(integral, "z_array", counting)
+    res = hl_integral(5e3)
+    cell = (integral._panel_edges(4950.0, 5000.0).size - 1) * integral._NODES_PER_PANEL
+    assert len(sizes) >= 100 and max(sizes) <= cell  # at least one batch per cell
+    assert res.node_count == sum(sizes)
 
 
 def test_representation_closed_form():

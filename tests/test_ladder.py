@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ladderlab.errors import DomainError
-from ladderlab.integral import hl_integral, hl_representation
+from ladderlab.errors import DomainError, ToleranceError
+from ladderlab.integral import CheckpointCache, hl_integral, hl_representation
 from ladderlab.ladder import ascend, build_tower, descend, lngamma_increment_pair
 
 
@@ -11,6 +11,11 @@ def test_roundtrip_at_1000(shared_cache, calibration):
     assert up == pytest.approx(calibration["ladder"]["ascend_1000"], rel=1e-9)
     back = descend(up, cache=shared_cache)
     assert abs(back - 1000.0) <= 2e-6
+
+
+def test_descend_same_bits_with_or_without_cache(shared_cache):
+    assert descend(1000.0) == descend(1000.0, cache=shared_cache)
+    assert descend(1000.0) == descend(1000.0, cache=CheckpointCache())
 
 
 def test_descend_matches_calibration(shared_cache, calibration):
@@ -63,6 +68,16 @@ def test_tower_structure(shared_cache, calibration):
     assert all(b > a for a, b in zip(its, its[1:]))
     assert len(tower.residuals) == 3
     assert all(abs(r) <= 1e-5 for r in tower.residuals)
+
+
+def test_tower_tolerance_error_keeps_best_estimate(shared_cache):
+    with pytest.raises(ToleranceError, match="^rung 1: ascend residual") as exc:
+        build_tower(1000.0, 1, cache=shared_cache, tol=1e-12)
+    err, cause = exc.value, exc.value.__cause__
+    assert isinstance(cause, ToleranceError)
+    assert (err.best_value, err.best_error) == (cause.best_value, cause.best_error)
+    assert err.best_value == pytest.approx(ascend(1000.0, cache=shared_cache), rel=1e-9)
+    assert err.best_error > 1e-11
 
 
 def test_tower_k_validation(shared_cache):

@@ -37,6 +37,15 @@ def test_z_regionwise_accuracy(z_table):
     assert float(err[low].max()) <= 5e-13
 
 
+def test_z_within_bound_above_1e4(z_table_high):
+    # the served range above the older table, up to T_MAX
+    ts = np.array([t for t, _ in z_table_high])
+    ref = np.array([z for _, z in z_table_high])
+    assert len(ts) == 300 and ts.min() < 1e4 and ts.max() > 9.9e4
+    err = np.abs(z_array(ts) - ref)
+    assert np.all(err <= z_error_bound(ts))
+
+
 def test_z_at_zero_ordinates(zero_table):
     ts = np.array([g for _, g in zero_table])
     assert float(np.abs(z_array(ts)).max()) <= 1e-5

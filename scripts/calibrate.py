@@ -13,6 +13,7 @@ Usage: python3 scripts/calibrate.py
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import sys
@@ -48,6 +49,35 @@ def segment_ratio(T: float, cache: CheckpointCache) -> float:
     """Integral over one rung divided by its first-order size (1-c)T."""
     rung = hl_representation(T) - hl_integral(T, cache=cache).value
     return rung / ((1.0 - EULER_GAMMA) * T)
+
+
+def _leaves(obj, path=""):
+    """(dotted path, value) for every scalar in a nested dict/list."""
+    if isinstance(obj, dict):
+        for k in sorted(obj, key=str):
+            yield from _leaves(obj[k], f"{path}.{k}" if path else str(k))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _leaves(v, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def print_moves(out: dict) -> None:
+    """Print each leaf as committed value -> new value with its rel move."""
+    old = {}
+    if os.path.exists(OUT):
+        with open(OUT) as fh:
+            old = dict(_leaves(json.load(fh)))
+    for path, new in _leaves(out):
+        was = old.pop(path, None)
+        if isinstance(new, float) and isinstance(was, (int, float)):
+            rel = abs(new - was) / abs(was) if was else abs(new)
+            print(f"{path}: {was!r} -> {new!r} (rel {rel:.2g})")
+        else:
+            print(f"{path}: {was!r} -> {new!r}")
+    for path, was in old.items():
+        print(f"{path}: {was!r} -> (removed)")
 
 
 def main() -> None:
@@ -130,6 +160,7 @@ def main() -> None:
         }
     out["scan_rows"] = rows
 
+    print_moves(out)
     write_json(OUT, out)
     print(f"wrote {os.path.relpath(OUT)} ({time.time() - t0:.1f}s total)")
 

@@ -107,8 +107,9 @@ def descend(T: float, cache: CheckpointCache | None = None) -> float:
         raise BracketError(f"descend bracket failed at T={T}")
     if fhi < 0.0:
         raise BracketError(f"representation(T) < J(T) at T={T}; inconsistent engine state")
-    # residual slope is ln(phi)+1+c-ln(2pi), bounded below by ~ln(lo)
-    xtol = DEFAULT_RESIDUAL_TOL / max(1.0, math.log(lo))
+    # residual slope is ln(phi)+1+c-ln(2pi), bounded below by ~ln(lo);
+    # xtol sits 1e4 below the residual tolerance so phi is the root itself
+    xtol = 1e-4 * DEFAULT_RESIDUAL_TOL / max(1.0, math.log(lo))
     phi, fphi = _brent(f, lo, hi, flo, fhi, xtol=xtol)
     resid = abs(fphi)
     if resid > DEFAULT_RESIDUAL_TOL:
@@ -136,8 +137,9 @@ def _ascend(T: float, cache: CheckpointCache | None,
     flo = jfun(T)
     if flo > 0.0:
         raise BracketError(f"J(T) > representation(T) at T={T}; inconsistent engine state")
-    # J' = Z^2 averages ln(T/2pi) + 2c but has zeros; xtol from the mean slope
-    xtol = tol / (math.log(T / (2.0 * math.pi)) + 2.0 * EULER_GAMMA)
+    # J' = Z^2 averages ln(T/2pi) + 2c but has zeros; xtol from the mean
+    # slope, 1e4 below tol so U is the root itself at J's own noise level
+    xtol = 1e-4 * tol / (math.log(T / (2.0 * math.pi)) + 2.0 * EULER_GAMMA)
     U, fU = _brent(jfun, T, hi, flo, fhi, xtol=xtol)
     resid = abs(fU)
     if resid > 10.0 * tol:

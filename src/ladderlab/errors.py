@@ -19,7 +19,7 @@ class ToleranceError(LadderLabError):
 
 
 class BracketError(LadderLabError):
-    """A root bracket could not be established or refined."""
+    """A root is not where its defining equation puts it, or a solve stalled."""
 
 
 class CacheCorruptionError(LadderLabError):

@@ -387,8 +387,8 @@ def scan(functional_ids, n: int, max_xyz: int,
     """
     if not (math.isfinite(t_cap) and t_cap >= T_FLOOR):
         raise DomainError(f"t_cap must be finite and >= T_FLOOR={T_FLOOR:g}, got {t_cap:g}")
-    # the farthest J read of a row; the margin covers one bracket
-    # widening of the ascent solver
+    # the farthest J read of a row is the cell holding the ascent root of
+    # t_cap, a rung of ~(1-c)t_cap/ln(t_cap/2pi) up; the margin is 3-4 rungs
     reach = t_cap * (1.0 + 5.0 * _SCALE / math.log(t_cap))
     if reach > T_MAX:
         raise InfeasibleError(f"t_cap={t_cap:g} needs the cache up to T={reach:.6g}, "

@@ -31,6 +31,11 @@ from .zeta import z_array, z_error_bound
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _NODES_PER_PANEL = _X15.size + _X7.size
+# _LEG15 @ f: Legendre coefficients of the degree-14 interpolant of the
+# values f at the 15 Gauss nodes (the rule is exact to degree 29), and
+# _PRIM15 @ f those of its antiderivative from -1.
+_LEG15 = np.polynomial.legendre.legvander(_X15, 14).T * _W15 * (np.arange(15) + 0.5)[:, None]
+_PRIM15 = np.polynomial.legendre.legint(_LEG15, lbnd=-1.0)
 
 # Bump on every change that moves Z or J values: load() rejects other versions.
 ENGINE_VERSION = "2"
@@ -78,6 +83,28 @@ class IntegralResult:
             abs_error_estimate=self.abs_error_estimate + other.abs_error_estimate,
             node_count=self.node_count + other.node_count,
         )
+
+
+def safeguarded_newton(f, df, lo: float, hi: float, x: float) -> float:
+    """Root of an increasing f on [lo, hi], f(lo) <= 0 <= f(hi), from x.
+
+    Newton steps that leave the shrinking bracket, or meet a slope <= 0,
+    are replaced by bisection; stops at a Newton step of a few ulps or a
+    bracket that narrow.
+    """
+    for _ in range(200):
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        lo, hi = (x, hi) if fx < 0.0 else (lo, x)
+        d = df(x)
+        step = fx / d if d > 0.0 else math.inf
+        if abs(step) <= 4.0 * math.ulp(x):
+            return x - step
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+        if hi - lo <= 4.0 * math.ulp(x):
+            return x
+    return x
 
 
 def _panel_edges(a: float, b: float) -> np.ndarray:
@@ -271,6 +298,39 @@ class CheckpointCache:
             i += 1
         self._validate(start)
         return nodes
+
+    def invert(self, target: float) -> float:
+        """The U with J(U) = target, read off the stored prefix of J.
+
+        Bisects the checkpoint, then the knot J values (extending the cache
+        through target's cell), integrates the <= KNOT_PANELS panels above
+        the knot once, and solves in the panel holding target on the
+        antiderivative of the degree-14 interpolant of its 15 Gauss values.
+        U depends only on target and the history-independent knots.
+        """
+        while not self.js or self.js[-1] <= target:
+            self.extend_to((len(self.ts) + 1) * DEFAULT_STRIDE)
+        i = bisect.bisect_right(self.js, target)
+        if i not in self._knots:  # a cell from load()
+            self._cell(i)
+        kt, kj, _ = self._knots[i]
+        k = bisect.bisect_right(kj, target)
+        t0, j0 = (kt[k - 1], kj[k - 1]) if k else (
+            (self.ts[i - 1], self.js[i - 1]) if i else (0.0, 0.0))
+        t1 = kt[k] if k < len(kt) else self.ts[i]
+        lo, v15, _, _ = _panels(t0, t1, _auto_tol(t0, t1))
+        cum = np.cumsum(v15)
+        m = min(int(np.searchsorted(cum, target - j0, side="right")), lo.size - 1)
+        a, b = float(lo[m]), float(lo[m + 1]) if m + 1 < lo.size else t1
+        need = target - j0 - (float(cum[m - 1]) if m else 0.0)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        f = z_array(mid + half * _X15) ** 2
+        coef, prim = _LEG15 @ f, (_PRIM15 @ f) * half
+        leg = np.polynomial.legendre.legval
+        return safeguarded_newton(
+            lambda u: float(leg((u - mid) / half, prim)) - need,
+            lambda u: float(leg((u - mid) / half, coef)),
+            a, b, a + (b - a) * min(need / v15[m], 1.0))
 
     def save(self, path: str) -> None:
         buf = io.StringIO()

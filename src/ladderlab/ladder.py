@@ -2,12 +2,14 @@
 
 The almost-exact representation r(phi) = phi ln phi + (c - ln 2pi) phi
 matches J at a unique descended ordinate phi < T; inverting J against
-r(T) climbs one rung up. Both directions are bracketed root solves on
-strictly increasing maps, so every rung carries a certified residual.
+r(T) climbs one rung up. Each direction is defined by its root, which
+does not depend on any tolerance, and every rung carries the residual of
+its defining equation, certified against a tolerance.
 
-Descending is cheap (closed form vs one J evaluation); ascending costs
-one J read per solver iteration, which the checkpoint cache serves as a
-stored knot plus a tail of at most KNOT_PANELS panels.
+Descending reads J(T) once and solves the convex closed form by Newton.
+Ascending reads the root off the checkpoint cache's stored prefix of J
+(CheckpointCache.invert: three Z calls on a warm cache) and certifies it
+with one J(U) read.
 """
 
 from __future__ import annotations
@@ -15,59 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import EULER_GAMMA, T_FLOOR
+from .constants import EULER_GAMMA, LN_TWO_PI, T_FLOOR
 from .errors import BracketError, DomainError, ToleranceError
-from .integral import CheckpointCache, hl_integral, hl_representation, integrate_segment
+from .integral import (CheckpointCache, hl_integral, hl_representation, integrate_segment,
+                       safeguarded_newton)
 
 DEFAULT_RESIDUAL_TOL = 1e-6
-
-
-def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float,
-           maxiter: int = 120) -> tuple[float, float]:
-    """Brent's method on a bracketing pair; returns (root, f(root))."""
-    if fa == 0.0:
-        return a, fa
-    if fb == 0.0:
-        return b, fb
-    if fa * fb > 0.0:
-        raise BracketError(f"no sign change on [{a}, {b}]")
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(maxiter):
-        if fb * fc > 0.0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * 2.22e-16 * abs(b) + 0.5 * xtol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b, fb
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
-        else:
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = f(b)
-    raise ToleranceError(f"root not bracketed to xtol={xtol:g} in {maxiter} iterations",
-                         best_value=b, best_error=abs(fb))
+# d/dphi representation(phi) = ln(phi) + _REP_SLOPE
+_REP_SLOPE = 1.0 + EULER_GAMMA - LN_TWO_PI
 
 
 @dataclass(frozen=True)
@@ -89,29 +46,18 @@ def _require_floor(T: float) -> None:
 def descend(T: float, cache: CheckpointCache | None = None) -> float:
     """The unique phi < T with representation(phi) = J(T).
 
-    DEFAULT_RESIDUAL_TOL bounds the residual of the defining equation,
-    not the abscissa.
+    One J(T) read, then Newton on the convex, increasing closed form,
+    safeguarded by bisection on [2, T] (representation(2) < 0 < J(T)).
+    phi is the root itself; DEFAULT_RESIDUAL_TOL only certifies the
+    residual of the defining equation.
     """
     _require_floor(T)
     target = hl_integral(T, cache=cache).value
     f = lambda phi: hl_representation(phi) - target
-    lo = max(2.0, T * (1.0 - 3.0 * (1.0 - EULER_GAMMA) / math.log(T)))
-    hi = T
-    flo, fhi = f(lo), f(hi)
-    for _ in range(60):
-        if flo <= 0.0:
-            break
-        lo = max(2.0, 0.5 * lo)
-        flo = f(lo)
-    else:
-        raise BracketError(f"descend bracket failed at T={T}")
-    if fhi < 0.0:
+    if f(T) < 0.0:
         raise BracketError(f"representation(T) < J(T) at T={T}; inconsistent engine state")
-    # residual slope is ln(phi)+1+c-ln(2pi), bounded below by ~ln(lo);
-    # xtol sits 1e4 below the residual tolerance so phi is the root itself
-    xtol = 1e-4 * DEFAULT_RESIDUAL_TOL / max(1.0, math.log(lo))
-    phi, fphi = _brent(f, lo, hi, flo, fhi, xtol=xtol)
-    resid = abs(fphi)
+    phi = safeguarded_newton(f, lambda phi: math.log(phi) + _REP_SLOPE, 2.0, T, T)
+    resid = abs(f(phi))
     if resid > DEFAULT_RESIDUAL_TOL:
         raise ToleranceError(f"descend residual {resid:g} > {DEFAULT_RESIDUAL_TOL:g} at T={T}",
                              best_value=phi, best_error=resid)
@@ -124,23 +70,10 @@ def _ascend(T: float, cache: CheckpointCache | None,
     _require_floor(T)
     target = hl_representation(T)
     cache = cache if cache is not None else CheckpointCache()
-    jfun = lambda U: hl_integral(U, cache=cache).value - target
-    gap = 2.0 * (1.0 - EULER_GAMMA) * T / math.log(T)
-    hi = T + gap
-    for _ in range(40):
-        fhi = jfun(hi)
-        if fhi >= 0.0:
-            break
-        hi = T + (hi - T) * 2.0
-    else:
-        raise BracketError(f"ascend bracket failed at T={T}")
-    flo = jfun(T)
-    if flo > 0.0:
+    U = cache.invert(target)
+    if U <= T:
         raise BracketError(f"J(T) > representation(T) at T={T}; inconsistent engine state")
-    # J' = Z^2 averages ln(T/2pi) + 2c but has zeros; xtol from the mean
-    # slope, 1e4 below tol so U is the root itself at J's own noise level
-    xtol = 1e-4 * tol / (math.log(T / (2.0 * math.pi)) + 2.0 * EULER_GAMMA)
-    U, fU = _brent(jfun, T, hi, flo, fhi, xtol=xtol)
+    fU = hl_integral(U, cache=cache).value - target
     resid = abs(fU)
     if resid > 10.0 * tol:
         raise ToleranceError(f"ascend residual {resid:g} > {10*tol:g} at T={T}",
@@ -151,17 +84,20 @@ def _ascend(T: float, cache: CheckpointCache | None,
 def ascend(T: float, cache: CheckpointCache | None = None) -> float:
     """The unique U > T with J(U) = representation(T); one rung up.
 
-    Bracket starts at the expected gap 2(1-c)T/ln T and widens
-    geometrically; J is read from the cache's nearest checkpoint or knot
-    plus a short tail, so each solver iteration stays cheap. The residual
-    is held to 10 * DEFAULT_RESIDUAL_TOL.
+    U is the root read off the cache's stored prefix of J
+    (CheckpointCache.invert), with no J(T) read; one J(U) read certifies
+    its residual to 10 * DEFAULT_RESIDUAL_TOL, which does not move U.
     """
     return _ascend(T, cache, DEFAULT_RESIDUAL_TOL)[0]
 
 
 def build_tower(T: float, k: int, cache: CheckpointCache | None = None,
                 tol: float = DEFAULT_RESIDUAL_TOL) -> LadderTower:
-    """k ascents from T, each solved as ascend() but to residual tol. k >= 1."""
+    """k ascents from T, each as ascend(), with residuals certified to 10 * tol.
+
+    tol bounds only the residuals; the iterates are the roots and do not
+    depend on it. k >= 1.
+    """
     if k < 1:
         raise DomainError("build_tower requires k >= 1")
     _require_floor(T)

@@ -1,8 +1,12 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from ladderlab import integral
 from ladderlab.errors import DomainError, ToleranceError
-from ladderlab.integral import CheckpointCache, hl_integral, hl_representation
+from ladderlab.integral import DEFAULT_STRIDE, CheckpointCache, hl_integral, hl_representation
 from ladderlab.ladder import ascend, build_tower, descend, lngamma_increment_pair
 
 
@@ -38,6 +42,68 @@ def test_descent_defining_equation(shared_cache):
     phi = descend(T, cache=shared_cache)
     j_t = hl_integral(T, cache=shared_cache)
     assert abs(hl_representation(phi) - j_t.value) <= 1e-4 + j_t.abs_error_estimate
+
+
+def _log_uniform(seed, n, lo, hi):
+    rng = random.Random(seed)
+    return [math.exp(rng.uniform(math.log(lo), math.log(hi))) for _ in range(n)]
+
+
+def _bisect(f, lo, hi):
+    """60 bisection steps on an increasing f with f(lo) < 0 <= f(hi)."""
+    assert f(lo) < 0.0 <= f(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_ascent_and_descent_are_roots(shared_cache):
+    # each solve returns the root of its defining equation, not a point
+    # that merely meets the residual tolerance
+    for T in _log_uniform(3, 8, 1e2, 5e4):
+        target = hl_representation(T)
+        root = _bisect(lambda U: hl_integral(U, cache=shared_cache).value - target,
+                       T, T + 1.5 * T / math.log(T))
+        assert ascend(T, cache=shared_cache) == pytest.approx(root, rel=1e-12, abs=0.0)
+        j_t = hl_integral(T, cache=shared_cache).value
+        root = _bisect(lambda phi: hl_representation(phi) - j_t, 2.0, T)
+        assert descend(T, cache=shared_cache) == pytest.approx(root, rel=1e-12, abs=0.0)
+
+
+def test_ascent_z_call_budget(shared_cache, monkeypatch):
+    # on a warm cache an ascent is one panel run above a knot, one
+    # 15-node panel and the certifying J(U) read
+    Ts = _log_uniform(5, 20, 1e2, 5e4)
+    shared_cache.extend_to(5.5e4)
+    calls = []
+    z_array = integral.z_array
+
+    def counting(t):
+        calls[-1] += 1
+        return z_array(t)
+
+    monkeypatch.setattr(integral, "z_array", counting)
+    for T in Ts:
+        calls.append(0)
+        ascend(T, cache=shared_cache)
+    assert max(calls) <= 3, calls
+
+
+def test_ascend_same_bits_on_any_cache(shared_cache, tmp_path):
+    # the root depends only on T: a loaded cache (no knots until a read
+    # fills the root's cell) and a fresh one give the bits of a warm one
+    path = str(tmp_path / "j.csv")
+    shared_cache.extend_to(2.5e4)
+    shared_cache.save(path)
+    loaded = CheckpointCache.load(path)
+    fresh = CheckpointCache()
+    for T in sorted(_log_uniform(11, 3, 1e2, 2e4)):
+        U = ascend(T, cache=shared_cache)
+        assert ascend(T, cache=loaded).hex() == U.hex()
+        assert ascend(T, cache=fresh).hex() == U.hex()
+        # the fresh cache was extended only through the root's stride cell
+        assert fresh.ts[-1] - DEFAULT_STRIDE < U <= fresh.ts[-1]
 
 
 @given(st.floats(min_value=150.0, max_value=4e3))

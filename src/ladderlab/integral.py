@@ -1,10 +1,11 @@
 """Second moment of zeta on the critical line, with checkpointing.
 
 J(T) = integral of |zeta(1/2+it)|^2 over [0, T], evaluated by panelized
-Gauss-Legendre quadrature on Z(t)^2. Panels never exceed half the local
-oscillation wavelength pi/ln t, so a 15-node rule resolves each arch; a
-7-node embedded rule provides the error estimate. The engine's Z error
-bound is folded into the estimate via Cauchy-Schwarz on each panel.
+Gauss-Kronrod (7, 15) quadrature on Z(t)^2. Panels never exceed half the
+local oscillation wavelength pi/ln t, so the 15-node Kronrod rule resolves
+each arch; the 7-point Gauss rule on every other Kronrod node gives the
+error estimate from the same 15 Z values. The engine's Z error bound is
+folded into the estimate via Cauchy-Schwarz on each panel.
 
 J is expensive enough that ladder solves want checkpoints: a
 CheckpointCache holds J at every DEFAULT_STRIDE multiple, and in memory
@@ -28,17 +29,34 @@ from .constants import EULER_GAMMA, LN_TWO_PI, T_MAX
 from .errors import CacheCorruptionError, DomainError, InfeasibleError, ToleranceError
 from .zeta import z_array, z_error_bound
 
-_X15, _W15 = np.polynomial.legendre.leggauss(15)
-_X7, _W7 = np.polynomial.legendre.leggauss(7)
-_NODES_PER_PANEL = _X15.size + _X7.size
+# The Gauss-Kronrod (7, 15) pair as QUADPACK qk15 tabulates it (Piessens
+# et al. 1983): the Kronrod abscissae from 1 down to the centre, their
+# weights, and the weights of the 7-point Gauss rule, whose abscissae are
+# the 2nd, 4th and 6th Kronrod abscissae and the centre.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+# Ascending on [-1, 1]; the Gauss nodes are _X15[1::2].
+_X15 = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_W15 = np.array(_WGK + _WGK[-2::-1])
+_W7 = np.array(_WG + _WG[-2::-1])
+_NODES_PER_PANEL = _X15.size
 # _LEG15 @ f: Legendre coefficients of the degree-14 interpolant of the
-# values f at the 15 Gauss nodes (the rule is exact to degree 29), and
-# _PRIM15 @ f those of its antiderivative from -1.
-_LEG15 = np.polynomial.legendre.legvander(_X15, 14).T * _W15 * (np.arange(15) + 0.5)[:, None]
+# values f at the 15 Kronrod nodes, whose integral is the K15 value (the
+# rule is exact to degree 22), and _PRIM15 @ f those of its
+# antiderivative from -1.
+_LEG15 = np.linalg.inv(np.polynomial.legendre.legvander(_X15, 14))
 _PRIM15 = np.polynomial.legendre.legint(_LEG15, lbnd=-1.0)
 
 # Bump on every change that moves Z or J values: load() rejects other versions.
-ENGINE_VERSION = "2"
+ENGINE_VERSION = "3"
 # Default absolute tolerance per unit of integration length. The engine's
 # own error bound contributes ~6e-6 per unit in the worst band, so this
 # is the tightest default that cannot trip the infeasibility guard.
@@ -124,42 +142,43 @@ def _panel_edges(a: float, b: float) -> np.ndarray:
     return np.array(edges)
 
 
-def _eval_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """15- and 7-node values plus engine error for a batch of panels."""
+def _eval_panels(
+        lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Z^2 at the 15 Kronrod nodes of each panel, (P, 15), from one z_array
+    call, with the K15 and embedded G7 panel values of those same values
+    and the engine error, for a batch of panels."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    t15 = (mid[:, None] + half[:, None] * _X15[None, :]).ravel()
-    t7 = (mid[:, None] + half[:, None] * _X7[None, :]).ravel()
-    f_all = z_array(np.concatenate([t15, t7])) ** 2
-    f15 = f_all[: t15.size].reshape(-1, _X15.size)
-    f7 = f_all[t15.size:].reshape(-1, _X7.size)
-    v15 = (f15 @ _W15) * half
-    v7 = (f7 @ _W7) * half
+    f = (z_array((mid[:, None] + half[:, None] * _X15[None, :]).ravel()) ** 2).reshape(-1, _X15.size)
+    v15 = (f @ _W15) * half
+    v7 = (f[:, 1::2] @ _W7) * half
     # engine contribution: |d integral| <= 2 int |Z| eps <= 2 eps sqrt(I w)
     eng = 2.0 * z_error_bound(mid) * np.sqrt(np.maximum(v15, 0.0) * (hi - lo))
-    return v15, v7, eng
+    return f, v15, v7, eng
 
 
-def _panels(a: float, b: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Final panels of [a, b] at absolute tol: (lo, v15, err, nodes).
+def _panels(
+        a: float, b: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Final panels of [a, b] at absolute tol: (lo, f, v15, err, nodes).
 
-    lo are the left panel edges, v15 the 15-node panel values, err the
-    per-panel estimate |v15 - v7| + engine error, and nodes every Z node
-    evaluated. Panels whose embedded-rule discrepancy exceeds their share
-    of tol are bisected, and only the new halves evaluated, up to a fixed
+    lo are the left panel edges, f the (P, 15) Z^2 values at each panel's
+    Kronrod nodes, v15 the K15 panel values, err the per-panel estimate
+    |v15 - v7| + engine error, and nodes every Z node evaluated. Panels
+    whose embedded-rule discrepancy exceeds their share of tol are
+    bisected, and only the new halves evaluated, up to a fixed
     refinement budget; exhaustion raises with the best result attached.
     The engine-bound part of the estimate is a floor no refinement can
     cross, so impossible tolerances fail fast.
     """
     edges = _panel_edges(a, b)
     lo, hi = edges[:-1], edges[1:]
-    v15, v7, eng = _eval_panels(lo, hi)
+    f, v15, v7, eng = _eval_panels(lo, hi)
     nodes = lo.size * _NODES_PER_PANEL
     for _ in range(24):
         quad_err = np.abs(v15 - v7)
         err = quad_err + eng
         if float(np.sum(err)) <= tol:
-            return lo, v15, err, nodes
+            return lo, f, v15, err, nodes
         if float(np.sum(eng)) > 0.5 * tol:
             raise ToleranceError(
                 f"engine error floor exceeds tol={tol:g} on [{a},{b}]",
@@ -173,9 +192,9 @@ def _panels(a: float, b: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.
         new_lo = np.concatenate([lo[bad], mid])
         new_hi = np.concatenate([mid, hi[bad]])
         new = (new_lo, new_hi, *_eval_panels(new_lo, new_hi))
-        merged = [np.concatenate([old[~bad], n]) for old, n in zip((lo, hi, v15, v7, eng), new)]
+        merged = [np.concatenate([old[~bad], n]) for old, n in zip((lo, hi, f, v15, v7, eng), new)]
         order = np.argsort(merged[0], kind="stable")
-        lo, hi, v15, v7, eng = (m[order] for m in merged)
+        lo, hi, f, v15, v7, eng = (m[order] for m in merged)
         nodes += new_lo.size * _NODES_PER_PANEL
     raise ToleranceError(
         f"refinement budget exhausted on [{a},{b}] at tol={tol:g}",
@@ -201,7 +220,7 @@ def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralR
         raise DomainError("tol must be positive")
     if a == b:
         return IntegralResult(a=a, b=b, value=0.0, abs_error_estimate=0.0, node_count=0)
-    _, v15, err, nodes = _panels(a, b, tol)
+    _, _, v15, err, nodes = _panels(a, b, tol)
     return IntegralResult(
         a=a,
         b=b,
@@ -271,7 +290,7 @@ class CheckpointCache:
     def _cell(self, i: int) -> tuple[float, float, int]:
         """Integrate stride cell i at CELL_TOL and store its knots; returns
         the cell's own J increment, error estimate and Z nodes."""
-        lo, v15, err, nodes = _panels(i * DEFAULT_STRIDE, (i + 1) * DEFAULT_STRIDE, CELL_TOL)
+        lo, _, v15, err, nodes = _panels(i * DEFAULT_STRIDE, (i + 1) * DEFAULT_STRIDE, CELL_TOL)
         j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
         vals = v15.tolist()
         self._knots[i] = (
@@ -305,7 +324,8 @@ class CheckpointCache:
         Bisects the checkpoint, then the knot J values (extending the cache
         through target's cell), integrates the <= KNOT_PANELS panels above
         the knot once, and solves in the panel holding target on the
-        antiderivative of the degree-14 interpolant of its 15 Gauss values.
+        antiderivative of the degree-14 interpolant of the 15 Kronrod values
+        that integration already holds, with no Z call of its own.
         U depends only on target and the history-independent knots.
         """
         while not self.js or self.js[-1] <= target:
@@ -318,14 +338,13 @@ class CheckpointCache:
         t0, j0 = (kt[k - 1], kj[k - 1]) if k else (
             (self.ts[i - 1], self.js[i - 1]) if i else (0.0, 0.0))
         t1 = kt[k] if k < len(kt) else self.ts[i]
-        lo, v15, _, _ = _panels(t0, t1, _auto_tol(t0, t1))
+        lo, f, v15, _, _ = _panels(t0, t1, _auto_tol(t0, t1))
         cum = np.cumsum(v15)
         m = min(int(np.searchsorted(cum, target - j0, side="right")), lo.size - 1)
         a, b = float(lo[m]), float(lo[m + 1]) if m + 1 < lo.size else t1
         need = target - j0 - (float(cum[m - 1]) if m else 0.0)
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        f = z_array(mid + half * _X15) ** 2
-        coef, prim = _LEG15 @ f, (_PRIM15 @ f) * half
+        coef, prim = _LEG15 @ f[m], (_PRIM15 @ f[m]) * half
         leg = np.polynomial.legendre.legval
         return safeguarded_newton(
             lambda u: float(leg((u - mid) / half, prim)) - need,

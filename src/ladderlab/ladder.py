@@ -8,7 +8,7 @@ its defining equation, certified against a tolerance.
 
 Descending reads J(T) once and solves the convex closed form by Newton.
 Ascending reads the root off the checkpoint cache's stored prefix of J
-(CheckpointCache.invert: three Z calls on a warm cache) and certifies it
+(CheckpointCache.invert: one Z call on a warm cache) and certifies it
 with one J(U) read.
 """
 

@@ -3,6 +3,7 @@ import math
 import os
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -119,6 +120,46 @@ def test_cache_roundtrip(tmp_path):
     assert back.ts == cache.ts
 
 
+def test_kronrod_rule_table():
+    x, w, w7 = integral._X15, integral._W15, integral._W7
+    # K15 is exact through degree 22 and no further
+    for k in range(23):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(w @ x**k - exact) <= 4e-16
+    assert abs(w @ x**24 - 2.0 / 25) > 1e-10
+    assert np.all(x == -x[::-1]) and np.all(np.diff(x) > 0.0) and x[7] == 0.0
+    assert np.all(w > 0.0) and np.all(w == w[::-1]) and abs(w.sum() - 2.0) <= 4e-16
+    # the embedded rule is Gauss-Legendre 7 on every other Kronrod node
+    xg, wg = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(x[1::2] - xg)) <= 4e-16 and np.max(np.abs(w7 - wg)) <= 4e-16
+    assert integral._NODES_PER_PANEL == 15
+    # the interpolant that invert() solves on integrates to the K15 value
+    f = np.random.default_rng(12).random((50, 15))
+    leg = f @ integral._LEG15.T
+    assert np.max(np.abs(2.0 * leg[:, 0] - f @ w)) <= 4e-15
+    prim = f @ integral._PRIM15.T
+    assert np.max(np.abs(np.polynomial.legendre.legval(1.0, prim.T) - f @ w)) <= 4e-15
+
+
+def test_panel_estimate_bounds_true_error():
+    # against a 40-node Gauss-Legendre reference on full-width panels
+    x40, w40 = np.polynomial.legendre.leggauss(40)
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for t in (1e2, 1e3, 1e4, 3e4, 5.8e4):
+        lo = t + rng.uniform(0.0, 50.0, 40)
+        hi = lo + np.pi / np.log(lo)
+        _, v15, v7, eng = integral._eval_panels(lo, hi)
+        err = np.abs(v15 - v7) + eng
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        z = integral.z_array((mid[:, None] + half[:, None] * x40).ravel()).reshape(-1, 40)
+        ref = (z**2 @ w40) * half
+        ratio = np.abs(v15 - ref) / err
+        assert np.all(ratio <= 1.0), (t, ratio.max())
+        worst = max(worst, float(ratio.max()))
+    print(f"worst |K15 - GL40| / err = {worst:.3g}")
+
+
 def test_cache_corruption(tmp_path):
     path = os.path.join(tmp_path, "bad.csv")
     with open(path, "w") as fh:
@@ -139,6 +180,7 @@ def test_cache_corruption(tmp_path):
 
     # stale: another engine version, or no version header at all
     for header, found in (("# ladderlab cache v1 stride=50 tol=0.0015\n", "version 1,"),
+                          ("# ladderlab cache v2 stride=50 tol=0.0015\n", "version 2,"),
                           ("", "version missing,")):
         with open(path, "w") as fh:
             fh.write(header + "T,J,abs_err\n50,10,0\n100,20,0\n")
@@ -186,7 +228,7 @@ def test_node_count_counts_every_evaluated_node(monkeypatch):
 
     monkeypatch.setattr(integral, "z_array", counting)
     res = integrate_segment(0.0, 30.0, tol=1e-10)
-    assert sizes == [660, 88, 88]
+    assert sizes == [n * integral._NODES_PER_PANEL for n in (30, 4, 4)]
     assert res.node_count == sum(sizes)
 
     # a cached read counts the checkpoints it builds and the knots it

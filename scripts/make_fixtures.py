@@ -8,8 +8,8 @@ needs mpmath at runtime. Rerun after any change to the sampling plan:
     python3 scripts/make_fixtures.py
 
 Takes a few minutes; the second-moment quadrature dominates. Pass one
-function name, `python3 scripts/make_fixtures.py z_table_high`, to write
-only that fixture.
+function name, `python3 scripts/make_fixtures.py z_table_high` or
+`gram_high`, to write only that fixture.
 """
 
 from __future__ import annotations
@@ -67,6 +67,25 @@ def z_table_high() -> None:
                 print(f"  z table high {i}/{len(ts)}  ({time.time()-t0:.0f}s)")
 
 
+def gram_high() -> None:
+    """Gram points for 300 seeded indices with t in [1e4, 1e5].
+
+    Column n is mpmath's index, theta(t) = n pi, so the engine's nu is
+    n + 1. Writes a new file, so the older fixtures stay byte-identical.
+    Run it alone with `python3 scripts/make_fixtures.py gram_high`.
+    """
+    mp.mp.dps = 30
+    n_lo = int(mp.ceil(mp.siegeltheta(1e4) / mp.pi))
+    n_hi = int(mp.floor(mp.siegeltheta(1e5) / mp.pi))
+    rng = np.random.default_rng(SEED + 2)
+    ns = np.sort(rng.choice(np.arange(n_lo, n_hi + 1), 300, replace=False))
+    with open(OUT / "gram_high.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["n", "t"])
+        for n in ns:
+            w.writerow([int(n), f"{float(mp.grampoint(int(n))):.17g}"])
+
+
 def zeros_table() -> None:
     """All 29 zeta zeros with ordinate below 100."""
     mp.mp.dps = 30
@@ -121,9 +140,10 @@ def scalars() -> None:
 
 def main() -> None:
     OUT.mkdir(parents=True, exist_ok=True)
-    if sys.argv[1:] == ["z_table_high"]:
-        print("z table high ...")
-        z_table_high()
+    single = {"z_table_high": z_table_high, "gram_high": gram_high}
+    if len(sys.argv) == 2 and sys.argv[1] in single:
+        print(sys.argv[1], "...")
+        single[sys.argv[1]]()
         return
     print("zeros table ...")
     zeros_table()
@@ -133,6 +153,8 @@ def main() -> None:
     z_table()
     print("z table high ...")
     z_table_high()
+    print("gram high ...")
+    gram_high()
     print("done ->", OUT)
 
 

@@ -42,8 +42,6 @@ from .gram import (
     spacing_ratios,
     t1_increment,
     t2_increment,
-    titchmarsh_T1,
-    titchmarsh_T2,
 )
 from .gammalab import (
     ChainReport,
@@ -84,7 +82,7 @@ __all__ = [
     "LadderTower", "ascend", "descend", "build_tower", "lngamma_increment_pair",
     "DivisorTable", "divisor_count", "dirichlet_D", "prime_pi",
     "GramSlice", "gram_points", "gram_index_range", "spacing_ratios",
-    "t1_increment", "t2_increment", "titchmarsh_T1", "titchmarsh_T2",
+    "t1_increment", "t2_increment",
     "FunctionalReport", "ChainReport", "ShiftedReport", "LegendreReport",
     "ln_gamma", "gamma_functional", "pi_via_gamma", "verify_chain",
     "verify_factorization_D", "verify_factorization_T1",

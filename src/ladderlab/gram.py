@@ -3,7 +3,9 @@
 Gram ordinates solve theta(t_nu) = (nu - 1) pi, indexed so nu = 1 is
 the classical first point near 17.8456. Solving is vectorized Newton on
 the strictly increasing theta, seeded by a Lambert-type inversion of
-its leading term; every returned point carries a residual certificate.
+its leading term, for a fixed NEWTON_STEPS steps; every returned point
+carries a residual certificate. A fixed count gives every element the
+same operations, so t_nu depends on nu alone, not on its batch.
 
 The two discrete sums fold the real numbers
 zeta(1/2 + i t_nu) = (-1)^(nu-1) Z(t_nu): the values themselves (T1)
@@ -24,6 +26,9 @@ from .errors import BracketError, DomainError
 from .zeta import theta, z_array
 
 GRAM_RESIDUAL_TOL = 1e-9
+# Newton steps from the Lambert seed: a seventh moves no t_nu in
+# [T_MIN, T_MAX] by more than 4 ulp (tests/test_gram.py).
+NEWTON_STEPS = 6
 FIRST_GRAM = 17.8455995404108608  # theta root at index nu = 1
 
 # The summand reading, recorded in every report: measured Gram-point
@@ -69,24 +74,28 @@ def _theta_prime(t: np.ndarray) -> np.ndarray:
 def _lambert_w(x: np.ndarray) -> np.ndarray:
     """Principal branch for x > 0, Newton on w e^w = x."""
     w = np.log1p(x)
-    for _ in range(24):
+    for _ in range(8):  # <= 1 ulp from step 7 on the seed's range
         ew = np.exp(w)
         w = w - (w * ew - x) / (ew * (w + 1.0))
     return w
 
 
 def _solve_theta_equals(targets: np.ndarray) -> np.ndarray:
-    """Ordinates where theta hits the given values (each >= -pi/8)."""
+    """Ordinates where theta hits the given values (each >= -pi/8).
+
+    Runs NEWTON_STEPS steps and no residual stop: above t ~ 1e4, theta
+    exceeds 3e4 and a converged residual is a few ulps of theta
+    (1.1e-11 at 1e4, 5.8e-11 at 5e4), so a stop far below
+    GRAM_RESIDUAL_TOL is never met, while t settles within 3 steps.
+    The same step count for every element keeps each t_nu independent
+    of its batch.
+    """
     # leading-term inversion: theta ~ (t/2) ln(t/2pi) - t/2 - pi/8
     g = (targets + np.pi / 8.0) / np.pi + 0.875
     t = TWO_PI * g / _lambert_w(np.maximum(g, 0.9) / math.e)
     t = np.maximum(t, T_MIN + 1.0)
-    for _ in range(60):
-        resid = theta(t) - targets
-        step = resid / _theta_prime(t)
-        t = np.maximum(t - step, T_MIN)
-        if np.max(np.abs(resid)) <= GRAM_RESIDUAL_TOL * 0.01:
-            break
+    for _ in range(NEWTON_STEPS):
+        t = np.maximum(t - (theta(t) - targets) / _theta_prime(t), T_MIN)
     resid = np.abs(theta(t) - targets)
     if resid.size and np.max(resid) > GRAM_RESIDUAL_TOL:
         bad = int(np.argmax(resid))
@@ -159,20 +168,6 @@ def t2_increment(a: float, b: float) -> float:
         return 0.0
     z, z_next = _pair_values(sl, n_in)
     return math.fsum(-(z * z_next))
-
-
-def titchmarsh_T1(X: float) -> float:
-    """Full one-point sum over all Gram points t_nu <= X."""
-    if X < FIRST_GRAM:
-        raise DomainError(f"titchmarsh_T1 requires X >= first Gram point {FIRST_GRAM}")
-    return t1_increment(T_MIN, X)
-
-
-def titchmarsh_T2(X: float) -> float:
-    """Full pair sum over all t_nu <= X (neighbor may exceed X)."""
-    if X < FIRST_GRAM:
-        raise DomainError(f"titchmarsh_T2 requires X >= first Gram point {FIRST_GRAM}")
-    return t2_increment(T_MIN, X)
 
 
 def spacing_ratios(slice_: GramSlice, reference: str = "log_t") -> np.ndarray:

@@ -30,6 +30,14 @@ def z_table_high():
 
 
 @pytest.fixture(scope="session")
+def gram_high():
+    """(nu, t_nu) from mpmath grampoint at dps 30, t in [1e4, 1e5]."""
+    with open(os.path.join(FIXTURES, "gram_high.csv")) as fh:
+        rdr = csv.DictReader(fh)
+        return [(int(r["n"]) + 1, float(r["t"])) for r in rdr]
+
+
+@pytest.fixture(scope="session")
 def zero_table():
     with open(os.path.join(FIXTURES, "zeros.csv")) as fh:
         rdr = csv.DictReader(fh)

@@ -1,22 +1,24 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ladderlab.constants import EULER_GAMMA
+from ladderlab.constants import EULER_GAMMA, T_MAX, T_MIN
 from ladderlab.errors import DomainError
 from ladderlab.gram import (
     FIRST_GRAM,
+    GRAM_RESIDUAL_TOL,
     GramSlice,
+    _solve_theta_equals,
+    _theta_prime,
     gram_index_range,
     gram_points,
     spacing_ratios,
     t1_increment,
     t2_increment,
-    titchmarsh_T1,
-    titchmarsh_T2,
 )
-from ladderlab.zeta import theta
+from ladderlab.zeta import theta, z_array
 
 
 def test_first_gram_point(oracle):
@@ -38,6 +40,54 @@ def test_deep_gram_point(oracle):
     slc = gram_points(9877.0, 9879.0)
     by_nu = {nu: t for nu, t in zip(slc.nus, slc.ts)}
     assert by_nu[10000] == pytest.approx(oracle["gram_9999"], abs=1e-8)
+
+
+def test_gram_points_above_1e4(gram_high):
+    # mpmath grampoint at dps 30 on [1e4, T_MAX], beyond gram_9999
+    nus = np.array([nu for nu, _ in gram_high])
+    ref = np.array([t for _, t in gram_high])
+    assert len(nus) == 300 and ref.min() >= 1e4 and ref.max() <= T_MAX
+    err = np.abs(_solve_theta_equals((nus - 1).astype(float) * math.pi) - ref)
+    print(f"worst Gram point error above 1e4: {err.max():.3g}")
+    assert err.max() <= 1e-9
+    lo, hi = gram_index_range(1e4, T_MAX)
+    assert lo <= nus.min() and nus.max() <= hi
+
+
+def _batch_of(nu_lo: int, size: int = 2000) -> tuple[np.ndarray, np.ndarray]:
+    nus = np.arange(nu_lo, nu_lo + size)
+    return nus, _solve_theta_equals((nus - 1).astype(float) * math.pi)
+
+
+def test_gram_points_batch_invariant():
+    # a point solved alone has the bits it has inside a 2000-point batch
+    rng = np.random.default_rng(13)
+    last = gram_index_range(T_MIN, T_MAX)[1]
+    bands = (1, gram_index_range(T_MIN, 1.2e4)[1],
+             gram_index_range(T_MIN, 5e4)[1], last - 1999)
+    for nu_lo in bands:
+        nus, ts = _batch_of(nu_lo)
+        zs = z_array(ts)
+        for i in rng.choice(np.arange(1, nus.size - 1), 50, replace=False):
+            # (a, b] holds t_nu and no neighbor
+            a = 0.5 * (ts[i - 1] + ts[i])
+            b = 0.5 * (ts[i] + ts[i + 1])
+            alone = gram_points(a, b)
+            assert alone.nus.tolist() == [nus[i]]
+            assert alone.ts[0] == ts[i], nus[i]
+            assert alone.zs[0] == zs[i], nus[i]
+
+
+def test_newton_step_count_suffices():
+    # every served Gram point, plus one beyond T_MAX, in one batch: one
+    # more Newton step moves no t by more than a few ulp
+    lo, hi = gram_index_range(T_MIN, T_MAX)
+    targets = np.arange(lo - 1, hi + 1, dtype=float) * math.pi
+    ts = _solve_theta_equals(targets)
+    resid = theta(ts) - targets
+    again = np.maximum(ts - resid / _theta_prime(ts), T_MIN)
+    assert np.max(np.abs(again - ts) / np.spacing(ts)) <= 4.0
+    assert np.max(np.abs(resid)) <= GRAM_RESIDUAL_TOL
 
 
 def test_theta_residuals_tight():
@@ -62,7 +112,7 @@ def test_domain_validation():
     with pytest.raises(DomainError):
         gram_points(200.0, 100.0)
     with pytest.raises(DomainError):
-        titchmarsh_T1(10.0)
+        t1_increment(T_MIN, T_MIN)
 
 
 def test_csv_shape():
@@ -81,10 +131,9 @@ def test_increment_additivity():
 
 
 def test_titchmarsh_prefix_consistency():
-    assert titchmarsh_T1(500.0) == pytest.approx(
-        titchmarsh_T1(300.0) + t1_increment(300.0, 500.0), rel=1e-12)
-    assert titchmarsh_T2(500.0) == pytest.approx(
-        titchmarsh_T2(300.0) + t2_increment(300.0, 500.0), rel=1e-12)
+    for inc in (t1_increment, t2_increment):
+        assert inc(T_MIN, 500.0) == pytest.approx(
+            inc(T_MIN, 300.0) + inc(300.0, 500.0), rel=1e-12)
 
 
 def test_single_summand_reading():

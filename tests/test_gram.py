@@ -50,13 +50,6 @@ def test_gram_points_above_1e4(gram_high):
     err = np.abs(_solve_theta_equals((nus - 1).astype(float) * math.pi) - ref)
     print(f"worst Gram point error above 1e4: {err.max():.3g}")
     assert err.max() <= 1e-9
-    lo, hi = gram_index_range(1e4, T_MAX)
-    assert lo <= nus.min() and nus.max() <= hi
-
-
-def _batch_of(nu_lo: int, size: int = 2000) -> tuple[np.ndarray, np.ndarray]:
-    nus = np.arange(nu_lo, nu_lo + size)
-    return nus, _solve_theta_equals((nus - 1).astype(float) * math.pi)
 
 
 def test_gram_points_batch_invariant():
@@ -66,7 +59,8 @@ def test_gram_points_batch_invariant():
     bands = (1, gram_index_range(T_MIN, 1.2e4)[1],
              gram_index_range(T_MIN, 5e4)[1], last - 1999)
     for nu_lo in bands:
-        nus, ts = _batch_of(nu_lo)
+        nus = np.arange(nu_lo, nu_lo + 2000)
+        ts = _solve_theta_equals((nus - 1).astype(float) * math.pi)
         zs = z_array(ts)
         for i in rng.choice(np.arange(1, nus.size - 1), 50, replace=False):
             # (a, b] holds t_nu and no neighbor

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from ladderlab import integral
 from ladderlab.constants import EULER_GAMMA, LN_TWO_PI, T_MAX
 from ladderlab.errors import CacheCorruptionError, DomainError, InfeasibleError, ToleranceError
+from ladderlab.fermat import DEFAULT_T_CAP
 from ladderlab.integral import (
     AUTO_TOL_RATE,
     CELL_TOL,
@@ -142,13 +143,13 @@ def test_kronrod_rule_table():
 
 
 def test_panel_estimate_bounds_true_error():
-    # against a 40-node Gauss-Legendre reference on full-width panels
+    # against a 40-node Gauss-Legendre reference on the widest panels
     x40, w40 = np.polynomial.legendre.leggauss(40)
     rng = np.random.default_rng(2024)
     worst = 0.0
     for t in (1e2, 1e3, 1e4, 3e4, 5.8e4):
         lo = t + rng.uniform(0.0, 50.0, 40)
-        hi = lo + np.pi / np.log(lo)
+        hi = lo + integral._PANEL_CAP / np.log(lo)
         _, v15, v7, eng = integral._eval_panels(lo, hi)
         err = np.abs(v15 - v7) + eng
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -158,6 +159,30 @@ def test_panel_estimate_bounds_true_error():
         assert np.all(ratio <= 1.0), (t, ratio.max())
         worst = max(worst, float(ratio.max()))
     print(f"worst |K15 - GL40| / err = {worst:.3g}")
+
+
+def test_panel_values_independent_of_batch():
+    # a panel's K15, G7 and engine values have the same bits whatever
+    # other panels share its batch
+    rng = np.random.default_rng(31)
+    for P in range(1, 101, 3):
+        lo = 3e4 + rng.uniform(0.0, 50.0, P)
+        hi = lo + integral._PANEL_CAP / np.log(lo)
+        _, v15, v7, eng = integral._eval_panels(lo, hi)
+        for k in range(P):
+            _, a15, a7, aeng = integral._eval_panels(lo[k:k + 1], hi[k:k + 1])
+            assert (v15[k], v7[k], eng[k]) == (a15[0], a7[0], aeng[0]), (P, k)
+
+
+def test_stride_cells_need_no_refinement():
+    # every cell up to the scan reach meets CELL_TOL on its first panels;
+    # a panel cap too wide for the rule would show here as extra nodes
+    reach = DEFAULT_T_CAP * (1.0 + 5.0 * (1.0 - EULER_GAMMA) / math.log(DEFAULT_T_CAP))
+    cells = random.Random(40).sample(range(math.ceil(reach / DEFAULT_STRIDE)), 40)
+    for i in cells:
+        a, b = i * DEFAULT_STRIDE, (i + 1) * DEFAULT_STRIDE
+        nodes = integral._panels(a, b, CELL_TOL)[4]
+        assert nodes == (integral._panel_edges(a, b).size - 1) * integral._NODES_PER_PANEL, i
 
 
 def test_cache_corruption(tmp_path):
@@ -181,6 +206,7 @@ def test_cache_corruption(tmp_path):
     # stale: another engine version, or no version header at all
     for header, found in (("# ladderlab cache v1 stride=50 tol=0.0015\n", "version 1,"),
                           ("# ladderlab cache v2 stride=50 tol=0.0015\n", "version 2,"),
+                          ("# ladderlab cache v3 stride=50 tol=0.0015\n", "version 3,"),
                           ("", "version missing,")):
         with open(path, "w") as fh:
             fh.write(header + "T,J,abs_err\n50,10,0\n100,20,0\n")
@@ -217,8 +243,8 @@ def test_load_rejects_off_grid_rows(tmp_path):
 
 
 def test_node_count_counts_every_evaluated_node(monkeypatch):
-    # tol=1e-10 on [0, 30] forces two refinement rounds; each bisects two
-    # of the panels and evaluates only their four halves
+    # tol=1e-10 on [0, 30] forces two refinement rounds; the first bisects
+    # two of the panels and the second one, each evaluating only the halves
     sizes = []
     z_array = integral.z_array
 
@@ -228,7 +254,7 @@ def test_node_count_counts_every_evaluated_node(monkeypatch):
 
     monkeypatch.setattr(integral, "z_array", counting)
     res = integrate_segment(0.0, 30.0, tol=1e-10)
-    assert sizes == [n * integral._NODES_PER_PANEL for n in (30, 4, 4)]
+    assert sizes == [n * integral._NODES_PER_PANEL for n in (20, 4, 2)]
     assert res.node_count == sum(sizes)
 
     # a cached read counts the checkpoints it builds and the knots it
@@ -270,7 +296,7 @@ def test_knot_reads_match_checkpoint_tail(shared_cache):
         # the read's tail is at most KNOT_PANELS panels
         k0 = shared_cache.nearest_below(T)[0]
         assert t0 <= k0 <= T
-        assert T - k0 <= KNOT_PANELS * math.pi / math.log(max(k0, 20.0))
+        assert T - k0 <= KNOT_PANELS * integral._PANEL_CAP / math.log(max(k0, 20.0))
 
 
 def _bits(res):

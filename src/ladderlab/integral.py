@@ -21,6 +21,10 @@ CheckpointCache holds J at every DEFAULT_STRIDE multiple, and in memory
 also J at a knot every KNOT_PANELS panel edges inside each stride cell,
 taken from the panel values the cell's quadrature already produced. Any
 J(T) then costs one lookup plus a tail of at most KNOT_PANELS panels.
+A build makes one Z call per group of cells: the first panels of a run
+of consecutive stride cells, up to 2^14 nodes, go to z_array together,
+and each cell then refines and stores its knots on its own. Panel values
+do not depend on their batch, so the grouping moves no bit.
 """
 
 from __future__ import annotations
@@ -81,6 +85,13 @@ _VERSION_TAG = "# ladderlab cache v"
 _HEADER = f"{_VERSION_TAG}{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}"
 # A stride cell keeps an in-memory knot at every KNOT_PANELS-th panel edge.
 KNOT_PANELS = 8
+# Most Z nodes in one call for the first panels of a run of stride cells
+# (a cell has 540 to 1,845); larger groups cost peak RSS.
+_GROUP_NODES = 2**14
+# The mean value J(t) ~ t ln(t / 2 pi) + (2c - 1) t has slope ln t + _MV_SLOPE
+# and is 0 at _MV_ZERO.
+_MV_SLOPE = 2.0 * EULER_GAMMA - LN_TWO_PI
+_MV_ZERO = math.exp(1.0 - _MV_SLOPE)
 
 
 def _check_t_max(T: float) -> None:
@@ -101,18 +112,6 @@ class IntegralResult:
     value: float
     abs_error_estimate: float
     node_count: int
-
-    def merge(self, other: "IntegralResult") -> "IntegralResult":
-        """Concatenate with an adjacent segment on the right."""
-        if other.a != self.b:
-            raise DomainError(f"segments not adjacent: [{self.a},{self.b}] + [{other.a},{other.b}]")
-        return IntegralResult(
-            a=self.a,
-            b=other.b,
-            value=self.value + other.value,
-            abs_error_estimate=self.abs_error_estimate + other.abs_error_estimate,
-            node_count=self.node_count + other.node_count,
-        )
 
 
 def safeguarded_newton(f, df, lo: float, hi: float, x: float) -> float:
@@ -179,16 +178,24 @@ def _panels(
 
     lo are the left panel edges, f the (P, 15) Z^2 values at each panel's
     Kronrod nodes, v15 the K15 panel values, err the per-panel estimate
-    |v15 - v7| + engine error, and nodes every Z node evaluated. Panels
-    whose embedded-rule discrepancy exceeds their share of tol are
+    |v15 - v7| + engine error, and nodes every Z node evaluated.
+    """
+    edges = _panel_edges(a, b)
+    lo, hi = edges[:-1], edges[1:]
+    return _refine(a, b, tol, lo, hi, *_eval_panels(lo, hi))
+
+
+def _refine(a: float, b: float, tol: float, lo: np.ndarray, hi: np.ndarray, f: np.ndarray,
+            v15: np.ndarray, v7: np.ndarray, eng: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """_panels() from the first panels of [a, b] and their _eval_panels values.
+
+    Panels whose embedded-rule discrepancy exceeds their share of tol are
     bisected, and only the new halves evaluated, up to a fixed
     refinement budget; exhaustion raises with the best result attached.
     The engine-bound part of the estimate is a floor no refinement can
     cross, so impossible tolerances fail fast.
     """
-    edges = _panel_edges(a, b)
-    lo, hi = edges[:-1], edges[1:]
-    f, v15, v7, eng = _eval_panels(lo, hi)
     nodes = lo.size * _NODES_PER_PANEL
     for _ in range(24):
         quad_err = np.abs(v15 - v7)
@@ -262,10 +269,10 @@ class CheckpointCache:
     Each stride cell also holds knots (t, J(t), err(t)) at every
     KNOT_PANELS-th edge of its final panel list, in memory only and
     keyed by cell: save() never writes them and equality ignores them.
-    extend_to() stores the knots of the cells it integrates; a cell from
-    load() gets them on the first hl_integral read that lands in it, from
-    the same panels at the same tol, so every read sees the same knots
-    whatever the cache's history.
+    extend_to() stores the knots of the cells it integrates, with one Z
+    call per group of cells; a cell from load() gets them on the first
+    hl_integral read that lands in it, from the same panels at the same
+    tol, so every read sees the same knots whatever the cache's history.
     """
 
     ts: list[float] = field(default_factory=list)
@@ -303,18 +310,47 @@ class CheckpointCache:
             return (0.0, 0.0, 0.0)
         return (self.ts[i - 1], self.js[i - 1], self.errs[i - 1])
 
-    def _cell(self, i: int) -> tuple[float, float, int]:
-        """Integrate stride cell i at CELL_TOL and store its knots; returns
-        the cell's own J increment, error estimate and Z nodes."""
-        lo, _, v15, err, nodes = _panels(i * DEFAULT_STRIDE, (i + 1) * DEFAULT_STRIDE, CELL_TOL)
-        j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
-        vals = v15.tolist()
-        self._knots[i] = (
-            array("d", lo[KNOT_PANELS::KNOT_PANELS]),
-            array("d", [j0 + math.fsum(vals[:n]) for n in range(KNOT_PANELS, lo.size, KNOT_PANELS)]),
-            array("d", e0 + np.cumsum(err)[KNOT_PANELS - 1:lo.size - 1:KNOT_PANELS]),
-        )
-        return math.fsum(vals), float(np.sum(err)), nodes
+    def _cells(self, i: int, stop: int) -> int:
+        """Integrate stride cells i .. stop - 1 at CELL_TOL, store their
+        knots and append the checkpoints not yet held; returns the Z nodes.
+
+        The first panels of a run of consecutive cells, at most
+        _GROUP_NODES nodes, take one z_array call; each cell then refines
+        on its own."""
+        nodes = 0
+        while i < stop:
+            cells, size = [], 0
+            while i + len(cells) < stop:
+                k = i + len(cells)
+                edges = _panel_edges(k * DEFAULT_STRIDE, (k + 1) * DEFAULT_STRIDE)
+                size += (edges.size - 1) * _NODES_PER_PANEL
+                if cells and size > _GROUP_NODES:
+                    break
+                cells.append(edges)
+            lo = np.concatenate([e[:-1] for e in cells])
+            hi = np.concatenate([e[1:] for e in cells])
+            first = _eval_panels(lo, hi)
+            p = 0
+            for edges in cells:
+                q = p + edges.size - 1
+                a, b = i * DEFAULT_STRIDE, (i + 1) * DEFAULT_STRIDE
+                clo, _, v15, err, n = _refine(a, b, CELL_TOL, lo[p:q], hi[p:q],
+                                              *(x[p:q] for x in first))
+                j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
+                vals = v15.tolist()
+                self._knots[i] = (
+                    array("d", clo[KNOT_PANELS::KNOT_PANELS]),
+                    array("d", [j0 + math.fsum(vals[:m])
+                                for m in range(KNOT_PANELS, clo.size, KNOT_PANELS)]),
+                    array("d", e0 + np.cumsum(err)[KNOT_PANELS - 1:clo.size - 1:KNOT_PANELS]),
+                )
+                if i == len(self.ts):
+                    self.ts.append(b)
+                    self.js.append(j0 + math.fsum(vals))
+                    self.errs.append(e0 + float(np.sum(err)))
+                nodes += n
+                p, i = q, i + 1
+        return nodes
 
     def extend_to(self, T: float) -> int:
         """Add checkpoints at stride multiples up to T, with their cells'
@@ -322,15 +358,8 @@ class CheckpointCache:
         if not math.isfinite(T):
             raise DomainError(f"extend_to requires finite T, got {T}")
         _check_t_max(T)
-        start = i = len(self.ts)
-        nodes = 0
-        while (i + 1) * DEFAULT_STRIDE <= T:
-            j, e, n = self._cell(i)
-            self.ts.append((i + 1) * DEFAULT_STRIDE)
-            self.js.append(self.js[-1] + j if i else j)
-            self.errs.append(self.errs[-1] + e if i else e)
-            nodes += n
-            i += 1
+        start = len(self.ts)
+        nodes = self._cells(start, max(start, int(T // DEFAULT_STRIDE)))
         self._validate(start)
         return nodes
 
@@ -338,17 +367,26 @@ class CheckpointCache:
         """The U with J(U) = target, read off the stored prefix of J.
 
         Bisects the checkpoint, then the knot J values (extending the cache
-        through target's cell), integrates the <= KNOT_PANELS panels above
-        the knot once, and solves in the panel holding target on the
-        antiderivative of the degree-14 interpolant of the 15 Kronrod values
-        that integration already holds, with no Z call of its own.
+        in one grouped build to two cells below the mean-value inverse of
+        target, then cell by cell through target's cell), integrates the
+        <= KNOT_PANELS panels above the knot once, and solves in the panel
+        holding target on the antiderivative of the degree-14 interpolant of
+        the 15 Kronrod values that integration already holds, with no Z call
+        of its own.
         U depends only on target and the history-independent knots.
         """
+        if not self.js or self.js[-1] <= target:
+            # |J - mean value| <= 205 below 6e4 puts the root within 23
+            # units of this inverse, so a cold cache stops at the root's cell
+            self.extend_to(safeguarded_newton(
+                lambda t: t * (math.log(t) + _MV_SLOPE - 1.0) - target,
+                lambda t: math.log(t) + _MV_SLOPE,
+                _MV_ZERO, T_MAX, T_MAX) - 2.0 * DEFAULT_STRIDE)
         while not self.js or self.js[-1] <= target:
             self.extend_to((len(self.ts) + 1) * DEFAULT_STRIDE)
         i = bisect.bisect_right(self.js, target)
         if i not in self._knots:  # a cell from load()
-            self._cell(i)
+            self._cells(i, i + 1)
         kt, kj, _ = self._knots[i]
         k = bisect.bisect_right(kj, target)
         t0, j0 = (kt[k - 1], kj[k - 1]) if k else (
@@ -422,7 +460,7 @@ def hl_integral(T: float, cache: CheckpointCache | None = None) -> IntegralResul
     nodes = cache.extend_to(math.ceil(T / DEFAULT_STRIDE) * DEFAULT_STRIDE)
     i = int(T // DEFAULT_STRIDE)
     if T % DEFAULT_STRIDE and i not in cache._knots:  # first read of a loaded cell
-        nodes += cache._cell(i)[2]
+        nodes += cache._cells(i, i + 1)
     t0, j0, e0 = cache.nearest_below(T)
     tail = integrate_segment(t0, T)
     return IntegralResult(

@@ -22,6 +22,7 @@ from ladderlab.integral import (
     hl_representation,
     integrate_segment,
 )
+from ladderlab.ladder import ascend
 
 
 def test_j_oracle_values(oracle, shared_cache):
@@ -74,17 +75,9 @@ def test_additivity():
     a = integrate_segment(0.0, 80.0)
     b = integrate_segment(80.0, 130.0)
     whole = integrate_segment(0.0, 130.0)
-    merged = a.merge(b)
-    assert merged.a == 0.0 and merged.b == 130.0
-    tol = a.abs_error_estimate + b.abs_error_estimate + whole.abs_error_estimate
-    assert abs(merged.value - whole.value) <= tol
-
-
-def test_merge_rejects_gap():
-    a = integrate_segment(0.0, 10.0)
-    c = integrate_segment(20.0, 30.0)
-    with pytest.raises(DomainError):
-        a.merge(c)
+    value = a.value + b.value
+    estimate = a.abs_error_estimate + b.abs_error_estimate
+    assert abs(value - whole.value) <= estimate + whole.abs_error_estimate
 
 
 def test_impossible_tolerance_fails_fast():
@@ -353,8 +346,8 @@ def test_uncached_read_is_the_cached_read(shared_cache):
 
 
 def test_uncached_read_integrates_cell_by_cell(monkeypatch):
-    # no Z batch of an uncached read is larger than the densest cell's
-    # first pass, so its memory does not grow with T
+    # an uncached read builds its cells in groups of at most _GROUP_NODES
+    # first-pass nodes, so no Z batch, and no memory, grows with T
     sizes = []
     z_array = integral.z_array
 
@@ -364,9 +357,47 @@ def test_uncached_read_integrates_cell_by_cell(monkeypatch):
 
     monkeypatch.setattr(integral, "z_array", counting)
     res = hl_integral(5e3)
-    cell = (integral._panel_edges(4950.0, 5000.0).size - 1) * integral._NODES_PER_PANEL
-    assert len(sizes) >= 100 and max(sizes) <= cell  # at least one batch per cell
+    assert len(sizes) > 1 and max(sizes) <= integral._GROUP_NODES
     assert res.node_count == sum(sizes)
+
+
+def _build_state(cache):
+    knots = {i: tuple(a.tobytes() for a in arrays) for i, arrays in cache._knots.items()}
+    return [(t.hex(), j.hex(), e.hex()) for t, j, e in zip(cache.ts, cache.js, cache.errs)], knots
+
+
+def test_grouped_build_same_bits_as_cell_by_cell():
+    # grouping cells into one Z call moves no bit of any checkpoint or
+    # knot, wherever the group boundaries fall
+    T = 6e4
+    whole = CheckpointCache()
+    want_nodes = whole.extend_to(T)
+    want = _build_state(whole)
+    uneven = CheckpointCache()
+    nodes = 0
+    for piece in (130.0, 1337.0, 1360.0, 9876.5, 31000.0, 31050.0, T):
+        nodes += uneven.extend_to(piece)
+    assert nodes == want_nodes and _build_state(uneven) == want
+    single = CheckpointCache()
+    nodes = sum(single.extend_to(DEFAULT_STRIDE * (i + 1)) for i in range(int(T / DEFAULT_STRIDE)))
+    assert nodes == want_nodes and _build_state(single) == want
+    assert len(whole.ts) == 1200
+
+
+def test_cold_ascent_builds_cells_in_groups(monkeypatch):
+    # a cold ascent builds below its root in groups, not one Z call per cell
+    calls = []
+    z_array = integral.z_array
+
+    def counting(t):
+        calls.append(len(t))
+        return z_array(t)
+
+    monkeypatch.setattr(integral, "z_array", counting)
+    cache = CheckpointCache()
+    U = ascend(3e4, cache=cache)
+    assert cache.ts[-1] - DEFAULT_STRIDE < U <= cache.ts[-1]
+    assert len(calls) < len(cache.ts) / 5, (len(calls), len(cache.ts))
 
 
 def test_representation_closed_form():

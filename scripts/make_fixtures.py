@@ -8,8 +8,8 @@ needs mpmath at runtime. Rerun after any change to the sampling plan:
     python3 scripts/make_fixtures.py
 
 Takes a few minutes; the second-moment quadrature dominates. Pass one
-function name, `python3 scripts/make_fixtures.py z_table_high` or
-`gram_high`, to write only that fixture.
+function name, `python3 scripts/make_fixtures.py z_table_high`,
+`gram_high` or `j_cells_high`, to write only that fixture.
 """
 
 from __future__ import annotations
@@ -86,6 +86,42 @@ def gram_high() -> None:
             w.writerow([int(n), f"{float(mp.grampoint(int(n))):.17g}"])
 
 
+def j_cells_high() -> None:
+    """J over one stride cell near each of 1e4, 3e4 and 5.8e4.
+
+    Z^2 from mpmath siegelz at dps 20 (which agrees with dps 30 to 20
+    digits there), summed by composite Gauss-Legendre on the cell's
+    unit panels: 20 nodes a panel for J, checked against 16 nodes a
+    panel, whose difference is stored as rule_diff. Writes a new file,
+    so the older fixtures stay byte-identical. Run it alone with
+    `python3 scripts/make_fixtures.py j_cells_high`.
+    """
+    mp.mp.dps = 20
+    stride, cells = 50, (10000, 30000, 58000)
+    rules = {n: mp.gauss_quadrature(n, "legendre") for n in (16, 20)}
+    rows = []
+    t0 = time.time()
+    for a in cells:
+        sums = {}
+        for n, (xs, ws) in rules.items():
+            total = mp.mpf(0)
+            for p in range(a, a + stride):
+                mid = mp.mpf(p) + mp.mpf(1) / 2
+                total += sum(w * mp.siegelz(mid + x / 2) ** 2 for x, w in zip(xs, ws)) / 2
+            sums[n] = total
+            print(f"  J cell {a} GL{n}: {mp.nstr(total, 20)}  ({time.time()-t0:.0f}s)")
+        rows.append({"a": float(a), "b": float(a + stride), "J": float(sums[20]),
+                     "rule_diff": float(abs(sums[20] - sums[16]))})
+    data = {
+        "cells": rows,
+        "oracle": "mpmath siegelz at dps 20, composite Gauss-Legendre on unit panels, "
+                  "20 nodes a panel checked against 16",
+    }
+    with open(OUT / "j_cells_high.json", "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def zeros_table() -> None:
     """All 29 zeta zeros with ordinate below 100."""
     mp.mp.dps = 30
@@ -140,7 +176,8 @@ def scalars() -> None:
 
 def main() -> None:
     OUT.mkdir(parents=True, exist_ok=True)
-    single = {"z_table_high": z_table_high, "gram_high": gram_high}
+    single = {"z_table_high": z_table_high, "gram_high": gram_high,
+              "j_cells_high": j_cells_high}
     if len(sys.argv) == 2 and sys.argv[1] in single:
         print(sys.argv[1], "...")
         single[sys.argv[1]]()
@@ -155,6 +192,8 @@ def main() -> None:
     z_table_high()
     print("gram high ...")
     gram_high()
+    print("J cells high ...")
+    j_cells_high()
     print("done ->", OUT)
 
 

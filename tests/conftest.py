@@ -51,6 +51,13 @@ def oracle():
 
 
 @pytest.fixture(scope="session")
+def j_cells_high():
+    """J over one stride cell near each of 1e4, 3e4 and 5.8e4, from mpmath."""
+    with open(os.path.join(FIXTURES, "j_cells_high.json")) as fh:
+        return json.load(fh)["cells"]
+
+
+@pytest.fixture(scope="session")
 def calibration():
     with open(os.path.join(FIXTURES, "calibration.json")) as fh:
         return json.load(fh)

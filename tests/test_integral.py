@@ -32,6 +32,24 @@ def test_j_oracle_values(oracle, shared_cache):
         assert abs(res.value - oracle[key]) / oracle[key] <= 1e-4
 
 
+def test_j_cells_within_estimate_above_1e4(j_cells_high, shared_cache):
+    # where scans read J: each oracle cell's cache increment lies within
+    # the cell's own error estimate
+    assert [c["a"] for c in j_cells_high] == [1e4, 3e4, 5.8e4]
+    shared_cache.extend_to(max(c["b"] for c in j_cells_high))
+    worst = 0.0
+    for c in j_cells_high:
+        i = int(c["b"] / DEFAULT_STRIDE) - 1
+        assert shared_cache.ts[i - 1:i + 1] == [c["a"], c["b"]]
+        inc = shared_cache.js[i] - shared_cache.js[i - 1]
+        est = shared_cache.errs[i] - shared_cache.errs[i - 1]
+        assert c["rule_diff"] <= 1e-3 * est  # the oracle's own check
+        ratio = abs(inc - c["J"]) / est
+        assert ratio <= 1.0, (c["a"], ratio)
+        worst = max(worst, ratio)
+    print(f"worst |cell increment - oracle| / estimate = {worst:.3g}")
+
+
 def test_zero_and_degenerate():
     assert hl_integral(0.0).value == 0.0
     seg = integrate_segment(5.0, 5.0)

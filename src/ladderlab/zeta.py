@@ -310,11 +310,19 @@ def _check_range(lo: float, hi: float) -> None:
 
 
 def _z_kernel(ts: np.ndarray) -> np.ndarray:
-    """Z on an arbitrary float64 array, preserving order."""
+    """Z on an arbitrary float64 array, preserving order.
+
+    A non-decreasing batch, as every first batch of quadrature panels
+    is, skips the sort and the scatter back; Z is elementwise, so the
+    bits are the same either way."""
     if ts.size == 0:
         return ts.copy()
-    order = np.argsort(ts, kind="stable")
-    sorted_t = ts[order]
+    ascending = bool(np.all(ts[1:] >= ts[:-1]))  # False on any NaN
+    if ascending:
+        sorted_t = ts
+    else:
+        order = np.argsort(ts, kind="stable")
+        sorted_t = ts[order]
     _check_range(sorted_t[0], sorted_t[-1])
     out_sorted = np.empty_like(sorted_t)
     nlow = int(np.searchsorted(sorted_t, RS_SEAM, side="left"))
@@ -322,6 +330,8 @@ def _z_kernel(ts: np.ndarray) -> np.ndarray:
         out_sorted[:nlow] = _z_low(sorted_t[:nlow])
     if nlow < sorted_t.size:
         out_sorted[nlow:] = _z_riemann_siegel(sorted_t[nlow:])
+    if ascending:
+        return out_sorted
     out = np.empty_like(out_sorted)
     out[order] = out_sorted
     return out

@@ -183,6 +183,31 @@ def test_batch_invariance_bitwise():
         assert z_array(ts[i:i + 1])[0] == batch[i], ts[i]
 
 
+def test_sorted_and_shuffled_batches_same_bits(monkeypatch):
+    # an ascending batch skips the sort and the scatter back; each element
+    # must get the bits it gets in the same batch shuffled
+    rng = np.random.default_rng(20261020)
+    ts = np.sort(np.concatenate([
+        rng.uniform(0.0, RS_SEAM, 200),
+        rng.uniform(RS_SEAM, 6e4, 2**14),
+        np.array([RS_SEAM, RS_SEAM, 6e4]),
+    ]))
+    perm = rng.permutation(ts.size)
+    sorts = []
+    argsort = np.argsort
+
+    def counting(a, *args, **kwargs):
+        sorts.append(a.size)
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(zeta.np, "argsort", counting)
+    ascending = z_array(ts)
+    assert sorts == []
+    shuffled = z_array(ts[perm])
+    assert sorts == [ts.size]
+    assert np.array_equal(shuffled.view(np.int64), ascending[perm].view(np.int64))
+
+
 def _loop_main_sum(t, th, trunc):
     # reference: one pass per n over the elements whose N(t) reaches n
     nmax = int(trunc[-1])

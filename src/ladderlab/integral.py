@@ -1,20 +1,22 @@
 """Second moment of zeta on the critical line, with checkpointing.
 
 J(T) = integral of |zeta(1/2+it)|^2 over [0, T], evaluated by panelized
-Gauss-Kronrod (7, 15) quadrature on Z(t)^2. Panels never exceed
-1.5 pi/ln t, 0.6 of the wavelength 2 pi/ln(t/2 pi) of Z^2's fastest
-component at t = 5e4, and the 7-point Gauss rule on every other Kronrod
-node gives the error estimate from the same 15 Z values. At that width
-the 15-node Kronrod rule is still limited by the noise in Z, not by the
-rule: against a 40-node Gauss-Legendre reference on 200 seeded
-full-width panels near each of t = 1e2, 1e3, 1e4, 3e4 and 5.8e4,
-|K15 - GL40| is at most 0.0095 of the panel's estimate (0.0085 on
-pi/ln t panels) and 8.4e-10 abs at 5.8e4 (8.6e-10), and no stride cell
-up to the scan reach needs a refinement round. So the cold build to the
-scan reach evaluates a third fewer Z nodes than on pi/ln t panels. The
-engine's Z error bound is folded into the estimate via Cauchy-Schwarz on
-each panel. Each panel's K15 and G7 values are summed node after node,
-so a panel's bits do not depend on the batch it is evaluated in.
+Gauss-Kronrod (10, 21) quadrature on Z(t)^2. Panels never exceed
+4 pi/ln t, 1.7 wavelengths 2 pi/ln(t/2 pi) of Z^2's fastest component at
+t = 5.8e4, and the 10-point Gauss rule on every other Kronrod node gives
+the error estimate from the same 21 Z values. Against a 40-node
+Gauss-Legendre reference on 200 seeded full-width panels near each of
+t = 1e2, 1e3, 1e4, 3e4 and 5.8e4, |K21 - GL40| is at most 0.0104 of the
+panel's estimate and 3.3e-9 abs at 5.8e4, no stride cell up to the scan
+reach needs a refinement round, and the cells of the mpmath J oracle
+above 1e4 lie within their estimates; all of this also holds at 5 pi,
+but 4 pi keeps a read's tail of KNOT_PANELS panels within 12 pi/ln t.
+Fewer, wider panels are what pays: a Z node's cost is the cosines of
+its Riemann-Siegel sum, and a cold build to the scan reach evaluates
+1,010,919 of them. The engine's Z error bound is folded into the
+estimate via Cauchy-Schwarz on each panel. Each panel's Kronrod and
+Gauss values are summed node after node, so a panel's bits do not
+depend on the batch it is evaluated in.
 
 J is expensive enough that ladder solves want checkpoints: a
 CheckpointCache holds J at every DEFAULT_STRIDE multiple, and in memory
@@ -42,37 +44,41 @@ from .constants import EULER_GAMMA, LN_TWO_PI, T_MAX
 from .errors import CacheCorruptionError, DomainError, InfeasibleError, ToleranceError
 from .zeta import z_array, z_error_bound
 
-# The Gauss-Kronrod (7, 15) pair as QUADPACK qk15 tabulates it (Piessens
+# The Gauss-Kronrod (10, 21) pair as QUADPACK qk21 tabulates it (Piessens
 # et al. 1983): the Kronrod abscissae from 1 down to the centre, their
-# weights, and the weights of the 7-point Gauss rule, whose abscissae are
-# the 2nd, 4th and 6th Kronrod abscissae and the centre.
-_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245, 0.0)
-_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
-_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
-# Ascending on [-1, 1]; the Gauss nodes are _X15[1::2].
-_X15 = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
-_W15 = np.array(_WGK + _WGK[-2::-1])
-_W7 = np.array(_WG + _WG[-2::-1])
-_NODES_PER_PANEL = _X15.size
-# _LEG15 @ f: Legendre coefficients of the degree-14 interpolant of the
-# values f at the 15 Kronrod nodes, whose integral is the K15 value (the
-# rule is exact to degree 22), and _PRIM15 @ f those of its
+# weights, and the weights of the 10-point Gauss rule, whose abscissae are
+# the 2nd, 4th, ..., 10th Kronrod abscissae.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG_HALF = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+            0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+            0.295524224714752870173892994651338)
+# Ascending on [-1, 1]; the Gauss nodes are _XK[1::2], and the centre is not one.
+_XK = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_WK = np.array(_WGK + _WGK[-2::-1])
+_WG = np.array(_WG_HALF + _WG_HALF[::-1])
+_NODES_PER_PANEL = _XK.size
+# _LEG @ f: Legendre coefficients of the degree-20 interpolant of the
+# values f at the 21 Kronrod nodes, whose integral is the Kronrod value
+# (the rule is exact to degree 31), and _PRIM @ f those of its
 # antiderivative from -1.
-_LEG15 = np.linalg.inv(np.polynomial.legendre.legvander(_X15, 14))
-_PRIM15 = np.polynomial.legendre.legint(_LEG15, lbnd=-1.0)
+_LEG = np.linalg.inv(np.polynomial.legendre.legvander(_XK, _NODES_PER_PANEL - 1))
+_PRIM = np.polynomial.legendre.legint(_LEG, lbnd=-1.0)
 
 # Widest panel at t is _PANEL_CAP / ln max(t, 20).
-_PANEL_CAP = 1.5 * math.pi
+_PANEL_CAP = 4.0 * math.pi
 
 # Bump on every change that moves Z or J values: load() rejects other versions.
-ENGINE_VERSION = "4"
+ENGINE_VERSION = "5"
 # Default absolute tolerance per unit of integration length. The engine's
 # own error bound contributes ~6e-6 per unit in the worst band, so this
 # is the tightest default that cannot trip the infeasibility guard.
@@ -84,9 +90,9 @@ CELL_TOL = AUTO_TOL_RATE * DEFAULT_STRIDE
 _VERSION_TAG = "# ladderlab cache v"
 _HEADER = f"{_VERSION_TAG}{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}"
 # A stride cell keeps an in-memory knot at every KNOT_PANELS-th panel edge.
-KNOT_PANELS = 8
+KNOT_PANELS = 3
 # Most Z nodes in one call for the first panels of a run of stride cells
-# (a cell has 540 to 1,845); larger groups cost peak RSS.
+# (a cell has 294 to 966); larger groups cost peak RSS.
 _GROUP_NODES = 2**14
 # The mean value J(t) ~ t ln(t / 2 pi) + (2c - 1) t has slope ln t + _MV_SLOPE
 # and is 0 at _MV_ZERO.
@@ -155,30 +161,31 @@ def _panel_edges(a: float, b: float) -> np.ndarray:
 
 def _eval_panels(
         lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Z^2 at the 15 Kronrod nodes of each panel, (P, 15), from one z_array
-    call, with the K15 and embedded G7 panel values of those same values
-    and the engine error, for a batch of panels.
+    """Z^2 at the 21 Kronrod nodes of each panel, (P, 21), from one z_array
+    call, with the Kronrod and embedded Gauss panel values (vk, vg) of
+    those same values and the engine error, for a batch of panels.
 
     Each panel's weighted values are added node after node (a running
     sum along the row, not BLAS and not numpy's pairwise sum), so a
     panel's values do not depend on the other panels in the batch."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    f = (z_array((mid[:, None] + half[:, None] * _X15[None, :]).ravel()) ** 2).reshape(-1, _X15.size)
-    v15 = np.add.accumulate(f * _W15, axis=1)[:, -1] * half
-    v7 = np.add.accumulate(f[:, 1::2] * _W7, axis=1)[:, -1] * half
+    f = (z_array((mid[:, None] + half[:, None] * _XK[None, :]).ravel()) ** 2).reshape(-1, _XK.size)
+    vk = np.add.accumulate(f * _WK, axis=1)[:, -1] * half
+    vg = np.add.accumulate(f[:, 1::2] * _WG, axis=1)[:, -1] * half
     # engine contribution: |d integral| <= 2 int |Z| eps <= 2 eps sqrt(I w)
-    eng = 2.0 * z_error_bound(mid) * np.sqrt(np.maximum(v15, 0.0) * (hi - lo))
-    return f, v15, v7, eng
+    eng = 2.0 * z_error_bound(mid) * np.sqrt(np.maximum(vk, 0.0) * (hi - lo))
+    return f, vk, vg, eng
 
 
 def _panels(
         a: float, b: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Final panels of [a, b] at absolute tol: (lo, f, v15, err, nodes).
+    """Final panels of [a, b] at absolute tol: (lo, f, vk, err, nodes).
 
-    lo are the left panel edges, f the (P, 15) Z^2 values at each panel's
-    Kronrod nodes, v15 the K15 panel values, err the per-panel estimate
-    |v15 - v7| + engine error, and nodes every Z node evaluated.
+    lo are the left panel edges, f the (P, 21) Z^2 values at each panel's
+    Kronrod nodes, vk the Kronrod panel values, err the per-panel estimate
+    |vk - vg| + engine error (vg the Gauss values), and nodes every Z node
+    evaluated.
     """
     edges = _panel_edges(a, b)
     lo, hi = edges[:-1], edges[1:]
@@ -186,7 +193,7 @@ def _panels(
 
 
 def _refine(a: float, b: float, tol: float, lo: np.ndarray, hi: np.ndarray, f: np.ndarray,
-            v15: np.ndarray, v7: np.ndarray, eng: np.ndarray
+            vk: np.ndarray, vg: np.ndarray, eng: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """_panels() from the first panels of [a, b] and their _eval_panels values.
 
@@ -198,14 +205,14 @@ def _refine(a: float, b: float, tol: float, lo: np.ndarray, hi: np.ndarray, f: n
     """
     nodes = lo.size * _NODES_PER_PANEL
     for _ in range(24):
-        quad_err = np.abs(v15 - v7)
+        quad_err = np.abs(vk - vg)
         err = quad_err + eng
         if float(np.sum(err)) <= tol:
-            return lo, f, v15, err, nodes
+            return lo, f, vk, err, nodes
         if float(np.sum(eng)) > 0.5 * tol:
             raise ToleranceError(
                 f"engine error floor exceeds tol={tol:g} on [{a},{b}]",
-                best_value=math.fsum(v15),
+                best_value=math.fsum(vk),
                 best_error=float(np.sum(err)),
             )
         bad = quad_err > 0.25 * tol * (hi - lo) / (b - a)
@@ -215,14 +222,14 @@ def _refine(a: float, b: float, tol: float, lo: np.ndarray, hi: np.ndarray, f: n
         new_lo = np.concatenate([lo[bad], mid])
         new_hi = np.concatenate([mid, hi[bad]])
         new = (new_lo, new_hi, *_eval_panels(new_lo, new_hi))
-        merged = [np.concatenate([old[~bad], n]) for old, n in zip((lo, hi, f, v15, v7, eng), new)]
+        merged = [np.concatenate([old[~bad], n]) for old, n in zip((lo, hi, f, vk, vg, eng), new)]
         order = np.argsort(merged[0], kind="stable")
-        lo, hi, f, v15, v7, eng = (m[order] for m in merged)
+        lo, hi, f, vk, vg, eng = (m[order] for m in merged)
         nodes += new_lo.size * _NODES_PER_PANEL
     raise ToleranceError(
         f"refinement budget exhausted on [{a},{b}] at tol={tol:g}",
-        best_value=math.fsum(v15),
-        best_error=float(np.sum(np.abs(v15 - v7) + eng)),
+        best_value=math.fsum(vk),
+        best_error=float(np.sum(np.abs(vk - vg) + eng)),
     )
 
 
@@ -243,11 +250,11 @@ def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralR
         raise DomainError("tol must be positive")
     if a == b:
         return IntegralResult(a=a, b=b, value=0.0, abs_error_estimate=0.0, node_count=0)
-    _, _, v15, err, nodes = _panels(a, b, tol)
+    _, _, vk, err, nodes = _panels(a, b, tol)
     return IntegralResult(
         a=a,
         b=b,
-        value=math.fsum(v15),
+        value=math.fsum(vk),
         abs_error_estimate=float(np.sum(err)),
         node_count=nodes,
     )
@@ -334,10 +341,10 @@ class CheckpointCache:
             for edges in cells:
                 q = p + edges.size - 1
                 a, b = i * DEFAULT_STRIDE, (i + 1) * DEFAULT_STRIDE
-                clo, _, v15, err, n = _refine(a, b, CELL_TOL, lo[p:q], hi[p:q],
-                                              *(x[p:q] for x in first))
+                clo, _, vk, err, n = _refine(a, b, CELL_TOL, lo[p:q], hi[p:q],
+                                             *(x[p:q] for x in first))
                 j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
-                vals = v15.tolist()
+                vals = vk.tolist()
                 self._knots[i] = (
                     array("d", clo[KNOT_PANELS::KNOT_PANELS]),
                     array("d", [j0 + math.fsum(vals[:m])
@@ -370,8 +377,8 @@ class CheckpointCache:
         in one grouped build to two cells below the mean-value inverse of
         target, then cell by cell through target's cell), integrates the
         <= KNOT_PANELS panels above the knot once, and solves in the panel
-        holding target on the antiderivative of the degree-14 interpolant of
-        the 15 Kronrod values that integration already holds, with no Z call
+        holding target on the antiderivative of the degree-20 interpolant of
+        the 21 Kronrod values that integration already holds, with no Z call
         of its own.
         U depends only on target and the history-independent knots.
         """
@@ -392,18 +399,18 @@ class CheckpointCache:
         t0, j0 = (kt[k - 1], kj[k - 1]) if k else (
             (self.ts[i - 1], self.js[i - 1]) if i else (0.0, 0.0))
         t1 = kt[k] if k < len(kt) else self.ts[i]
-        lo, f, v15, _, _ = _panels(t0, t1, _auto_tol(t0, t1))
-        cum = np.cumsum(v15)
+        lo, f, vk, _, _ = _panels(t0, t1, _auto_tol(t0, t1))
+        cum = np.cumsum(vk)
         m = min(int(np.searchsorted(cum, target - j0, side="right")), lo.size - 1)
         a, b = float(lo[m]), float(lo[m + 1]) if m + 1 < lo.size else t1
         need = target - j0 - (float(cum[m - 1]) if m else 0.0)
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        coef, prim = _LEG15 @ f[m], (_PRIM15 @ f[m]) * half
+        coef, prim = _LEG @ f[m], (_PRIM @ f[m]) * half
         leg = np.polynomial.legendre.legval
         return safeguarded_newton(
             lambda u: float(leg((u - mid) / half, prim)) - need,
             lambda u: float(leg((u - mid) / half, coef)),
-            a, b, a + (b - a) * min(need / v15[m], 1.0))
+            a, b, a + (b - a) * min(need / vk[m], 1.0))
 
     def save(self, path: str) -> None:
         buf = io.StringIO()

@@ -133,23 +133,25 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_kronrod_rule_table():
-    x, w, w7 = integral._X15, integral._W15, integral._W7
-    # K15 is exact through degree 22 and no further
-    for k in range(23):
+    x, w, wg = integral._XK, integral._WK, integral._WG
+    n = integral._NODES_PER_PANEL
+    assert n == x.size == w.size == 21
+    # K21 is exact through degree 31 and no further
+    for k in range(32):
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
         assert abs(w @ x**k - exact) <= 4e-16
-    assert abs(w @ x**24 - 2.0 / 25) > 1e-10
-    assert np.all(x == -x[::-1]) and np.all(np.diff(x) > 0.0) and x[7] == 0.0
+    assert abs(w @ x**32 - 2.0 / 33) > 1e-13
+    assert np.all(x == -x[::-1]) and np.all(np.diff(x) > 0.0) and x[n // 2] == 0.0
     assert np.all(w > 0.0) and np.all(w == w[::-1]) and abs(w.sum() - 2.0) <= 4e-16
-    # the embedded rule is Gauss-Legendre 7 on every other Kronrod node
-    xg, wg = np.polynomial.legendre.leggauss(7)
-    assert np.max(np.abs(x[1::2] - xg)) <= 4e-16 and np.max(np.abs(w7 - wg)) <= 4e-16
-    assert integral._NODES_PER_PANEL == 15
-    # the interpolant that invert() solves on integrates to the K15 value
-    f = np.random.default_rng(12).random((50, 15))
-    leg = f @ integral._LEG15.T
+    # the embedded rule is Gauss-Legendre 10 on every other Kronrod node
+    xg, wg10 = np.polynomial.legendre.leggauss(10)
+    assert np.max(np.abs(x[1::2] - xg)) <= 4e-16 and np.max(np.abs(wg - wg10)) <= 4e-16
+    # the degree-20 interpolant that invert() solves on integrates to the K21 value
+    f = np.random.default_rng(12).random((50, n))
+    leg = f @ integral._LEG.T
+    assert leg.shape == (50, 21)
     assert np.max(np.abs(2.0 * leg[:, 0] - f @ w)) <= 4e-15
-    prim = f @ integral._PRIM15.T
+    prim = f @ integral._PRIM.T
     assert np.max(np.abs(np.polynomial.legendre.legval(1.0, prim.T) - f @ w)) <= 4e-15
 
 
@@ -161,28 +163,28 @@ def test_panel_estimate_bounds_true_error():
     for t in (1e2, 1e3, 1e4, 3e4, 5.8e4):
         lo = t + rng.uniform(0.0, 50.0, 40)
         hi = lo + integral._PANEL_CAP / np.log(lo)
-        _, v15, v7, eng = integral._eval_panels(lo, hi)
-        err = np.abs(v15 - v7) + eng
+        _, vk, vg, eng = integral._eval_panels(lo, hi)
+        err = np.abs(vk - vg) + eng
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         z = integral.z_array((mid[:, None] + half[:, None] * x40).ravel()).reshape(-1, 40)
         ref = (z**2 @ w40) * half
-        ratio = np.abs(v15 - ref) / err
+        ratio = np.abs(vk - ref) / err
         assert np.all(ratio <= 1.0), (t, ratio.max())
         worst = max(worst, float(ratio.max()))
-    print(f"worst |K15 - GL40| / err = {worst:.3g}")
+    print(f"worst |K21 - GL40| / err = {worst:.3g}")
 
 
 def test_panel_values_independent_of_batch():
-    # a panel's K15, G7 and engine values have the same bits whatever
-    # other panels share its batch
+    # a panel's Kronrod, Gauss and engine values have the same bits
+    # whatever other panels share its batch
     rng = np.random.default_rng(31)
     for P in range(1, 101, 3):
         lo = 3e4 + rng.uniform(0.0, 50.0, P)
         hi = lo + integral._PANEL_CAP / np.log(lo)
-        _, v15, v7, eng = integral._eval_panels(lo, hi)
+        _, vk, vg, eng = integral._eval_panels(lo, hi)
         for k in range(P):
-            _, a15, a7, aeng = integral._eval_panels(lo[k:k + 1], hi[k:k + 1])
-            assert (v15[k], v7[k], eng[k]) == (a15[0], a7[0], aeng[0]), (P, k)
+            _, ak, ag, aeng = integral._eval_panels(lo[k:k + 1], hi[k:k + 1])
+            assert (vk[k], vg[k], eng[k]) == (ak[0], ag[0], aeng[0]), (P, k)
 
 
 def test_stride_cells_need_no_refinement():
@@ -218,6 +220,7 @@ def test_cache_corruption(tmp_path):
     for header, found in (("# ladderlab cache v1 stride=50 tol=0.0015\n", "version 1,"),
                           ("# ladderlab cache v2 stride=50 tol=0.0015\n", "version 2,"),
                           ("# ladderlab cache v3 stride=50 tol=0.0015\n", "version 3,"),
+                          ("# ladderlab cache v4 stride=50 tol=0.0015\n", "version 4,"),
                           ("", "version missing,")):
         with open(path, "w") as fh:
             fh.write(header + "T,J,abs_err\n50,10,0\n100,20,0\n")
@@ -254,8 +257,8 @@ def test_load_rejects_off_grid_rows(tmp_path):
 
 
 def test_node_count_counts_every_evaluated_node(monkeypatch):
-    # tol=1e-10 on [0, 30] forces two refinement rounds; the first bisects
-    # two of the panels and the second one, each evaluating only the halves
+    # tol=1e-10 on [0, 30] forces three refinement rounds after the first
+    # panels; each bisects one panel and evaluates only its two halves
     sizes = []
     z_array = integral.z_array
 
@@ -265,7 +268,8 @@ def test_node_count_counts_every_evaluated_node(monkeypatch):
 
     monkeypatch.setattr(integral, "z_array", counting)
     res = integrate_segment(0.0, 30.0, tol=1e-10)
-    assert sizes == [n * integral._NODES_PER_PANEL for n in (20, 4, 2)]
+    first = integral._panel_edges(0.0, 30.0).size - 1
+    assert sizes == [n * integral._NODES_PER_PANEL for n in (first, 2, 2, 2)]
     assert res.node_count == sum(sizes)
 
     # a cached read counts the checkpoints it builds and the knots it

@@ -64,13 +64,18 @@ def _leaves(obj, path=""):
 
 
 def print_moves(out: dict) -> None:
-    """Print each leaf as committed value -> new value with its rel move."""
+    """Print each leaf whose value moved as committed value -> new value,
+    with its rel move; leaves that kept their value are not printed."""
     old = {}
     if os.path.exists(OUT):
         with open(OUT) as fh:
             old = dict(_leaves(json.load(fh)))
     for path, new in _leaves(out):
         was = old.pop(path, None)
+        if isinstance(new, float):
+            new = float(new)  # not np.float64(...) in the listing
+        if new == was:
+            continue
         if isinstance(new, float) and isinstance(was, (int, float)):
             rel = abs(new - was) / abs(was) if was else abs(new)
             print(f"{path}: {was!r} -> {new!r} (rel {rel:.2g})")

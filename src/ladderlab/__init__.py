@@ -16,15 +16,7 @@ from .errors import (
     LadderLabError,
     ToleranceError,
 )
-from .zeta import (
-    CriticalSample,
-    NodeSpec,
-    batch_samples,
-    theta,
-    z_error_bound,
-    z_function,
-    zeta_sq,
-)
+from .zeta import theta, z_array, z_error_bound
 from .integral import (
     CheckpointCache,
     IntegralResult,
@@ -33,8 +25,8 @@ from .integral import (
     hl_representation,
     integrate_segment,
 )
-from .ladder import LadderTower, ascend, build_tower, descend, lngamma_increment_pair
-from .arith import DivisorTable, dirichlet_D, divisor_count, prime_pi
+from .ladder import LadderTower, ascend, build_tower, descend
+from .arith import dirichlet_D, divisor_count, prime_pi
 from .gram import (
     GramSlice,
     gram_index_range,
@@ -75,12 +67,11 @@ __all__ = [
     "EULER_GAMMA", "LN_TWO_PI", "TWO_PI", "T_MIN", "T_FLOOR", "T_MAX",
     "LadderLabError", "DomainError", "ToleranceError", "BracketError",
     "CacheCorruptionError", "InfeasibleError",
-    "CriticalSample", "NodeSpec", "batch_samples", "theta", "z_function",
-    "zeta_sq", "z_error_bound",
+    "theta", "z_array", "z_error_bound",
     "IntegralResult", "CheckpointCache", "integrate_segment", "hl_integral",
     "hl_representation", "default_cache_path",
-    "LadderTower", "ascend", "descend", "build_tower", "lngamma_increment_pair",
-    "DivisorTable", "divisor_count", "dirichlet_D", "prime_pi",
+    "LadderTower", "ascend", "descend", "build_tower",
+    "divisor_count", "dirichlet_D", "prime_pi",
     "GramSlice", "gram_points", "gram_index_range", "spacing_ratios",
     "t1_increment", "t2_increment",
     "FunctionalReport", "ChainReport", "ShiftedReport", "LegendreReport",

@@ -9,7 +9,6 @@ these through ratio reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,27 +37,6 @@ def divisor_count(n: int) -> int:
     if m > 1:
         out *= 2
     return out
-
-
-@dataclass
-class DivisorTable:
-    """d(n) for 1..limit, sieved in one pass."""
-
-    limit: int
-    d: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.limit < 1:
-            raise DomainError("DivisorTable limit must be >= 1")
-        d = np.zeros(self.limit + 1, dtype=np.int64)
-        for i in range(1, self.limit + 1):
-            d[i::i] += 1
-        self.d = d
-
-    def count(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise DomainError(f"n={n} outside table range 1..{self.limit}")
-        return int(self.d[n])
 
 
 def dirichlet_D(x: float) -> int:

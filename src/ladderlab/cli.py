@@ -17,6 +17,7 @@ import os
 import sys
 
 from . import fermat, gammalab
+from .constants import T_MIN
 from .errors import LadderLabError
 from .gram import gram_points
 from .integral import CheckpointCache, default_cache_path, hl_integral, integrate_segment
@@ -54,7 +55,7 @@ def _cmd_zeta(args) -> int:
     # ordinate leaves stdout empty instead of a truncated table
     lines = ["t,z,z_sq,theta"]
     for t, z in zip(args.t, z_array(args.t).tolist()):
-        th = theta(t) if t >= 10.0 else math.nan
+        th = theta(t) if t >= T_MIN else math.nan
         lines.append(f"{t:.17g},{z:.17g},{z * z:.17g},{th:.17g}")
     print("\n".join(lines))
     return 0

@@ -25,7 +25,7 @@ from typing import Callable
 from .arith import dirichlet_D
 from .constants import EULER_GAMMA, T_FLOOR, T_MAX
 from .errors import DomainError, InfeasibleError, LadderLabError
-from .gammalab import ln_gamma
+from .gammalab import C0_CONVENTION, ln_gamma
 from .gram import DEFAULT_STRATEGY, t1_increment, t2_increment
 from .integral import CheckpointCache, hl_integral, hl_representation
 from .ladder import ascend
@@ -70,10 +70,6 @@ class FermatRational:
         except OverflowError as exc:
             raise InfeasibleError(f"({self.x},{self.y},{self.z})^{self.n} "
                                   "does not fit a float") from exc
-
-    def label(self) -> str:
-        f = self.fraction
-        return f"{f.numerator}/{f.denominator}"
 
 
 def assert_no_exact_solution(q: FermatRational) -> None:
@@ -405,6 +401,6 @@ def scan(functional_ids, n: int, max_xyz: int,
             "tau_grid": [float(t) for t in tau_grid],
             "t_cap": t_cap,
             "strategy": DEFAULT_STRATEGY,
-            "c0_convention": 0.0,
+            "c0_convention": C0_CONVENTION,
         },
     )

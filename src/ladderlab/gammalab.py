@@ -14,7 +14,6 @@ bands live in the test fixtures.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -78,13 +77,6 @@ class FunctionalReport:
 
     def abs_errors(self) -> list[float]:
         return [abs(v - self.target) for v in self.values]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("tau,value,target,abs_err\n")
-        for tau, v in zip(self.tau_grid, self.values):
-            buf.write(f"{tau:.17g},{v:.17g},{self.target:.17g},{abs(v - self.target):.17g}\n")
-        return buf.getvalue()
 
     def to_json(self) -> str:
         return to_json({

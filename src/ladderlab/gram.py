@@ -41,16 +41,14 @@ DEFAULT_STRATEGY = "zeta-values"
 class GramSlice:
     """Gram points with ascending indices and attached Z values.
 
-    Covers the half-open ordinate range (from_t, to_t]. points[i] is
-    (nu, t_nu, Z(t_nu)) with nu = first_index + i.
+    rows() yields (nu, t_nu, Z(t_nu)) with nu = first_index + i for the
+    i-th point.
     """
 
     first_index: int
     nus: np.ndarray
     ts: np.ndarray
     zs: np.ndarray
-    from_t: float
-    to_t: float
 
     def __len__(self) -> int:
         return self.ts.size
@@ -124,12 +122,11 @@ def gram_points(frm: float, to: float, extra: int = 0) -> GramSlice:
     nu_hi += extra
     if nu_hi < nu_lo:
         return GramSlice(first_index=nu_lo, nus=np.empty(0, dtype=np.int64),
-                         ts=np.empty(0), zs=np.empty(0), from_t=frm, to_t=to)
+                         ts=np.empty(0), zs=np.empty(0))
     nus = np.arange(nu_lo, nu_hi + 1, dtype=np.int64)
     targets = (nus - 1).astype(float) * math.pi
     ts = _solve_theta_equals(targets)
-    return GramSlice(first_index=nu_lo, nus=nus, ts=ts, zs=z_array(ts),
-                     from_t=frm, to_t=to)
+    return GramSlice(first_index=nu_lo, nus=nus, ts=ts, zs=z_array(ts))
 
 
 def _pair_values(slice_: GramSlice, in_range: int) -> tuple[np.ndarray, np.ndarray]:

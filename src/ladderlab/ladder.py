@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from .constants import EULER_GAMMA, LN_TWO_PI, T_FLOOR
 from .errors import BracketError, DomainError, ToleranceError
-from .integral import (CheckpointCache, hl_integral, hl_representation, integrate_segment,
-                       safeguarded_newton)
+from .integral import CheckpointCache, hl_integral, hl_representation, safeguarded_newton
 
 DEFAULT_RESIDUAL_TOL = 1e-6
 # d/dphi representation(phi) = ln(phi) + _REP_SLOPE
@@ -116,21 +115,3 @@ def build_tower(T: float, k: int, cache: CheckpointCache | None = None,
         if nxt <= iterates[-2]:
             raise BracketError(f"rung {r} did not increase: {iterates[-2]} -> {nxt}")
     return LadderTower(base=float(T), iterates=iterates, residuals=residuals, k=k)
-
-
-def lngamma_increment_pair(T: float, r: int,
-                           cache: CheckpointCache | None = None) -> tuple[float, float]:
-    """(ln Gamma(T^r) - ln Gamma(T^(r-1)), integral of Z^2 over that rung).
-
-    The two sides of the asymptotic fundamental-theorem relation for
-    the rung (T^(r-1), T^r]; the caller compares them.
-    """
-    from .gammalab import ln_gamma
-
-    if r < 1:
-        raise DomainError("rung index r must be >= 1")
-    tower = build_tower(T, r, cache=cache)
-    lo, hi = tower.iterates[r - 1], tower.iterates[r]
-    lhs = ln_gamma(hi) - ln_gamma(lo)
-    rhs = integrate_segment(lo, hi).value
-    return lhs, rhs

@@ -45,7 +45,6 @@ or by einsum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,33 +110,6 @@ _RS_C = _rs_correction_table()
 # whole-array form, one list of Python floats per polynomial for the loop
 _RS_COLS = np.ascontiguousarray(_RS_C.T[::-1])
 _RS_ROWS = [row[::-1].tolist() for row in _RS_C]
-
-
-@dataclass(frozen=True)
-class CriticalSample:
-    """One sample of the rotated zeta value on the critical line.
-
-    ``zeta_sq`` is defined as z*z so the invariant zeta_sq == z**2 holds
-    exactly in floating point.
-    """
-
-    t: float
-    z: float
-    zeta_sq: float
-
-
-@dataclass(frozen=True)
-class NodeSpec:
-    """Node placement for batch sampling on an interval.
-
-    kind: "uniform" or "chebyshev". Closed uniform nodes include both
-    endpoints; open nodes (uniform midpoints or Chebyshev first-kind
-    points) stay strictly inside the interval.
-    """
-
-    count: int
-    kind: str = "uniform"
-    closed: bool = True
 
 
 def _theta_series(t: np.ndarray) -> np.ndarray:
@@ -342,20 +314,6 @@ def z_array(t) -> np.ndarray:
     return _z_kernel(np.asarray(t, dtype=float).ravel())
 
 
-def zeta_sq(t):
-    """|zeta(1/2 + i*t)|^2 = Z(t)^2 for a float or array."""
-    arr = np.asarray(t, dtype=float)
-    z = _z_kernel(arr.ravel()).reshape(arr.shape)
-    out = z * z
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
-
-
-def z_function(t: float) -> CriticalSample:
-    """Sample Z at one ordinate 0 <= t <= T_MAX."""
-    z = float(_z_kernel(np.array([float(t)]))[0])
-    return CriticalSample(t=float(t), z=z, zeta_sq=z * z)
-
-
 # z_error_bound's steps: _Z_BOUNDS[i] holds from _Z_BOUND_EDGES[i - 1] on
 _Z_BOUND_EDGES = np.array([RS_SEAM, 1e3, 1e4])
 _Z_BOUNDS = np.array([5e-13, 1e-6, 5e-8, 1e-8])
@@ -374,36 +332,3 @@ def z_error_bound(t) -> np.ndarray:
         _check_range(arr.min(), arr.max())
     step = np.searchsorted(_Z_BOUND_EDGES, arr.ravel(), side="right")
     return _Z_BOUNDS[step].reshape(arr.shape)
-
-
-def _nodes(a: float, b: float, spec: NodeSpec) -> np.ndarray:
-    if spec.count < 0:
-        raise DomainError("node count must be nonnegative")
-    if spec.kind not in ("uniform", "chebyshev"):
-        raise DomainError(f"unknown node kind {spec.kind!r}")
-    if spec.count == 0:
-        return np.empty(0)
-    if a == b:
-        return np.array([a]) if spec.closed else np.empty(0)
-    if spec.kind == "chebyshev":
-        i = np.arange(spec.count)
-        x = np.cos((2 * i + 1) * np.pi / (2 * spec.count))[::-1]
-        return 0.5 * (a + b) + 0.5 * (b - a) * x
-    if spec.closed:
-        if spec.count == 1:
-            return np.array([a])
-        return np.linspace(a, b, spec.count)
-    i = np.arange(spec.count)
-    return a + (b - a) * (i + 0.5) / spec.count
-
-
-def batch_samples(a: float, b: float, nodes: NodeSpec) -> list[CriticalSample]:
-    """Samples of Z at the requested nodes of [a, b], ascending in t.
-
-    Domain 0 <= a <= b. Cost is linear in the node count.
-    """
-    if not 0.0 <= a <= b:
-        raise DomainError("batch_samples requires 0 <= a <= b")
-    ts = _nodes(float(a), float(b), nodes)
-    zs = _z_kernel(ts)
-    return [CriticalSample(t=float(t), z=float(z), zeta_sq=float(z) * float(z)) for t, z in zip(ts, zs)]

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ladderlab.arith import DivisorTable, dirichlet_D, divisor_count, prime_pi
+from ladderlab.arith import dirichlet_D, divisor_count, prime_pi
 from ladderlab.errors import DomainError, InfeasibleError
 
 # d(1)..d(12)
@@ -14,17 +14,6 @@ def test_divisor_count_small():
         divisor_count(0)
 
 
-def test_divisor_table_matches_direct():
-    table = DivisorTable(500)
-    assert all(table.count(n) == divisor_count(n) for n in range(1, 501))
-
-
-@given(st.integers(min_value=1, max_value=2000))
-def test_table_and_trial_division_agree(n):
-    table = DivisorTable(2000)
-    assert table.count(n) == divisor_count(n)
-
-
 def test_dirichlet_hyperbola_values():
     assert dirichlet_D(1) == 1
     assert dirichlet_D(10) == 27
@@ -33,10 +22,7 @@ def test_dirichlet_hyperbola_values():
 
 
 def test_dirichlet_matches_direct_sum():
-    table = DivisorTable(10_000)
-    direct = 0
-    for n in range(1, 10_001):
-        direct += table.count(n)
+    direct = sum(divisor_count(n) for n in range(1, 10_001))
     assert dirichlet_D(10_000) == direct
 
 

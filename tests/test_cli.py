@@ -22,13 +22,15 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_zeta_output(capsys):
-    assert main(["zeta", "--t", "100,30"]) == 0
+    assert main(["zeta", "--t", "100,30,5"]) == 0
     out = capsys.readouterr().out.strip().split("\n")
     assert out[0] == "t,z,z_sq,theta"
-    assert len(out) == 3
+    assert len(out) == 4
     first = out[1].split(",")
     assert float(first[0]) == 100.0
     assert float(first[2]) == pytest.approx(float(first[1]) ** 2, rel=1e-12)
+    # theta is served from T_MIN = 10 on; below it the column reads nan
+    assert [row.split(",")[3] == "nan" for row in out[1:]] == [False, False, True]
 
 
 def test_zeta_refusal_prints_no_table(capsys):

@@ -45,9 +45,6 @@ def test_report_validation():
 
 def test_report_serialization(shared_cache):
     rep = gamma_functional(1.0, [200.0, 400.0], cache=shared_cache)
-    csv = rep.to_csv().strip().split("\n")
-    assert csv[0] == "tau,value,target,abs_err"
-    assert len(csv) == 3
     js = rep.to_json()
     assert '"functional"' in js and '"c0_convention"' in js
     assert len(rep.abs_errors()) == 2

@@ -10,13 +10,9 @@ from ladderlab.errors import DomainError, InfeasibleError
 from ladderlab.zeta import (
     RS_SEAM,
     SMALL_BATCH_TERMS,
-    NodeSpec,
-    batch_samples,
     theta,
     z_array,
     z_error_bound,
-    z_function,
-    zeta_sq,
 )
 
 
@@ -74,29 +70,18 @@ def test_theta_strictly_increasing(t, dt):
     assert theta(t + dt) > theta(t)
 
 
-def test_z_function_matches_array():
-    s = z_function(250.5)
-    assert s.t == 250.5
-    assert s.z == float(z_array(np.array([250.5]))[0])
-    assert s.zeta_sq == s.z * s.z
-
-
-def test_zeta_sq_scalar_and_array():
-    v = zeta_sq(30.0)
-    assert isinstance(v, float)
-    arr = zeta_sq(np.array([30.0, 100.0]))
-    assert arr[0] == v
-
-
 def test_zeta_sq_oracle(oracle):
-    assert zeta_sq(30.0) == pytest.approx(oracle["z_30_sq"], abs=1e-10)
+    z_30, z_0 = z_array([30.0, 0.0])
+    assert z_30 * z_30 == pytest.approx(oracle["z_30_sq"], abs=1e-10)
     # t = 0 is the real point zeta(1/2)^2
-    assert zeta_sq(0.0) == pytest.approx(oracle["zeta_half_sq"], abs=1e-9)
+    assert z_0 * z_0 == pytest.approx(oracle["zeta_half_sq"], abs=1e-9)
 
 
 def test_z_domain():
     with pytest.raises(DomainError):
-        z_function(-1.0)
+        z_array([-1.0])
+    with pytest.raises(DomainError):
+        z_array([100.0, -1.0])
 
 
 def test_z_refused_above_t_max():
@@ -111,9 +96,9 @@ def test_z_refused_above_t_max():
 
 @given(st.floats(min_value=0.0, max_value=2e4))
 def test_z_finite_and_square_consistent(t):
-    s = z_function(t)
-    assert math.isfinite(s.z)
-    assert s.zeta_sq >= 0.0
+    z = float(z_array([t])[0])
+    assert math.isfinite(z)
+    assert z * z >= 0.0
 
 
 def test_seam_continuity():
@@ -122,27 +107,6 @@ def test_seam_continuity():
     lo = float(z_array(np.array([RS_SEAM - eps]))[0])
     hi = float(z_array(np.array([RS_SEAM + eps]))[0])
     assert abs(hi - lo) <= 1e-5
-
-
-def test_batch_samples_nodes():
-    out = batch_samples(100.0, 101.0, NodeSpec(count=5))
-    assert len(out) == 5
-    assert out[0].t == 100.0 and out[-1].t == 101.0
-    ts = [s.t for s in out]
-    assert ts == sorted(ts)
-
-    open_nodes = batch_samples(100.0, 101.0, NodeSpec(count=5, closed=False))
-    assert all(100.0 < s.t < 101.0 for s in open_nodes)
-
-    cheb = batch_samples(100.0, 101.0, NodeSpec(count=5, kind="chebyshev"))
-    assert len(cheb) == 5
-
-
-def test_batch_samples_degenerate():
-    assert len(batch_samples(50.0, 50.0, NodeSpec(count=3))) == 1
-    assert batch_samples(50.0, 50.0, NodeSpec(count=3, closed=False)) == []
-    with pytest.raises(DomainError):
-        batch_samples(10.0, 5.0, NodeSpec(count=3))
 
 
 def test_error_bound_monotone_regions():

@@ -28,3 +28,12 @@ class CacheCorruptionError(LadderLabError):
 
 class InfeasibleError(LadderLabError):
     """A requested evaluation violates a feasibility guard."""
+
+
+def attempt(fn, *args):
+    """fn(*args), or the LadderLabError it raised, for batched calls that
+    keep one result or error per item."""
+    try:
+        return fn(*args)
+    except LadderLabError as exc:
+        return exc

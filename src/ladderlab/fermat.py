@@ -24,11 +24,11 @@ from typing import Callable
 
 from .arith import dirichlet_D
 from .constants import EULER_GAMMA, T_FLOOR, T_MAX
-from .errors import DomainError, InfeasibleError, LadderLabError
+from .errors import DomainError, InfeasibleError, LadderLabError, attempt
 from .gammalab import C0_CONVENTION, ln_gamma
 from .gram import DEFAULT_STRATEGY, t1_increment, t2_increment
 from .integral import CheckpointCache, hl_integral, hl_representation
-from .ladder import ascend
+from .ladder import ascend_all
 from .serialize import to_json
 
 DEFAULT_TAU_GRID = (1e2, 3e2, 1e3, 3e3, 1e4)
@@ -173,15 +173,24 @@ class ScanReport:
         })
 
 
-def _rung_integral(T: float, cache: CheckpointCache) -> tuple[float, float]:
+def _rung(T: float, cache: CheckpointCache) -> tuple[float, float]:
     """(integral of Z^2 over (T, T^1], numeric error) via the defining identity."""
     j = hl_integral(T, cache=cache)
     return hl_representation(T) - j.value, j.abs_error_estimate + 1e-6
 
 
+def _rung_integral(Ts, cache: CheckpointCache) -> list:
+    """_rung for each T, or the LadderLabError its J(T) read met."""
+    return [attempt(_rung, T, cache) for T in Ts]
+
+
 def _over_ascent(delta: Callable[[float, float], float], err: float):
-    """Increment delta(T, U) over the rung (T, U = ascend(T)], fixed numeric error."""
-    return lambda T, cache: (delta(T, ascend(T, cache=cache)), err)
+    """Increments delta(T, U) over the rungs (T, U], U the ascent of T, all
+    ascended together, with a fixed numeric error."""
+    def increments(Ts, cache: CheckpointCache) -> list:
+        return [res if isinstance(res, LadderLabError) else attempt(lambda: (delta(T, res[0]), err))
+                for T, res in zip(Ts, ascend_all(Ts, cache))]
+    return increments
 
 
 _D = _over_ascent(lambda T, U: dirichlet_D(U) - dirichlet_D(T), 2.0)
@@ -228,7 +237,8 @@ class _Functional:
 
     power: the T-map is T = tau^a, else T = a*tau/(1-c).
     ratio: a runs over the numerator and the denominator of q, else a = q.
-    increment: (T, cache) -> (rung increment from T, numeric error).
+    increment: (Ts, cache) -> for each T, (rung increment from T, numeric
+    error) or the LadderLabError it met.
     value: (tau, increment per a) -> (functional value, numeric error).
     limit: q -> the value's limit; the forbidden value is limit(1).
     """
@@ -330,10 +340,15 @@ def evaluate_equivalent(functional: str, q: FermatRational,
     forbidden = f.limit(1.0)
     try:
         grid = _row_grid(functional, f, q, tau_grid, t_cap)
+        mults = f.multipliers(q)
+        incs = f.increment([f.t_of(tau, a) for tau in grid for a in mults], cache)
         values = []
-        for tau in grid:
-            incs = (f.increment(f.t_of(tau, a), cache) for a in f.multipliers(q))
-            values.append((tau, *f.value(tau, *incs)))
+        for k, tau in enumerate(grid):
+            row = incs[k * len(mults):(k + 1) * len(mults)]
+            for inc in row:
+                if isinstance(inc, LadderLabError):
+                    raise inc
+            values.append((tau, *f.value(tau, *row)))
     except LadderLabError as exc:
         # exp-scale forms hit a hard representability guard; linear forms
         # merely ran out of engine range, which is a desk-scale limit

@@ -41,11 +41,10 @@ DEFAULT_STRATEGY = "zeta-values"
 class GramSlice:
     """Gram points with ascending indices and attached Z values.
 
-    rows() yields (nu, t_nu, Z(t_nu)) with nu = first_index + i for the
-    i-th point.
+    rows() yields (nus[i], ts[i], zs[i]), the i-th point's index,
+    ordinate and Z value.
     """
 
-    first_index: int
     nus: np.ndarray
     ts: np.ndarray
     zs: np.ndarray
@@ -121,12 +120,11 @@ def gram_points(frm: float, to: float, extra: int = 0) -> GramSlice:
     nu_lo, nu_hi = gram_index_range(frm, to)
     nu_hi += extra
     if nu_hi < nu_lo:
-        return GramSlice(first_index=nu_lo, nus=np.empty(0, dtype=np.int64),
-                         ts=np.empty(0), zs=np.empty(0))
+        return GramSlice(nus=np.empty(0, dtype=np.int64), ts=np.empty(0), zs=np.empty(0))
     nus = np.arange(nu_lo, nu_hi + 1, dtype=np.int64)
     targets = (nus - 1).astype(float) * math.pi
     ts = _solve_theta_equals(targets)
-    return GramSlice(first_index=nu_lo, nus=nus, ts=ts, zs=z_array(ts))
+    return GramSlice(nus=nus, ts=ts, zs=z_array(ts))
 
 
 def _pair_values(slice_: GramSlice, in_range: int) -> tuple[np.ndarray, np.ndarray]:

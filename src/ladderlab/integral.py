@@ -26,7 +26,9 @@ J(T) then costs one lookup plus a tail of at most KNOT_PANELS panels.
 A build makes one Z call per group of cells: the first panels of a run
 of consecutive stride cells, up to 2^14 nodes, go to z_array together,
 and each cell then refines and stores its knots on its own. Panel values
-do not depend on their batch, so the grouping moves no bit.
+do not depend on their batch, so the grouping moves no bit. The same
+holds for CheckpointCache.invert, which solves J(U) = target for a list
+of targets and reads each J(U) in two Z calls on a warm cache.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import EULER_GAMMA, LN_TWO_PI, T_MAX
-from .errors import CacheCorruptionError, DomainError, InfeasibleError, ToleranceError
+from .errors import (CacheCorruptionError, DomainError, InfeasibleError, LadderLabError,
+                     ToleranceError, attempt)
 from .zeta import z_array, z_error_bound
 
 # The Gauss-Kronrod (10, 21) pair as QUADPACK qk21 tabulates it (Piessens
@@ -73,6 +76,10 @@ _NODES_PER_PANEL = _XK.size
 # antiderivative from -1.
 _LEG = np.linalg.inv(np.polynomial.legendre.legvander(_XK, _NODES_PER_PANEL - 1))
 _PRIM = np.polynomial.legendre.legint(_LEG, lbnd=-1.0)
+# The Clenshaw steps of numpy's legval on up to 22 coefficients, the
+# antiderivative's count: (coefficient folded in, (nd - 1)/nd, (2 nd - 1)/nd)
+# for nd = 21 down to 2.
+_CLENSHAW = [(nd - 2, (nd - 1) / nd, (2 * nd - 1) / nd) for nd in range(_NODES_PER_PANEL, 1, -1)]
 
 # Widest panel at t is _PANEL_CAP / ln max(t, 20).
 _PANEL_CAP = 4.0 * math.pi
@@ -233,6 +240,52 @@ def _refine(a: float, b: float, tol: float, lo: np.ndarray, hi: np.ndarray, f: n
     )
 
 
+def _eval_runs(runs: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[np.ndarray, ...]]:
+    """_eval_panels on the panels (lo, hi) of several runs in one Z call,
+    split back into each run's (lo, hi, f, vk, vg, eng), as _refine takes
+    them. Panel values do not depend on their batch."""
+    if not runs:
+        return []
+    lo = np.concatenate([r[0] for r in runs])
+    hi = np.concatenate([r[1] for r in runs])
+    cuts = np.cumsum([r[0].size for r in runs])[:-1]
+    return list(zip(*(np.split(v, cuts) for v in (lo, hi, *_eval_panels(lo, hi)))))
+
+
+def _legval(x: float, c: list[float]) -> float:
+    """np.polynomial.legendre.legval(x, c) for 3 <= len(c) <= 22, on Python floats.
+
+    The same Clenshaw recurrence with the same IEEE operations in the same
+    order, so the same bits, at about a quarter of the cost of the numpy
+    scalar call."""
+    c0, c1 = c[-2], c[-1]
+    for i, p, q in _CLENSHAW[_NODES_PER_PANEL + 1 - len(c):]:
+        c0, c1 = c[i] - c1 * p, c0 + c1 * x * q
+    return c0 + c1 * x
+
+
+def _solve_in_panels(need: float, end: float, lo: np.ndarray, f: np.ndarray,
+                     vk: np.ndarray) -> float:
+    """The u in [lo[0], end] whose integral from lo[0] is need, over the
+    final panels (lo, f, vk) of [lo[0], end] as _refine returns them.
+
+    Picks the panel whose cumulative value passes need, and solves in it
+    on the closed-form antiderivative of the degree-20 Legendre
+    interpolant of its 21 Kronrod values (Newton, safeguarded by
+    bisection), with no Z call.
+    """
+    cum = np.cumsum(vk)
+    m = min(int(np.searchsorted(cum, need, side="right")), lo.size - 1)
+    a, b = float(lo[m]), float(lo[m + 1]) if m + 1 < lo.size else end
+    need -= float(cum[m - 1]) if m else 0.0
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    coef, prim = (_LEG @ f[m]).tolist(), ((_PRIM @ f[m]) * half).tolist()
+    return safeguarded_newton(
+        lambda u: _legval((u - mid) / half, prim) - need,
+        lambda u: _legval((u - mid) / half, coef),
+        a, b, a + (b - a) * min(need / float(vk[m]), 1.0))
+
+
 def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralResult:
     """Quadrature of Z^2 over [a, b] with |error| <= estimate <= tol.
 
@@ -370,17 +423,13 @@ class CheckpointCache:
         self._validate(start)
         return nodes
 
-    def invert(self, target: float) -> float:
-        """The U with J(U) = target, read off the stored prefix of J.
+    def _knot_span(self, target: float) -> tuple[float, float, float]:
+        """(t0, J(t0), t1): the adjacent knots or checkpoints whose J values
+        bracket target, with J(t0) <= target < J(t1).
 
-        Bisects the checkpoint, then the knot J values (extending the cache
-        in one grouped build to two cells below the mean-value inverse of
-        target, then cell by cell through target's cell), integrates the
-        <= KNOT_PANELS panels above the knot once, and solves in the panel
-        holding target on the antiderivative of the degree-20 interpolant of
-        the 21 Kronrod values that integration already holds, with no Z call
-        of its own.
-        U depends only on target and the history-independent knots.
+        Extends the cache in one grouped build to two cells below the
+        mean-value inverse of target, then cell by cell through target's
+        cell, and fills the knots of that cell if it came from load().
         """
         if not self.js or self.js[-1] <= target:
             # |J - mean value| <= 205 below 6e4 puts the root within 23
@@ -398,19 +447,57 @@ class CheckpointCache:
         k = bisect.bisect_right(kj, target)
         t0, j0 = (kt[k - 1], kj[k - 1]) if k else (
             (self.ts[i - 1], self.js[i - 1]) if i else (0.0, 0.0))
-        t1 = kt[k] if k < len(kt) else self.ts[i]
-        lo, f, vk, _, _ = _panels(t0, t1, _auto_tol(t0, t1))
-        cum = np.cumsum(vk)
-        m = min(int(np.searchsorted(cum, target - j0, side="right")), lo.size - 1)
-        a, b = float(lo[m]), float(lo[m + 1]) if m + 1 < lo.size else t1
-        need = target - j0 - (float(cum[m - 1]) if m else 0.0)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        coef, prim = _LEG @ f[m], (_PRIM @ f[m]) * half
-        leg = np.polynomial.legendre.legval
-        return safeguarded_newton(
-            lambda u: float(leg((u - mid) / half, prim)) - need,
-            lambda u: float(leg((u - mid) / half, coef)),
-            a, b, a + (b - a) * min(need / vk[m], 1.0))
+        return t0, j0, kt[k] if k < len(kt) else self.ts[i]
+
+    def invert(self, targets: list[float]) -> list[tuple[float, float] | LadderLabError]:
+        """(U, J(U)) with J(U) = target for each target, read off the stored
+        prefix of J; a target that fails holds the LadderLabError it met.
+
+        Each target's knot interval [t0, t1] comes from _knot_span, in
+        input order. The first panels of every interval take one Z call
+        together, and each interval then refines on its own. U is solved
+        in the panel whose cumulative value passes target, on the
+        antiderivative of the degree-20 interpolant of its 21 Kronrod
+        values. J(U) is hl_integral(U, self).value, bit for bit: its tail
+        starts at the same t0, so the first panels of [t0, U] are those
+        first panels of [t0, t1] that end at or below U, plus one partial
+        panel; the partial panels of all targets take a second Z call
+        together, and each tail refines as integrate_segment(t0, U)
+        would. A U on a knot or checkpoint is read by hl_integral itself.
+        Panel values do not depend on their batch, so U and J(U) depend
+        only on target and the history-independent knots.
+        """
+        out: list = [attempt(self._knot_span, target) for target in targets]
+        ok = [k for k, span in enumerate(out) if not isinstance(span, LadderLabError)]
+        edges = {k: _panel_edges(out[k][0], out[k][2]) for k in ok}
+        first = dict(zip(ok, _eval_runs([(edges[k][:-1], edges[k][1:]) for k in ok])))
+        roots = {}
+        for k in ok:
+            t0, j0, t1 = out[k]
+            refined = attempt(_refine, t0, t1, _auto_tol(t0, t1), *first[k])
+            if isinstance(refined, LadderLabError):
+                out[k] = refined
+                continue
+            U = _solve_in_panels(targets[k] - j0, t1, *refined[:3])
+            if self.nearest_below(U)[0] == t0 and t0 < U:
+                roots[k] = U
+            else:
+                out[k] = attempt(lambda u: (u, hl_integral(u, self).value), U)
+        # [t0, U] starts with the first panels of [t0, t1] that end at or
+        # below U; a U that is no panel edge adds the partial panel [e_n, U]
+        whole = {k: int(np.searchsorted(edges[k], U, side="right")) - 1 for k, U in roots.items()}
+        cut = [k for k, n in whole.items() if edges[k][n] < roots[k]]
+        partial = dict(zip(cut, _eval_runs(
+            [(edges[k][whole[k]:whole[k] + 1], np.array([roots[k]])) for k in cut])))
+        for k, U in roots.items():
+            t0, j0, _ = out[k]
+            run = [x[:whole[k]] for x in first[k]]
+            if k in partial:
+                run = [np.concatenate([x, y]) for x, y in zip(run, partial[k])]
+            refined = attempt(_refine, t0, U, _auto_tol(t0, U), *run)
+            out[k] = refined if isinstance(refined, LadderLabError) else (
+                U, j0 + math.fsum(refined[2]))
+        return out
 
     def save(self, path: str) -> None:
         buf = io.StringIO()

@@ -8,8 +8,10 @@ its defining equation, certified against a tolerance.
 
 Descending reads J(T) once and solves the convex closed form by Newton.
 Ascending reads the root off the checkpoint cache's stored prefix of J
-(CheckpointCache.invert: one Z call on a warm cache) and certifies it
-with one J(U) read.
+and certifies it with the J(U) read that comes with it
+(CheckpointCache.invert). ascend_all climbs from any number of
+ordinates at once, in two Z calls on a warm cache; ascend and
+build_tower climb from one.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import EULER_GAMMA, LN_TWO_PI, T_FLOOR
-from .errors import BracketError, DomainError, ToleranceError
+from .errors import BracketError, DomainError, LadderLabError, ToleranceError, attempt
 from .integral import CheckpointCache, hl_integral, hl_representation, safeguarded_newton
 
 DEFAULT_RESIDUAL_TOL = 1e-6
@@ -63,29 +65,54 @@ def descend(T: float, cache: CheckpointCache | None = None) -> float:
     return phi
 
 
-def _ascend(T: float, cache: CheckpointCache | None,
-            tol: float) -> tuple[float, float]:
-    """ascend() with its residual: (U, J(U) - representation(T))."""
+def _target(T: float) -> float:
     _require_floor(T)
-    target = hl_representation(T)
+    return hl_representation(T)
+
+
+def ascend_all(Ts, cache: CheckpointCache | None = None,
+               tol: float = DEFAULT_RESIDUAL_TOL) -> list[tuple[float, float] | LadderLabError]:
+    """(U, J(U) - representation(T)) for each T, one rung up, or the
+    LadderLabError its ascent met.
+
+    U is the unique U > T with J(U) = representation(T), read off the
+    cache's stored prefix of J (CheckpointCache.invert) with no J(T)
+    read; the J(U) read that invert returns with it certifies the
+    residual to 10 * tol, which does not move U. All Ts are inverted
+    together, so a warm cache usually makes two Z calls for all of
+    them, and each slot has the bits of a one-T call.
+    """
     cache = cache if cache is not None else CheckpointCache()
-    U = cache.invert(target)
-    if U <= T:
-        raise BracketError(f"J(T) > representation(T) at T={T}; inconsistent engine state")
-    fU = hl_integral(U, cache=cache).value - target
-    resid = abs(fU)
-    if resid > 10.0 * tol:
-        raise ToleranceError(f"ascend residual {resid:g} > {10*tol:g} at T={T}",
-                             best_value=U, best_error=resid)
-    return U, fU
+    out = [attempt(_target, T) for T in Ts]
+    todo = [k for k, x in enumerate(out) if not isinstance(x, LadderLabError)]
+    for k, res in zip(todo, cache.invert([out[k] for k in todo])):
+        T = Ts[k]
+        if not isinstance(res, LadderLabError):
+            U, fU = res[0], res[1] - out[k]
+            if U <= T:
+                res = BracketError(f"J(T) > representation(T) at T={T}; inconsistent engine state")
+            elif abs(fU) > 10.0 * tol:
+                res = ToleranceError(f"ascend residual {abs(fU):g} > {10*tol:g} at T={T}",
+                                     best_value=U, best_error=abs(fU))
+            else:
+                res = (U, fU)
+        out[k] = res
+    return out
+
+
+def _ascend(T: float, cache: CheckpointCache | None, tol: float) -> tuple[float, float]:
+    """ascend_all([T]) for its one slot, raising the error it holds."""
+    res = ascend_all([T], cache, tol)[0]
+    if isinstance(res, LadderLabError):
+        raise res
+    return res
 
 
 def ascend(T: float, cache: CheckpointCache | None = None) -> float:
     """The unique U > T with J(U) = representation(T); one rung up.
 
-    U is the root read off the cache's stored prefix of J
-    (CheckpointCache.invert), with no J(T) read; one J(U) read certifies
-    its residual to 10 * DEFAULT_RESIDUAL_TOL, which does not move U.
+    ascend_all for one T: U is the root read off the cache's stored
+    prefix of J, and its residual is certified to 10 * DEFAULT_RESIDUAL_TOL.
     """
     return _ascend(T, cache, DEFAULT_RESIDUAL_TOL)[0]
 

@@ -23,7 +23,7 @@ from ladderlab.zeta import theta, z_array
 
 def test_first_gram_point(oracle):
     slc = gram_points(17.0, 18.0)
-    assert slc.first_index == 1
+    assert slc.nus[0] == 1
     assert slc.ts[0] == pytest.approx(oracle["gram_first_ten"][0], abs=1e-9)
     assert slc.ts[0] == pytest.approx(FIRST_GRAM, abs=1e-12)
 

@@ -155,6 +155,14 @@ def test_kronrod_rule_table():
     assert np.max(np.abs(np.polynomial.legendre.legval(1.0, prim.T) - f @ w)) <= 4e-15
 
 
+@given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=3, max_size=22),
+       st.floats(min_value=-1.0, max_value=1.0))
+def test_clenshaw_is_numpy_legval(c, x):
+    # invert() solves on this sum; it must keep numpy's bits
+    want = np.polynomial.legendre.legval(x, np.array(c))
+    assert integral._legval(x, c).hex() == float(want).hex()
+
+
 def test_panel_estimate_bounds_true_error():
     # against a 40-node Gauss-Legendre reference on the widest panels
     x40, w40 = np.polynomial.legendre.leggauss(40)
@@ -312,6 +320,20 @@ def test_knot_reads_match_checkpoint_tail(shared_cache):
         k0 = shared_cache.nearest_below(T)[0]
         assert t0 <= k0 <= T
         assert T - k0 <= KNOT_PANELS * integral._PANEL_CAP / math.log(max(k0, 20.0))
+
+
+def test_invert_returns_the_plain_read_of_j_at_its_root(shared_cache):
+    # seeded targets, plus the J values of knots and checkpoints, whose
+    # roots sit on a stored point and are read by hl_integral itself
+    shared_cache.extend_to(2e4)
+    rng = random.Random(21)
+    targets = [rng.uniform(30.0, shared_cache.js[-1]) for _ in range(20)]
+    for i in (3, 150, 390):
+        targets += [shared_cache._knots[i][1][1], shared_cache.js[i]]
+    rng.shuffle(targets)
+    for target, (U, j) in zip(targets, shared_cache.invert(targets)):
+        assert j.hex() == hl_integral(U, cache=shared_cache).value.hex()
+        assert abs(j - target) <= 1e-9 * target
 
 
 def _bits(res):

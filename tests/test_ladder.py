@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ladderlab import integral
-from ladderlab.errors import DomainError, ToleranceError
+from ladderlab.errors import DomainError, InfeasibleError, ToleranceError
+from ladderlab.fermat import enumerate_fermat_rationals, evaluate_equivalent
 from ladderlab.gammalab import ln_gamma
 from ladderlab.integral import DEFAULT_STRIDE, CheckpointCache, hl_integral, hl_representation
-from ladderlab.ladder import ascend, build_tower, descend
+from ladderlab.ladder import ascend, ascend_all, build_tower, descend
 
 
 def test_roundtrip_at_1000(shared_cache, calibration):
@@ -72,10 +73,10 @@ def test_ascent_and_descent_are_roots(shared_cache):
         assert descend(T, cache=shared_cache) == pytest.approx(root, rel=1e-12, abs=0.0)
 
 
-def test_ascent_z_call_budget(shared_cache, monkeypatch):
-    # on a warm cache an ascent is one panel run above a knot, whose
-    # Kronrod values invert() solves on, and the certifying J(U) read
-    Ts = _log_uniform(5, 20, 1e2, 5e4)
+def test_row_z_call_budget(shared_cache, monkeypatch):
+    # on a warm cache a row's rungs are all ascended together: one Z call
+    # for the panels above every root's knot, whose Kronrod values invert()
+    # solves on, and one for the partial panels of the certifying J(U) reads
     shared_cache.extend_to(5.5e4)
     calls = []
     z_array = integral.z_array
@@ -85,10 +86,53 @@ def test_ascent_z_call_budget(shared_cache, monkeypatch):
         return z_array(t)
 
     monkeypatch.setattr(integral, "z_array", counting)
-    for T in Ts:
+    for q in enumerate_fermat_rationals(3, 6)[::7]:
         calls.append(0)
-        ascend(T, cache=shared_cache)
+        row = evaluate_equivalent("gamma", q, cache=shared_cache)
+        assert row.tau_max is not None
     assert max(calls) <= 2, calls
+
+
+def _reference_rungs(Ts, cache):
+    """(U, J(U) - representation(T)) by one ascend and one plain J read per T."""
+    out = []
+    for T in Ts:
+        U = ascend(T, cache=cache)
+        out.append((U.hex(), (hl_integral(U, cache=cache).value - hl_representation(T)).hex()))
+    return out
+
+
+def _hexes(results):
+    return [r if isinstance(r, Exception) else (r[0].hex(), r[1].hex()) for r in results]
+
+
+def test_ascend_all_same_bits_as_one_at_a_time(shared_cache, tmp_path):
+    # a batch in any order gives each T the bits of its own ascent and of
+    # a plain J(U) read, on a warm cache, on a loaded one that must fill
+    # knots and extend past its last row, and on a fresh one
+    Ts = _log_uniform(17, 20, 1e2, 5e4)
+    shared_cache.extend_to(5.5e4)
+    want = _reference_rungs(Ts, shared_cache)
+    path = str(tmp_path / "j.csv")
+    rows = 400  # through T = 2e4
+    CheckpointCache(ts=shared_cache.ts[:rows], js=shared_cache.js[:rows],
+                    errs=shared_cache.errs[:rows]).save(path)
+    for cache in (shared_cache, CheckpointCache.load(path), CheckpointCache()):
+        assert _hexes(ascend_all(Ts, cache)) == want
+
+
+def test_ascend_all_keeps_each_error_in_its_slot(shared_cache):
+    # a T whose rung passes T_MAX and one below the floor fail alone
+    Ts = _log_uniform(19, 6, 1e2, 5e4)
+    shared_cache.extend_to(5.5e4)
+    want = _reference_rungs(Ts, shared_cache)
+    got = ascend_all(Ts[:2] + [9.9e4] + Ts[2:4] + [99.0] + Ts[4:], shared_cache)
+    for k, T, exc_type in ((5, 99.0, DomainError), (2, 9.9e4, InfeasibleError)):
+        bad = got.pop(k)
+        with pytest.raises(exc_type) as one:
+            ascend(T, cache=shared_cache)
+        assert type(bad) is exc_type and str(bad) == str(one.value)
+    assert _hexes(got) == want
 
 
 def test_ascend_same_bits_on_any_cache(shared_cache, tmp_path):

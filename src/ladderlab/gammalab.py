@@ -22,7 +22,7 @@ from .constants import B2K, EULER_GAMMA, T_FLOOR
 from .errors import DomainError, LadderLabError
 from .gram import DEFAULT_STRATEGY, gram_points, t1_increment, t2_increment
 from .integral import CheckpointCache
-from .ladder import DEFAULT_RESIDUAL_TOL, ascend, build_tower
+from .ladder import DEFAULT_RESIDUAL_TOL, ascend_all, build_tower
 from .serialize import to_json
 
 _SHIFT_TO = 20.0
@@ -95,6 +95,13 @@ def _base_metadata(**extra) -> dict:
     return meta
 
 
+def _upper(rung) -> float:
+    """The U of one ascend_all slot, raising the error it holds instead."""
+    if isinstance(rung, LadderLabError):
+        raise rung
+    return rung[0]
+
+
 def gamma_functional(x: float, tau_grid: list[float],
                      cache: CheckpointCache | None = None) -> FunctionalReport:
     """(1/tau) * [ln Gamma(ascend(T)) - ln Gamma(T)] at T = x*tau/(1-c).
@@ -106,20 +113,20 @@ def gamma_functional(x: float, tau_grid: list[float],
     if x <= 0.0:
         raise DomainError("gamma_functional requires x > 0")
     cache = cache if cache is not None else CheckpointCache()
+    Ts = [x * tau / (1.0 - EULER_GAMMA) for tau in tau_grid]
+    rungs = iter(ascend_all([T for T in Ts if T >= T_FLOOR], cache))
     taus, values = [], []
     skipped: dict[str, str] = {}
-    for tau in tau_grid:
-        T = x * tau / (1.0 - EULER_GAMMA)
+    for tau, T in zip(tau_grid, Ts):
         if T < T_FLOOR:
             skipped[f"{tau:.17g}"] = f"T={T:.3f} below ladder floor {T_FLOOR}"
             continue
-        try:
-            U = ascend(T, cache=cache)
-        except LadderLabError as exc:
-            skipped[f"{tau:.17g}"] = str(exc)
+        res = next(rungs)
+        if isinstance(res, LadderLabError):
+            skipped[f"{tau:.17g}"] = str(res)
             continue
         taus.append(float(tau))
-        values.append((ln_gamma(U) - ln_gamma(T)) / tau)
+        values.append((ln_gamma(res[0]) - ln_gamma(T)) / tau)
     return FunctionalReport(
         functional_id="gamma", parameter=x, target=x,
         tau_grid=taus, values=values,
@@ -134,8 +141,8 @@ def _factorization(fid: str, parameter: float, tau_grid: list[float],
     along tau_grid, target 1."""
     cache = cache if cache is not None else CheckpointCache()
     taus, values = [float(tau) for tau in tau_grid], []
-    for lo in taus:
-        hi = ascend(lo, cache=cache)
+    for lo, res in zip(taus, ascend_all(taus, cache)):
+        hi = _upper(res)
         values.append(increment(lo, hi) / (const * (ln_gamma(hi) - ln_gamma(lo))))
     return FunctionalReport(
         functional_id=fid, parameter=parameter, target=1.0,
@@ -258,9 +265,7 @@ def verify_shifted_ratio(tau: float, cache: CheckpointCache | None = None) -> Sh
     """
     if tau < T_FLOOR:
         raise DomainError(f"tau must be >= {T_FLOOR}")
-    cache = cache if cache is not None else CheckpointCache()
-    u_hi = ascend(tau + 1.0, cache=cache)
-    u_lo = ascend(tau, cache=cache)
+    u_hi, u_lo = map(_upper, ascend_all([tau + 1.0, tau], cache))
     lhs_log = ln_gamma(u_hi) - ln_gamma(u_lo)
     rhs_log = math.log(tau) + math.pi * (
         t1_increment(tau + 1.0, u_hi) - t1_increment(tau, u_lo)
@@ -304,10 +309,7 @@ def verify_legendre_factorization(tau: float,
     """
     if tau < T_FLOOR:
         raise DomainError(f"tau must be >= {T_FLOOR}")
-    cache = cache if cache is not None else CheckpointCache()
-    u2 = ascend(2.0 * tau, cache=cache)
-    u1 = ascend(tau, cache=cache)
-    uh = ascend(tau + 0.5, cache=cache)
+    u2, u1, uh = map(_upper, ascend_all([2.0 * tau, tau, tau + 0.5], cache))
     log_lhs = (
         ln_gamma(u2)
         - ((2.0 * tau - 1.0) * math.log(2.0) - 0.5 * math.log(math.pi)

@@ -9,8 +9,7 @@ Gauss-Legendre reference on 200 seeded full-width panels near each of
 t = 1e2, 1e3, 1e4, 3e4 and 5.8e4, |K21 - GL40| is at most 0.0104 of the
 panel's estimate and 3.3e-9 abs at 5.8e4, no stride cell up to the scan
 reach needs a refinement round, and the cells of the mpmath J oracle
-above 1e4 lie within their estimates; all of this also holds at 5 pi,
-but 4 pi keeps a read's tail of KNOT_PANELS panels within 12 pi/ln t.
+above 1e4 lie within their estimates; all of this also holds at 5 pi.
 Fewer, wider panels are what pays: a Z node's cost is the cosines of
 its Riemann-Siegel sum, and a cold build to the scan reach evaluates
 1,010,919 of them. The engine's Z error bound is folded into the
@@ -20,15 +19,16 @@ depend on the batch it is evaluated in.
 
 J is expensive enough that ladder solves want checkpoints: a
 CheckpointCache holds J at every DEFAULT_STRIDE multiple, and in memory
-also J at a knot every KNOT_PANELS panel edges inside each stride cell,
+also J at a knot on every final panel edge inside each stride cell,
 taken from the panel values the cell's quadrature already produced. Any
-J(T) then costs one lookup plus a tail of at most KNOT_PANELS panels.
+J(T) then costs one lookup plus a tail of at most one panel.
 A build makes one Z call per group of cells: the first panels of a run
 of consecutive stride cells, up to 2^14 nodes, go to z_array together,
 and each cell then refines and stores its knots on its own. Panel values
 do not depend on their batch, so the grouping moves no bit. The same
 holds for CheckpointCache.invert, which solves J(U) = target for a list
-of targets and reads each J(U) in two Z calls on a warm cache.
+of targets and reads each J(U) in two Z calls of one panel per target
+on a warm cache.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ _CLENSHAW = [(nd - 2, (nd - 1) / nd, (2 * nd - 1) / nd) for nd in range(_NODES_P
 # Widest panel at t is _PANEL_CAP / ln max(t, 20).
 _PANEL_CAP = 4.0 * math.pi
 
-# Bump on every change that moves Z or J values: load() rejects other versions.
+# Bump on every change that moves Z values or saved checkpoints: load()
+# rejects other versions. Knots are never saved, so moving them does not.
 ENGINE_VERSION = "5"
 # Default absolute tolerance per unit of integration length. The engine's
 # own error bound contributes ~6e-6 per unit in the worst band, so this
@@ -96,8 +97,6 @@ CELL_TOL = AUTO_TOL_RATE * DEFAULT_STRIDE
 # First line of every cache file; load() accepts no other.
 _VERSION_TAG = "# ladderlab cache v"
 _HEADER = f"{_VERSION_TAG}{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}"
-# A stride cell keeps an in-memory knot at every KNOT_PANELS-th panel edge.
-KNOT_PANELS = 3
 # Most Z nodes in one call for the first panels of a run of stride cells
 # (a cell has 294 to 966); larger groups cost peak RSS.
 _GROUP_NODES = 2**14
@@ -105,6 +104,16 @@ _GROUP_NODES = 2**14
 # and is 0 at _MV_ZERO.
 _MV_SLOPE = 2.0 * EULER_GAMMA - LN_TWO_PI
 _MV_ZERO = math.exp(1.0 - _MV_SLOPE)
+
+
+def _mean_value(t: float) -> float:
+    return t * (math.log(t) + _MV_SLOPE - 1.0)
+
+
+# J(T_MAX) = 982,908.4 lies about 1,120 below this (|J - mean value| is at
+# most 229 at every checkpoint to T_MAX), so a target above it has its
+# root past T_MAX.
+_TARGET_CEILING = _mean_value(T_MAX + 2.0 * DEFAULT_STRIDE)
 
 
 def _check_t_max(T: float) -> None:
@@ -240,16 +249,16 @@ def _refine(a: float, b: float, tol: float, lo: np.ndarray, hi: np.ndarray, f: n
     )
 
 
-def _eval_runs(runs: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[np.ndarray, ...]]:
-    """_eval_panels on the panels (lo, hi) of several runs in one Z call,
-    split back into each run's (lo, hi, f, vk, vg, eng), as _refine takes
-    them. Panel values do not depend on their batch."""
-    if not runs:
+def _refine_each(spans: list[tuple[float, float]]) -> list:
+    """integrate_segment's final panels of each [a, b] that is at most one
+    panel wide, as _refine returns them, or the LadderLabError refinement
+    met; the first panels of all spans take one Z call together."""
+    if not spans:
         return []
-    lo = np.concatenate([r[0] for r in runs])
-    hi = np.concatenate([r[1] for r in runs])
-    cuts = np.cumsum([r[0].size for r in runs])[:-1]
-    return list(zip(*(np.split(v, cuts) for v in (lo, hi, *_eval_panels(lo, hi)))))
+    lo, hi = (np.array(v) for v in zip(*spans))
+    first = (lo, hi, *_eval_panels(lo, hi))
+    return [attempt(_refine, a, b, _auto_tol(a, b), *(x[r:r + 1] for x in first))
+            for r, (a, b) in enumerate(spans)]
 
 
 def _legval(x: float, c: list[float]) -> float:
@@ -326,9 +335,10 @@ class CheckpointCache:
     written with another stride or tolerance, or with a row off the
     stride grid.
 
-    Each stride cell also holds knots (t, J(t), err(t)) at every
-    KNOT_PANELS-th edge of its final panel list, in memory only and
-    keyed by cell: save() never writes them and equality ignores them.
+    Each stride cell also holds knots (t, J(t), err(t)) at every inner
+    edge of its final panel list, so adjacent stored points are one
+    panel apart; in memory only and keyed by cell: save() never writes
+    them and equality ignores them.
     extend_to() stores the knots of the cells it integrates, with one Z
     call per group of cells; a cell from load() gets them on the first
     hl_integral read that lands in it, from the same panels at the same
@@ -399,10 +409,9 @@ class CheckpointCache:
                 j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
                 vals = vk.tolist()
                 self._knots[i] = (
-                    array("d", clo[KNOT_PANELS::KNOT_PANELS]),
-                    array("d", [j0 + math.fsum(vals[:m])
-                                for m in range(KNOT_PANELS, clo.size, KNOT_PANELS)]),
-                    array("d", e0 + np.cumsum(err)[KNOT_PANELS - 1:clo.size - 1:KNOT_PANELS]),
+                    array("d", clo[1:]),
+                    array("d", [j0 + math.fsum(vals[:m]) for m in range(1, clo.size)]),
+                    array("d", e0 + np.cumsum(err)[:-1]),
                 )
                 if i == len(self.ts):
                     self.ts.append(b)
@@ -430,12 +439,18 @@ class CheckpointCache:
         Extends the cache in one grouped build to two cells below the
         mean-value inverse of target, then cell by cell through target's
         cell, and fills the knots of that cell if it came from load().
+        A target above _TARGET_CEILING is refused before any extension.
+        Adjacent knots are one final panel apart.
         """
+        if target > _TARGET_CEILING:
+            raise InfeasibleError(
+                f"J target {target:g} exceeds the mean value {_TARGET_CEILING:g} at "
+                f"T={T_MAX + 2.0 * DEFAULT_STRIDE:g}, so its root is past T_MAX={T_MAX:g}")
         if not self.js or self.js[-1] <= target:
             # |J - mean value| <= 205 below 6e4 puts the root within 23
             # units of this inverse, so a cold cache stops at the root's cell
             self.extend_to(safeguarded_newton(
-                lambda t: t * (math.log(t) + _MV_SLOPE - 1.0) - target,
+                lambda t: _mean_value(t) - target,
                 lambda t: math.log(t) + _MV_SLOPE,
                 _MV_ZERO, T_MAX, T_MAX) - 2.0 * DEFAULT_STRIDE)
         while not self.js or self.js[-1] <= target:
@@ -454,49 +469,34 @@ class CheckpointCache:
         prefix of J; a target that fails holds the LadderLabError it met.
 
         Each target's knot interval [t0, t1] comes from _knot_span, in
-        input order. The first panels of every interval take one Z call
-        together, and each interval then refines on its own. U is solved
-        in the panel whose cumulative value passes target, on the
+        input order, and is one panel. The intervals of all targets take
+        one Z call together, and each then refines on its own. U is
+        solved in the panel whose cumulative value passes target, on the
         antiderivative of the degree-20 interpolant of its 21 Kronrod
         values. J(U) is hl_integral(U, self).value, bit for bit: its tail
-        starts at the same t0, so the first panels of [t0, U] are those
-        first panels of [t0, t1] that end at or below U, plus one partial
-        panel; the partial panels of all targets take a second Z call
-        together, and each tail refines as integrate_segment(t0, U)
+        is the one panel [t0, U]; the tails of all targets take a second
+        Z call together, and each refines as integrate_segment(t0, U)
         would. A U on a knot or checkpoint is read by hl_integral itself.
         Panel values do not depend on their batch, so U and J(U) depend
         only on target and the history-independent knots.
         """
         out: list = [attempt(self._knot_span, target) for target in targets]
         ok = [k for k, span in enumerate(out) if not isinstance(span, LadderLabError)]
-        edges = {k: _panel_edges(out[k][0], out[k][2]) for k in ok}
-        first = dict(zip(ok, _eval_runs([(edges[k][:-1], edges[k][1:]) for k in ok])))
         roots = {}
-        for k in ok:
-            t0, j0, t1 = out[k]
-            refined = attempt(_refine, t0, t1, _auto_tol(t0, t1), *first[k])
+        for k, refined in zip(ok, _refine_each([(out[k][0], out[k][2]) for k in ok])):
             if isinstance(refined, LadderLabError):
                 out[k] = refined
                 continue
+            t0, j0, t1 = out[k]
             U = _solve_in_panels(targets[k] - j0, t1, *refined[:3])
             if self.nearest_below(U)[0] == t0 and t0 < U:
                 roots[k] = U
             else:
                 out[k] = attempt(lambda u: (u, hl_integral(u, self).value), U)
-        # [t0, U] starts with the first panels of [t0, t1] that end at or
-        # below U; a U that is no panel edge adds the partial panel [e_n, U]
-        whole = {k: int(np.searchsorted(edges[k], U, side="right")) - 1 for k, U in roots.items()}
-        cut = [k for k, n in whole.items() if edges[k][n] < roots[k]]
-        partial = dict(zip(cut, _eval_runs(
-            [(edges[k][whole[k]:whole[k] + 1], np.array([roots[k]])) for k in cut])))
-        for k, U in roots.items():
-            t0, j0, _ = out[k]
-            run = [x[:whole[k]] for x in first[k]]
-            if k in partial:
-                run = [np.concatenate([x, y]) for x, y in zip(run, partial[k])]
-            refined = attempt(_refine, t0, U, _auto_tol(t0, U), *run)
+        tails = _refine_each([(out[k][0], U) for k, U in roots.items()])
+        for (k, U), refined in zip(roots.items(), tails):
             out[k] = refined if isinstance(refined, LadderLabError) else (
-                U, j0 + math.fsum(refined[2]))
+                U, out[k][1] + math.fsum(refined[2]))
         return out
 
     def save(self, path: str) -> None:
@@ -539,7 +539,8 @@ class CheckpointCache:
 
 
 def hl_integral(T: float, cache: CheckpointCache | None = None) -> IntegralResult:
-    """J(T): nearest cached checkpoint or knot plus a fresh tail segment.
+    """J(T): nearest cached checkpoint or knot plus a fresh tail segment,
+    at most one panel wide.
 
     The checkpoints through the stride cell holding T and that cell's
     knots are computed on the way, and memoized in the cache; without

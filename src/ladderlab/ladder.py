@@ -10,8 +10,8 @@ Descending reads J(T) once and solves the convex closed form by Newton.
 Ascending reads the root off the checkpoint cache's stored prefix of J
 and certifies it with the J(U) read that comes with it
 (CheckpointCache.invert). ascend_all climbs from any number of
-ordinates at once, in two Z calls on a warm cache; ascend and
-build_tower climb from one.
+ordinates at once, in two Z calls on a warm cache, each of one 21-node
+panel per ordinate; ascend and build_tower climb from one.
 """
 
 from __future__ import annotations

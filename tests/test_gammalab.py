@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from ladderlab import gammalab, integral, ladder
 from ladderlab.constants import EULER_GAMMA
 from ladderlab.errors import DomainError
 from ladderlab.gammalab import (
@@ -120,3 +121,53 @@ def test_legendre_metadata(shared_cache, calibration):
     assert lg.metadata["exponent_convention"] == "2**(2*tau-1)"
     assert "exponent_variant_seen" in lg.metadata
     assert '"log_difference"' in lg.to_json()
+
+
+def _one_ascent_per_call(Ts, cache=None):
+    return [ladder.ascend_all([T], cache)[0] for T in Ts]
+
+
+def test_reports_same_bytes_as_one_ascent_at_a_time(shared_cache, monkeypatch):
+    # one ascend_all call per report gives the bytes, the skipped entries
+    # and the first error of ascending one T at a time; tau = 6e4 puts its
+    # T past T_MAX and tau = 30 below the floor
+    reports = (
+        lambda: gamma_functional(1.0, [30.0, 150.0, 700.0, 4e3, 6e4], cache=shared_cache),
+        lambda: verify_factorization_D([200.0, 900.0, 3e3], cache=shared_cache),
+        lambda: verify_factorization_T2([300.0, 2e3], cache=shared_cache),
+        lambda: verify_shifted_ratio(700.0, cache=shared_cache),
+        lambda: verify_legendre_factorization(300.0, cache=shared_cache),
+    )
+    failing = (
+        lambda: verify_factorization_D([200.0, 50.0, 1e6], cache=shared_cache),
+        lambda: verify_shifted_ratio(9.9e4, cache=shared_cache),
+        lambda: verify_legendre_factorization(5e4, cache=shared_cache),
+    )
+
+    def run():
+        out = [f().to_json() for f in reports]
+        for f in failing:
+            with pytest.raises(Exception) as exc:
+                f()
+            out.append((type(exc.value), str(exc.value)))
+        return out
+
+    batched = run()
+    assert "past T_MAX" in batched[0] and "below ladder floor" in batched[0]
+    monkeypatch.setattr(gammalab, "ascend_all", _one_ascent_per_call)
+    assert run() == batched
+
+
+def test_warm_gamma_functional_makes_two_z_calls(shared_cache, monkeypatch):
+    taus = [1e2, 3e2, 1e3, 3e3, 1e4]
+    want = gamma_functional(1.0, taus, cache=shared_cache).to_json()
+    calls = []
+    z_array = integral.z_array
+
+    def counting(t):
+        calls.append(len(t))
+        return z_array(t)
+
+    monkeypatch.setattr(integral, "z_array", counting)
+    assert gamma_functional(1.0, taus, cache=shared_cache).to_json() == want
+    assert len(calls) == 2, calls

@@ -16,7 +16,6 @@ from ladderlab.integral import (
     CELL_TOL,
     DEFAULT_STRIDE,
     ENGINE_VERSION,
-    KNOT_PANELS,
     CheckpointCache,
     hl_integral,
     hl_representation,
@@ -316,10 +315,10 @@ def test_knot_reads_match_checkpoint_tail(shared_cache):
         ref = j0 + seg.value
         assert abs(read.value - ref) <= 1e-13 * ref
         assert abs(read.value - ref) <= read.abs_error_estimate + e0 + seg.abs_error_estimate
-        # the read's tail is at most KNOT_PANELS panels
+        # the read's tail is at most one panel
         k0 = shared_cache.nearest_below(T)[0]
         assert t0 <= k0 <= T
-        assert T - k0 <= KNOT_PANELS * integral._PANEL_CAP / math.log(max(k0, 20.0))
+        assert T - k0 <= integral._PANEL_CAP / math.log(max(k0, 20.0))
 
 
 def test_invert_returns_the_plain_read_of_j_at_its_root(shared_cache):

@@ -75,22 +75,33 @@ def test_ascent_and_descent_are_roots(shared_cache):
 
 def test_row_z_call_budget(shared_cache, monkeypatch):
     # on a warm cache a row's rungs are all ascended together: one Z call
-    # for the panels above every root's knot, whose Kronrod values invert()
-    # solves on, and one for the partial panels of the certifying J(U) reads
+    # for the one panel above every root's knot, whose Kronrod values
+    # invert() solves on, and one for the partial panels of the certifying
+    # J(U) reads, so at most 2 x 21 Z nodes per rung
     shared_cache.extend_to(5.5e4)
-    calls = []
+    calls, nodes, rungs = [], [], []
     z_array = integral.z_array
+    invert = CheckpointCache.invert
 
     def counting(t):
         calls[-1] += 1
+        nodes[-1] += len(t)
         return z_array(t)
 
+    def counting_invert(self, targets):
+        rungs[-1] += len(targets)
+        return invert(self, targets)
+
     monkeypatch.setattr(integral, "z_array", counting)
+    monkeypatch.setattr(CheckpointCache, "invert", counting_invert)
     for q in enumerate_fermat_rationals(3, 6)[::7]:
         calls.append(0)
+        nodes.append(0)
+        rungs.append(0)
         row = evaluate_equivalent("gamma", q, cache=shared_cache)
         assert row.tau_max is not None
     assert max(calls) <= 2, calls
+    assert all(n <= 2 * integral._NODES_PER_PANEL * r for n, r in zip(nodes, rungs)), (nodes, rungs)
 
 
 def _reference_rungs(Ts, cache):
@@ -133,6 +144,16 @@ def test_ascend_all_keeps_each_error_in_its_slot(shared_cache):
             ascend(T, cache=shared_cache)
         assert type(bad) is exc_type and str(bad) == str(one.value)
     assert _hexes(got) == want
+
+
+def test_ascent_past_t_max_refused_before_any_build(shared_cache):
+    # representation(9.9e4) exceeds the mean value of J just past T_MAX,
+    # so the ascent is refused before the cache grows by a cell
+    shared_cache.extend_to(5.5e4)
+    rows = len(shared_cache.ts)
+    with pytest.raises(InfeasibleError, match="past T_MAX"):
+        ascend(9.9e4, cache=shared_cache)
+    assert len(shared_cache.ts) == rows
 
 
 def test_ascend_same_bits_on_any_cache(shared_cache, tmp_path):

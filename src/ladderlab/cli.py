@@ -21,7 +21,7 @@ from .constants import T_MIN
 from .errors import LadderLabError
 from .gram import gram_points
 from .integral import CheckpointCache, default_cache_path, hl_integral, integrate_segment
-from .ladder import DEFAULT_RESIDUAL_TOL, build_tower
+from .ladder import build_tower
 from .zeta import theta, z_array
 
 
@@ -73,7 +73,7 @@ def _cmd_integral(args) -> int:
 
 
 def _cmd_ladder(args) -> int:
-    tower = build_tower(args.T, args.k, cache=_load_cache(), tol=args.tol)
+    tower = build_tower(args.T, args.k, cache=_load_cache())
     print("rung,t")
     for r, t in enumerate(tower.iterates):
         print(f"{r},{t:.17g}")
@@ -152,7 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("ladder", help="k ascents from T")
     q.add_argument("--T", type=float, required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL)
     q.set_defaults(fn=_cmd_ladder)
 
     q = sub.add_parser("gram", help="Gram points and Z values on [from, to]")

@@ -37,3 +37,11 @@ def attempt(fn, *args):
         return fn(*args)
     except LadderLabError as exc:
         return exc
+
+
+def unwrap(result):
+    """The value of one batched result, raising the LadderLabError it holds
+    instead; the inverse of attempt."""
+    if isinstance(result, LadderLabError):
+        raise result
+    return result

@@ -24,7 +24,7 @@ from typing import Callable
 
 from .arith import dirichlet_D
 from .constants import EULER_GAMMA, T_FLOOR, T_MAX
-from .errors import DomainError, InfeasibleError, LadderLabError, attempt
+from .errors import DomainError, InfeasibleError, LadderLabError, attempt, unwrap
 from .gammalab import C0_CONVENTION, ln_gamma
 from .gram import DEFAULT_STRATEGY, t1_increment, t2_increment
 from .integral import CheckpointCache, hl_integral, hl_representation
@@ -72,32 +72,26 @@ class FermatRational:
                                   "does not fit a float") from exc
 
 
-def assert_no_exact_solution(q: FermatRational) -> None:
-    """Exact integer check x^n + y^n != z^n. A hit stops the build."""
-    assert q.numerator != q.z ** q.n, (
-        f"exact power identity at x={q.x} y={q.y} z={q.z} n={q.n}"
-    )
-
-
 def enumerate_fermat_rationals(n: int, max_xyz: int,
                                window: tuple[float, float] | None = None) -> list[FermatRational]:
     """Distinct Fermat rationals with x, y, z <= max_xyz, by |q - 1|.
 
     Deduplicated on exact value keeping the lexicographically smallest
     witness triple; the optional open window filters on the value.
-    Every triple is exact-checked against x^n + y^n = z^n on the way.
+    Every triple is exact-checked against x^n + y^n = z^n first
+    (exhaustive_exact_check).
     """
     if n < 3:
         raise DomainError("exponent n must be >= 3")
     if max_xyz < 1:
         raise DomainError("max_xyz must be >= 1")
+    exhaustive_exact_check((n,), max_xyz)
     seen: dict[Fraction, FermatRational] = {}
     for x in range(1, max_xyz + 1):
         for y in range(x, max_xyz + 1):  # symmetric in x, y
             num = x ** n + y ** n
             for z in range(1, max_xyz + 1):
                 q = FermatRational(x=x, y=y, z=z, n=n)
-                assert_no_exact_solution(q)
                 frac = Fraction(num, z ** n)
                 if window is not None:
                     v = frac
@@ -344,10 +338,7 @@ def evaluate_equivalent(functional: str, q: FermatRational,
         incs = f.increment([f.t_of(tau, a) for tau in grid for a in mults], cache)
         values = []
         for k, tau in enumerate(grid):
-            row = incs[k * len(mults):(k + 1) * len(mults)]
-            for inc in row:
-                if isinstance(inc, LadderLabError):
-                    raise inc
+            row = [unwrap(inc) for inc in incs[k * len(mults):(k + 1) * len(mults)]]
             values.append((tau, *f.value(tau, *row)))
     except LadderLabError as exc:
         # exp-scale forms hit a hard representability guard; linear forms
@@ -392,12 +383,14 @@ def scan(functional_ids, n: int, max_xyz: int,
     through its own stride cell, and a cell's values do not depend on
     evaluation order, so the report is the same for any row order.
 
-    t_cap must be finite and at least T_FLOOR (DomainError), and its
-    reach must not pass T_MAX (InfeasibleError, t_cap <= ~84,290); both
-    are checked before any work.
+    t_cap must be finite and at least T_FLOOR and every tau_grid value
+    finite (DomainError), and t_cap's reach must not pass T_MAX
+    (InfeasibleError, t_cap <= ~84,290); all are checked before any work.
     """
     if not (math.isfinite(t_cap) and t_cap >= T_FLOOR):
         raise DomainError(f"t_cap must be finite and >= T_FLOOR={T_FLOOR:g}, got {t_cap:g}")
+    if not all(math.isfinite(t) for t in tau_grid):
+        raise DomainError(f"tau_grid must be finite, got {list(tau_grid)}")
     # the farthest J read of a row is the cell holding the ascent root of
     # t_cap, a rung of ~(1-c)t_cap/ln(t_cap/2pi) up; the margin is 3-4 rungs
     reach = t_cap * (1.0 + 5.0 * _SCALE / math.log(t_cap))

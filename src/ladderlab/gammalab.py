@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 from .arith import dirichlet_D
 from .constants import B2K, EULER_GAMMA, T_FLOOR
-from .errors import DomainError, LadderLabError
+from .errors import DomainError, LadderLabError, unwrap
 from .gram import DEFAULT_STRATEGY, gram_points, t1_increment, t2_increment
 from .integral import CheckpointCache
 from .ladder import DEFAULT_RESIDUAL_TOL, ascend_all, build_tower
@@ -95,13 +95,6 @@ def _base_metadata(**extra) -> dict:
     return meta
 
 
-def _upper(rung) -> float:
-    """The U of one ascend_all slot, raising the error it holds instead."""
-    if isinstance(rung, LadderLabError):
-        raise rung
-    return rung[0]
-
-
 def gamma_functional(x: float, tau_grid: list[float],
                      cache: CheckpointCache | None = None) -> FunctionalReport:
     """(1/tau) * [ln Gamma(ascend(T)) - ln Gamma(T)] at T = x*tau/(1-c).
@@ -110,15 +103,16 @@ def gamma_functional(x: float, tau_grid: list[float],
     ladder floor, or whose solve fails, are dropped and recorded in the
     metadata rather than failing the whole report.
     """
-    if x <= 0.0:
-        raise DomainError("gamma_functional requires x > 0")
+    if not 0.0 < x < math.inf:
+        raise DomainError("gamma_functional requires finite x > 0")
     cache = cache if cache is not None else CheckpointCache()
     Ts = [x * tau / (1.0 - EULER_GAMMA) for tau in tau_grid]
-    rungs = iter(ascend_all([T for T in Ts if T >= T_FLOOR], cache))
+    above = [T >= T_FLOOR for T in Ts]
+    rungs = iter(ascend_all([T for T, up in zip(Ts, above) if up], cache))
     taus, values = [], []
     skipped: dict[str, str] = {}
-    for tau, T in zip(tau_grid, Ts):
-        if T < T_FLOOR:
+    for tau, T, up in zip(tau_grid, Ts, above):
+        if not up:
             skipped[f"{tau:.17g}"] = f"T={T:.3f} below ladder floor {T_FLOOR}"
             continue
         res = next(rungs)
@@ -142,7 +136,7 @@ def _factorization(fid: str, parameter: float, tau_grid: list[float],
     cache = cache if cache is not None else CheckpointCache()
     taus, values = [float(tau) for tau in tau_grid], []
     for lo, res in zip(taus, ascend_all(taus, cache)):
-        hi = _upper(res)
+        hi = unwrap(res)[0]
         values.append(increment(lo, hi) / (const * (ln_gamma(hi) - ln_gamma(lo))))
     return FunctionalReport(
         functional_id=fid, parameter=parameter, target=1.0,
@@ -263,9 +257,9 @@ def verify_shifted_ratio(tau: float, cache: CheckpointCache | None = None) -> Sh
     Also counts Gram points in (tau, tau+1], whose expected number is
     ln tau / 2pi.
     """
-    if tau < T_FLOOR:
-        raise DomainError(f"tau must be >= {T_FLOOR}")
-    u_hi, u_lo = map(_upper, ascend_all([tau + 1.0, tau], cache))
+    if not T_FLOOR <= tau < math.inf:
+        raise DomainError(f"tau must be finite and >= {T_FLOOR}")
+    u_hi, u_lo = (unwrap(res)[0] for res in ascend_all([tau + 1.0, tau], cache))
     lhs_log = ln_gamma(u_hi) - ln_gamma(u_lo)
     rhs_log = math.log(tau) + math.pi * (
         t1_increment(tau + 1.0, u_hi) - t1_increment(tau, u_lo)
@@ -307,9 +301,9 @@ def verify_legendre_factorization(tau: float,
     with the duplication formula itself; we use the consistent
     2^(2 tau - 1) and flag the convention in the metadata.
     """
-    if tau < T_FLOOR:
-        raise DomainError(f"tau must be >= {T_FLOOR}")
-    u2, u1, uh = map(_upper, ascend_all([2.0 * tau, tau, tau + 0.5], cache))
+    if not T_FLOOR <= tau < math.inf:
+        raise DomainError(f"tau must be finite and >= {T_FLOOR}")
+    u2, u1, uh = (unwrap(res)[0] for res in ascend_all([2.0 * tau, tau, tau + 0.5], cache))
     log_lhs = (
         ln_gamma(u2)
         - ((2.0 * tau - 1.0) * math.log(2.0) - 0.5 * math.log(math.pi)

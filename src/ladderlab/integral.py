@@ -25,10 +25,12 @@ J(T) then costs one lookup plus a tail of at most one panel.
 A build makes one Z call per group of cells: the first panels of a run
 of consecutive stride cells, up to 2^14 nodes, go to z_array together,
 and each cell then refines and stores its knots on its own. Panel values
-do not depend on their batch, so the grouping moves no bit. The same
-holds for CheckpointCache.invert, which solves J(U) = target for a list
-of targets and reads each J(U) in two Z calls of one panel per target
-on a warm cache.
+do not depend on their batch, so the grouping moves no bit. A cell from
+load() gets its knots (CheckpointCache._fill) from the first read that
+lands in it. CheckpointCache.invert solves J(U) = target for a list of
+targets and reads each J(U) as hl_integral(U) does, from the stored
+point nearest below U, in two Z calls of one panel per target on a
+warm cache; a U on a stored point has a zero-width tail.
 """
 
 from __future__ import annotations
@@ -308,8 +310,8 @@ def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralR
     _check_t_max(b)
     if tol is None:
         tol = _auto_tol(a, b)
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
     if a == b:
         return IntegralResult(a=a, b=b, value=0.0, abs_error_estimate=0.0, node_count=0)
     _, _, vk, err, nodes = _panels(a, b, tol)
@@ -421,6 +423,11 @@ class CheckpointCache:
                 p, i = q, i + 1
         return nodes
 
+    def _fill(self, i: int) -> int:
+        """Store the knots of stride cell i unless it holds them already,
+        as a cell from load() does not; returns the Z nodes evaluated."""
+        return 0 if i in self._knots else self._cells(i, i + 1)
+
     def extend_to(self, T: float) -> int:
         """Add checkpoints at stride multiples up to T, with their cells'
         knots; returns the Z nodes evaluated."""
@@ -439,9 +446,12 @@ class CheckpointCache:
         Extends the cache in one grouped build to two cells below the
         mean-value inverse of target, then cell by cell through target's
         cell, and fills the knots of that cell if it came from load().
-        A target above _TARGET_CEILING is refused before any extension.
+        A NaN or negative target (DomainError) and one above
+        _TARGET_CEILING (InfeasibleError) are refused before any extension.
         Adjacent knots are one final panel apart.
         """
+        if not target >= 0.0:
+            raise DomainError(f"J target must be >= 0, got {target}")
         if target > _TARGET_CEILING:
             raise InfeasibleError(
                 f"J target {target:g} exceeds the mean value {_TARGET_CEILING:g} at "
@@ -456,8 +466,7 @@ class CheckpointCache:
         while not self.js or self.js[-1] <= target:
             self.extend_to((len(self.ts) + 1) * DEFAULT_STRIDE)
         i = bisect.bisect_right(self.js, target)
-        if i not in self._knots:  # a cell from load()
-            self._cells(i, i + 1)
+        self._fill(i)
         kt, kj, _ = self._knots[i]
         k = bisect.bisect_right(kj, target)
         t0, j0 = (kt[k - 1], kj[k - 1]) if k else (
@@ -474,30 +483,34 @@ class CheckpointCache:
         solved in the panel whose cumulative value passes target, on the
         antiderivative of the degree-20 interpolant of its 21 Kronrod
         values. J(U) is hl_integral(U, self).value, bit for bit: its tail
-        is the one panel [t0, U]; the tails of all targets take a second
-        Z call together, and each refines as integrate_segment(t0, U)
-        would. A U on a knot or checkpoint is read by hl_integral itself.
+        starts at the stored point nearest_below(U) and is at most one
+        panel; the tails of all targets take a second Z call together, and
+        each refines as integrate_segment would. A U on a knot or
+        checkpoint gets a zero-width tail, whose value is exactly 0.0.
         Panel values do not depend on their batch, so U and J(U) depend
         only on target and the history-independent knots.
         """
         out: list = [attempt(self._knot_span, target) for target in targets]
         ok = [k for k, span in enumerate(out) if not isinstance(span, LadderLabError)]
-        roots = {}
         for k, refined in zip(ok, _refine_each([(out[k][0], out[k][2]) for k in ok])):
-            if isinstance(refined, LadderLabError):
-                out[k] = refined
-                continue
-            t0, j0, t1 = out[k]
-            U = _solve_in_panels(targets[k] - j0, t1, *refined[:3])
-            if self.nearest_below(U)[0] == t0 and t0 < U:
-                roots[k] = U
-            else:
-                out[k] = attempt(lambda u: (u, hl_integral(u, self).value), U)
-        tails = _refine_each([(out[k][0], U) for k, U in roots.items()])
-        for (k, U), refined in zip(roots.items(), tails):
+            if not isinstance(refined, LadderLabError):
+                t0, j0, t1 = out[k]
+                U = _solve_in_panels(targets[k] - j0, t1, *refined[:3])
+                refined = attempt(self._tail, t0, U)
+            out[k] = refined
+        ok = [k for k in ok if not isinstance(out[k], LadderLabError)]
+        for k, refined in zip(ok, _refine_each([(out[k][0], out[k][2]) for k in ok])):
             out[k] = refined if isinstance(refined, LadderLabError) else (
-                U, out[k][1] + math.fsum(refined[2]))
+                out[k][2], out[k][1] + math.fsum(refined[2]))
         return out
+
+    def _tail(self, t0: float, U: float) -> tuple[float, float, float]:
+        """(t, J(t), U) at t = nearest_below(U), where hl_integral(U)'s tail
+        starts. U, solved from the knot t0, can round a few ulps below it,
+        into a cell from load() whose knots are then filled as hl_integral's."""
+        if U < t0:
+            self._fill(int(U // DEFAULT_STRIDE))
+        return (*self.nearest_below(U)[:2], U)
 
     def save(self, path: str) -> None:
         buf = io.StringIO()
@@ -553,9 +566,8 @@ def hl_integral(T: float, cache: CheckpointCache | None = None) -> IntegralResul
     _check_t_max(T)
     cache = cache if cache is not None else CheckpointCache()
     nodes = cache.extend_to(math.ceil(T / DEFAULT_STRIDE) * DEFAULT_STRIDE)
-    i = int(T // DEFAULT_STRIDE)
-    if T % DEFAULT_STRIDE and i not in cache._knots:  # first read of a loaded cell
-        nodes += cache._cells(i, i + 1)
+    if T % DEFAULT_STRIDE:
+        nodes += cache._fill(int(T // DEFAULT_STRIDE))
     t0, j0, e0 = cache.nearest_below(T)
     tail = integrate_segment(t0, T)
     return IntegralResult(
@@ -573,8 +585,8 @@ def hl_representation(phi: float) -> float:
     the underlying representation is fixed at 0 (recorded in report
     metadata as c0_convention).
     """
-    if phi <= 1.0:
-        raise DomainError("hl_representation requires phi > 1")
+    if not 1.0 < phi < math.inf:
+        raise DomainError("hl_representation requires finite phi > 1")
     return phi * math.log(phi) + (EULER_GAMMA - LN_TWO_PI) * phi
 
 

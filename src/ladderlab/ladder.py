@@ -4,14 +4,16 @@ The almost-exact representation r(phi) = phi ln phi + (c - ln 2pi) phi
 matches J at a unique descended ordinate phi < T; inverting J against
 r(T) climbs one rung up. Each direction is defined by its root, which
 does not depend on any tolerance, and every rung carries the residual of
-its defining equation, certified against a tolerance.
+its defining equation, certified against one fixed bound:
+DEFAULT_RESIDUAL_TOL for a descent, 10 * DEFAULT_RESIDUAL_TOL for an ascent.
 
 Descending reads J(T) once and solves the convex closed form by Newton.
 Ascending reads the root off the checkpoint cache's stored prefix of J
 and certifies it with the J(U) read that comes with it
-(CheckpointCache.invert). ascend_all climbs from any number of
-ordinates at once, in two Z calls on a warm cache, each of one 21-node
-panel per ordinate; ascend and build_tower climb from one.
+(CheckpointCache.invert). ascend_all is the one ascent path: it climbs
+from any number of ordinates at once, in two Z calls on a warm cache,
+each of one 21-node panel per ordinate; ascend and build_tower call it
+for one ordinate at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import math
 from dataclasses import dataclass
 
 from .constants import EULER_GAMMA, LN_TWO_PI, T_FLOOR
-from .errors import BracketError, DomainError, LadderLabError, ToleranceError, attempt
+from .errors import (BracketError, DomainError, LadderLabError, ToleranceError, attempt,
+                     unwrap)
 from .integral import CheckpointCache, hl_integral, hl_representation, safeguarded_newton
 
 DEFAULT_RESIDUAL_TOL = 1e-6
@@ -39,8 +42,8 @@ class LadderTower:
 
 
 def _require_floor(T: float) -> None:
-    if T < T_FLOOR:
-        raise DomainError(f"ladder requires T >= {T_FLOOR}; the dropped "
+    if not T_FLOOR <= T < math.inf:
+        raise DomainError(f"ladder requires finite T >= {T_FLOOR}; the dropped "
                           "representation terms are not small below that")
 
 
@@ -70,19 +73,21 @@ def _target(T: float) -> float:
     return hl_representation(T)
 
 
-def ascend_all(Ts, cache: CheckpointCache | None = None,
-               tol: float = DEFAULT_RESIDUAL_TOL) -> list[tuple[float, float] | LadderLabError]:
+def ascend_all(Ts, cache: CheckpointCache | None = None
+               ) -> list[tuple[float, float] | LadderLabError]:
     """(U, J(U) - representation(T)) for each T, one rung up, or the
     LadderLabError its ascent met.
 
     U is the unique U > T with J(U) = representation(T), read off the
     cache's stored prefix of J (CheckpointCache.invert) with no J(T)
     read; the J(U) read that invert returns with it certifies the
-    residual to 10 * tol, which does not move U. All Ts are inverted
-    together, so a warm cache usually makes two Z calls for all of
-    them, and each slot has the bits of a one-T call.
+    residual to 10 * DEFAULT_RESIDUAL_TOL, which does not move U. All Ts
+    are inverted together, so a warm cache usually makes two Z calls for
+    all of them, and each slot has the bits of a one-T call. This is the
+    one ascent path: ascend and build_tower are ascend_all for one T.
     """
     cache = cache if cache is not None else CheckpointCache()
+    tol = 10.0 * DEFAULT_RESIDUAL_TOL
     out = [attempt(_target, T) for T in Ts]
     todo = [k for k, x in enumerate(out) if not isinstance(x, LadderLabError)]
     for k, res in zip(todo, cache.invert([out[k] for k in todo])):
@@ -91,21 +96,13 @@ def ascend_all(Ts, cache: CheckpointCache | None = None,
             U, fU = res[0], res[1] - out[k]
             if U <= T:
                 res = BracketError(f"J(T) > representation(T) at T={T}; inconsistent engine state")
-            elif abs(fU) > 10.0 * tol:
-                res = ToleranceError(f"ascend residual {abs(fU):g} > {10*tol:g} at T={T}",
+            elif abs(fU) > tol:
+                res = ToleranceError(f"ascend residual {abs(fU):g} > {tol:g} at T={T}",
                                      best_value=U, best_error=abs(fU))
             else:
                 res = (U, fU)
         out[k] = res
     return out
-
-
-def _ascend(T: float, cache: CheckpointCache | None, tol: float) -> tuple[float, float]:
-    """ascend_all([T]) for its one slot, raising the error it holds."""
-    res = ascend_all([T], cache, tol)[0]
-    if isinstance(res, LadderLabError):
-        raise res
-    return res
 
 
 def ascend(T: float, cache: CheckpointCache | None = None) -> float:
@@ -114,25 +111,22 @@ def ascend(T: float, cache: CheckpointCache | None = None) -> float:
     ascend_all for one T: U is the root read off the cache's stored
     prefix of J, and its residual is certified to 10 * DEFAULT_RESIDUAL_TOL.
     """
-    return _ascend(T, cache, DEFAULT_RESIDUAL_TOL)[0]
+    return unwrap(ascend_all([T], cache)[0])[0]
 
 
-def build_tower(T: float, k: int, cache: CheckpointCache | None = None,
-                tol: float = DEFAULT_RESIDUAL_TOL) -> LadderTower:
-    """k ascents from T, each as ascend(), with residuals certified to 10 * tol.
-
-    tol bounds only the residuals; the iterates are the roots and do not
-    depend on it. k >= 1.
+def build_tower(T: float, k: int, cache: CheckpointCache | None = None) -> LadderTower:
+    """k ascents from T, each as ascend(), with residuals certified to
+    10 * DEFAULT_RESIDUAL_TOL. The bound certifies only the residuals;
+    the iterates are the roots and do not depend on it. k >= 1.
     """
     if k < 1:
         raise DomainError("build_tower requires k >= 1")
-    _require_floor(T)
     cache = cache if cache is not None else CheckpointCache()
     iterates = [float(T)]
     residuals = []
     for r in range(1, k + 1):
         try:
-            nxt, f_nxt = _ascend(iterates[-1], cache, tol)
+            nxt, f_nxt = unwrap(ascend_all([iterates[-1]], cache)[0])
         except ToleranceError as exc:
             raise ToleranceError(f"rung {r}: {exc}", exc.best_value, exc.best_error) from exc
         except BracketError as exc:

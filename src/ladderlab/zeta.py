@@ -145,14 +145,14 @@ def _theta_low(t: np.ndarray) -> np.ndarray:
 
 
 def theta(t):
-    """Riemann-Siegel theta. Domain t >= T_MIN; absolute error <= 1e-9.
+    """Riemann-Siegel theta. Domain finite t >= T_MIN; absolute error <= 1e-9.
 
     Accepts a float or an array, returns the matching shape. Strictly
     increasing on its domain (theta' = log(t/2pi)/2 > 0 for t > 2pi).
     """
     arr = np.asarray(t, dtype=float)
-    if arr.size and np.min(arr) < T_MIN:
-        raise DomainError(f"theta requires t >= {T_MIN}")
+    if arr.size and not T_MIN <= np.min(arr) <= np.max(arr) < math.inf:
+        raise DomainError(f"theta requires finite t >= {T_MIN}")
     out = _theta_series(arr)
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 

@@ -10,9 +10,11 @@ from ladderlab.cli import _FUNCTIONALS, main
 
 
 def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["zeta"])  # missing --t
-    assert exc.value.code == 2
+    for argv in (["zeta"],  # missing --t
+                 ["ladder", "--T", "1000", "--k", "1", "--tol", "1e-6"]):  # no such option
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_unknown_subcommand_exits_2():
@@ -56,7 +58,14 @@ def test_non_finite_bound_exits_1(tmp_path, capsys):
                  ["scan", "--n", "3", "--max-xyz", "2", "--t-cap", "inf"],
                  ["scan", "--n", "3", "--max-xyz", "2", "--t-cap", "1"],
                  ["scan", "--n", "3", "--max-xyz", "2", "--t-cap", "0"],
-                 ["scan", "--n", "3", "--max-xyz", "2", "--t-cap", "-5"]):
+                 ["scan", "--n", "3", "--max-xyz", "2", "--t-cap", "-5"],
+                 ["scan", "--n", "3", "--max-xyz", "2", "--tau-grid", "nan"],
+                 ["integral", "--from", "100", "--to", "200", "--tol", "nan"],
+                 ["ladder", "--T", "nan", "--k", "1"],
+                 ["functional", "--id", "gamma", "--x", "nan"],
+                 ["functional", "--id", "shifted", "--tau", "nan"],
+                 ["functional", "--id", "chain", "--tau", "inf"],
+                 ["gram", "--from", "100", "--to", "inf"]):
         assert main(argv) == 1
         assert "ladderlab:" in capsys.readouterr().err
     assert not os.path.exists(path)

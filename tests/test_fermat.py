@@ -158,6 +158,15 @@ def test_scan_window_passthrough(shared_cache):
     assert parsed["window"] == [0.99, 1.01]
 
 
+def test_non_finite_tau_grid_refused_before_any_row():
+    # refused before any row, not after every row by the serializer
+    cache = CheckpointCache()
+    for grid in ([math.nan], [1e2, math.inf]):
+        with pytest.raises(DomainError, match="tau_grid must be finite"):
+            scan(["gamma"], n=3, max_xyz=3, tau_grid=grid, cache=cache)
+    assert len(cache.ts) == 0
+
+
 def test_scan_matches_calibration(shared_cache, calibration):
     q2 = FermatRational(1, 1, 1, 3)
     row = evaluate_equivalent("gamma", q2, cache=shared_cache)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ladderlab import gammalab, integral, ladder
-from ladderlab.constants import EULER_GAMMA
+from ladderlab.constants import EULER_GAMMA, T_FLOOR
 from ladderlab.errors import DomainError
 from ladderlab.gammalab import (
     FunctionalReport,
@@ -18,6 +18,7 @@ from ladderlab.gammalab import (
     verify_legendre_factorization,
     verify_shifted_ratio,
 )
+from ladderlab.integral import CheckpointCache
 
 
 def test_ln_gamma_against_stdlib():
@@ -65,8 +66,23 @@ def test_gamma_functional_skips_below_floor(shared_cache):
     rep = gamma_functional(1.0, [30.0, 300.0], cache=shared_cache)
     assert len(rep.tau_grid) == 1
     assert "skipped" in rep.metadata and "30" in str(rep.metadata["skipped"])
-    with pytest.raises(DomainError):
-        gamma_functional(-1.0, [300.0], cache=shared_cache)
+    # a NaN tau is skipped by the same predicate that keeps it from ascending
+    rep = gamma_functional(1.0, [math.nan, 300.0], cache=shared_cache)
+    assert list(rep.metadata["skipped"]) == ["nan"] and rep.tau_grid == [300.0]
+    for x in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gamma_functional(x, [300.0], cache=shared_cache)
+
+
+def test_non_finite_tau_refused_before_any_build():
+    cache = CheckpointCache()
+    for bad in (math.nan, math.inf):
+        for report in (verify_shifted_ratio, verify_legendre_factorization,
+                       lambda tau, cache: verify_chain(tau, 2, cache=cache),
+                       lambda tau, cache: pi_via_gamma(tau, 2, cache=cache)):
+            with pytest.raises(DomainError, match=f">= {T_FLOOR}"):
+                report(bad, cache=cache)
+    assert len(cache.ts) == 0
 
 
 def test_factorization_ratios_match_calibration(shared_cache, calibration):

@@ -60,8 +60,9 @@ def test_domain_errors():
         integrate_segment(-1.0, 5.0)
     with pytest.raises(DomainError):
         integrate_segment(10.0, 5.0)
-    with pytest.raises(DomainError):
-        integrate_segment(1.0, 2.0, tol=0.0)
+    for tol in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            integrate_segment(1.0, 2.0, tol=tol)
     with pytest.raises(DomainError):
         hl_integral(-0.5)
     # non-finite bounds are refused, not integrated forever
@@ -323,7 +324,7 @@ def test_knot_reads_match_checkpoint_tail(shared_cache):
 
 def test_invert_returns_the_plain_read_of_j_at_its_root(shared_cache):
     # seeded targets, plus the J values of knots and checkpoints, whose
-    # roots sit on a stored point and are read by hl_integral itself
+    # roots sit on a stored point (a zero-width tail) or a few ulps below it
     shared_cache.extend_to(2e4)
     rng = random.Random(21)
     targets = [rng.uniform(30.0, shared_cache.js[-1]) for _ in range(20)]
@@ -333,6 +334,32 @@ def test_invert_returns_the_plain_read_of_j_at_its_root(shared_cache):
     for target, (U, j) in zip(targets, shared_cache.invert(targets)):
         assert j.hex() == hl_integral(U, cache=shared_cache).value.hex()
         assert abs(j - target) <= 1e-9 * target
+
+
+def test_invert_root_below_a_loaded_checkpoint(shared_cache, tmp_path):
+    # the root of a checkpoint's J can round a few ulps below it, into a
+    # stride cell that load() left without knots; its J read must still
+    # start one panel below U, as hl_integral(U) does on a warm cache
+    shared_cache.extend_to(1e4)
+    path = os.path.join(tmp_path, "cache.csv")
+    CheckpointCache(ts=shared_cache.ts[:200], js=shared_cache.js[:200],
+                    errs=shared_cache.errs[:200]).save(path)
+    loaded = CheckpointCache.load(path)
+    rows = list(range(198, 0, -2))  # descending: no target fills the cell below another
+    res = loaded.invert([shared_cache.js[i] for i in rows])
+    assert any(U < shared_cache.ts[i] for i, (U, _) in zip(rows, res))
+    for U, j in res:
+        assert j.hex() == hl_integral(U, cache=shared_cache).value.hex()
+
+
+def test_invert_refuses_nan_and_negative_targets_per_slot():
+    cache = CheckpointCache()
+    got = cache.invert([math.nan, -5.0])
+    assert [type(r) for r in got] == [DomainError, DomainError]
+    assert len(cache.ts) == 0  # refused before any build
+    nan, neg, zero = cache.invert([math.nan, -5.0, 0.0])
+    assert type(nan) is DomainError and type(neg) is DomainError
+    assert zero == (0.0, 0.0)
 
 
 def _bits(res):
@@ -447,8 +474,9 @@ def test_representation_closed_form():
     phi = 137.0
     assert hl_representation(phi) == pytest.approx(
         phi * math.log(phi) + (EULER_GAMMA - LN_TWO_PI) * phi, rel=1e-15)
-    with pytest.raises(DomainError):
-        hl_representation(1.0)
+    for bad in (1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            hl_representation(bad)
 
 
 @given(st.floats(min_value=2.0, max_value=1e8),

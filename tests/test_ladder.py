@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ladderlab import integral
+from ladderlab import integral, ladder
+from ladderlab.constants import T_FLOOR
 from ladderlab.errors import DomainError, InfeasibleError, ToleranceError
 from ladderlab.fermat import enumerate_fermat_rationals, evaluate_equivalent
 from ladderlab.gammalab import ln_gamma
@@ -188,6 +189,17 @@ def test_floor_enforced(shared_cache):
             fn(99.0, cache=shared_cache)
 
 
+def test_non_finite_ordinate_refused_before_any_build():
+    cache = CheckpointCache()
+    for bad in (math.nan, math.inf):
+        for call in (ascend, descend, lambda T, cache: build_tower(T, 1, cache=cache)):
+            with pytest.raises(DomainError, match=f"T >= {T_FLOOR}"):
+                call(bad, cache=cache)
+        (res,) = ascend_all([bad], cache)
+        assert type(res) is DomainError and f"T >= {T_FLOOR}" in str(res)
+    assert len(cache.ts) == 0
+
+
 def test_tower_structure(shared_cache, calibration):
     tower = build_tower(5000.0, 3, cache=shared_cache)
     assert tower.k == 3
@@ -202,13 +214,17 @@ def test_tower_structure(shared_cache, calibration):
     assert all(abs(r) <= 1e-5 for r in tower.residuals)
 
 
-def test_tower_tolerance_error_keeps_best_estimate(shared_cache):
+def test_tower_tolerance_error_keeps_best_estimate(shared_cache, monkeypatch):
+    root = ascend(1000.0, cache=shared_cache)
+    # the residual bound is fixed at 10 * DEFAULT_RESIDUAL_TOL; tighten it
+    # past what any ascent meets
+    monkeypatch.setattr(ladder, "DEFAULT_RESIDUAL_TOL", 1e-14)
     with pytest.raises(ToleranceError, match="^rung 1: ascend residual") as exc:
-        build_tower(1000.0, 1, cache=shared_cache, tol=1e-14)
+        build_tower(1000.0, 1, cache=shared_cache)
     err, cause = exc.value, exc.value.__cause__
     assert isinstance(cause, ToleranceError)
     assert (err.best_value, err.best_error) == (cause.best_value, cause.best_error)
-    assert err.best_value == pytest.approx(ascend(1000.0, cache=shared_cache), rel=1e-9)
+    assert err.best_value == pytest.approx(root, rel=1e-9)
     assert err.best_error > 1e-13
 
 

@@ -52,8 +52,10 @@ def test_theta_oracle(oracle):
 
 
 def test_theta_domain():
-    with pytest.raises(DomainError):
-        theta(9.5)
+    # np.min of an array holding a NaN is NaN, so a NaN is refused anywhere in it
+    for bad in (9.5, math.nan, math.inf, [100.0, math.nan], np.array([math.inf, 100.0])):
+        with pytest.raises(DomainError):
+            theta(bad)
 
 
 def test_theta_array_matches_scalar():

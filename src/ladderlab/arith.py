@@ -20,9 +20,9 @@ _SEGMENT = 1 << 20
 
 def divisor_count(n: int) -> int:
     """Number of positive divisors, by trial-division factorization."""
+    if (isinstance(n, float) and not n.is_integer()) or n < 1:
+        raise DomainError(f"divisor_count requires an integer n >= 1, got {n}")
     n = int(n)
-    if n < 1:
-        raise DomainError("divisor_count requires n >= 1")
     out = 1
     m = n
     p = 2
@@ -44,8 +44,8 @@ def dirichlet_D(x: float) -> int:
 
     Exact in O(sqrt x); constant on [N, N+1) by construction.
     """
-    if x < 0:
-        raise DomainError("dirichlet_D requires x >= 0")
+    if not 0 <= x < math.inf:
+        raise DomainError(f"dirichlet_D requires finite x >= 0, got {x}")
     N = int(math.floor(x))
     if N < 1:
         return 0
@@ -65,8 +65,8 @@ def _base_primes(limit: int) -> np.ndarray:
 
 def prime_pi(x: float) -> int:
     """Exact count of primes <= x, segmented sieve, supported to 1e8."""
-    if x < 0:
-        raise DomainError("prime_pi requires x >= 0")
+    if not 0 <= x < math.inf:
+        raise DomainError(f"prime_pi requires finite x >= 0, got {x}")
     if x > PRIME_PI_LIMIT:
         raise InfeasibleError(f"prime_pi supported only to {PRIME_PI_LIMIT:.0e}")
     N = int(math.floor(x))

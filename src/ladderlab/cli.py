@@ -62,10 +62,10 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_integral(args) -> int:
-    if args.frm == 0.0 and args.tol is None:
+    if args.frm == 0.0:
         res = hl_integral(args.to, cache=_load_cache())
     else:
-        res = integrate_segment(args.frm, args.to, tol=args.tol)
+        res = integrate_segment(args.frm, args.to)
     print(f"value={res.value:.17g}")
     print(f"abs_error_estimate={res.abs_error_estimate:.17g}")
     print(f"node_count={res.node_count}")
@@ -146,7 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("integral", help="second-moment integral over [from, to]")
     q.add_argument("--from", dest="frm", type=float, required=True)
     q.add_argument("--to", type=float, required=True)
-    q.add_argument("--tol", type=float, default=None)
     q.set_defaults(fn=_cmd_integral)
 
     q = sub.add_parser("ladder", help="k ascents from T")

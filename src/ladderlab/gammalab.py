@@ -37,8 +37,8 @@ def ln_gamma(x: float) -> float:
     Absolute error below 1e-12 on [1, 1e308]; the recurrence subtraction
     costs a few ulps more below 1.
     """
-    if x <= 0.0:
-        raise DomainError("ln_gamma requires x > 0")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"ln_gamma requires finite x > 0, got {x}")
     shift = 0
     w = x
     while w < _SHIFT_TO:
@@ -99,23 +99,18 @@ def gamma_functional(x: float, tau_grid: list[float],
                      cache: CheckpointCache | None = None) -> FunctionalReport:
     """(1/tau) * [ln Gamma(ascend(T)) - ln Gamma(T)] at T = x*tau/(1-c).
 
-    The limit along tau is x itself. Grid points whose T falls below the
-    ladder floor, or whose solve fails, are dropped and recorded in the
-    metadata rather than failing the whole report.
+    The limit along tau is x itself. Grid points whose ascent ascend_all
+    refuses (a T below the ladder floor or not finite) or fails are
+    dropped and their errors recorded in the metadata rather than failing
+    the whole report.
     """
     if not 0.0 < x < math.inf:
         raise DomainError("gamma_functional requires finite x > 0")
     cache = cache if cache is not None else CheckpointCache()
     Ts = [x * tau / (1.0 - EULER_GAMMA) for tau in tau_grid]
-    above = [T >= T_FLOOR for T in Ts]
-    rungs = iter(ascend_all([T for T, up in zip(Ts, above) if up], cache))
     taus, values = [], []
     skipped: dict[str, str] = {}
-    for tau, T, up in zip(tau_grid, Ts, above):
-        if not up:
-            skipped[f"{tau:.17g}"] = f"T={T:.3f} below ladder floor {T_FLOOR}"
-            continue
-        res = next(rungs)
+    for tau, T, res in zip(tau_grid, Ts, ascend_all(Ts, cache)):
         if isinstance(res, LadderLabError):
             skipped[f"{tau:.17g}"] = str(res)
             continue

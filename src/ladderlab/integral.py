@@ -15,7 +15,10 @@ its Riemann-Siegel sum, and a cold build to the scan reach evaluates
 1,010,919 of them. The engine's Z error bound is folded into the
 estimate via Cauchy-Schwarz on each panel. Each panel's Kronrod and
 Gauss values are summed node after node, so a panel's bits do not
-depend on the batch it is evaluated in.
+depend on the batch it is evaluated in. Every segment, stride cell and
+tail meets one absolute tolerance, AUTO_TOL_RATE per unit of width (at
+least one unit); a panel is bisected only where its estimate misses its
+share, which no stride cell up to T_MAX needs.
 
 J is expensive enough that ladder solves want checkpoints: a
 CheckpointCache holds J at every DEFAULT_STRIDE multiple, and in memory
@@ -89,12 +92,13 @@ _PANEL_CAP = 4.0 * math.pi
 # Bump on every change that moves Z values or saved checkpoints: load()
 # rejects other versions. Knots are never saved, so moving them does not.
 ENGINE_VERSION = "5"
-# Default absolute tolerance per unit of integration length. The engine's
-# own error bound contributes ~6e-6 per unit in the worst band, so this
-# is the tightest default that cannot trip the infeasibility guard.
+# The one quadrature tolerance, absolute per unit of integration length
+# (_refine). The engine's own error bound contributes ~6e-6 per unit in
+# the worst band, so this is the tightest rate that cannot trip the
+# engine-floor guard.
 AUTO_TOL_RATE = 3e-5
 DEFAULT_STRIDE = 50.0
-# Absolute tolerance of one stride cell's quadrature.
+# That tolerance on one stride cell, recorded in the cache header.
 CELL_TOL = AUTO_TOL_RATE * DEFAULT_STRIDE
 # First line of every cache file; load() accepts no other.
 _VERSION_TAG = "# ladderlab cache v"
@@ -121,10 +125,6 @@ _TARGET_CEILING = _mean_value(T_MAX + 2.0 * DEFAULT_STRIDE)
 def _check_t_max(T: float) -> None:
     if T > T_MAX:
         raise InfeasibleError(f"T={T:g} exceeds the served range T <= T_MAX={T_MAX:g}")
-
-
-def _auto_tol(a: float, b: float) -> float:
-    return AUTO_TOL_RATE * max(b - a, 1.0)
 
 
 @dataclass(frozen=True)
@@ -196,31 +196,24 @@ def _eval_panels(
     return f, vk, vg, eng
 
 
-def _panels(
-        a: float, b: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Final panels of [a, b] at absolute tol: (lo, f, vk, err, nodes).
+def _refine(a: float, b: float, lo: np.ndarray, hi: np.ndarray, f: np.ndarray,
+            vk: np.ndarray, vg: np.ndarray, eng: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Final panels of [a, b] from its first panels (lo, hi) and their
+    _eval_panels values: (lo, f, vk, err, nodes).
 
     lo are the left panel edges, f the (P, 21) Z^2 values at each panel's
     Kronrod nodes, vk the Kronrod panel values, err the per-panel estimate
     |vk - vg| + engine error (vg the Gauss values), and nodes every Z node
-    evaluated.
-    """
-    edges = _panel_edges(a, b)
-    lo, hi = edges[:-1], edges[1:]
-    return _refine(a, b, tol, lo, hi, *_eval_panels(lo, hi))
-
-
-def _refine(a: float, b: float, tol: float, lo: np.ndarray, hi: np.ndarray, f: np.ndarray,
-            vk: np.ndarray, vg: np.ndarray, eng: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """_panels() from the first panels of [a, b] and their _eval_panels values.
-
-    Panels whose embedded-rule discrepancy exceeds their share of tol are
+    evaluated. The tolerance is the one quadrature rule,
+    AUTO_TOL_RATE * max(b - a, 1): CELL_TOL on a stride cell. Panels
+    whose embedded-rule discrepancy exceeds their share of it are
     bisected, and only the new halves evaluated, up to a fixed
     refinement budget; exhaustion raises with the best result attached.
     The engine-bound part of the estimate is a floor no refinement can
-    cross, so impossible tolerances fail fast.
+    cross, so a tolerance below it fails fast.
     """
+    tol = AUTO_TOL_RATE * max(b - a, 1.0)
     nodes = lo.size * _NODES_PER_PANEL
     for _ in range(24):
         quad_err = np.abs(vk - vg)
@@ -259,7 +252,7 @@ def _refine_each(spans: list[tuple[float, float]]) -> list:
         return []
     lo, hi = (np.array(v) for v in zip(*spans))
     first = (lo, hi, *_eval_panels(lo, hi))
-    return [attempt(_refine, a, b, _auto_tol(a, b), *(x[r:r + 1] for x in first))
+    return [attempt(_refine, a, b, *(x[r:r + 1] for x in first))
             for r, (a, b) in enumerate(spans)]
 
 
@@ -297,24 +290,21 @@ def _solve_in_panels(need: float, end: float, lo: np.ndarray, f: np.ndarray,
         a, b, a + (b - a) * min(need / float(vk[m]), 1.0))
 
 
-def integrate_segment(a: float, b: float, tol: float | None = None) -> IntegralResult:
-    """Quadrature of Z^2 over [a, b] with |error| <= estimate <= tol.
+def integrate_segment(a: float, b: float) -> IntegralResult:
+    """Quadrature of Z^2 over [a, b], with |error| <= estimate <=
+    AUTO_TOL_RATE * max(b - a, 1).
 
-    tol is absolute over the whole segment; None picks a width-scaled
-    default that the engine error floor can always meet. Raises
-    ToleranceError when refinement cannot meet tol, and InfeasibleError
-    when b exceeds T_MAX.
+    Raises ToleranceError when refinement cannot meet that tolerance, and
+    InfeasibleError when b exceeds T_MAX.
     """
     if not 0.0 <= a <= b < math.inf:
         raise DomainError("integrate_segment requires finite 0 <= a <= b")
     _check_t_max(b)
-    if tol is None:
-        tol = _auto_tol(a, b)
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
     if a == b:
         return IntegralResult(a=a, b=b, value=0.0, abs_error_estimate=0.0, node_count=0)
-    _, _, vk, err, nodes = _panels(a, b, tol)
+    edges = _panel_edges(a, b)
+    lo, hi = edges[:-1], edges[1:]
+    _, _, vk, err, nodes = _refine(a, b, lo, hi, *_eval_panels(lo, hi))
     return IntegralResult(
         a=a,
         b=b,
@@ -406,8 +396,7 @@ class CheckpointCache:
             for edges in cells:
                 q = p + edges.size - 1
                 a, b = i * DEFAULT_STRIDE, (i + 1) * DEFAULT_STRIDE
-                clo, _, vk, err, n = _refine(a, b, CELL_TOL, lo[p:q], hi[p:q],
-                                             *(x[p:q] for x in first))
+                clo, _, vk, err, n = _refine(a, b, lo[p:q], hi[p:q], *(x[p:q] for x in first))
                 j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
                 vals = vk.tolist()
                 self._knots[i] = (

@@ -43,7 +43,7 @@ class LadderTower:
 
 def _require_floor(T: float) -> None:
     if not T_FLOOR <= T < math.inf:
-        raise DomainError(f"ladder requires finite T >= {T_FLOOR}; the dropped "
+        raise DomainError(f"ladder requires finite T >= {T_FLOOR}, got T={T}; the dropped "
                           "representation terms are not small below that")
 
 
@@ -133,6 +133,4 @@ def build_tower(T: float, k: int, cache: CheckpointCache | None = None) -> Ladde
             raise BracketError(f"rung {r}: {exc}") from exc
         iterates.append(nxt)
         residuals.append(abs(f_nxt))
-        if nxt <= iterates[-2]:
-            raise BracketError(f"rung {r} did not increase: {iterates[-2]} -> {nxt}")
     return LadderTower(base=float(T), iterates=iterates, residuals=residuals, k=k)

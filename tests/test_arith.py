@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,17 @@ def test_divisor_count_small():
     assert [divisor_count(n) for n in range(1, 13)] == _SMALL_D
     with pytest.raises(DomainError):
         divisor_count(0)
+
+
+def test_non_finite_and_non_integral_refused():
+    for bad in (math.nan, math.inf, -math.inf, 2.5):
+        with pytest.raises(DomainError):
+            divisor_count(bad)
+    assert divisor_count(12.0) == 6
+    for fn in (dirichlet_D, prime_pi):
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(DomainError):
+                fn(bad)
 
 
 def test_dirichlet_hyperbola_values():

@@ -6,12 +6,15 @@ import time
 
 import pytest
 
+from ladderlab import integral
 from ladderlab.cli import _FUNCTIONALS, main
+from ladderlab.integral import hl_integral, integrate_segment
 
 
 def test_usage_error_exits_2():
     for argv in (["zeta"],  # missing --t
-                 ["ladder", "--T", "1000", "--k", "1", "--tol", "1e-6"]):  # no such option
+                 ["ladder", "--T", "1000", "--k", "1", "--tol", "1e-6"],  # no such option
+                 ["integral", "--from", "0", "--to", "1000", "--tol", "1e-9"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -43,10 +46,12 @@ def test_zeta_refusal_prints_no_table(capsys):
     assert "T_MAX" in captured.err
 
 
-def test_integral_computation_error_exits_1(capsys):
-    rc = main(["integral", "--from", "150", "--to", "250", "--tol", "1e-12"])
+def test_integral_computation_error_exits_1(capsys, monkeypatch):
+    # a rate whose tolerance on [150, 250] is 1e-12, below the engine floor
+    monkeypatch.setattr(integral, "AUTO_TOL_RATE", 1e-12 / 100.0)
+    rc = main(["integral", "--from", "150", "--to", "250"])
     assert rc == 1
-    assert "ladderlab:" in capsys.readouterr().err
+    assert "ladderlab: engine error floor exceeds tol=1e-12" in capsys.readouterr().err
 
 
 def test_non_finite_bound_exits_1(tmp_path, capsys):
@@ -60,7 +65,6 @@ def test_non_finite_bound_exits_1(tmp_path, capsys):
                  ["scan", "--n", "3", "--max-xyz", "2", "--t-cap", "0"],
                  ["scan", "--n", "3", "--max-xyz", "2", "--t-cap", "-5"],
                  ["scan", "--n", "3", "--max-xyz", "2", "--tau-grid", "nan"],
-                 ["integral", "--from", "100", "--to", "200", "--tol", "nan"],
                  ["ladder", "--T", "nan", "--k", "1"],
                  ["functional", "--id", "gamma", "--x", "nan"],
                  ["functional", "--id", "shifted", "--tau", "nan"],
@@ -90,14 +94,15 @@ def test_bound_above_t_max_exits_1_at_once(tmp_path, capsys):
     assert not os.path.exists(path)
 
 
-def test_integral_tol_from_zero_is_met_or_exits_1(capsys, monkeypatch):
+def test_integral_from_zero_reads_the_cache(capsys, monkeypatch):
+    # --from 0 prints hl_integral's bits, the J every ladder and scan row
+    # reads; any other --from integrates the segment at the same rule
     monkeypatch.delenv("HL_CACHE", raising=False)
-    # below the engine error floor: refused, not answered from the cache
-    assert main(["integral", "--from", "0", "--to", "1000", "--tol", "1e-9"]) == 1
-    assert "ladderlab:" in capsys.readouterr().err
-    assert main(["integral", "--from", "0", "--to", "120", "--tol", "1e-3"]) == 0
-    est = float(capsys.readouterr().out.split("abs_error_estimate=")[1].split()[0])
-    assert est <= 1e-3
+    for frm, want in ((0.0, hl_integral(1000.0)), (150.0, integrate_segment(150.0, 1000.0))):
+        assert main(["integral", "--from", f"{frm:g}", "--to", "1000"]) == 0
+        assert capsys.readouterr().out == (
+            f"value={want.value:.17g}\nabs_error_estimate={want.abs_error_estimate:.17g}\n"
+            f"node_count={want.node_count}\n")
 
 
 def test_integral_success(capsys):

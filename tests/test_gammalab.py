@@ -24,8 +24,9 @@ from ladderlab.integral import CheckpointCache
 def test_ln_gamma_against_stdlib():
     for x in (0.5, 1.0, 2.0, 10.0, 123.456, 1e4, 9.9e4):
         assert ln_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-12, abs=1e-10)
-    with pytest.raises(DomainError):
-        ln_gamma(0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            ln_gamma(bad)
 
 
 @given(st.floats(min_value=0.5, max_value=1e5))
@@ -66,9 +67,12 @@ def test_gamma_functional_skips_below_floor(shared_cache):
     rep = gamma_functional(1.0, [30.0, 300.0], cache=shared_cache)
     assert len(rep.tau_grid) == 1
     assert "skipped" in rep.metadata and "30" in str(rep.metadata["skipped"])
-    # a NaN tau is skipped by the same predicate that keeps it from ascending
+    # a NaN tau is skipped with the error of its refused ascent, which
+    # names the T it refused
     rep = gamma_functional(1.0, [math.nan, 300.0], cache=shared_cache)
     assert list(rep.metadata["skipped"]) == ["nan"] and rep.tau_grid == [300.0]
+    note = rep.metadata["skipped"]["nan"]
+    assert f"T >= {T_FLOOR}, got T=nan" in note and "below ladder floor" not in note
     for x in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             gamma_functional(x, [300.0], cache=shared_cache)
@@ -169,7 +173,7 @@ def test_reports_same_bytes_as_one_ascent_at_a_time(shared_cache, monkeypatch):
         return out
 
     batched = run()
-    assert "past T_MAX" in batched[0] and "below ladder floor" in batched[0]
+    assert "past T_MAX" in batched[0] and f"T >= {T_FLOOR}, got T=70.9" in batched[0]
     monkeypatch.setattr(gammalab, "ascend_all", _one_ascent_per_call)
     assert run() == batched
 

@@ -60,9 +60,8 @@ def test_domain_errors():
         integrate_segment(-1.0, 5.0)
     with pytest.raises(DomainError):
         integrate_segment(10.0, 5.0)
-    for tol in (0.0, math.nan):
-        with pytest.raises(DomainError):
-            integrate_segment(1.0, 2.0, tol=tol)
+    with pytest.raises(TypeError):  # one tolerance rule, no caller's own
+        integrate_segment(1.0, 2.0, tol=1e-3)
     with pytest.raises(DomainError):
         hl_integral(-0.5)
     # non-finite bounds are refused, not integrated forever
@@ -98,9 +97,11 @@ def test_additivity():
     assert abs(value - whole.value) <= estimate + whole.abs_error_estimate
 
 
-def test_impossible_tolerance_fails_fast():
-    with pytest.raises(ToleranceError) as exc:
-        integrate_segment(200.0, 260.0, tol=1e-12)
+def test_impossible_tolerance_fails_fast(monkeypatch):
+    # a rate whose tolerance on [200, 260] is 1e-12, below the engine floor
+    monkeypatch.setattr(integral, "AUTO_TOL_RATE", 1e-12 / 60.0)
+    with pytest.raises(ToleranceError, match=r"engine error floor exceeds tol=1e-12 ") as exc:
+        integrate_segment(200.0, 260.0)
     assert exc.value.best_value is not None
     assert exc.value.best_error > 1e-12
 
@@ -202,7 +203,7 @@ def test_stride_cells_need_no_refinement():
     cells = random.Random(40).sample(range(math.ceil(reach / DEFAULT_STRIDE)), 40)
     for i in cells:
         a, b = i * DEFAULT_STRIDE, (i + 1) * DEFAULT_STRIDE
-        nodes = integral._panels(a, b, CELL_TOL)[4]
+        nodes = integrate_segment(a, b).node_count
         assert nodes == (integral._panel_edges(a, b).size - 1) * integral._NODES_PER_PANEL, i
 
 
@@ -265,8 +266,9 @@ def test_load_rejects_off_grid_rows(tmp_path):
 
 
 def test_node_count_counts_every_evaluated_node(monkeypatch):
-    # tol=1e-10 on [0, 30] forces three refinement rounds after the first
-    # panels; each bisects one panel and evaluates only its two halves
+    # a tolerance of 1e-10 on [0, 30] forces three refinement rounds after
+    # the first panels; each bisects one panel and evaluates only its two
+    # halves
     sizes = []
     z_array = integral.z_array
 
@@ -275,7 +277,9 @@ def test_node_count_counts_every_evaluated_node(monkeypatch):
         return z_array(t)
 
     monkeypatch.setattr(integral, "z_array", counting)
-    res = integrate_segment(0.0, 30.0, tol=1e-10)
+    with monkeypatch.context() as m:
+        m.setattr(integral, "AUTO_TOL_RATE", 1e-10 / 30.0)
+        res = integrate_segment(0.0, 30.0)
     first = integral._panel_edges(0.0, 30.0).size - 1
     assert sizes == [n * integral._NODES_PER_PANEL for n in (first, 2, 2, 2)]
     assert res.node_count == sum(sizes)

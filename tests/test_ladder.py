@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from ladderlab import integral, ladder
 from ladderlab.constants import T_FLOOR
-from ladderlab.errors import DomainError, InfeasibleError, ToleranceError
+from ladderlab.errors import BracketError, DomainError, InfeasibleError, ToleranceError
 from ladderlab.fermat import enumerate_fermat_rationals, evaluate_equivalent
 from ladderlab.gammalab import ln_gamma
 from ladderlab.integral import DEFAULT_STRIDE, CheckpointCache, hl_integral, hl_representation
@@ -193,10 +193,10 @@ def test_non_finite_ordinate_refused_before_any_build():
     cache = CheckpointCache()
     for bad in (math.nan, math.inf):
         for call in (ascend, descend, lambda T, cache: build_tower(T, 1, cache=cache)):
-            with pytest.raises(DomainError, match=f"T >= {T_FLOOR}"):
+            with pytest.raises(DomainError, match=f"T >= {T_FLOOR}, got T={bad}"):
                 call(bad, cache=cache)
         (res,) = ascend_all([bad], cache)
-        assert type(res) is DomainError and f"T >= {T_FLOOR}" in str(res)
+        assert type(res) is DomainError and f"T >= {T_FLOOR}, got T={bad}" in str(res)
     assert len(cache.ts) == 0
 
 
@@ -226,6 +226,17 @@ def test_tower_tolerance_error_keeps_best_estimate(shared_cache, monkeypatch):
     assert (err.best_value, err.best_error) == (cause.best_value, cause.best_error)
     assert err.best_value == pytest.approx(root, rel=1e-9)
     assert err.best_error > 1e-13
+
+
+def test_root_not_above_t_is_a_bracket_error(monkeypatch):
+    # an invert that returns U = T: ascend_all turns it into a BracketError
+    # in its slot, and build_tower re-raises it as rung 1's
+    monkeypatch.setattr(CheckpointCache, "invert",
+                        lambda self, targets: [(1000.0, t) for t in targets])
+    (res,) = ascend_all([1000.0], CheckpointCache())
+    assert type(res) is BracketError and "inconsistent engine state" in str(res)
+    with pytest.raises(BracketError, match="^rung 1: J\\(T\\) > representation\\(T\\)"):
+        build_tower(1000.0, 2, cache=CheckpointCache())
 
 
 def test_tower_k_validation(shared_cache):

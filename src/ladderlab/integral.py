@@ -2,17 +2,17 @@
 
 J(T) = integral of |zeta(1/2+it)|^2 over [0, T], evaluated by panelized
 Gauss-Kronrod (10, 21) quadrature on Z(t)^2. Panels never exceed
-4 pi/ln t, 1.7 wavelengths 2 pi/ln(t/2 pi) of Z^2's fastest component at
-t = 5.8e4, and the 10-point Gauss rule on every other Kronrod node gives
-the error estimate from the same 21 Z values. Against a 40-node
-Gauss-Legendre reference on 200 seeded full-width panels near each of
-t = 1e2, 1e3, 1e4, 3e4 and 5.8e4, |K21 - GL40| is at most 0.0104 of the
-panel's estimate and 3.3e-9 abs at 5.8e4, no stride cell up to the scan
-reach needs a refinement round, and the cells of the mpmath J oracle
-above 1e4 lie within their estimates; all of this also holds at 5 pi.
-Fewer, wider panels are what pays: a Z node's cost is the cosines of
-its Riemann-Siegel sum, and a cold build to the scan reach evaluates
-1,010,919 of them. The engine's Z error bound is folded into the
+6 pi/ln t from RS_SEAM on, 2.5 wavelengths 2 pi/ln(t/2 pi) of Z^2's
+fastest component at t = 5.8e4, and 4 pi/ln max(t, 20) below it; the
+10-point Gauss rule on every other Kronrod node gives the error estimate
+from the same 21 Z values. Against a 40-node Gauss-Legendre reference on
+200 seeded full-width panels near each of t = 1e2, 1e3, 1e4, 3e4 and
+5.8e4, |K21 - GL40| is at most 0.0048 of the panel's estimate and
+3.2e-9 abs at 5.8e4, no stride cell up to T_MAX needs a refinement
+round, and the cells of the mpmath J oracle above 1e4 lie within their
+estimates. Fewer, wider panels are what pays: a Z node's cost is the
+cosines of its Riemann-Siegel sum, and a cold build to the scan reach
+evaluates 678,195 of them. The engine's Z error bound is folded into the
 estimate via Cauchy-Schwarz on each panel. Each panel's Kronrod and
 Gauss values are summed node after node, so a panel's bits do not
 depend on the batch it is evaluated in. Every segment, stride cell and
@@ -50,7 +50,7 @@ import numpy as np
 from .constants import EULER_GAMMA, LN_TWO_PI, T_MAX
 from .errors import (CacheCorruptionError, DomainError, InfeasibleError, LadderLabError,
                      ToleranceError, attempt)
-from .zeta import z_array, z_error_bound
+from .zeta import RS_SEAM, z_array, z_error_bound
 
 # The Gauss-Kronrod (10, 21) pair as QUADPACK qk21 tabulates it (Piessens
 # et al. 1983): the Kronrod abscissae from 1 down to the centre, their
@@ -86,12 +86,20 @@ _PRIM = np.polynomial.legendre.legint(_LEG, lbnd=-1.0)
 # for nd = 21 down to 2.
 _CLENSHAW = [(nd - 2, (nd - 1) / nd, (2 * nd - 1) / nd) for nd in range(_NODES_PER_PANEL, 1, -1)]
 
-# Widest panel at t is _PANEL_CAP / ln max(t, 20).
-_PANEL_CAP = 4.0 * math.pi
+# Widest panel starting at t is _PANEL_CAP / ln t from RS_SEAM on, and
+# _LOW_PANEL_CAP / ln max(t, 20) below it, so the Euler-Maclaurin cells
+# [0, 50] and [50, 100], whose estimates a 6 pi cap would take to 0.79 of
+# CELL_TOL, keep their panels. At t = 5.8e4, 6 pi / ln t is 2.5
+# wavelengths 2 pi / ln(t / 2 pi), |K21 - GL40| stays below 0.0048 of the
+# estimate (module docstring), and a cold build to the scan reach
+# evaluates 678,195 Z nodes. The cap stops at 6 pi because past 7 pi
+# cells refine and the node count doubles.
+_PANEL_CAP = 6.0 * math.pi
+_LOW_PANEL_CAP = 4.0 * math.pi
 
 # Bump on every change that moves Z values or saved checkpoints: load()
 # rejects other versions. Knots are never saved, so moving them does not.
-ENGINE_VERSION = "5"
+ENGINE_VERSION = "6"
 # The one quadrature tolerance, absolute per unit of integration length
 # (_refine). The engine's own error bound contributes ~6e-6 per unit in
 # the worst band, so this is the tightest rate that cannot trip the
@@ -170,7 +178,8 @@ def _panel_edges(a: float, b: float) -> np.ndarray:
     add, log = edges.append, math.log
     cur = a
     while cur < b:
-        cur += _PANEL_CAP / log(cur if cur > 20.0 else 20.0)
+        cap = _PANEL_CAP if cur >= RS_SEAM else _LOW_PANEL_CAP
+        cur += cap / log(cur if cur > 20.0 else 20.0)
         if cur > b:
             cur = b
         add(cur)
@@ -340,7 +349,8 @@ class CheckpointCache:
     ts: list[float] = field(default_factory=list)
     js: list[float] = field(default_factory=list)
     errs: list[float] = field(default_factory=list)
-    # cell index -> the (t, J, err) arrays of that cell's knots
+    # cell index -> the (t, J, err) arrays of that cell's knots, each
+    # built from a list so that it is exactly sized
     _knots: dict[int, tuple[array, array, array]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
@@ -400,9 +410,9 @@ class CheckpointCache:
                 j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
                 vals = vk.tolist()
                 self._knots[i] = (
-                    array("d", clo[1:]),
+                    array("d", clo[1:].tolist()),
                     array("d", [j0 + math.fsum(vals[:m]) for m in range(1, clo.size)]),
-                    array("d", e0 + np.cumsum(err)[:-1]),
+                    array("d", (e0 + np.cumsum(err)[:-1]).tolist()),
                 )
                 if i == len(self.ts):
                     self.ts.append(b)

@@ -69,7 +69,7 @@ _LOGN = np.log(_N)
 _ISQN = 1.0 / np.sqrt(_N)
 
 
-def _psi_taylor(n_coeff: int = 56, radius: float = 1.5, n_fft: int = 4096) -> np.ndarray:
+def _psi_taylor(n_coeff: int = 44, radius: float = 1.5, n_fft: int = 4096) -> np.ndarray:
     """Taylor coefficients of Psi about p = 1/2 via a Cauchy integral.
 
     The contour radius must avoid the removable singularities at
@@ -191,7 +191,7 @@ def _rs_correction(x: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """C0..C3 at x = p - 1/2 as a (4, x.size) array, by elementwise Horner.
 
     Not a BLAS product, which would break batch invariance. Small batches
-    run the 28 steps on one (4 * x.size,) vector, large ones on each row
+    run the 22 steps on one (4 * x.size,) vector, large ones on each row
     in place.
     """
     k = x.size

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from ladderlab import integral
 from ladderlab.constants import EULER_GAMMA, LN_TWO_PI, T_MAX
 from ladderlab.errors import CacheCorruptionError, DomainError, InfeasibleError, ToleranceError
-from ladderlab.fermat import DEFAULT_T_CAP
 from ladderlab.integral import (
     AUTO_TOL_RATE,
     CELL_TOL,
@@ -22,6 +21,7 @@ from ladderlab.integral import (
     integrate_segment,
 )
 from ladderlab.ladder import ascend
+from ladderlab.zeta import RS_SEAM
 
 
 def test_j_oracle_values(oracle, shared_cache):
@@ -197,14 +197,34 @@ def test_panel_values_independent_of_batch():
 
 
 def test_stride_cells_need_no_refinement():
-    # every cell up to the scan reach meets CELL_TOL on its first panels;
-    # a panel cap too wide for the rule would show here as extra nodes
-    reach = DEFAULT_T_CAP * (1.0 + 5.0 * (1.0 - EULER_GAMMA) / math.log(DEFAULT_T_CAP))
-    cells = random.Random(40).sample(range(math.ceil(reach / DEFAULT_STRIDE)), 40)
-    for i in cells:
-        a, b = i * DEFAULT_STRIDE, (i + 1) * DEFAULT_STRIDE
-        nodes = integrate_segment(a, b).node_count
-        assert nodes == (integral._panel_edges(a, b).size - 1) * integral._NODES_PER_PANEL, i
+    # every cell up to T_MAX meets CELL_TOL on its first panels; a panel
+    # cap too wide for the rule would show here as extra nodes
+    cache = CheckpointCache()
+    nodes = cache.extend_to(T_MAX)
+    first = sum(integral._panel_edges(t - DEFAULT_STRIDE, t).size - 1 for t in cache.ts)
+    assert len(cache.ts) == T_MAX / DEFAULT_STRIDE
+    assert nodes == first * integral._NODES_PER_PANEL
+
+
+def test_panel_rule_either_side_of_the_seam():
+    # a panel starting at t is 4 pi / ln max(t, 20) wide below RS_SEAM and
+    # 6 pi / ln t from it on; the last panel of a range ends at its end
+    for a, b in ((0.0, 50.0), (50.0, 100.0), (90.0, 130.0), (100.0, 150.0), (5.8e4, 5.805e4)):
+        edges = integral._panel_edges(a, b).tolist()
+        assert edges[0] == a and edges[-1] == b
+        for lo, hi in zip(edges, edges[1:]):
+            cap = 6.0 * math.pi if lo >= RS_SEAM else 4.0 * math.pi
+            width = cap / math.log(max(lo, 20.0))
+            assert hi == lo + width or (hi == b and hi < lo + width), (a, lo)
+
+
+def test_cells_below_the_seam_keep_their_bits():
+    # the two Euler-Maclaurin cells keep their 4 pi panels, and so the
+    # bits of their checkpoints
+    cache = CheckpointCache()
+    cache.extend_to(100.0)
+    assert [j.hex() for j in cache.js] == ["0x1.cfa59df27481ep+6", "0x1.27a295d9e8ae4p+8"]
+    assert [e.hex() for e in cache.errs] == ["0x1.a103472e8a875p-14", "0x1.a10360dc2823fp-14"]
 
 
 def test_cache_corruption(tmp_path):

@@ -74,6 +74,16 @@ def test_ascent_and_descent_are_roots(shared_cache):
         assert descend(T, cache=shared_cache) == pytest.approx(root, rel=1e-12, abs=0.0)
 
 
+def test_ascent_residuals_stay_far_below_their_bound(shared_cache):
+    # the degree-20 interpolant an ascent solves on loses precision on
+    # wider panels: these 300 roots read 5.5e-9 at most with 6 pi panels,
+    # and a 7 pi cap gives 1.1e-7, against the certified 1e-5
+    Ts = _log_uniform(29, 300, 1e2, 5e4)
+    shared_cache.extend_to(6e4)
+    res = ascend_all(Ts, shared_cache)
+    assert max(abs(r[1]) for r in res) <= 1e-8
+
+
 def test_row_z_call_budget(shared_cache, monkeypatch):
     # on a warm cache a row's rungs are all ascended together: one Z call
     # for the one panel above every root's knot, whose Kronrod values

@@ -188,7 +188,7 @@ def _loop_main_sum(t, th, trunc):
 
 
 def _horner_correction(x, x2):
-    # reference: 28 Horner steps broadcast over a (4, n) array
+    # reference: 22 Horner steps broadcast over a (4, n) array
     c = np.zeros((4, x.size))
     for col in zeta._RS_C.T[::-1]:
         c = c * x2 + col[:, None]

@@ -2,23 +2,24 @@
 
 J(T) = integral of |zeta(1/2+it)|^2 over [0, T], evaluated by panelized
 Gauss-Kronrod (10, 21) quadrature on Z(t)^2. Panels never exceed
-6 pi/ln t from RS_SEAM on, 2.5 wavelengths 2 pi/ln(t/2 pi) of Z^2's
+7 pi/ln t from RS_SEAM on, 2.9 wavelengths 2 pi/ln(t/2 pi) of Z^2's
 fastest component at t = 5.8e4, and 4 pi/ln max(t, 20) below it; the
 10-point Gauss rule on every other Kronrod node gives the error estimate
 from the same 21 Z values. Against a 40-node Gauss-Legendre reference on
 200 seeded full-width panels near each of t = 1e2, 1e3, 1e4, 3e4 and
-5.8e4, |K21 - GL40| is at most 0.0048 of the panel's estimate and
-3.2e-9 abs at 5.8e4, no stride cell up to T_MAX needs a refinement
-round, and the cells of the mpmath J oracle above 1e4 lie within their
-estimates. Fewer, wider panels are what pays: a Z node's cost is the
-cosines of its Riemann-Siegel sum, and a cold build to the scan reach
-evaluates 678,195 of them. The engine's Z error bound is folded into the
-estimate via Cauchy-Schwarz on each panel. Each panel's Kronrod and
-Gauss values are summed node after node, so a panel's bits do not
-depend on the batch it is evaluated in. Every segment, stride cell and
-tail meets one absolute tolerance, AUTO_TOL_RATE per unit of width (at
-least one unit); a panel is bisected only where its estimate misses its
-share, which no stride cell up to T_MAX needs.
+5.8e4, |K21 - GL40| is at most 0.0015 of the panel's estimate and
+3.8e-9 abs at 5.8e4, no stride cell up to T_MAX needs a refinement
+round (the worst cell's estimate is 0.22 of CELL_TOL), and the cells of
+the mpmath J oracle above 1e4 lie within their estimates. Fewer, wider
+panels are what pays: a Z node's cost is the cosines of its
+Riemann-Siegel sum, and a cold build to the scan reach evaluates 582,414
+of them. The engine's Z error bound is folded into the estimate via
+Cauchy-Schwarz on each panel. Each panel's Kronrod and Gauss values are
+summed node after node, so a panel's bits do not depend on the batch it
+is evaluated in. Every segment, stride cell and tail meets one absolute
+tolerance, AUTO_TOL_RATE per unit of width (at least one unit); a panel
+is bisected only where its estimate misses its share, which no stride
+cell up to T_MAX needs.
 
 J is expensive enough that ladder solves want checkpoints: a
 CheckpointCache holds J at every DEFAULT_STRIDE multiple, and in memory
@@ -31,9 +32,10 @@ and each cell then refines and stores its knots on its own. Panel values
 do not depend on their batch, so the grouping moves no bit. A cell from
 load() gets its knots (CheckpointCache._fill) from the first read that
 lands in it. CheckpointCache.invert solves J(U) = target for a list of
-targets and reads each J(U) as hl_integral(U) does, from the stored
-point nearest below U, in two Z calls of one panel per target on a
-warm cache; a U on a stored point has a zero-width tail.
+targets, each on the integral of p^2 for p the degree-20 interpolant of
+Z on the target's panel, and reads each J(U) as hl_integral(U) does,
+from the stored point nearest below U, in two Z calls of one panel per
+target on a warm cache; a U on a stored point has a zero-width tail.
 """
 
 from __future__ import annotations
@@ -75,31 +77,39 @@ _XK = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
 _WK = np.array(_WGK + _WGK[-2::-1])
 _WG = np.array(_WG_HALF + _WG_HALF[::-1])
 _NODES_PER_PANEL = _XK.size
-# _LEG @ f: Legendre coefficients of the degree-20 interpolant of the
-# values f at the 21 Kronrod nodes, whose integral is the Kronrod value
-# (the rule is exact to degree 31), and _PRIM @ f those of its
-# antiderivative from -1.
+# invert() solves on P(x), the integral from -1 of p^2, p the degree-20
+# interpolant of the Z values z at the 21 Kronrod nodes. _Z_MAP @ z holds
+# the 21 Legendre coefficients of p, then p at 41 Chebyshev points, which
+# fix p^2 (degree 40); _SQ_MAP @ p(those points)^2 holds the 42 Legendre
+# coefficients of P, then P on _GRID. Z has half the bandwidth of Z^2, so
+# p^2 follows Z^2 between the nodes closer than an interpolant of Z^2.
 _LEG = np.linalg.inv(np.polynomial.legendre.legvander(_XK, _NODES_PER_PANEL - 1))
-_PRIM = np.polynomial.legendre.legint(_LEG, lbnd=-1.0)
-# The Clenshaw steps of numpy's legval on up to 22 coefficients, the
-# antiderivative's count: (coefficient folded in, (nd - 1)/nd, (2 nd - 1)/nd)
-# for nd = 21 down to 2.
-_CLENSHAW = [(nd - 2, (nd - 1) / nd, (2 * nd - 1) / nd) for nd in range(_NODES_PER_PANEL, 1, -1)]
+_CHEB = np.cos(np.pi * (np.arange(2 * _NODES_PER_PANEL - 1) + 0.5) / (2 * _NODES_PER_PANEL - 1))
+_Z_MAP = np.vstack([_LEG, np.polynomial.legendre.legvander(_CHEB, _NODES_PER_PANEL - 1) @ _LEG])
+_PRIM_SQ = np.polynomial.legendre.legint(
+    np.linalg.inv(np.polynomial.legendre.legvander(_CHEB, _CHEB.size - 1)), lbnd=-1.0)
+_GRID = np.linspace(-1.0, 1.0, 65).tolist()
+_SQ_MAP = np.vstack([_PRIM_SQ, np.polynomial.legendre.legvander(_GRID, _CHEB.size) @ _PRIM_SQ])
+# The Clenshaw steps of numpy's legval on up to 42 coefficients, P's
+# count: (coefficient folded in, (nd - 1)/nd, (2 nd - 1)/nd) for nd = 41
+# down to 2.
+_CLENSHAW = [(nd - 2, (nd - 1) / nd, (2 * nd - 1) / nd) for nd in range(_CHEB.size, 1, -1)]
 
 # Widest panel starting at t is _PANEL_CAP / ln t from RS_SEAM on, and
 # _LOW_PANEL_CAP / ln max(t, 20) below it, so the Euler-Maclaurin cells
 # [0, 50] and [50, 100], whose estimates a 6 pi cap would take to 0.79 of
-# CELL_TOL, keep their panels. At t = 5.8e4, 6 pi / ln t is 2.5
-# wavelengths 2 pi / ln(t / 2 pi), |K21 - GL40| stays below 0.0048 of the
+# CELL_TOL, keep their panels. At t = 5.8e4, 7 pi / ln t is 2.9
+# wavelengths 2 pi / ln(t / 2 pi), |K21 - GL40| stays below 0.0015 of the
 # estimate (module docstring), and a cold build to the scan reach
-# evaluates 678,195 Z nodes. The cap stops at 6 pi because past 7 pi
-# cells refine and the node count doubles.
-_PANEL_CAP = 6.0 * math.pi
+# evaluates 582,414 Z nodes. The cap stops at 7 pi: the worst stride cell
+# to T_MAX reads 0.22 of CELL_TOL there, 0.77 at 7.5 pi, and from
+# 7.75 pi cells refine and a build evaluates more nodes than at 7 pi.
+_PANEL_CAP = 7.0 * math.pi
 _LOW_PANEL_CAP = 4.0 * math.pi
 
 # Bump on every change that moves Z values or saved checkpoints: load()
 # rejects other versions. Knots are never saved, so moving them does not.
-ENGINE_VERSION = "6"
+ENGINE_VERSION = "7"
 # The one quadrature tolerance, absolute per unit of integration length
 # (_refine). The engine's own error bound contributes ~6e-6 per unit in
 # the worst band, so this is the tightest rate that cannot trip the
@@ -146,22 +156,22 @@ class IntegralResult:
     node_count: int
 
 
-def safeguarded_newton(f, df, lo: float, hi: float, x: float) -> float:
-    """Root of an increasing f on [lo, hi], f(lo) <= 0 <= f(hi), from x.
+def safeguarded_newton(fdf, lo: float, hi: float, x: float) -> float:
+    """Root of an increasing f on [lo, hi], f(lo) <= 0 <= f(hi), from x;
+    fdf(x) returns (f(x), f'(x)).
 
     Newton steps that leave the shrinking bracket, or meet a slope <= 0,
     are replaced by bisection; stops at a Newton step of a few ulps or a
     bracket that narrow.
     """
     for _ in range(200):
-        fx = f(x)
+        fx, d = fdf(x)
         if fx == 0.0:
             return x
         lo, hi = (x, hi) if fx < 0.0 else (lo, x)
-        d = df(x)
         step = fx / d if d > 0.0 else math.inf
         if abs(step) <= 4.0 * math.ulp(x):
-            return x - step
+            return min(max(x - step, lo), hi)
         x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
         if hi - lo <= 4.0 * math.ulp(x):
             return x
@@ -188,30 +198,31 @@ def _panel_edges(a: float, b: float) -> np.ndarray:
 
 def _eval_panels(
         lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Z^2 at the 21 Kronrod nodes of each panel, (P, 21), from one z_array
+    """Z at the 21 Kronrod nodes of each panel, (P, 21), from one z_array
     call, with the Kronrod and embedded Gauss panel values (vk, vg) of
-    those same values and the engine error, for a batch of panels.
+    their squares and the engine error, for a batch of panels.
 
     Each panel's weighted values are added node after node (a running
     sum along the row, not BLAS and not numpy's pairwise sum), so a
     panel's values do not depend on the other panels in the batch."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    f = (z_array((mid[:, None] + half[:, None] * _XK[None, :]).ravel()) ** 2).reshape(-1, _XK.size)
+    z = z_array((mid[:, None] + half[:, None] * _XK[None, :]).ravel()).reshape(-1, _XK.size)
+    f = z**2
     vk = np.add.accumulate(f * _WK, axis=1)[:, -1] * half
     vg = np.add.accumulate(f[:, 1::2] * _WG, axis=1)[:, -1] * half
     # engine contribution: |d integral| <= 2 int |Z| eps <= 2 eps sqrt(I w)
     eng = 2.0 * z_error_bound(mid) * np.sqrt(np.maximum(vk, 0.0) * (hi - lo))
-    return f, vk, vg, eng
+    return z, vk, vg, eng
 
 
-def _refine(a: float, b: float, lo: np.ndarray, hi: np.ndarray, f: np.ndarray,
+def _refine(a: float, b: float, lo: np.ndarray, hi: np.ndarray, z: np.ndarray,
             vk: np.ndarray, vg: np.ndarray, eng: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Final panels of [a, b] from its first panels (lo, hi) and their
-    _eval_panels values: (lo, f, vk, err, nodes).
+    _eval_panels values: (lo, z, vk, err, nodes).
 
-    lo are the left panel edges, f the (P, 21) Z^2 values at each panel's
+    lo are the left panel edges, z the (P, 21) Z values at each panel's
     Kronrod nodes, vk the Kronrod panel values, err the per-panel estimate
     |vk - vg| + engine error (vg the Gauss values), and nodes every Z node
     evaluated. The tolerance is the one quadrature rule,
@@ -228,7 +239,7 @@ def _refine(a: float, b: float, lo: np.ndarray, hi: np.ndarray, f: np.ndarray,
         quad_err = np.abs(vk - vg)
         err = quad_err + eng
         if float(np.sum(err)) <= tol:
-            return lo, f, vk, err, nodes
+            return lo, z, vk, err, nodes
         if float(np.sum(eng)) > 0.5 * tol:
             raise ToleranceError(
                 f"engine error floor exceeds tol={tol:g} on [{a},{b}]",
@@ -242,9 +253,9 @@ def _refine(a: float, b: float, lo: np.ndarray, hi: np.ndarray, f: np.ndarray,
         new_lo = np.concatenate([lo[bad], mid])
         new_hi = np.concatenate([mid, hi[bad]])
         new = (new_lo, new_hi, *_eval_panels(new_lo, new_hi))
-        merged = [np.concatenate([old[~bad], n]) for old, n in zip((lo, hi, f, vk, vg, eng), new)]
+        merged = [np.concatenate([old[~bad], n]) for old, n in zip((lo, hi, z, vk, vg, eng), new)]
         order = np.argsort(merged[0], kind="stable")
-        lo, hi, f, vk, vg, eng = (m[order] for m in merged)
+        lo, hi, z, vk, vg, eng = (m[order] for m in merged)
         nodes += new_lo.size * _NODES_PER_PANEL
     raise ToleranceError(
         f"refinement budget exhausted on [{a},{b}] at tol={tol:g}",
@@ -265,38 +276,69 @@ def _refine_each(spans: list[tuple[float, float]]) -> list:
             for r, (a, b) in enumerate(spans)]
 
 
-def _legval(x: float, c: list[float]) -> float:
-    """np.polynomial.legendre.legval(x, c) for 3 <= len(c) <= 22, on Python floats.
+def _legval_pair(x: float, c: list[float], d: list[float]) -> tuple[float, float]:
+    """(legval(x, c), legval(x, d)) of np.polynomial.legendre, for
+    3 <= len(d) <= len(c) <= 42, on Python floats in one loop.
 
-    The same Clenshaw recurrence with the same IEEE operations in the same
-    order, so the same bits, at about a quarter of the cost of the numpy
-    scalar call."""
+    The same Clenshaw recurrences with the same IEEE operations in the
+    same order, so the same bits, at a fraction of the cost of two numpy
+    scalar calls."""
+    steps = _CLENSHAW[len(_CLENSHAW) + 2 - len(c):]
     c0, c1 = c[-2], c[-1]
-    for i, p, q in _CLENSHAW[_NODES_PER_PANEL + 1 - len(c):]:
+    for i, p, q in steps[:len(c) - len(d)]:
         c0, c1 = c[i] - c1 * p, c0 + c1 * x * q
-    return c0 + c1 * x
+    d0, d1 = d[-2], d[-1]
+    for i, p, q in steps[len(c) - len(d):]:
+        c0, c1 = c[i] - c1 * p, c0 + c1 * x * q
+        d0, d1 = d[i] - d1 * p, d0 + d1 * x * q
+    return c0 + c1 * x, d0 + d1 * x
 
 
-def _solve_in_panels(need: float, end: float, lo: np.ndarray, f: np.ndarray,
+def _square_model(z: np.ndarray, half: float) -> tuple[list[float], list[float], list[float]]:
+    """(p, P, P on _GRID) for one panel's 21 Z values z: the Legendre
+    coefficients of p, the degree-20 interpolant of z, and of P, the
+    integral of p^2 from -1, scaled by the panel's half-width; P(-1) is
+    exactly 0."""
+    pz = _Z_MAP @ z
+    prim = (_SQ_MAP @ pz[_NODES_PER_PANEL:] ** 2 * half).tolist()
+    grid = prim[_PRIM_SQ.shape[0]:]
+    grid[0] = 0.0
+    return pz[:_NODES_PER_PANEL].tolist(), prim[:_PRIM_SQ.shape[0]], grid
+
+
+def _solve_in_panels(need: float, end: float, lo: np.ndarray, z: np.ndarray,
                      vk: np.ndarray) -> float:
     """The u in [lo[0], end] whose integral from lo[0] is need, over the
-    final panels (lo, f, vk) of [lo[0], end] as _refine returns them.
+    final panels (lo, z, vk) of [lo[0], end] as _refine returns them.
 
-    Picks the panel whose cumulative value passes need, and solves in it
-    on the closed-form antiderivative of the degree-20 Legendre
-    interpolant of its 21 Kronrod values (Newton, safeguarded by
-    bisection), with no Z call.
+    Picks the panel whose cumulative Kronrod value passes need, and solves
+    in it on P, the integral of p^2 (_square_model), with no Z call:
+    Newton, safeguarded by bisection, in the _GRID cell whose P values
+    bracket need, from the linear interpolant. P over a whole panel
+    differs from its Kronrod value by rounding and model error (up to
+    ~5e-13 on full panels), so a need past P's total returns the panel's
+    end, and one of at most 0 its start.
     """
-    cum = np.cumsum(vk)
-    m = min(int(np.searchsorted(cum, need, side="right")), lo.size - 1)
+    m = 0
+    for v in vk.tolist()[:-1]:
+        if need < v:
+            break
+        need -= v
+        m += 1
     a, b = float(lo[m]), float(lo[m + 1]) if m + 1 < lo.size else end
-    need -= float(cum[m - 1]) if m else 0.0
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    coef, prim = (_LEG @ f[m]).tolist(), ((_PRIM @ f[m]) * half).tolist()
-    return safeguarded_newton(
-        lambda u: _legval((u - mid) / half, prim) - need,
-        lambda u: _legval((u - mid) / half, coef),
-        a, b, a + (b - a) * min(need / float(vk[m]), 1.0))
+    coef, prim, grid = _square_model(z[m], half)
+    k = bisect.bisect_left(grid, need)
+    if k == 0 or k == len(grid):
+        return a if k == 0 else b
+    g0, g1 = grid[k - 1], grid[k]
+    u0, u1 = max(a, mid + half * _GRID[k - 1]), min(b, mid + half * _GRID[k])
+
+    def fdf(u):
+        v, p = _legval_pair((u - mid) / half, prim, coef)
+        return v - need, p * p
+
+    return safeguarded_newton(fdf, u0, u1, u0 + (u1 - u0) * (need - g0) / (g1 - g0))
 
 
 def integrate_segment(a: float, b: float) -> IntegralResult:
@@ -459,8 +501,7 @@ class CheckpointCache:
             # |J - mean value| <= 205 below 6e4 puts the root within 23
             # units of this inverse, so a cold cache stops at the root's cell
             self.extend_to(safeguarded_newton(
-                lambda t: _mean_value(t) - target,
-                lambda t: math.log(t) + _MV_SLOPE,
+                lambda t: (_mean_value(t) - target, math.log(t) + _MV_SLOPE),
                 _MV_ZERO, T_MAX, T_MAX) - 2.0 * DEFAULT_STRIDE)
         while not self.js or self.js[-1] <= target:
             self.extend_to((len(self.ts) + 1) * DEFAULT_STRIDE)
@@ -479,9 +520,10 @@ class CheckpointCache:
         Each target's knot interval [t0, t1] comes from _knot_span, in
         input order, and is one panel. The intervals of all targets take
         one Z call together, and each then refines on its own. U is
-        solved in the panel whose cumulative value passes target, on the
-        antiderivative of the degree-20 interpolant of its 21 Kronrod
-        values. J(U) is hl_integral(U, self).value, bit for bit: its tail
+        solved in [t0, t1], in the panel whose cumulative value passes
+        target, on the integral of p^2, p the degree-20 interpolant of the
+        panel's 21 Z values (_solve_in_panels). J(U) is
+        hl_integral(U, self).value, bit for bit: its tail
         starts at the stored point nearest_below(U) and is at most one
         panel; the tails of all targets take a second Z call together, and
         each refines as integrate_segment would. A U on a knot or
@@ -493,23 +535,15 @@ class CheckpointCache:
         ok = [k for k, span in enumerate(out) if not isinstance(span, LadderLabError)]
         for k, refined in zip(ok, _refine_each([(out[k][0], out[k][2]) for k in ok])):
             if not isinstance(refined, LadderLabError):
-                t0, j0, t1 = out[k]
+                _, j0, t1 = out[k]
                 U = _solve_in_panels(targets[k] - j0, t1, *refined[:3])
-                refined = attempt(self._tail, t0, U)
+                refined = (*self.nearest_below(U)[:2], U)
             out[k] = refined
         ok = [k for k in ok if not isinstance(out[k], LadderLabError)]
         for k, refined in zip(ok, _refine_each([(out[k][0], out[k][2]) for k in ok])):
             out[k] = refined if isinstance(refined, LadderLabError) else (
                 out[k][2], out[k][1] + math.fsum(refined[2]))
         return out
-
-    def _tail(self, t0: float, U: float) -> tuple[float, float, float]:
-        """(t, J(t), U) at t = nearest_below(U), where hl_integral(U)'s tail
-        starts. U, solved from the knot t0, can round a few ulps below it,
-        into a cell from load() whose knots are then filled as hl_integral's."""
-        if U < t0:
-            self._fill(int(U // DEFAULT_STRIDE))
-        return (*self.nearest_below(U)[:2], U)
 
     def save(self, path: str) -> None:
         buf = io.StringIO()

@@ -8,8 +8,10 @@ its defining equation, certified against one fixed bound:
 DEFAULT_RESIDUAL_TOL for a descent, 10 * DEFAULT_RESIDUAL_TOL for an ascent.
 
 Descending reads J(T) once and solves the convex closed form by Newton.
-Ascending reads the root off the checkpoint cache's stored prefix of J
-and certifies it with the J(U) read that comes with it
+Ascending reads the root off the checkpoint cache's stored prefix of J,
+solving inside the one panel above the root's knot on the integral of
+p^2, p the degree-20 interpolant of that panel's 21 Z values, and
+certifies it with the J(U) read that comes with it
 (CheckpointCache.invert). ascend_all is the one ascent path: it climbs
 from any number of ordinates at once, in two Z calls on a warm cache,
 each of one 21-node panel per ordinate; ascend and build_tower call it
@@ -60,7 +62,7 @@ def descend(T: float, cache: CheckpointCache | None = None) -> float:
     f = lambda phi: hl_representation(phi) - target
     if f(T) < 0.0:
         raise BracketError(f"representation(T) < J(T) at T={T}; inconsistent engine state")
-    phi = safeguarded_newton(f, lambda phi: math.log(phi) + _REP_SLOPE, 2.0, T, T)
+    phi = safeguarded_newton(lambda phi: (f(phi), math.log(phi) + _REP_SLOPE), 2.0, T, T)
     resid = abs(f(phi))
     if resid > DEFAULT_RESIDUAL_TOL:
         raise ToleranceError(f"descend residual {resid:g} > {DEFAULT_RESIDUAL_TOL:g} at T={T}",

@@ -147,21 +147,32 @@ def test_kronrod_rule_table():
     # the embedded rule is Gauss-Legendre 10 on every other Kronrod node
     xg, wg10 = np.polynomial.legendre.leggauss(10)
     assert np.max(np.abs(x[1::2] - xg)) <= 4e-16 and np.max(np.abs(wg - wg10)) <= 4e-16
-    # the degree-20 interpolant that invert() solves on integrates to the K21 value
-    f = np.random.default_rng(12).random((50, n))
+    # the degree-20 interpolant p of the 21 values integrates to their K21 value
+    rng = np.random.default_rng(12)
+    f = rng.random((50, n))
     leg = f @ integral._LEG.T
     assert leg.shape == (50, 21)
     assert np.max(np.abs(2.0 * leg[:, 0] - f @ w)) <= 4e-15
-    prim = f @ integral._PRIM.T
-    assert np.max(np.abs(np.polynomial.legendre.legval(1.0, prim.T) - f @ w)) <= 4e-15
+    # invert() solves on the integral of p^2: for z of degree <= 15, p is z
+    # and z^2 lies in K21's exact range, so over [-1, 1] it is K21 of z^2
+    for _ in range(200):
+        z = np.polynomial.legendre.legval(x, rng.normal(size=rng.integers(1, 17)))
+        z /= np.max(np.abs(z))
+        coef, prim, grid = integral._square_model(z, 1.0)
+        assert len(coef) == 21 and len(prim) == 42 and len(grid) == len(integral._GRID)
+        assert abs(np.polynomial.legendre.legval(1.0, prim) - w @ z**2) <= 4e-15
+        assert grid[0] == 0.0 and abs(grid[-1] - w @ z**2) <= 4e-15
 
 
-@given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=3, max_size=22),
+@given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=3, max_size=42),
+       st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=3, max_size=42),
        st.floats(min_value=-1.0, max_value=1.0))
-def test_clenshaw_is_numpy_legval(c, x):
-    # invert() solves on this sum; it must keep numpy's bits
-    want = np.polynomial.legendre.legval(x, np.array(c))
-    assert integral._legval(x, c).hex() == float(want).hex()
+def test_clenshaw_is_numpy_legval(c, d, x):
+    # invert() solves on these two sums, evaluated in one loop; each must
+    # keep numpy's bits
+    c, d = sorted((c, d), key=len, reverse=True)
+    want = [float(np.polynomial.legendre.legval(x, np.array(v))).hex() for v in (c, d)]
+    assert [v.hex() for v in integral._legval_pair(x, c, d)] == want
 
 
 def test_panel_estimate_bounds_true_error():
@@ -208,12 +219,12 @@ def test_stride_cells_need_no_refinement():
 
 def test_panel_rule_either_side_of_the_seam():
     # a panel starting at t is 4 pi / ln max(t, 20) wide below RS_SEAM and
-    # 6 pi / ln t from it on; the last panel of a range ends at its end
+    # 7 pi / ln t from it on; the last panel of a range ends at its end
     for a, b in ((0.0, 50.0), (50.0, 100.0), (90.0, 130.0), (100.0, 150.0), (5.8e4, 5.805e4)):
         edges = integral._panel_edges(a, b).tolist()
         assert edges[0] == a and edges[-1] == b
         for lo, hi in zip(edges, edges[1:]):
-            cap = 6.0 * math.pi if lo >= RS_SEAM else 4.0 * math.pi
+            cap = 7.0 * math.pi if lo >= RS_SEAM else 4.0 * math.pi
             width = cap / math.log(max(lo, 20.0))
             assert hi == lo + width or (hi == b and hi < lo + width), (a, lo)
 
@@ -250,6 +261,8 @@ def test_cache_corruption(tmp_path):
                           ("# ladderlab cache v2 stride=50 tol=0.0015\n", "version 2,"),
                           ("# ladderlab cache v3 stride=50 tol=0.0015\n", "version 3,"),
                           ("# ladderlab cache v4 stride=50 tol=0.0015\n", "version 4,"),
+                          ("# ladderlab cache v5 stride=50 tol=0.0015\n", "version 5,"),
+                          ("# ladderlab cache v6 stride=50 tol=0.0015\n", "version 6,"),
                           ("", "version missing,")):
         with open(path, "w") as fh:
             fh.write(header + "T,J,abs_err\n50,10,0\n100,20,0\n")
@@ -348,7 +361,7 @@ def test_knot_reads_match_checkpoint_tail(shared_cache):
 
 def test_invert_returns_the_plain_read_of_j_at_its_root(shared_cache):
     # seeded targets, plus the J values of knots and checkpoints, whose
-    # roots sit on a stored point (a zero-width tail) or a few ulps below it
+    # roots sit on a stored point (a zero-width tail)
     shared_cache.extend_to(2e4)
     rng = random.Random(21)
     targets = [rng.uniform(30.0, shared_cache.js[-1]) for _ in range(20)]
@@ -360,10 +373,42 @@ def test_invert_returns_the_plain_read_of_j_at_its_root(shared_cache):
         assert abs(j - target) <= 1e-9 * target
 
 
-def test_invert_root_below_a_loaded_checkpoint(shared_cache, tmp_path):
-    # the root of a checkpoint's J can round a few ulps below it, into a
-    # stride cell that load() left without knots; its J read must still
-    # start one panel below U, as hl_integral(U) does on a warm cache
+def test_invert_targets_just_below_a_stored_j(shared_cache, tmp_path):
+    # U is solved on the integral P of p^2, which over a whole panel
+    # differs from the stored Kronrod increment j1 - j0 by rounding and
+    # model error (up to ~5e-13 on full 7 pi panels), so a target just
+    # below j1 can lie past P's total; U stays in [t0, t1], on a warm
+    # cache and on a loaded one that must fill its knots
+    shared_cache.extend_to(2e4)
+    path = os.path.join(tmp_path, "cache.csv")
+    CheckpointCache(ts=shared_cache.ts[:400], js=shared_cache.js[:400],
+                    errs=shared_cache.errs[:400]).save(path)
+    loaded = CheckpointCache.load(path)
+    spans = []
+    for i in (3, 150, 390):
+        kt, kj, _ = shared_cache._knots[i]
+        pts = [(shared_cache.ts[i - 1], shared_cache.js[i - 1])] + list(zip(kt, kj))
+        pts.append((shared_cache.ts[i], shared_cache.js[i]))
+        spans += [pts[k:k + 2] for k in (0, len(pts) // 2, len(pts) - 2)]
+    for cache in (shared_cache, loaded):
+        for (t0, _), (t1, j1) in spans:
+            targets = [math.nextafter(j1, 0.0), j1 - 1e-12, j1 - 1e-10, j1 - 1e-9]
+            for target, (U, j) in zip(targets, cache.invert(targets)):
+                assert t0 <= U <= t1, (t0, U, t1)
+                assert abs(j - target) <= 1e-8
+                assert j.hex() == hl_integral(U, cache=shared_cache).value.hex()
+    # a need past P's total returns the panel's end, and one of 0 its start
+    lo, end = np.array([1e4]), 1e4 + 2.0
+    z, vk, _, _ = integral._eval_panels(lo, np.array([end]))
+    total = integral._square_model(z[0], 1.0)[2][-1]
+    assert integral._solve_in_panels(total + 1e-9, end, lo, z, vk) == end
+    assert integral._solve_in_panels(0.0, end, lo, z, vk) == 1e4
+
+
+def test_invert_root_of_a_loaded_checkpoint_is_the_checkpoint(shared_cache, tmp_path):
+    # the root of a checkpoint's J is that checkpoint, never a few ulps
+    # below it in a stride cell that load() left without knots, and its J
+    # read is hl_integral(U)'s on a warm cache
     shared_cache.extend_to(1e4)
     path = os.path.join(tmp_path, "cache.csv")
     CheckpointCache(ts=shared_cache.ts[:200], js=shared_cache.js[:200],
@@ -371,9 +416,10 @@ def test_invert_root_below_a_loaded_checkpoint(shared_cache, tmp_path):
     loaded = CheckpointCache.load(path)
     rows = list(range(198, 0, -2))  # descending: no target fills the cell below another
     res = loaded.invert([shared_cache.js[i] for i in rows])
-    assert any(U < shared_cache.ts[i] for i, (U, _) in zip(rows, res))
-    for U, j in res:
+    for i, (U, j) in zip(rows, res):
+        assert (U, j) == (shared_cache.ts[i], shared_cache.js[i])
         assert j.hex() == hl_integral(U, cache=shared_cache).value.hex()
+    assert all(i not in loaded._knots for i in rows)
 
 
 def test_invert_refuses_nan_and_negative_targets_per_slot():

@@ -9,7 +9,8 @@ needs mpmath at runtime. Rerun after any change to the sampling plan:
 
 Takes a few minutes; the second-moment quadrature dominates. Pass one
 function name, `python3 scripts/make_fixtures.py z_table_high`,
-`gram_high` or `j_cells_high`, to write only that fixture.
+`gram_high`, `j_cells_high` or `j_cell_top`, to write only that
+fixture.
 """
 
 from __future__ import annotations
@@ -86,40 +87,52 @@ def gram_high() -> None:
             w.writerow([int(n), f"{float(mp.grampoint(int(n))):.17g}"])
 
 
-def j_cells_high() -> None:
-    """J over one stride cell near each of 1e4, 3e4 and 5.8e4.
+_J_CELL_ORACLE = ("mpmath siegelz at dps 20, composite Gauss-Legendre on unit panels, "
+                  "20 nodes a panel checked against 16")
 
-    Z^2 from mpmath siegelz at dps 20 (which agrees with dps 30 to 20
-    digits there), summed by composite Gauss-Legendre on the cell's
-    unit panels: 20 nodes a panel for J, checked against 16 nodes a
-    panel, whose difference is stored as rule_diff. Writes a new file,
-    so the older fixtures stay byte-identical. Run it alone with
-    `python3 scripts/make_fixtures.py j_cells_high`.
-    """
+
+def _j_cell(a: int, stride: int) -> dict:
+    """J over [a, a + stride] from Z^2, mpmath siegelz at dps 20 (which
+    agrees with dps 30 to 20 digits there), summed by composite
+    Gauss-Legendre on the cell's unit panels: 20 nodes a panel for J,
+    checked against 16 nodes a panel, whose difference is rule_diff."""
     mp.mp.dps = 20
-    stride, cells = 50, (10000, 30000, 58000)
     rules = {n: mp.gauss_quadrature(n, "legendre") for n in (16, 20)}
-    rows = []
+    sums = {}
     t0 = time.time()
-    for a in cells:
-        sums = {}
-        for n, (xs, ws) in rules.items():
-            total = mp.mpf(0)
-            for p in range(a, a + stride):
-                mid = mp.mpf(p) + mp.mpf(1) / 2
-                total += sum(w * mp.siegelz(mid + x / 2) ** 2 for x, w in zip(xs, ws)) / 2
-            sums[n] = total
-            print(f"  J cell {a} GL{n}: {mp.nstr(total, 20)}  ({time.time()-t0:.0f}s)")
-        rows.append({"a": float(a), "b": float(a + stride), "J": float(sums[20]),
-                     "rule_diff": float(abs(sums[20] - sums[16]))})
-    data = {
-        "cells": rows,
-        "oracle": "mpmath siegelz at dps 20, composite Gauss-Legendre on unit panels, "
-                  "20 nodes a panel checked against 16",
-    }
-    with open(OUT / "j_cells_high.json", "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+    for n, (xs, ws) in rules.items():
+        total = mp.mpf(0)
+        for p in range(a, a + stride):
+            mid = mp.mpf(p) + mp.mpf(1) / 2
+            total += sum(w * mp.siegelz(mid + x / 2) ** 2 for x, w in zip(xs, ws)) / 2
+        sums[n] = total
+        print(f"  J cell {a} GL{n}: {mp.nstr(total, 20)}  ({time.time()-t0:.0f}s)")
+    return {"a": float(a), "b": float(a + stride), "J": float(sums[20]),
+            "rule_diff": float(abs(sums[20] - sums[16]))}
+
+
+def _write_j_cells(name: str, cells: list[dict]) -> None:
+    with open(OUT / name, "w") as fh:
+        json.dump({"cells": cells, "oracle": _J_CELL_ORACLE}, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def j_cells_high() -> None:
+    """J over one stride cell near each of 1e4, 3e4 and 5.8e4 (_j_cell).
+
+    Writes a new file, so the older fixtures stay byte-identical. Run it
+    alone with `python3 scripts/make_fixtures.py j_cells_high`.
+    """
+    _write_j_cells("j_cells_high.json", [_j_cell(a, 50) for a in (10000, 30000, 58000)])
+
+
+def j_cell_top() -> None:
+    """J over the stride cell [99900, 99950], just below T_MAX, by
+    _j_cell. Writes a new file, so the older fixtures stay
+    byte-identical. Run it alone with
+    `python3 scripts/make_fixtures.py j_cell_top`.
+    """
+    _write_j_cells("j_cell_top.json", [_j_cell(99900, 50)])
 
 
 def zeros_table() -> None:
@@ -177,7 +190,7 @@ def scalars() -> None:
 def main() -> None:
     OUT.mkdir(parents=True, exist_ok=True)
     single = {"z_table_high": z_table_high, "gram_high": gram_high,
-              "j_cells_high": j_cells_high}
+              "j_cells_high": j_cells_high, "j_cell_top": j_cell_top}
     if len(sys.argv) == 2 and sys.argv[1] in single:
         print(sys.argv[1], "...")
         single[sys.argv[1]]()
@@ -194,6 +207,8 @@ def main() -> None:
     gram_high()
     print("J cells high ...")
     j_cells_high()
+    print("J cell top ...")
+    j_cell_top()
     print("done ->", OUT)
 
 

@@ -26,16 +26,15 @@ CheckpointCache holds J at every DEFAULT_STRIDE multiple, and in memory
 also J at a knot on every final panel edge inside each stride cell,
 taken from the panel values the cell's quadrature already produced. Any
 J(T) then costs one lookup plus a tail of at most one panel.
-A build makes one Z call per group of cells: the first panels of a run
-of consecutive stride cells, up to 2^14 nodes, go to z_array together,
-and each cell then refines and stores its knots on its own. Panel values
-do not depend on their batch, so the grouping moves no bit. A cell from
-load() gets its knots (CheckpointCache._fill) from the first read that
-lands in it. CheckpointCache.invert solves J(U) = target for a list of
-targets, each on the integral of p^2 for p the degree-20 interpolant of
-Z on the target's panel, and reads each J(U) as hl_integral(U) does,
-from the stored point nearest below U, in two Z calls of one panel per
-target on a warm cache; a U on a stored point has a zero-width tail.
+One generator, _quad, integrates every span (a segment, a build's stride
+cells, both passes of invert) in one Z call per group of consecutive
+spans, up to 2^14 first-panel nodes; panel values do not depend on
+their batch, so the grouping moves no bit. A cell from load() gets its
+knots (CheckpointCache._fill) from the first read that lands in it.
+CheckpointCache.invert solves J(U) = target on the integral of p^2, p
+the degree-20 interpolant of Z on the target's panel, and reads J(U)
+from the stored point nearest below U through _quad as well, so J(U)
+is hl_integral(U) by construction.
 """
 
 from __future__ import annotations
@@ -45,13 +44,14 @@ import io
 import math
 import os
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import EULER_GAMMA, LN_TWO_PI, T_MAX
 from .errors import (CacheCorruptionError, DomainError, InfeasibleError, LadderLabError,
-                     ToleranceError, attempt)
+                     ToleranceError, attempt, unwrap)
 from .zeta import RS_SEAM, z_array, z_error_bound
 
 # The Gauss-Kronrod (10, 21) pair as QUADPACK qk21 tabulates it (Piessens
@@ -121,8 +121,9 @@ CELL_TOL = AUTO_TOL_RATE * DEFAULT_STRIDE
 # First line of every cache file; load() accepts no other.
 _VERSION_TAG = "# ladderlab cache v"
 _HEADER = f"{_VERSION_TAG}{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}"
-# Most Z nodes in one call for the first panels of a run of stride cells
-# (a cell has 294 to 966); larger groups cost peak RSS.
+# Most Z nodes in one grouped call of _quad, a build's or invert's (a
+# stride cell has 231 to 567 from the seam to T_MAX); larger groups cost
+# peak RSS.
 _GROUP_NODES = 2**14
 # The mean value J(t) ~ t ln(t / 2 pi) + (2c - 1) t has slope ln t + _MV_SLOPE
 # and is 0 at _MV_ZERO.
@@ -200,14 +201,16 @@ def _eval_panels(
         lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Z at the 21 Kronrod nodes of each panel, (P, 21), from one z_array
     call, with the Kronrod and embedded Gauss panel values (vk, vg) of
-    their squares and the engine error, for a batch of panels.
+    their squares and the engine error, for a batch of panels; no call
+    for a batch of no panel.
 
     Each panel's weighted values are added node after node (a running
     sum along the row, not BLAS and not numpy's pairwise sum), so a
     panel's values do not depend on the other panels in the batch."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    z = z_array((mid[:, None] + half[:, None] * _XK[None, :]).ravel()).reshape(-1, _XK.size)
+    t = (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
+    z = (z_array(t) if t.size else t).reshape(-1, _XK.size)
     f = z**2
     vk = np.add.accumulate(f * _WK, axis=1)[:, -1] * half
     vg = np.add.accumulate(f[:, 1::2] * _WG, axis=1)[:, -1] * half
@@ -264,16 +267,35 @@ def _refine(a: float, b: float, lo: np.ndarray, hi: np.ndarray, z: np.ndarray,
     )
 
 
-def _refine_each(spans: list[tuple[float, float]]) -> list:
-    """integrate_segment's final panels of each [a, b] that is at most one
-    panel wide, as _refine returns them, or the LadderLabError refinement
-    met; the first panels of all spans take one Z call together."""
-    if not spans:
-        return []
-    lo, hi = (np.array(v) for v in zip(*spans))
-    first = (lo, hi, *_eval_panels(lo, hi))
-    return [attempt(_refine, a, b, *(x[r:r + 1] for x in first))
-            for r, (a, b) in enumerate(spans)]
+def _quad(spans: list[tuple[float, float]]) -> Iterator[tuple | LadderLabError]:
+    """For each [a, b] of spans in order, its final panels as _refine
+    returns them, (lo, z, vk, err, nodes), or the LadderLabError it met.
+
+    Consecutive spans whose first panels (_panel_edges; a zero-width span
+    has none) hold at most _GROUP_NODES nodes, and at least one span,
+    share one _eval_panels call; each span then refines on its own."""
+    edges = [_panel_edges(a, b) for a, b in spans]
+    start = 0
+    while start < len(spans):
+        stop, size = start + 1, edges[start].size - 1
+        while stop < len(spans) and (
+                size + edges[stop].size - 1) * _NODES_PER_PANEL <= _GROUP_NODES:
+            size += edges[stop].size - 1
+            stop += 1
+        group = edges[start:stop]
+        if len(group) == 1:  # a segment's one span: no copies, no slices
+            lo, hi = group[0][:-1], group[0][1:]
+            yield attempt(_refine, *spans[start], lo, hi, *_eval_panels(lo, hi))
+        else:
+            lo = np.concatenate([e[:-1] for e in group])
+            hi = np.concatenate([e[1:] for e in group])
+            first = (lo, hi, *_eval_panels(lo, hi))
+            p = 0
+            for (a, b), e in zip(spans[start:stop], group):
+                q = p + e.size - 1
+                yield attempt(_refine, a, b, *[x[p:q] for x in first])
+                p = q
+        start = stop
 
 
 def _legval_pair(x: float, c: list[float], d: list[float]) -> tuple[float, float]:
@@ -351,11 +373,7 @@ def integrate_segment(a: float, b: float) -> IntegralResult:
     if not 0.0 <= a <= b < math.inf:
         raise DomainError("integrate_segment requires finite 0 <= a <= b")
     _check_t_max(b)
-    if a == b:
-        return IntegralResult(a=a, b=b, value=0.0, abs_error_estimate=0.0, node_count=0)
-    edges = _panel_edges(a, b)
-    lo, hi = edges[:-1], edges[1:]
-    _, _, vk, err, nodes = _refine(a, b, lo, hi, *_eval_panels(lo, hi))
+    _, _, vk, err, nodes = unwrap(next(_quad([(a, b)])))
     return IntegralResult(
         a=a,
         b=b,
@@ -425,43 +443,25 @@ class CheckpointCache:
         return (self.ts[i - 1], self.js[i - 1], self.errs[i - 1])
 
     def _cells(self, i: int, stop: int) -> int:
-        """Integrate stride cells i .. stop - 1 at CELL_TOL, store their
-        knots and append the checkpoints not yet held; returns the Z nodes.
-
-        The first panels of a run of consecutive cells, at most
-        _GROUP_NODES nodes, take one z_array call; each cell then refines
-        on its own."""
+        """Integrate stride cells i .. stop - 1 at CELL_TOL (_quad), store
+        their knots and append the checkpoints not yet held; returns the Z
+        nodes."""
         nodes = 0
-        while i < stop:
-            cells, size = [], 0
-            while i + len(cells) < stop:
-                k = i + len(cells)
-                edges = _panel_edges(k * DEFAULT_STRIDE, (k + 1) * DEFAULT_STRIDE)
-                size += (edges.size - 1) * _NODES_PER_PANEL
-                if cells and size > _GROUP_NODES:
-                    break
-                cells.append(edges)
-            lo = np.concatenate([e[:-1] for e in cells])
-            hi = np.concatenate([e[1:] for e in cells])
-            first = _eval_panels(lo, hi)
-            p = 0
-            for edges in cells:
-                q = p + edges.size - 1
-                a, b = i * DEFAULT_STRIDE, (i + 1) * DEFAULT_STRIDE
-                clo, _, vk, err, n = _refine(a, b, lo[p:q], hi[p:q], *(x[p:q] for x in first))
-                j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
-                vals = vk.tolist()
-                self._knots[i] = (
-                    array("d", clo[1:].tolist()),
-                    array("d", [j0 + math.fsum(vals[:m]) for m in range(1, clo.size)]),
-                    array("d", (e0 + np.cumsum(err)[:-1]).tolist()),
-                )
-                if i == len(self.ts):
-                    self.ts.append(b)
-                    self.js.append(j0 + math.fsum(vals))
-                    self.errs.append(e0 + float(np.sum(err)))
-                nodes += n
-                p, i = q, i + 1
+        spans = [(k * DEFAULT_STRIDE, (k + 1) * DEFAULT_STRIDE) for k in range(i, stop)]
+        for i, ((_, b), refined) in enumerate(zip(spans, _quad(spans)), i):
+            clo, _, vk, err, n = unwrap(refined)
+            j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
+            vals = vk.tolist()
+            self._knots[i] = (
+                array("d", clo[1:].tolist()),
+                array("d", [j0 + math.fsum(vals[:m]) for m in range(1, clo.size)]),
+                array("d", (e0 + np.cumsum(err)[:-1]).tolist()),
+            )
+            if i == len(self.ts):
+                self.ts.append(b)
+                self.js.append(j0 + math.fsum(vals))
+                self.errs.append(e0 + float(np.sum(err)))
+            nodes += n
         return nodes
 
     def _fill(self, i: int) -> int:
@@ -518,29 +518,26 @@ class CheckpointCache:
         prefix of J; a target that fails holds the LadderLabError it met.
 
         Each target's knot interval [t0, t1] comes from _knot_span, in
-        input order, and is one panel. The intervals of all targets take
-        one Z call together, and each then refines on its own. U is
-        solved in [t0, t1], in the panel whose cumulative value passes
-        target, on the integral of p^2, p the degree-20 interpolant of the
-        panel's 21 Z values (_solve_in_panels). J(U) is
-        hl_integral(U, self).value, bit for bit: its tail
-        starts at the stored point nearest_below(U) and is at most one
-        panel; the tails of all targets take a second Z call together, and
-        each refines as integrate_segment would. A U on a knot or
-        checkpoint gets a zero-width tail, whose value is exactly 0.0.
-        Panel values do not depend on their batch, so U and J(U) depend
-        only on target and the history-independent knots.
+        input order, and is one panel; the intervals go through _quad
+        together. U is solved in [t0, t1], in the panel whose cumulative
+        value passes target, on the integral of p^2, p the degree-20
+        interpolant of the panel's 21 Z values (_solve_in_panels). J(U) is
+        hl_integral(U, self).value, bit for bit: its tail [nearest_below(U),
+        U] is at most one panel, and the tails go through _quad together,
+        as integrate_segment's span does. A U on a knot or checkpoint has a
+        tail of no panel. Panel values do not depend on their batch, so U
+        and J(U) depend only on target and the history-independent knots.
         """
         out: list = [attempt(self._knot_span, target) for target in targets]
         ok = [k for k, span in enumerate(out) if not isinstance(span, LadderLabError)]
-        for k, refined in zip(ok, _refine_each([(out[k][0], out[k][2]) for k in ok])):
+        for k, refined in zip(ok, _quad([(out[k][0], out[k][2]) for k in ok])):
             if not isinstance(refined, LadderLabError):
                 _, j0, t1 = out[k]
                 U = _solve_in_panels(targets[k] - j0, t1, *refined[:3])
                 refined = (*self.nearest_below(U)[:2], U)
             out[k] = refined
         ok = [k for k in ok if not isinstance(out[k], LadderLabError)]
-        for k, refined in zip(ok, _refine_each([(out[k][0], out[k][2]) for k in ok])):
+        for k, refined in zip(ok, _quad([(out[k][0], out[k][2]) for k in ok])):
             out[k] = refined if isinstance(refined, LadderLabError) else (
                 out[k][2], out[k][1] + math.fsum(refined[2]))
         return out

@@ -58,6 +58,13 @@ def j_cells_high():
 
 
 @pytest.fixture(scope="session")
+def j_cell_top():
+    """J over the stride cell [99900, 99950], just below T_MAX, from mpmath."""
+    with open(os.path.join(FIXTURES, "j_cell_top.json")) as fh:
+        return json.load(fh)["cells"][0]
+
+
+@pytest.fixture(scope="session")
 def calibration():
     with open(os.path.join(FIXTURES, "calibration.json")) as fh:
         return json.load(fh)

@@ -183,7 +183,8 @@ def test_scan_repeat_bytes_identical(tmp_path):
             "--t-cap", "5000"]
     assert main(args + ["--out", a]) == 0
     assert main(args + ["--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        assert fa.read() == fb.read()
 
 
 def test_cache_subcommand(tmp_path, capsys, monkeypatch):
@@ -203,11 +204,13 @@ def test_hl_cache_env_used_readonly(tmp_path, monkeypatch, capsys):
     path = os.path.join(tmp_path, "cache.csv")
     assert main(["cache", "--path", path, "--extend-to", "200"]) == 0
     capsys.readouterr()
-    before = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        before = fh.read()
     monkeypatch.setenv("HL_CACHE", path)
     assert main(["integral", "--from", "0", "--to", "150"]) == 0
     capsys.readouterr()
-    assert open(path, "rb").read() == before  # heavy commands never write it
+    with open(path, "rb") as fh:
+        assert fh.read() == before  # heavy commands never write it
 
 
 def test_console_script_installed():

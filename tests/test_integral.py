@@ -49,6 +49,17 @@ def test_j_cells_within_estimate_above_1e4(j_cells_high, shared_cache):
     print(f"worst |cell increment - oracle| / estimate = {worst:.3g}")
 
 
+def test_j_cell_within_estimate_near_t_max(j_cell_top):
+    # a segment over the stride cell [99900, 99950] has that cell's panels,
+    # the widest the engine makes
+    seg = integrate_segment(j_cell_top["a"], j_cell_top["b"])
+    assert (j_cell_top["a"], j_cell_top["b"]) == (99900.0, 99950.0)
+    assert j_cell_top["rule_diff"] <= 1e-3 * seg.abs_error_estimate  # the oracle's own check
+    ratio = abs(seg.value - j_cell_top["J"]) / seg.abs_error_estimate
+    assert ratio <= 1.0, ratio
+    print(f"|segment - oracle| / estimate = {ratio:.3g}")
+
+
 def test_zero_and_degenerate():
     assert hl_integral(0.0).value == 0.0
     seg = integrate_segment(5.0, 5.0)
@@ -359,7 +370,7 @@ def test_knot_reads_match_checkpoint_tail(shared_cache):
         assert T - k0 <= integral._PANEL_CAP / math.log(max(k0, 20.0))
 
 
-def test_invert_returns_the_plain_read_of_j_at_its_root(shared_cache):
+def test_invert_returns_the_plain_read_of_j_at_its_root(shared_cache, monkeypatch):
     # seeded targets, plus the J values of knots and checkpoints, whose
     # roots sit on a stored point (a zero-width tail)
     shared_cache.extend_to(2e4)
@@ -371,6 +382,24 @@ def test_invert_returns_the_plain_read_of_j_at_its_root(shared_cache):
     for target, (U, j) in zip(targets, shared_cache.invert(targets)):
         assert j.hex() == hl_integral(U, cache=shared_cache).value.hex()
         assert abs(j - target) <= 1e-9 * target
+
+    # every stored point of ten cells inverts to itself, and its tail has
+    # no panel: only the targets' knot intervals are evaluated, in one
+    # Z call
+    stored = []
+    for i in range(3, 400, 40):
+        kt, kj, _ = shared_cache._knots[i]
+        stored += [*zip(kt, kj), (shared_cache.ts[i], shared_cache.js[i])]
+    sizes = []
+    z_array = integral.z_array
+
+    def counting(t):
+        sizes.append(len(t))
+        return z_array(t)
+
+    monkeypatch.setattr(integral, "z_array", counting)
+    assert shared_cache.invert([j for _, j in stored]) == stored
+    assert sizes == [integral._NODES_PER_PANEL * len(stored)]
 
 
 def test_invert_targets_just_below_a_stored_j(shared_cache, tmp_path):
@@ -485,7 +514,7 @@ def test_uncached_read_is_the_cached_read(shared_cache):
         assert _bits(hl_integral(T)) == _bits(hl_integral(T, cache=shared_cache))
 
 
-def test_uncached_read_integrates_cell_by_cell(monkeypatch):
+def test_uncached_read_integrates_cell_by_cell(monkeypatch, shared_cache):
     # an uncached read builds its cells in groups of at most _GROUP_NODES
     # first-pass nodes, so no Z batch, and no memory, grows with T
     sizes = []
@@ -499,6 +528,15 @@ def test_uncached_read_integrates_cell_by_cell(monkeypatch):
     res = hl_integral(5e3)
     assert len(sizes) > 1 and max(sizes) <= integral._GROUP_NODES
     assert res.node_count == sum(sizes)
+
+    # nor does a warm-cache invert batch grow with the number of targets
+    shared_cache.extend_to(2e4)
+    rng = random.Random(26)
+    targets = [rng.uniform(0.0, shared_cache.js[-1]) for _ in range(2000)]
+    sizes.clear()
+    roots = shared_cache.invert(targets)
+    assert all(abs(j - target) <= 1e-9 * target for target, (_, j) in zip(targets, roots))
+    assert len(sizes) > 2 and max(sizes) <= integral._GROUP_NODES
 
 
 def _build_state(cache):

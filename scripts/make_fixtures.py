@@ -9,8 +9,8 @@ needs mpmath at runtime. Rerun after any change to the sampling plan:
 
 Takes a few minutes; the second-moment quadrature dominates. Pass one
 function name, `python3 scripts/make_fixtures.py z_table_high`,
-`gram_high`, `j_cells_high` or `j_cell_top`, to write only that
-fixture.
+`gram_high`, `j_cells_high`, `j_cell_top` or `j_reads`, to write only
+that fixture.
 """
 
 from __future__ import annotations
@@ -89,26 +89,37 @@ def gram_high() -> None:
 
 _J_CELL_ORACLE = ("mpmath siegelz at dps 20, composite Gauss-Legendre on unit panels, "
                   "20 nodes a panel checked against 16")
+_J_READ_ORACLE = ("mpmath siegelz at dps 20, composite Gauss-Legendre on unit panels from a, "
+                  "the last one cut at T, 20 nodes a panel checked against 16")
 
 
-def _j_cell(a: int, stride: int) -> dict:
-    """J over [a, a + stride] from Z^2, mpmath siegelz at dps 20 (which
-    agrees with dps 30 to 20 digits there), summed by composite
-    Gauss-Legendre on the cell's unit panels: 20 nodes a panel for J,
-    checked against 16 nodes a panel, whose difference is rule_diff."""
+def _j_span(a: float, b: float) -> tuple[float, float]:
+    """(J over [a, b], rule_diff) from Z^2, mpmath siegelz at dps 20
+    (which agrees with dps 30 to 20 digits there), summed by composite
+    Gauss-Legendre on unit panels from a, the last one cut at b: 20 nodes
+    a panel for J, checked against 16 nodes a panel, whose difference is
+    rule_diff."""
     mp.mp.dps = 20
     rules = {n: mp.gauss_quadrature(n, "legendre") for n in (16, 20)}
+    edges = [mp.mpf(a) + k for k in range(int(b - a) + 1)]
+    if edges[-1] < b:
+        edges.append(mp.mpf(b))
     sums = {}
     t0 = time.time()
     for n, (xs, ws) in rules.items():
         total = mp.mpf(0)
-        for p in range(a, a + stride):
-            mid = mp.mpf(p) + mp.mpf(1) / 2
-            total += sum(w * mp.siegelz(mid + x / 2) ** 2 for x, w in zip(xs, ws)) / 2
+        for lo, hi in zip(edges, edges[1:]):
+            mid, half = (lo + hi) / 2, (hi - lo) / 2
+            total += half * sum(w * mp.siegelz(mid + half * x) ** 2 for x, w in zip(xs, ws))
         sums[n] = total
-        print(f"  J cell {a} GL{n}: {mp.nstr(total, 20)}  ({time.time()-t0:.0f}s)")
-    return {"a": float(a), "b": float(a + stride), "J": float(sums[20]),
-            "rule_diff": float(abs(sums[20] - sums[16]))}
+        print(f"  J [{a:g}, {b:.17g}] GL{n}: {mp.nstr(total, 20)}  ({time.time()-t0:.0f}s)")
+    return float(sums[20]), float(abs(sums[20] - sums[16]))
+
+
+def _j_cell(a: int, stride: int) -> dict:
+    """J over the stride cell [a, a + stride] by _j_span."""
+    J, rule_diff = _j_span(a, a + stride)
+    return {"a": float(a), "b": float(a + stride), "J": J, "rule_diff": rule_diff}
 
 
 def _write_j_cells(name: str, cells: list[dict]) -> None:
@@ -133,6 +144,29 @@ def j_cell_top() -> None:
     `python3 scripts/make_fixtures.py j_cell_top`.
     """
     _write_j_cells("j_cell_top.json", [_j_cell(99900, 50)])
+
+
+def j_reads() -> None:
+    """J over [a, T] by _j_span for seeded T a few units past a stride
+    multiple a: four a per decade of [0, 1e5), drawn from the multiples
+    of 50 in it, plus a = 99900, the last stride cell below T_MAX, and T
+    = a + uniform(0.5, 4). J(T) - J(a) is read inside a's stride cell,
+    between its stored points. Writes a new file, so the older fixtures
+    stay byte-identical. Run it alone with
+    `python3 scripts/make_fixtures.py j_reads`.
+    """
+    rng = np.random.default_rng(SEED + 3)
+    starts = [99900]
+    for lo, hi in ((0, 100), (100, 1000), (1000, 10000), (10000, 99950)):
+        starts += [int(a) for a in rng.choice(np.arange(lo, hi, 50), 4)]
+    reads = []
+    for a in sorted(starts):
+        T = a + float(rng.uniform(0.5, 4.0))
+        J, rule_diff = _j_span(a, T)
+        reads.append({"a": float(a), "T": T, "J": J, "rule_diff": rule_diff})
+    with open(OUT / "j_reads.json", "w") as fh:
+        json.dump({"reads": reads, "oracle": _J_READ_ORACLE}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def zeros_table() -> None:
@@ -190,7 +224,7 @@ def scalars() -> None:
 def main() -> None:
     OUT.mkdir(parents=True, exist_ok=True)
     single = {"z_table_high": z_table_high, "gram_high": gram_high,
-              "j_cells_high": j_cells_high, "j_cell_top": j_cell_top}
+              "j_cells_high": j_cells_high, "j_cell_top": j_cell_top, "j_reads": j_reads}
     if len(sys.argv) == 2 and sys.argv[1] in single:
         print(sys.argv[1], "...")
         single[sys.argv[1]]()
@@ -209,6 +243,8 @@ def main() -> None:
     j_cells_high()
     print("J cell top ...")
     j_cell_top()
+    print("J reads ...")
+    j_reads()
     print("done ->", OUT)
 
 

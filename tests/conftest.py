@@ -65,6 +65,14 @@ def j_cell_top():
 
 
 @pytest.fixture(scope="session")
+def j_reads():
+    """J over [a, T] from mpmath, T a few units past a stride multiple a,
+    from [0, 100] up to the stride cell [99900, 99950]."""
+    with open(os.path.join(FIXTURES, "j_reads.json")) as fh:
+        return json.load(fh)["reads"]
+
+
+@pytest.fixture(scope="session")
 def calibration():
     with open(os.path.join(FIXTURES, "calibration.json")) as fh:
         return json.load(fh)

@@ -60,6 +60,25 @@ def test_j_cell_within_estimate_near_t_max(j_cell_top):
     print(f"|segment - oracle| / estimate = {ratio:.3g}")
 
 
+def test_j_reads_within_estimate(j_reads, shared_cache):
+    # reads between stored points, inside stride cells from [0, 50] to
+    # [99900, 99950]: J(T) - J(a) lies within the estimate J(T) adds to
+    # J(a)'s
+    assert j_reads[0]["a"] == 0.0 and j_reads[-1]["a"] == 99900.0
+    for lo, hi in ((0.0, 1e2), (1e2, 1e3), (1e3, 1e4), (1e4, 1e5)):
+        assert sum(lo <= r["a"] < hi for r in j_reads) >= 3, (lo, hi)
+    worst = 0.0
+    for r in j_reads:
+        assert r["a"] % DEFAULT_STRIDE == 0.0 and 0.5 <= r["T"] - r["a"] <= 4.0
+        lo, hi = hl_integral(r["a"], cache=shared_cache), hl_integral(r["T"], cache=shared_cache)
+        est = hi.abs_error_estimate - lo.abs_error_estimate
+        assert r["rule_diff"] <= 1e-3 * est  # the oracle's own check
+        ratio = abs(hi.value - lo.value - r["J"]) / est
+        assert ratio <= 1.0, (r["T"], ratio)
+        worst = max(worst, ratio)
+    print(f"worst |J(T) - J(a) - oracle| / estimate = {worst:.3g}")
+
+
 def test_zero_and_degenerate():
     assert hl_integral(0.0).value == 0.0
     seg = integrate_segment(5.0, 5.0)

@@ -16,25 +16,29 @@ Riemann-Siegel sum, and a cold build to the scan reach evaluates 582,414
 of them. The engine's Z error bound is folded into the estimate via
 Cauchy-Schwarz on each panel. Each panel's Kronrod and Gauss values are
 summed node after node, so a panel's bits do not depend on the batch it
-is evaluated in. Every segment, stride cell and tail meets one absolute
-tolerance, AUTO_TOL_RATE per unit of width (at least one unit); a panel
-is bisected only where its estimate misses its share, which no stride
-cell up to T_MAX needs.
+is evaluated in. Every segment, stride cell and read's panel meets one
+absolute tolerance, AUTO_TOL_RATE per unit of width (at least one
+unit); a panel is bisected only where its estimate misses its share,
+which no stride cell up to T_MAX needs.
 
 J is expensive enough that ladder solves want checkpoints: a
 CheckpointCache holds J at every DEFAULT_STRIDE multiple, and in memory
 also J at a knot on every final panel edge inside each stride cell,
-taken from the panel values the cell's quadrature already produced. Any
-J(T) then costs one lookup plus a tail of at most one panel.
+taken from the panel values the cell's quadrature already produced, so
+adjacent stored points t0 < t1 are one panel apart. Between them J(T)
+is J(t0) + P(T), P the integral from t0 of p^2, p the degree-20
+interpolant of Z at the panel's 21 Kronrod nodes (_read_in_panels); its
+estimate is the one stored at t1, J(t0)'s plus the panel's. A read
+costs one lookup plus one Z call on that panel, and a stored point none.
+CheckpointCache.invert solves J(U) = target on the same model of the
+same panel and reads J(U) off it, so J(U) is hl_integral(U) by
+construction and an ascent makes one Z call of 21 nodes.
 One generator, _quad, integrates every span (a segment, a build's stride
-cells, both passes of invert) in one Z call per group of consecutive
-spans, up to 2^14 first-panel nodes; panel values do not depend on
-their batch, so the grouping moves no bit. A cell from load() gets its
-knots (CheckpointCache._fill) from the first read that lands in it.
-CheckpointCache.invert solves J(U) = target on the integral of p^2, p
-the degree-20 interpolant of Z on the target's panel, and reads J(U)
-from the stored point nearest below U through _quad as well, so J(U)
-is hl_integral(U) by construction.
+cells, a read's panel, invert's panels) in one Z call per group of
+consecutive spans, up to 2^14 first-panel nodes; panel values do not
+depend on their batch, so the grouping moves no bit. A cell from load()
+gets its knots (CheckpointCache._fill) from the first read that lands in
+it; invert fills the cells of all its targets in one grouped pass.
 """
 
 from __future__ import annotations
@@ -328,10 +332,21 @@ def _square_model(z: np.ndarray, half: float) -> tuple[list[float], list[float],
     return pz[:_NODES_PER_PANEL].tolist(), prim[:_PRIM_SQ.shape[0]], grid
 
 
+def _panel_model(m: int, end: float, lo: np.ndarray, z: np.ndarray) -> tuple:
+    """(a, b, mid, half, p, P, P on _GRID) of panel m of the final panels
+    (lo, z) of [lo[0], end]: its edges, centre and half-width, and
+    _square_model of its 21 Z values."""
+    a, b = float(lo[m]), float(lo[m + 1]) if m + 1 < lo.size else end
+    half = 0.5 * (b - a)
+    return (a, b, 0.5 * (a + b), half, *_square_model(z[m], half))
+
+
 def _solve_in_panels(need: float, end: float, lo: np.ndarray, z: np.ndarray,
-                     vk: np.ndarray) -> float:
-    """The u in [lo[0], end] whose integral from lo[0] is need, over the
-    final panels (lo, z, vk) of [lo[0], end] as _refine returns them.
+                     vk: np.ndarray) -> tuple[float, tuple[int, tuple]]:
+    """(u, (m, model)): the u in [lo[0], end] whose integral from lo[0] is
+    need, over the final panels (lo, z, vk) of [lo[0], end] as _refine
+    returns them, with the panel m it was solved in and that panel's
+    _panel_model, which _read_in_panels can reuse.
 
     Picks the panel whose cumulative Kronrod value passes need, and solves
     in it on P, the integral of p^2 (_square_model), with no Z call:
@@ -347,12 +362,11 @@ def _solve_in_panels(need: float, end: float, lo: np.ndarray, z: np.ndarray,
             break
         need -= v
         m += 1
-    a, b = float(lo[m]), float(lo[m + 1]) if m + 1 < lo.size else end
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    coef, prim, grid = _square_model(z[m], half)
+    model = _panel_model(m, end, lo, z)
+    a, b, mid, half, coef, prim, grid = model
     k = bisect.bisect_left(grid, need)
     if k == 0 or k == len(grid):
-        return a if k == 0 else b
+        return (a if k == 0 else b), (m, model)
     g0, g1 = grid[k - 1], grid[k]
     u0, u1 = max(a, mid + half * _GRID[k - 1]), min(b, mid + half * _GRID[k])
 
@@ -360,7 +374,26 @@ def _solve_in_panels(need: float, end: float, lo: np.ndarray, z: np.ndarray,
         v, p = _legval_pair((u - mid) / half, prim, coef)
         return v - need, p * p
 
-    return safeguarded_newton(fdf, u0, u1, u0 + (u1 - u0) * (need - g0) / (g1 - g0))
+    u = safeguarded_newton(fdf, u0, u1, u0 + (u1 - u0) * (need - g0) / (g1 - g0))
+    return u, (m, model)
+
+
+def _read_in_panels(T: float, j0: float, end: float, lo: np.ndarray, z: np.ndarray,
+                    vk: np.ndarray, known: tuple[int, tuple] | None = None) -> float:
+    """J(T) for lo[0] <= T <= end, from j0 = J(lo[0]) and the final panels
+    (lo, z, vk) of [lo[0], end] as _refine returns them: j0 plus the
+    Kronrod values of the panels before T's, plus P(T), the integral of
+    p^2 (_square_model) over T's panel up to T. T's panel is the last one
+    starting at or below T; known = (m, _panel_model of panel m), from
+    _solve_in_panels, saves building panel m's model again.
+
+    On a one-panel span [t0, t1] between adjacent stored points, which is
+    what every read and every invert target evaluates unless the panel
+    refines, this is J(t0) + P(T)."""
+    m = bisect.bisect_right(lo.tolist(), T) - 1
+    _, _, mid, half, coef, prim, _ = (
+        known[1] if known is not None and known[0] == m else _panel_model(m, end, lo, z))
+    return j0 + math.fsum([*vk.tolist()[:m], _legval_pair((T - mid) / half, prim, coef)[0]])
 
 
 def integrate_segment(a: float, b: float) -> IntegralResult:
@@ -399,20 +432,28 @@ class CheckpointCache:
     Each stride cell also holds knots (t, J(t), err(t)) at every inner
     edge of its final panel list, so adjacent stored points are one
     panel apart; in memory only and keyed by cell: save() never writes
-    them and equality ignores them.
+    them and equality ignores them. J between two adjacent stored points
+    is read off the model of the one panel between them (hl_integral).
     extend_to() stores the knots of the cells it integrates, with one Z
     call per group of cells; a cell from load() gets them on the first
-    hl_integral read that lands in it, from the same panels at the same
-    tol, so every read sees the same knots whatever the cache's history.
+    hl_integral read that lands in it, or in invert's one grouped fill
+    of its targets' cells, from the same panels at the same tol, so every
+    read sees the same knots whatever the cache's history.
+
+    Checkpoints are held in array('d'), as knots are; lists passed to the
+    constructor are copied into arrays.
     """
 
-    ts: list[float] = field(default_factory=list)
-    js: list[float] = field(default_factory=list)
-    errs: list[float] = field(default_factory=list)
+    ts: array = field(default_factory=lambda: array("d"))
+    js: array = field(default_factory=lambda: array("d"))
+    errs: array = field(default_factory=lambda: array("d"))
     # cell index -> the (t, J, err) arrays of that cell's knots, each
     # built from a list so that it is exactly sized
     _knots: dict[int, tuple[array, array, array]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.ts, self.js, self.errs = (array("d", v) for v in (self.ts, self.js, self.errs))
 
     def _validate(self, start: int = 0) -> None:
         for i in range(max(start, 1), len(self.ts)):
@@ -432,23 +473,35 @@ class CheckpointCache:
     def nearest_below(self, T: float) -> tuple[float, float, float]:
         """Largest stored point (T0, J0, err0) with T0 <= T, checkpoint or
         knot; (0,0,0) if none."""
-        i = bisect.bisect_right(self.ts, T)
-        if i in self._knots:
-            kt, kj, ke = self._knots[i]
-            k = bisect.bisect_right(kt, T)
-            if k:
-                return (kt[k - 1], kj[k - 1], ke[k - 1])
-        if i == 0:
-            return (0.0, 0.0, 0.0)
-        return (self.ts[i - 1], self.js[i - 1], self.errs[i - 1])
+        return self._bracket(T)[0]
 
-    def _cells(self, i: int, stop: int) -> int:
-        """Integrate stride cells i .. stop - 1 at CELL_TOL (_quad), store
-        their knots and append the checkpoints not yet held; returns the Z
-        nodes."""
+    def _point(self, i: int) -> tuple[float, float, float]:
+        """Checkpoint row i as (T, J, err), the origin (0, 0, 0) for i = -1."""
+        return (self.ts[i], self.js[i], self.errs[i]) if i >= 0 else (0.0, 0.0, 0.0)
+
+    def _bracket(self, x: float, key: int = 0) -> tuple[tuple, tuple | None]:
+        """Adjacent stored points (t, J, err) around x, by t (key 0) or by
+        J (key 1): the last whose key is <= x, a checkpoint, a knot or the
+        origin, and the next one, None past the last checkpoint.
+
+        Bisects the checkpoints, then the knots of that one stride cell; a
+        cell from load() without its knots brackets x by its checkpoints."""
+        i = bisect.bisect_right((self.ts, self.js)[key], x)
+        kt, kj, ke = knots = self._knots.get(i, ((), (), ()))
+        k = bisect.bisect_right(knots[key], x)
+        below = (kt[k - 1], kj[k - 1], ke[k - 1]) if k else self._point(i - 1)
+        if k < len(kt):
+            return below, (kt[k], kj[k], ke[k])
+        return below, self._point(i) if i < len(self.ts) else None
+
+    def _cells(self, cells) -> int:
+        """Integrate the stride cells numbered in cells, ascending, at
+        CELL_TOL (_quad) in one grouped pass, store their knots and append
+        the checkpoints not yet held (a cell past the last checkpoint
+        follows it in order); returns the Z nodes."""
         nodes = 0
-        spans = [(k * DEFAULT_STRIDE, (k + 1) * DEFAULT_STRIDE) for k in range(i, stop)]
-        for i, ((_, b), refined) in enumerate(zip(spans, _quad(spans)), i):
+        spans = [(k * DEFAULT_STRIDE, (k + 1) * DEFAULT_STRIDE) for k in cells]
+        for i, (_, b), refined in zip(cells, spans, _quad(spans)):
             clo, _, vk, err, n = unwrap(refined)
             j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
             vals = vk.tolist()
@@ -467,7 +520,7 @@ class CheckpointCache:
     def _fill(self, i: int) -> int:
         """Store the knots of stride cell i unless it holds them already,
         as a cell from load() does not; returns the Z nodes evaluated."""
-        return 0 if i in self._knots else self._cells(i, i + 1)
+        return 0 if i in self._knots else self._cells([i])
 
     def extend_to(self, T: float) -> int:
         """Add checkpoints at stride multiples up to T, with their cells'
@@ -476,20 +529,19 @@ class CheckpointCache:
             raise DomainError(f"extend_to requires finite T, got {T}")
         _check_t_max(T)
         start = len(self.ts)
-        nodes = self._cells(start, max(start, int(T // DEFAULT_STRIDE)))
+        nodes = self._cells(range(start, max(start, int(T // DEFAULT_STRIDE))))
         self._validate(start)
         return nodes
 
-    def _knot_span(self, target: float) -> tuple[float, float, float]:
-        """(t0, J(t0), t1): the adjacent knots or checkpoints whose J values
-        bracket target, with J(t0) <= target < J(t1).
+    def _target_cell(self, target: float) -> int:
+        """The stride cell i whose checkpoint J values bracket target,
+        J(i * DEFAULT_STRIDE) <= target < J((i + 1) * DEFAULT_STRIDE).
 
         Extends the cache in one grouped build to two cells below the
         mean-value inverse of target, then cell by cell through target's
-        cell, and fills the knots of that cell if it came from load().
-        A NaN or negative target (DomainError) and one above
-        _TARGET_CEILING (InfeasibleError) are refused before any extension.
-        Adjacent knots are one final panel apart.
+        cell; it does not fill the knots of a cell from load(). A NaN or
+        negative target (DomainError) and one above _TARGET_CEILING
+        (InfeasibleError) are refused before any extension.
         """
         if not target >= 0.0:
             raise DomainError(f"J target must be >= 0, got {target}")
@@ -505,41 +557,41 @@ class CheckpointCache:
                 _MV_ZERO, T_MAX, T_MAX) - 2.0 * DEFAULT_STRIDE)
         while not self.js or self.js[-1] <= target:
             self.extend_to((len(self.ts) + 1) * DEFAULT_STRIDE)
-        i = bisect.bisect_right(self.js, target)
-        self._fill(i)
-        kt, kj, _ = self._knots[i]
-        k = bisect.bisect_right(kj, target)
-        t0, j0 = (kt[k - 1], kj[k - 1]) if k else (
-            (self.ts[i - 1], self.js[i - 1]) if i else (0.0, 0.0))
-        return t0, j0, kt[k] if k < len(kt) else self.ts[i]
+        return bisect.bisect_right(self.js, target)
 
     def invert(self, targets: list[float]) -> list[tuple[float, float] | LadderLabError]:
         """(U, J(U)) with J(U) = target for each target, read off the stored
         prefix of J; a target that fails holds the LadderLabError it met.
 
-        Each target's knot interval [t0, t1] comes from _knot_span, in
-        input order, and is one panel; the intervals go through _quad
-        together. U is solved in [t0, t1], in the panel whose cumulative
-        value passes target, on the integral of p^2, p the degree-20
-        interpolant of the panel's 21 Z values (_solve_in_panels). J(U) is
-        hl_integral(U, self).value, bit for bit: its tail [nearest_below(U),
-        U] is at most one panel, and the tails go through _quad together,
-        as integrate_segment's span does. A U on a knot or checkpoint has a
-        tail of no panel. Panel values do not depend on their batch, so U
-        and J(U) depend only on target and the history-independent knots.
+        Each target's stride cell comes from _target_cell, in input order;
+        the cells from load() that lack their knots are then filled in one
+        grouped pass (_cells). The adjacent stored points t0 < t1 whose J
+        values bracket the target, J(t0) <= target < J(t1), are one panel
+        apart, and these panels go through _quad together: the one Z call,
+        of 21 nodes per target, on a warm cache. U is solved in [t0, t1],
+        in the panel whose cumulative value passes target, on the integral
+        of p^2, p the degree-20 interpolant of the panel's 21 Z values
+        (_solve_in_panels), and J(U) is read off that same model
+        (_read_in_panels), or is the stored J when U is t0 or t1. So J(U)
+        is hl_integral(U, self).value, bit for bit. Panel values do not
+        depend on their batch, so U and J(U) depend only on target and the
+        history-independent knots.
         """
-        out: list = [attempt(self._knot_span, target) for target in targets]
+        out: list = [attempt(self._target_cell, target) for target in targets]
+        filled = attempt(self._cells, sorted(
+            {i for i in out if not isinstance(i, LadderLabError)} - self._knots.keys()))
+        for k, i in enumerate(out):
+            if not isinstance(i, LadderLabError):
+                out[k] = self._bracket(targets[k], 1) if i in self._knots else filled
         ok = [k for k, span in enumerate(out) if not isinstance(span, LadderLabError)]
-        for k, refined in zip(ok, _quad([(out[k][0], out[k][2]) for k in ok])):
+        for k, refined in zip(ok, _quad([(out[k][0][0], out[k][1][0]) for k in ok])):
             if not isinstance(refined, LadderLabError):
-                _, j0, t1 = out[k]
-                U = _solve_in_panels(targets[k] - j0, t1, *refined[:3])
-                refined = (*self.nearest_below(U)[:2], U)
+                (t0, j0, _), (t1, j1, _) = out[k]
+                lo, z, vk = refined[:3]
+                U, known = _solve_in_panels(targets[k] - j0, t1, lo, z, vk)
+                refined = (U, j0 if U == t0 else j1 if U == t1 else
+                           _read_in_panels(U, j0, t1, lo, z, vk, known))
             out[k] = refined
-        ok = [k for k in ok if not isinstance(out[k], LadderLabError)]
-        for k, refined in zip(ok, _quad([(out[k][0], out[k][2]) for k in ok])):
-            out[k] = refined if isinstance(refined, LadderLabError) else (
-                out[k][2], out[k][1] + math.fsum(refined[2]))
         return out
 
     def save(self, path: str) -> None:
@@ -582,14 +634,19 @@ class CheckpointCache:
 
 
 def hl_integral(T: float, cache: CheckpointCache | None = None) -> IntegralResult:
-    """J(T): nearest cached checkpoint or knot plus a fresh tail segment,
-    at most one panel wide.
+    """J(T): the stored J of a checkpoint, knot or the origin at T, with no
+    Z call, or else J(t0) + P(T) between the adjacent stored points
+    t0 < T < t1, P the integral from t0 of p^2, p the degree-20
+    interpolant of Z at the 21 Kronrod nodes of the panel [t0, t1]
+    (_read_in_panels, after one _quad call on that panel). The estimate
+    is the one stored at t1: J(t0)'s plus the panel's |K21 - G10| and
+    engine terms.
 
     The checkpoints through the stride cell holding T and that cell's
     knots are computed on the way, and memoized in the cache; without
     one, the read goes through a fresh cache, so J(T) has the same bits
     either way. node_count counts those cells' nodes as well as the
-    tail's.
+    panel's. integrate_segment does not serve this read.
     """
     if not 0.0 <= T < math.inf:
         raise DomainError("hl_integral requires finite T >= 0")
@@ -598,13 +655,13 @@ def hl_integral(T: float, cache: CheckpointCache | None = None) -> IntegralResul
     nodes = cache.extend_to(math.ceil(T / DEFAULT_STRIDE) * DEFAULT_STRIDE)
     if T % DEFAULT_STRIDE:
         nodes += cache._fill(int(T // DEFAULT_STRIDE))
-    t0, j0, e0 = cache.nearest_below(T)
-    tail = integrate_segment(t0, T)
-    return IntegralResult(
-        a=0.0, b=T, value=j0 + tail.value,
-        abs_error_estimate=e0 + tail.abs_error_estimate,
-        node_count=nodes + tail.node_count,
-    )
+    (t0, j0, e0), above = cache._bracket(T)
+    if T == t0:
+        return IntegralResult(a=0.0, b=T, value=j0, abs_error_estimate=e0, node_count=nodes)
+    t1, _, e1 = above
+    lo, z, vk, _, n = unwrap(next(_quad([(t0, t1)])))
+    return IntegralResult(a=0.0, b=T, value=_read_in_panels(T, j0, t1, lo, z, vk),
+                          abs_error_estimate=e1, node_count=nodes + n)
 
 
 def hl_representation(phi: float) -> float:

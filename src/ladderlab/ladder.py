@@ -11,11 +11,11 @@ Descending reads J(T) once and solves the convex closed form by Newton.
 Ascending reads the root off the checkpoint cache's stored prefix of J,
 solving inside the one panel above the root's knot on the integral of
 p^2, p the degree-20 interpolant of that panel's 21 Z values, and
-certifies it with the J(U) read that comes with it
-(CheckpointCache.invert). ascend_all is the one ascent path: it climbs
-from any number of ordinates at once, in two Z calls on a warm cache,
-each of one 21-node panel per ordinate; ascend and build_tower call it
-for one ordinate at a time.
+certifies it with the J(U) read off the same model, which is
+hl_integral(U) (CheckpointCache.invert). ascend_all is the one ascent
+path: it climbs from any number of ordinates at once, in one Z call on
+a warm cache, of one 21-node panel per ordinate; ascend and build_tower
+call it for one ordinate at a time.
 """
 
 from __future__ import annotations
@@ -82,11 +82,13 @@ def ascend_all(Ts, cache: CheckpointCache | None = None
 
     U is the unique U > T with J(U) = representation(T), read off the
     cache's stored prefix of J (CheckpointCache.invert) with no J(T)
-    read; the J(U) read that invert returns with it certifies the
-    residual to 10 * DEFAULT_RESIDUAL_TOL, which does not move U. All Ts
-    are inverted together, so a warm cache usually makes two Z calls for
-    all of them, and each slot has the bits of a one-T call. This is the
-    one ascent path: ascend and build_tower are ascend_all for one T.
+    read; the J(U) that invert reads off the model U was solved on, and
+    which is hl_integral(U), certifies the residual to
+    10 * DEFAULT_RESIDUAL_TOL, which does not move U. All Ts are inverted
+    together, so a warm cache makes one Z call of 21 nodes per T for up
+    to 780 of them (2^14 nodes), and each slot has the bits of a one-T
+    call. This is the one ascent path: ascend and build_tower are
+    ascend_all for one T.
     """
     cache = cache if cache is not None else CheckpointCache()
     tol = 10.0 * DEFAULT_RESIDUAL_TOL

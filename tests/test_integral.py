@@ -39,7 +39,7 @@ def test_j_cells_within_estimate_above_1e4(j_cells_high, shared_cache):
     worst = 0.0
     for c in j_cells_high:
         i = int(c["b"] / DEFAULT_STRIDE) - 1
-        assert shared_cache.ts[i - 1:i + 1] == [c["a"], c["b"]]
+        assert list(shared_cache.ts[i - 1:i + 1]) == [c["a"], c["b"]]
         inc = shared_cache.js[i] - shared_cache.js[i - 1]
         est = shared_cache.errs[i] - shared_cache.errs[i - 1]
         assert c["rule_diff"] <= 1e-3 * est  # the oracle's own check
@@ -115,7 +115,7 @@ def test_domain_errors():
             hl_integral(T, cache=cache)
         with pytest.raises(InfeasibleError):
             cache.extend_to(T)
-    assert cache.ts == []
+    assert list(cache.ts) == []
 
 
 def test_additivity():
@@ -152,7 +152,7 @@ def test_integral_nonnegative_within_estimate(a, w):
 def test_cache_roundtrip(tmp_path):
     cache = CheckpointCache()
     cache.extend_to(120.0)
-    assert cache.ts == [50.0, 100.0]
+    assert list(cache.ts) == [50.0, 100.0]
     path = os.path.join(tmp_path, "cache.csv")
     cache.save(path)
     back = CheckpointCache.load(path)
@@ -389,6 +389,29 @@ def test_knot_reads_match_checkpoint_tail(shared_cache):
         assert T - k0 <= integral._PANEL_CAP / math.log(max(k0, 20.0))
 
 
+def test_read_evaluates_one_panel_and_a_stored_point_none(shared_cache, monkeypatch):
+    # a stored point returns its stored J and estimate with no Z call; a
+    # read between two stored points evaluates the one panel between
+    # them and carries the estimate stored at the upper one
+    shared_cache.extend_to(2e4)
+    kt, kj, ke = shared_cache._knots[200]
+    sizes = []
+    z_array = integral.z_array
+
+    def counting(t):
+        sizes.append(len(t))
+        return z_array(t)
+
+    monkeypatch.setattr(integral, "z_array", counting)
+    for t, j, e in [*zip(kt, kj, ke), shared_cache._point(200)]:
+        res = hl_integral(t, cache=shared_cache)
+        assert (res.value, res.abs_error_estimate, res.node_count) == (j, e, 0)
+    assert sizes == []
+    res = hl_integral(0.5 * (kt[3] + kt[4]), cache=shared_cache)
+    assert sizes == [integral._NODES_PER_PANEL] == [res.node_count]
+    assert res.abs_error_estimate == ke[4] and kj[3] < res.value < kj[4]
+
+
 def test_invert_returns_the_plain_read_of_j_at_its_root(shared_cache, monkeypatch):
     # seeded targets, plus the J values of knots and checkpoints, whose
     # roots sit on a stored point (a zero-width tail)
@@ -449,8 +472,8 @@ def test_invert_targets_just_below_a_stored_j(shared_cache, tmp_path):
     lo, end = np.array([1e4]), 1e4 + 2.0
     z, vk, _, _ = integral._eval_panels(lo, np.array([end]))
     total = integral._square_model(z[0], 1.0)[2][-1]
-    assert integral._solve_in_panels(total + 1e-9, end, lo, z, vk) == end
-    assert integral._solve_in_panels(0.0, end, lo, z, vk) == 1e4
+    assert integral._solve_in_panels(total + 1e-9, end, lo, z, vk)[0] == end
+    assert integral._solve_in_panels(0.0, end, lo, z, vk)[0] == 1e4
 
 
 def test_invert_root_of_a_loaded_checkpoint_is_the_checkpoint(shared_cache, tmp_path):
@@ -468,6 +491,31 @@ def test_invert_root_of_a_loaded_checkpoint_is_the_checkpoint(shared_cache, tmp_
         assert (U, j) == (shared_cache.ts[i], shared_cache.js[i])
         assert j.hex() == hl_integral(U, cache=shared_cache).value.hex()
     assert all(i not in loaded._knots for i in rows)
+
+
+def test_invert_fills_loaded_cells_in_one_grouped_pass(shared_cache, tmp_path, monkeypatch):
+    # the cells of a loaded cache that a batch of targets lands in are
+    # filled together, in groups of at most _GROUP_NODES nodes, not one Z
+    # call per cell, and every root keeps the warm cache's bits
+    shared_cache.extend_to(2e4)
+    path = os.path.join(tmp_path, "cache.csv")
+    CheckpointCache(ts=shared_cache.ts[:400], js=shared_cache.js[:400],
+                    errs=shared_cache.errs[:400]).save(path)
+    loaded = CheckpointCache.load(path)
+    rng = random.Random(44)
+    targets = [rng.uniform(0.0, shared_cache.js[399]) for _ in range(100)]
+    want = [(U.hex(), j.hex()) for U, j in shared_cache.invert(targets)]
+    sizes = []
+    z_array = integral.z_array
+
+    def counting(t):
+        sizes.append(len(t))
+        return z_array(t)
+
+    monkeypatch.setattr(integral, "z_array", counting)
+    assert [(U.hex(), j.hex()) for U, j in loaded.invert(targets)] == want
+    assert len(loaded._knots) > 80 and max(sizes) <= integral._GROUP_NODES
+    assert len(sizes) <= math.ceil(sum(sizes) / integral._GROUP_NODES) + 1, sizes
 
 
 def test_invert_refuses_nan_and_negative_targets_per_slot():

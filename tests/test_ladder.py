@@ -76,9 +76,11 @@ def test_ascent_and_descent_are_roots(shared_cache):
 
 def test_ascent_residuals_stay_far_below_their_bound(shared_cache):
     # an ascent solves on the integral of p^2, p the degree-20 interpolant
-    # of Z on the root's 7 pi panel: these 300 log-uniform roots read
-    # 4.0e-9 at most, and the 2,400 uniform ones 5.5e-9, against the
-    # certified 1e-5 (an interpolant of Z^2 itself gave 1.1e-7 on the 300)
+    # of Z on the root's 7 pi panel, and J(U) is read off the same model:
+    # these 300 log-uniform roots read 1.2e-9 at most, and the 2,400
+    # uniform ones 1.7e-9, against the certified 1e-5 (4.0e-9 and 5.5e-9
+    # when J(U) was a K21 tail from the knot below U; an interpolant of
+    # Z^2 itself gave 1.1e-7 on the 300)
     shared_cache.extend_to(6e4)
     rng = random.Random(31)
     for Ts in (_log_uniform(29, 300, 1e2, 5e4), [rng.uniform(1e2, 5e4) for _ in range(2400)]):
@@ -87,10 +89,10 @@ def test_ascent_residuals_stay_far_below_their_bound(shared_cache):
 
 
 def test_row_z_call_budget(shared_cache, monkeypatch):
-    # on a warm cache a row's rungs are all ascended together: one Z call
-    # for the one panel above every root's knot, whose Kronrod values
-    # invert() solves on, and one for the partial panels of the certifying
-    # J(U) reads, so at most 2 x 21 Z nodes per rung
+    # on a warm cache a row's rungs are all ascended together in one Z
+    # call, on the one panel above every root's knot: invert() solves on
+    # its model and reads the certifying J(U) off the same model, so at
+    # most 21 Z nodes per rung
     shared_cache.extend_to(5.5e4)
     calls, nodes, rungs = [], [], []
     z_array = integral.z_array
@@ -113,8 +115,8 @@ def test_row_z_call_budget(shared_cache, monkeypatch):
         rungs.append(0)
         row = evaluate_equivalent("gamma", q, cache=shared_cache)
         assert row.tau_max is not None
-    assert max(calls) <= 2, calls
-    assert all(n <= 2 * integral._NODES_PER_PANEL * r for n, r in zip(nodes, rungs)), (nodes, rungs)
+    assert calls == [1] * len(calls), calls
+    assert all(n <= integral._NODES_PER_PANEL * r for n, r in zip(nodes, rungs)), (nodes, rungs)
 
 
 def _reference_rungs(Ts, cache):

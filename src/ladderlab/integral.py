@@ -646,7 +646,8 @@ def hl_integral(T: float, cache: CheckpointCache | None = None) -> IntegralResul
     knots are computed on the way, and memoized in the cache; without
     one, the read goes through a fresh cache, so J(T) has the same bits
     either way. node_count counts those cells' nodes as well as the
-    panel's. integrate_segment does not serve this read.
+    panel's. integrate_segment is a separate route to J: a K21 quadrature
+    of any [a, b], with no cache.
     """
     if not 0.0 <= T < math.inf:
         raise DomainError("hl_integral requires finite T >= 0")

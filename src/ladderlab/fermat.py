@@ -26,8 +26,8 @@ from .arith import dirichlet_D
 from .constants import EULER_GAMMA, T_FLOOR, T_MAX
 from .errors import DomainError, InfeasibleError, LadderLabError, attempt, unwrap
 from .gammalab import C0_CONVENTION, ln_gamma
-from .gram import DEFAULT_STRATEGY, t1_increment, t2_increment
-from .integral import CheckpointCache, hl_integral, hl_representation
+from .gram import DEFAULT_STRATEGY, t1_increment_all, t2_increment_all
+from .integral import CheckpointCache, hl_integral_all, hl_representation
 from .ladder import ascend_all
 from .serialize import to_json
 
@@ -167,30 +167,40 @@ class ScanReport:
         })
 
 
-def _rung(T: float, cache: CheckpointCache) -> tuple[float, float]:
-    """(integral of Z^2 over (T, T^1], numeric error) via the defining identity."""
-    j = hl_integral(T, cache=cache)
+def _rung(T: float, j) -> tuple[float, float]:
+    """(integral of Z^2 over (T, T^1], numeric error) via the defining
+    identity, from the read j of J(T)."""
     return hl_representation(T) - j.value, j.abs_error_estimate + 1e-6
 
 
 def _rung_integral(Ts, cache: CheckpointCache) -> list:
-    """_rung for each T, or the LadderLabError its J(T) read met."""
-    return [attempt(_rung, T, cache) for T in Ts]
+    """_rung for each T, or the LadderLabError its J(T) read met; all J(T)
+    read together (hl_integral_all)."""
+    return [j if isinstance(j, LadderLabError) else attempt(_rung, T, j)
+            for T, j in zip(Ts, hl_integral_all(Ts, cache))]
 
 
-def _over_ascent(delta: Callable[[float, float], float], err: float):
-    """Increments delta(T, U) over the rungs (T, U], U the ascent of T, all
-    ascended together, with a fixed numeric error."""
+def _each(delta: Callable[[float, float], float]):
+    """delta(T, U) for each rung (T, U], or the LadderLabError it met."""
+    return lambda rungs: [attempt(delta, T, U) for T, U in rungs]
+
+
+def _over_ascent(deltas: Callable[[list], list], err: float):
+    """Increments over the rungs (T, U], U the ascent of T, all ascended
+    together and passed to deltas in one call, with a fixed numeric error."""
     def increments(Ts, cache: CheckpointCache) -> list:
-        return [res if isinstance(res, LadderLabError) else attempt(lambda: (delta(T, res[0]), err))
-                for T, res in zip(Ts, ascend_all(Ts, cache))]
+        out = ascend_all(Ts, cache)
+        ok = [k for k, res in enumerate(out) if not isinstance(res, LadderLabError)]
+        for k, d in zip(ok, deltas([(Ts[k], out[k][0]) for k in ok])):
+            out[k] = d if isinstance(d, LadderLabError) else (d, err)
+        return out
     return increments
 
 
-_D = _over_ascent(lambda T, U: dirichlet_D(U) - dirichlet_D(T), 2.0)
-_LN_GAMMA = _over_ascent(lambda T, U: ln_gamma(U) - ln_gamma(T), 1e-5)
-_T1 = _over_ascent(t1_increment, 1e-5)
-_T2 = _over_ascent(t2_increment, 1e-5)
+_D = _over_ascent(_each(lambda T, U: dirichlet_D(U) - dirichlet_D(T)), 2.0)
+_LN_GAMMA = _over_ascent(_each(lambda T, U: ln_gamma(U) - ln_gamma(T)), 1e-5)
+_T1 = _over_ascent(t1_increment_all, 1e-5)
+_T2 = _over_ascent(t2_increment_all, 1e-5)
 
 
 # Value forms: (tau, one (increment, error) pair per multiplier) -> (value, error).
@@ -239,7 +249,7 @@ class _Functional:
 
     power: bool
     ratio: bool
-    increment: Callable[[float, CheckpointCache], tuple[float, float]]
+    increment: Callable[[list, CheckpointCache], list]
     value: Callable[..., tuple[float, float]]
     limit: Callable[[float], float]
 

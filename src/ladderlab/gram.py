@@ -11,6 +11,13 @@ The two discrete sums fold the real numbers
 zeta(1/2 + i t_nu) = (-1)^(nu-1) Z(t_nu): the values themselves (T1)
 and the products of neighbors (T2). Sums are exact compensated folds
 (math.fsum), so batch shape cannot change results.
+
+Ranges are served in batches (_gram_slices): the indices of all ranges
+come from one theta call, and their distinct indices from one solve and
+one z_array call; each range then takes its own slice, certified on its
+own residuals. t1_increment_all and t2_increment_all fold a scan row's
+rungs this way, in one pass; gram_points, t1_increment and t2_increment
+are the one-range case.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import T_MIN, TWO_PI
-from .errors import BracketError, DomainError
-from .zeta import theta, z_array
+from .errors import BracketError, DomainError, LadderLabError, attempt, unwrap
+from .zeta import _check_range, _theta_series, theta, z_array
 
 GRAM_RESIDUAL_TOL = 1e-9
 # Newton steps from the Lambert seed: a seventh moves no t_nu in
@@ -85,46 +92,99 @@ def _solve_theta_equals(targets: np.ndarray) -> np.ndarray:
     (1.1e-11 at 1e4, 5.8e-11 at 5e4), so a stop far below
     GRAM_RESIDUAL_TOL is never met, while t settles within 3 steps.
     The same step count for every element keeps each t_nu independent
-    of its batch.
+    of its batch. Each step takes theta and theta' from one log(t/2pi),
+    with the bits of theta(t) and _theta_prime(t). The residuals are
+    certified by the caller (_gram_slices), per requested range.
     """
     # leading-term inversion: theta ~ (t/2) ln(t/2pi) - t/2 - pi/8
     g = (targets + np.pi / 8.0) / np.pi + 0.875
     t = TWO_PI * g / _lambert_w(np.maximum(g, 0.9) / math.e)
     t = np.maximum(t, T_MIN + 1.0)
     for _ in range(NEWTON_STEPS):
-        t = np.maximum(t - (theta(t) - targets) / _theta_prime(t), T_MIN)
-    resid = np.abs(theta(t) - targets)
-    if resid.size and np.max(resid) > GRAM_RESIDUAL_TOL:
-        bad = int(np.argmax(resid))
-        raise BracketError(f"Gram solve stalled at target index {bad}: residual {resid[bad]:g}")
+        lt = np.log(t / TWO_PI)
+        t = np.maximum(t - (_theta_series(t, lt) - targets) / (0.5 * lt), T_MIN)
     return t
+
+
+def _index_ranges(frm: np.ndarray, to: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gram_index_range for each (frm[k], to[k]), from one theta call."""
+    th = np.floor(theta(np.concatenate((frm, to))) / math.pi).astype(np.int64)
+    # nu = n + 1 for the smallest n with n*pi > theta(frm), the largest
+    # with n*pi <= theta(to)
+    return th[:frm.size] + 2, th[frm.size:] + 1
 
 
 def gram_index_range(frm: float, to: float) -> tuple[int, int]:
     """Indices nu of Gram points inside (frm, to]: [lo, hi] inclusive."""
-    th_a = theta(frm) / math.pi
-    th_b = theta(to) / math.pi
-    n_lo = int(math.floor(th_a)) + 1  # smallest integer n with n*pi > theta(frm)
-    n_hi = int(math.floor(th_b))  # largest with n*pi <= theta(to)
-    return n_lo + 1, n_hi + 1  # nu = n + 1
+    lo, hi = _index_ranges(np.array([frm]), np.array([to]))
+    return int(lo[0]), int(hi[0])
+
+
+def _check_span(frm: float, to: float) -> None:
+    if not (T_MIN <= frm < to < math.inf):
+        raise DomainError(f"gram_points requires finite {T_MIN} <= from < to")
+
+
+def _certified(ts: np.ndarray, resid: np.ndarray) -> None:
+    """Refuse one range's Gram points by their theta residuals, and by
+    the ordinates z_array refuses (z_array needs no other check)."""
+    if resid.size and np.max(resid) > GRAM_RESIDUAL_TOL:
+        bad = int(np.argmax(resid))
+        raise BracketError(f"Gram solve stalled at target index {bad}: residual {resid[bad]:g}")
+    if ts.size:
+        _check_range(ts[0], ts[-1])  # ts ascend
+
+
+def _gram_slices(spans, extra: int = 0) -> list[GramSlice | LadderLabError]:
+    """gram_points(frm, to, extra) for each (frm, to) of spans, or the
+    LadderLabError it met.
+
+    The indices of every range come from one theta call, the distinct
+    indices of all ranges from one Gram solve and one z_array call, and
+    each range then takes its own slice, certified on its own residuals
+    and ordinates (_certified), so a range has the bits and the error of
+    a call for it alone."""
+    out: list = [attempt(_check_span, frm, to) for frm, to in spans]
+    ok = [k for k, x in enumerate(out) if not isinstance(x, LadderLabError)]
+    if not ok:
+        return out
+    los, his = _index_ranges(np.array([spans[k][0] for k in ok]),
+                             np.array([spans[k][1] for k in ok]))
+    his += extra
+    merged: list[list[int]] = []  # the union of the index ranges, ascending
+    for lo, hi in sorted(zip(los.tolist(), his.tolist())):
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1][1] = max(merged[-1][1], hi)
+        elif lo <= hi:
+            merged.append([lo, hi])
+    nus = np.concatenate([np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in merged]
+                         or [np.empty(0, dtype=np.int64)])
+    targets = (nus - 1).astype(float) * math.pi
+    ts = _solve_theta_equals(targets)
+    resid = np.abs(theta(ts) - targets)
+    cuts = list(zip(np.searchsorted(nus, los).tolist(),
+                    np.searchsorted(nus, his, "right").tolist()))
+    need = np.zeros(nus.size, dtype=bool)  # the points of the certified ranges
+    for k, (i, j) in zip(ok, cuts):
+        out[k] = attempt(_certified, ts[i:j], resid[i:j])
+        need[i:j] |= out[k] is None
+    zs = np.full(nus.size, np.nan)
+    if need.any():
+        zs[need] = z_array(ts[need])
+    for k, (i, j) in zip(ok, cuts):
+        if out[k] is None:
+            out[k] = GramSlice(nus=nus[i:j], ts=ts[i:j], zs=zs[i:j])
+    return out
 
 
 def gram_points(frm: float, to: float, extra: int = 0) -> GramSlice:
     """All Gram points with ordinate in (frm, to], plus `extra` beyond.
 
-    Requires T_MIN <= frm < to. The extras let pair sums fetch the
+    Requires finite T_MIN <= frm < to. The extras let pair sums fetch the
     nu+1 neighbor of the last in-range point without a second solve.
+    _gram_slices for one range.
     """
-    if not (frm >= T_MIN and to > frm):
-        raise DomainError(f"gram_points requires {T_MIN} <= from < to")
-    nu_lo, nu_hi = gram_index_range(frm, to)
-    nu_hi += extra
-    if nu_hi < nu_lo:
-        return GramSlice(nus=np.empty(0, dtype=np.int64), ts=np.empty(0), zs=np.empty(0))
-    nus = np.arange(nu_lo, nu_hi + 1, dtype=np.int64)
-    targets = (nus - 1).astype(float) * math.pi
-    ts = _solve_theta_equals(targets)
-    return GramSlice(nus=nus, ts=ts, zs=z_array(ts))
+    return unwrap(_gram_slices([(frm, to)], extra)[0])
 
 
 def _pair_values(slice_: GramSlice, in_range: int) -> tuple[np.ndarray, np.ndarray]:
@@ -139,30 +199,55 @@ def _gram_sign(nus: np.ndarray) -> np.ndarray:
     return np.where((nus - 1) % 2 == 0, 1.0, -1.0)
 
 
-def t1_increment(a: float, b: float) -> float:
-    """(-1)^(nu-1) Z(t_nu) folded over Gram points in (a, b]."""
-    if not a < b:
-        raise DomainError("t1_increment requires a < b")
-    sl = gram_points(a, b)
-    if len(sl) == 0:
-        return 0.0
-    return math.fsum(_gram_sign(sl.nus) * sl.zs)
+def _one_point_sum(sl: GramSlice, b: float) -> float:
+    return math.fsum(_gram_sign(sl.nus) * sl.zs)  # 0.0 on no point
 
 
-def t2_increment(a: float, b: float) -> float:
-    """zeta_nu * zeta_{nu+1} = -Z(t_nu) Z(t_{nu+1}) folded over t_nu in (a, b].
-
-    The neighbors carry opposite rotation signs. The nu+1 neighbor is
-    fetched even when it lies beyond b.
-    """
-    if not a < b:
-        raise DomainError("t2_increment requires a < b")
-    sl = gram_points(a, b, extra=1)
+def _pair_sum(sl: GramSlice, b: float) -> float:
     n_in = int(np.count_nonzero(sl.ts <= b))
     if n_in == 0:
         return 0.0
     z, z_next = _pair_values(sl, n_in)
     return math.fsum(-(z * z_next))
+
+
+def _increments(name: str, fold, extra: int, rungs) -> list[float | LadderLabError]:
+    """fold(gram_points(a, b, extra), b) for each rung (a, b), or the
+    LadderLabError it met, all rungs from one _gram_slices call."""
+    out: list = [None if a < b else DomainError(f"{name} requires a < b") for a, b in rungs]
+    ok = [k for k, x in enumerate(out) if x is None]
+    for k, sl in zip(ok, _gram_slices([rungs[k] for k in ok], extra)):
+        out[k] = sl if isinstance(sl, LadderLabError) else attempt(fold, sl, rungs[k][1])
+    return out
+
+
+def t1_increment_all(rungs) -> list[float | LadderLabError]:
+    """t1_increment(a, b) for each rung (a, b), or the LadderLabError it
+    met, from one Gram solve and one z_array call (_gram_slices); each
+    rung folds its own points, so it has the bits of a call for it alone."""
+    return _increments("t1_increment", _one_point_sum, 0, rungs)
+
+
+def t2_increment_all(rungs) -> list[float | LadderLabError]:
+    """t2_increment(a, b) for each rung (a, b), or the LadderLabError it
+    met, as t1_increment_all: one Gram solve and one z_array call."""
+    return _increments("t2_increment", _pair_sum, 1, rungs)
+
+
+def t1_increment(a: float, b: float) -> float:
+    """(-1)^(nu-1) Z(t_nu) folded over Gram points in (a, b];
+    t1_increment_all for one rung."""
+    return unwrap(t1_increment_all([(a, b)])[0])
+
+
+def t2_increment(a: float, b: float) -> float:
+    """zeta_nu * zeta_{nu+1} = -Z(t_nu) Z(t_{nu+1}) folded over t_nu in (a, b];
+    t2_increment_all for one rung.
+
+    The neighbors carry opposite rotation signs. The nu+1 neighbor is
+    fetched even when it lies beyond b.
+    """
+    return unwrap(t2_increment_all([(a, b)])[0])
 
 
 def spacing_ratios(slice_: GramSlice, reference: str = "log_t") -> np.ndarray:

@@ -39,6 +39,8 @@ consecutive spans, up to 2^14 first-panel nodes; panel values do not
 depend on their batch, so the grouping moves no bit. A cell from load()
 gets its knots (CheckpointCache._fill) from the first read that lands in
 it; invert fills the cells of all its targets in one grouped pass.
+hl_integral_all reads many T with one _quad pass over their panels, one
+Z call on a warm cache; hl_integral is its one-T case.
 """
 
 from __future__ import annotations
@@ -320,6 +322,15 @@ def _legval_pair(x: float, c: list[float], d: list[float]) -> tuple[float, float
     return c0 + c1 * x, d0 + d1 * x
 
 
+def _legval(x: float, c: list[float]) -> float:
+    """legval(x, c) of np.polynomial.legendre for 3 <= len(c) <= 42: the
+    Clenshaw steps of _legval_pair on c alone, so the same bits."""
+    c0, c1 = c[-2], c[-1]
+    for i, p, q in _CLENSHAW[len(_CLENSHAW) + 2 - len(c):]:
+        c0, c1 = c[i] - c1 * p, c0 + c1 * x * q
+    return c0 + c1 * x
+
+
 def _square_model(z: np.ndarray, half: float) -> tuple[list[float], list[float], list[float]]:
     """(p, P, P on _GRID) for one panel's 21 Z values z: the Legendre
     coefficients of p, the degree-20 interpolant of z, and of P, the
@@ -391,9 +402,9 @@ def _read_in_panels(T: float, j0: float, end: float, lo: np.ndarray, z: np.ndarr
     what every read and every invert target evaluates unless the panel
     refines, this is J(t0) + P(T)."""
     m = bisect.bisect_right(lo.tolist(), T) - 1
-    _, _, mid, half, coef, prim, _ = (
+    _, _, mid, half, _, prim, _ = (
         known[1] if known is not None and known[0] == m else _panel_model(m, end, lo, z))
-    return j0 + math.fsum([*vk.tolist()[:m], _legval_pair((T - mid) / half, prim, coef)[0]])
+    return j0 + math.fsum([*vk.tolist()[:m], _legval((T - mid) / half, prim)])
 
 
 def integrate_segment(a: float, b: float) -> IntegralResult:
@@ -633,6 +644,52 @@ class CheckpointCache:
         return cache
 
 
+def _stored_read(T: float, cache: CheckpointCache) -> tuple:
+    """((t0, J0, err0), the stored point above or None, Z nodes) for a read
+    of J(T): the adjacent stored points around T, after the checkpoints
+    through T's stride cell and that cell's knots are computed."""
+    if not 0.0 <= T < math.inf:
+        raise DomainError("hl_integral requires finite T >= 0")
+    _check_t_max(T)
+    nodes = cache.extend_to(math.ceil(T / DEFAULT_STRIDE) * DEFAULT_STRIDE)
+    if T % DEFAULT_STRIDE:
+        nodes += cache._fill(int(T // DEFAULT_STRIDE))
+    return (*cache._bracket(T), nodes)
+
+
+def hl_integral_all(Ts, cache: CheckpointCache | None = None
+                    ) -> list[IntegralResult | LadderLabError]:
+    """hl_integral(T, cache) for each T, or the LadderLabError its read met.
+
+    The cache is extended and filled for each T in input order, so each
+    slot's node_count is that of a read after the ones before it; then
+    the panels of all reads between stored points go through one _quad
+    pass, one Z call of 21 nodes per read on a warm cache for up to 780
+    of them (2^14 nodes). Panel values do not depend on their batch, so
+    each slot has the bits of a one-T call.
+    """
+    cache = cache if cache is not None else CheckpointCache()
+    out: list = [attempt(_stored_read, T, cache) for T in Ts]
+    reads = []
+    for k, (T, res) in enumerate(zip(Ts, out)):
+        if not isinstance(res, LadderLabError):
+            (t0, j0, e0), _, nodes = res
+            if T == t0:
+                out[k] = IntegralResult(a=0.0, b=T, value=j0, abs_error_estimate=e0,
+                                        node_count=nodes)
+            else:
+                reads.append(k)
+    for k, refined in zip(reads, _quad([(out[k][0][0], out[k][1][0]) for k in reads])):
+        if not isinstance(refined, LadderLabError):
+            (_, j0, _), (t1, _, e1), nodes = out[k]
+            lo, z, vk, _, n = refined
+            value = _read_in_panels(Ts[k], j0, t1, lo, z, vk)
+            refined = IntegralResult(a=0.0, b=Ts[k], value=value, abs_error_estimate=e1,
+                                     node_count=nodes + n)
+        out[k] = refined
+    return out
+
+
 def hl_integral(T: float, cache: CheckpointCache | None = None) -> IntegralResult:
     """J(T): the stored J of a checkpoint, knot or the origin at T, with no
     Z call, or else J(t0) + P(T) between the adjacent stored points
@@ -646,23 +703,10 @@ def hl_integral(T: float, cache: CheckpointCache | None = None) -> IntegralResul
     knots are computed on the way, and memoized in the cache; without
     one, the read goes through a fresh cache, so J(T) has the same bits
     either way. node_count counts those cells' nodes as well as the
-    panel's. integrate_segment is a separate route to J: a K21 quadrature
-    of any [a, b], with no cache.
+    panel's. hl_integral_all for one T. integrate_segment is a separate
+    route to J: a K21 quadrature of any [a, b], with no cache.
     """
-    if not 0.0 <= T < math.inf:
-        raise DomainError("hl_integral requires finite T >= 0")
-    _check_t_max(T)
-    cache = cache if cache is not None else CheckpointCache()
-    nodes = cache.extend_to(math.ceil(T / DEFAULT_STRIDE) * DEFAULT_STRIDE)
-    if T % DEFAULT_STRIDE:
-        nodes += cache._fill(int(T // DEFAULT_STRIDE))
-    (t0, j0, e0), above = cache._bracket(T)
-    if T == t0:
-        return IntegralResult(a=0.0, b=T, value=j0, abs_error_estimate=e0, node_count=nodes)
-    t1, _, e1 = above
-    lo, z, vk, _, n = unwrap(next(_quad([(t0, t1)])))
-    return IntegralResult(a=0.0, b=T, value=_read_in_panels(T, j0, t1, lo, z, vk),
-                          abs_error_estimate=e1, node_count=nodes + n)
+    return unwrap(hl_integral_all([T], cache)[0])
 
 
 def hl_representation(phi: float) -> float:

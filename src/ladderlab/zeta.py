@@ -32,7 +32,8 @@ negative ones with DomainError.
 
 All evaluation paths are pure: equal inputs give bitwise-equal outputs
 regardless of how calls are batched. Small batches build the
-Riemann-Siegel main sum and the correction polynomials as whole arrays,
+Riemann-Siegel main sum as term arrays, one per column block wherever
+N(t) more than doubles, and the correction polynomials as one array,
 large ones loop over n or over the four polynomials, and the
 Euler-Maclaurin sum always loops over n; one rule covers every form:
 each element sees the same IEEE operations in the same order, with no
@@ -112,8 +113,11 @@ _RS_COLS = np.ascontiguousarray(_RS_C.T[::-1])
 _RS_ROWS = [row[::-1].tolist() for row in _RS_C]
 
 
-def _theta_series(t: np.ndarray) -> np.ndarray:
-    lt = np.log(t / TWO_PI)
+def _theta_series(t: np.ndarray, lt: np.ndarray | None = None) -> np.ndarray:
+    """theta(t) by its asymptotic series; lt = log(t / 2pi), when the
+    caller holds it already (a Newton step on theta also needs theta')."""
+    if lt is None:
+        lt = np.log(t / TWO_PI)
     return (
         (t / 2.0) * lt - t / 2.0 - np.pi / 8.0
         + 1.0 / (48.0 * t)
@@ -157,22 +161,42 @@ def theta(t):
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
+def _term_array_sum(t: np.ndarray, th: np.ndarray, trunc: np.ndarray) -> np.ndarray:
+    """_rs_main_sum as one (N(t_max), t.size) term array, the terms past
+    each element's own N(t) set to 0."""
+    nmax = int(trunc[-1])
+    terms = np.multiply.outer(_LOGN[:nmax], t)
+    np.subtract(th, terms, out=terms)
+    np.cos(terms, out=terms)
+    terms *= _ISQN[:nmax, None]
+    lo = int(trunc[0])  # rows below lo lie inside every element's N(t)
+    tail = terms[lo:]
+    tail[_N[lo:nmax, None] > trunc] = 0.0
+    if t.size > 1:
+        return np.add.reduce(terms, axis=0)
+    # one column is contiguous along axis 0, and numpy sums a
+    # contiguous run pairwise; accumulate stays sequential
+    return np.add.accumulate(terms[:, 0])[-1:]
+
+
 def _rs_main_sum(t: np.ndarray, th: np.ndarray, trunc: np.ndarray) -> np.ndarray:
-    """Sum over n <= N(t) of n^(-1/2) cos(theta(t) - t ln n), t ascending."""
+    """Sum over n <= N(t) of n^(-1/2) cos(theta(t) - t ln n), t ascending.
+
+    A small batch is cut into column blocks wherever N(t) more than
+    doubles, each summed as its own term array (_term_array_sum), so a
+    batch spread over many t-bands computes few of the terms it masks;
+    each column keeps its own terms in order, followed by zeros, so the
+    cut moves no bit. A large batch loops over n.
+    """
     nmax = int(trunc[-1])
     if t.size * nmax <= SMALL_BATCH_TERMS:
-        terms = np.multiply.outer(_LOGN[:nmax], t)
-        np.subtract(th, terms, out=terms)
-        np.cos(terms, out=terms)
-        terms *= _ISQN[:nmax, None]
-        lo = int(trunc[0])  # rows below lo lie inside every element's N(t)
-        tail = terms[lo:]
-        tail[_N[lo:nmax, None] > trunc] = 0.0
-        if t.size > 1:
-            return np.add.reduce(terms, axis=0)
-        # one column is contiguous along axis 0, and numpy sums a
-        # contiguous run pairwise; accumulate stays sequential
-        return np.add.accumulate(terms[:, 0])[-1:]
+        if nmax <= 2 * trunc[0]:
+            return _term_array_sum(t, th, trunc)
+        cuts = [0]
+        while cuts[-1] < t.size:
+            cuts.append(int(np.searchsorted(trunc, 2 * trunc[cuts[-1]], side="right")))
+        return np.concatenate([_term_array_sum(t[i:j], th[i:j], trunc[i:j])
+                               for i, j in zip(cuts, cuts[1:])])
     # first index whose truncation length reaches n (trunc is ascending)
     starts = np.searchsorted(trunc, _N[:nmax], side="left").tolist()
     main = np.zeros_like(t)

@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ladderlab import gram
 from ladderlab.constants import EULER_GAMMA, T_MAX, T_MIN
-from ladderlab.errors import DomainError
+from ladderlab.errors import DomainError, InfeasibleError, LadderLabError
 from ladderlab.gram import (
     FIRST_GRAM,
     GRAM_RESIDUAL_TOL,
+    NEWTON_STEPS,
     GramSlice,
+    _gram_sign,
+    _lambert_w,
     _solve_theta_equals,
     _theta_prime,
     gram_index_range,
     gram_points,
     spacing_ratios,
     t1_increment,
+    t1_increment_all,
     t2_increment,
+    t2_increment_all,
 )
 from ladderlab.zeta import theta, z_array
 
@@ -82,6 +88,71 @@ def test_newton_step_count_suffices():
     again = np.maximum(ts - resid / _theta_prime(ts), T_MIN)
     assert np.max(np.abs(again - ts) / np.spacing(ts)) <= 4.0
     assert np.max(np.abs(resid)) <= GRAM_RESIDUAL_TOL
+
+
+def test_newton_steps_share_one_log():
+    # each step takes theta and theta' from one log(t/2pi): the same bits
+    # as a step through theta() and _theta_prime()
+    lo, hi = gram_index_range(T_MIN, T_MAX)
+    nus = np.unique(np.linspace(lo, hi, 20000).astype(np.int64))
+    targets = (nus - 1).astype(float) * math.pi
+    g = (targets + np.pi / 8.0) / np.pi + 0.875
+    t = np.maximum(2.0 * math.pi * g / _lambert_w(np.maximum(g, 0.9) / math.e), T_MIN + 1.0)
+    for _ in range(NEWTON_STEPS):
+        t = np.maximum(t - (theta(t) - targets) / _theta_prime(t), T_MIN)
+    assert np.array_equal(_solve_theta_equals(targets).view(np.int64), t.view(np.int64))
+
+
+def _fold_alone(a, b, extra):
+    # reference: the rung's own points, solved and evaluated in their own
+    # calls, folded as T1 (extra 0) or T2 (extra 1)
+    lo, hi = gram_index_range(a, b)
+    nus = np.arange(lo, hi + extra + 1)
+    ts = _solve_theta_equals((nus - 1).astype(float) * math.pi)
+    zs = z_array(ts)
+    if not extra:
+        return math.fsum(_gram_sign(nus) * zs) if nus.size else 0.0
+    n_in = int(np.count_nonzero(ts <= b))
+    return math.fsum(-(zs[:n_in] * zs[1:n_in + 1])) if n_in else 0.0
+
+
+def test_batched_rungs_same_bits_as_one_at_a_time(monkeypatch):
+    # one Gram solve and one z_array call for every rung of a batch, in
+    # any order; each rung keeps the bits of its own call and of a fold of
+    # its points alone: rungs that share an endpoint (so a t2 neighbour
+    # past b is the next rung's first point), an empty rung, and rungs
+    # repeated or overlapping
+    a, b = gram_points(1000.0, 1003.0).ts[:2]
+    rungs = [(200.0, 400.0), (400.0, 650.0), (650.0, 1234.5), (a - 1e-3, a + 1e-3),
+             (b, b + 1e-3), (3e3, 3.5e3), (3.2e3, 4e3), (200.0, 400.0), (4.99e4, 5.2e4),
+             (T_MIN, 50.0)]
+    assert len(gram_points(*rungs[4])) == 0
+    for batched, one, extra in ((t1_increment_all, t1_increment, 0),
+                                (t2_increment_all, t2_increment, 1)):
+        want = [_fold_alone(lo, hi, extra).hex() for lo, hi in rungs]
+        assert [one(lo, hi).hex() for lo, hi in rungs] == want
+        calls = []
+        for name in ("_solve_theta_equals", "z_array"):
+            f = getattr(gram, name)
+            monkeypatch.setattr(gram, name, lambda x, f=f, name=name: calls.append(name) or f(x))
+        assert [v.hex() for v in batched(rungs[::-1])] == want[::-1]
+        monkeypatch.undo()
+        assert calls == ["_solve_theta_equals", "z_array"]
+
+
+def test_batched_rungs_keep_each_error_in_its_slot():
+    # a reversed rung, one below T_MIN, a non-finite one and one whose
+    # points pass T_MAX fail alone, with the error of their own call
+    good = [(200.0, 400.0), (9.9e4, 9.95e4)]
+    bad = [(400.0, 200.0), (5.0, 50.0), (100.0, math.inf), (9.99e4, 1.01e5), (math.nan, 100.0)]
+    for batched, one in ((t1_increment_all, t1_increment), (t2_increment_all, t2_increment)):
+        got = batched(bad[:2] + good[:1] + bad[2:] + good[1:])
+        assert [v.hex() for v in (got[2], got[-1])] == [one(*r).hex() for r in good]
+        for res, rung in zip(got[:2] + got[3:-1], bad):
+            with pytest.raises(LadderLabError) as alone:
+                one(*rung)
+            assert type(res) is type(alone.value) and str(res) == str(alone.value)
+        assert type(got[4]) is InfeasibleError and type(got[0]) is DomainError
 
 
 def test_theta_residuals_tight():

@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 
 from ladderlab import integral
 from ladderlab.constants import EULER_GAMMA, LN_TWO_PI, T_MAX
-from ladderlab.errors import CacheCorruptionError, DomainError, InfeasibleError, ToleranceError
+from ladderlab.errors import (CacheCorruptionError, DomainError, InfeasibleError, ToleranceError,
+                              attempt)
 from ladderlab.integral import (
     AUTO_TOL_RATE,
     CELL_TOL,
@@ -17,6 +18,7 @@ from ladderlab.integral import (
     ENGINE_VERSION,
     CheckpointCache,
     hl_integral,
+    hl_integral_all,
     hl_representation,
     integrate_segment,
 )
@@ -203,6 +205,19 @@ def test_clenshaw_is_numpy_legval(c, d, x):
     c, d = sorted((c, d), key=len, reverse=True)
     want = [float(np.polynomial.legendre.legval(x, np.array(v))).hex() for v in (c, d)]
     assert [v.hex() for v in integral._legval_pair(x, c, d)] == want
+
+
+def test_p_only_clenshaw_is_numpy_legval():
+    # _read_in_panels evaluates P alone: on seeded panels and x, the same
+    # bits as P from the pair loop and as numpy's legval
+    rng = np.random.default_rng(27)
+    for _ in range(50):
+        coef, prim, _ = integral._square_model(rng.normal(size=integral._NODES_PER_PANEL),
+                                               rng.uniform(0.05, 0.5))
+        for x in rng.uniform(-1.0, 1.0, 20).tolist():
+            want = float(np.polynomial.legendre.legval(x, np.array(prim))).hex()
+            assert integral._legval(x, prim).hex() == integral._legval_pair(x, prim, coef)[0].hex()
+            assert integral._legval(x, prim).hex() == want
 
 
 def test_panel_estimate_bounds_true_error():
@@ -410,6 +425,46 @@ def test_read_evaluates_one_panel_and_a_stored_point_none(shared_cache, monkeypa
     res = hl_integral(0.5 * (kt[3] + kt[4]), cache=shared_cache)
     assert sizes == [integral._NODES_PER_PANEL] == [res.node_count]
     assert res.abs_error_estimate == ke[4] and kj[3] < res.value < kj[4]
+
+
+def _read_bits(res):
+    return (res.value.hex(), res.abs_error_estimate.hex(), res.node_count)
+
+
+def test_batched_reads_same_bits_as_sequential_reads(monkeypatch):
+    # a batch on a fresh cache extends and fills in input order, so each
+    # slot has the value, estimate and node_count of a sequential read
+    # on another fresh cache: reads out of order, repeated, on a stored
+    # point, in a cell a loaded cache must fill, and a T past T_MAX that
+    # fails alone
+    rng = random.Random(33)
+    Ts = [rng.uniform(0.0, 3e3) for _ in range(12)] + [1000.0, 0.0, 2.5e3, 40.0]
+    Ts[5:5] = [1.2e5, Ts[2]]
+    sizes = []
+    z_array = integral.z_array
+    monkeypatch.setattr(integral, "z_array", lambda t: sizes.append(t.size) or z_array(t))
+    sequential = CheckpointCache()
+    want = []
+    for T in Ts:
+        sizes.clear()
+        want.append(attempt(hl_integral, T, sequential))
+        assert isinstance(want[-1], InfeasibleError) or want[-1].node_count == sum(sizes)
+    assert type(want[5]) is InfeasibleError and want[14].node_count == 0  # T = 1000
+    batched = CheckpointCache()
+    got = hl_integral_all(Ts, batched)
+    assert type(got[5]) is InfeasibleError and str(got[5]) == str(want[5])
+    del got[5], want[5]
+    assert [_read_bits(r) for r in got] == [_read_bits(r) for r in want]
+    assert batched == sequential
+    # on the warm cache, one Z call of one panel per read between stored points
+    sizes.clear()
+    assert [_read_bits(r)[:2] for r in hl_integral_all(Ts[:5] + Ts[6:], batched)] == [
+        _read_bits(r)[:2] for r in got]
+    assert sizes == [integral._NODES_PER_PANEL * (len(Ts) - 4)]  # 1.2e5, 1000, 0, 2500 make none
+    # a loaded cache fills the cells it reads, with the same bits
+    loaded = CheckpointCache(ts=batched.ts, js=batched.js, errs=batched.errs)
+    assert [_read_bits(r)[:2] for r in hl_integral_all(Ts[:5] + Ts[6:], loaded)] == [
+        _read_bits(r)[:2] for r in got]
 
 
 def test_invert_returns_the_plain_read_of_j_at_its_root(shared_cache, monkeypatch):

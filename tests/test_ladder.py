@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ladderlab import integral, ladder
+from ladderlab import gram, integral, ladder
 from ladderlab.constants import T_FLOOR
 from ladderlab.errors import BracketError, DomainError, InfeasibleError, ToleranceError
-from ladderlab.fermat import enumerate_fermat_rationals, evaluate_equivalent
+from ladderlab.fermat import FUNCTIONAL_IDS, enumerate_fermat_rationals, evaluate_equivalent
 from ladderlab.gammalab import ln_gamma
 from ladderlab.integral import DEFAULT_STRIDE, CheckpointCache, hl_integral, hl_representation
 from ladderlab.ladder import ascend, ascend_all, build_tower, descend
@@ -117,6 +117,33 @@ def test_row_z_call_budget(shared_cache, monkeypatch):
         assert row.tau_max is not None
     assert calls == [1] * len(calls), calls
     assert all(n <= integral._NODES_PER_PANEL * r for n, r in zip(nodes, rungs)), (nodes, rungs)
+
+
+def test_row_reads_and_gram_rungs_share_one_call(shared_cache, monkeypatch):
+    # on a warm cache a zeta-* row reads all its J(T) in one Z call, and a
+    # t1/t2 row makes two: its ascents, then one Gram solve and one
+    # z_array call for all its rungs
+    shared_cache.extend_to(5.5e4)
+    calls, solves = [], []
+    for mod in (integral, gram):
+        f = mod.z_array
+        monkeypatch.setattr(mod, "z_array", lambda t, f=f: calls.append(t.size) or f(t))
+    solve = gram._solve_theta_equals
+    monkeypatch.setattr(gram, "_solve_theta_equals", lambda x: solves.append(x.size) or solve(x))
+    rows = 0
+    for fid in FUNCTIONAL_IDS:
+        if not fid.startswith(("zeta", "t1", "t2")):
+            continue
+        for q in enumerate_fermat_rationals(3, 6)[::7]:
+            calls.clear()
+            solves.clear()
+            row = evaluate_equivalent(fid, q, cache=shared_cache)
+            if row.tau_max is None:
+                continue
+            rows += 1
+            assert (len(calls), len(solves)) == ((1, 0) if fid.startswith("zeta") else (2, 1)), (
+                fid, q, calls, solves)
+    assert rows >= 20
 
 
 def _reference_rungs(Ts, cache):

@@ -205,9 +205,17 @@ def _assert_matches_reference(monkeypatch, batches, name, reference):
         assert np.array_equal(got, want), (ts.size, ts.max())
 
 
+def _panels(rng, lo, hi, count):
+    # 21-node panels at log-uniform starts in [lo, hi], as a row's reads
+    # and ascents evaluate them
+    starts = np.exp(rng.uniform(math.log(lo), math.log(hi), count))
+    return (starts[:, None] + np.linspace(0.0, 1.0, 21)[None, :]).ravel()
+
+
 def test_main_sum_forms_match_loop_bitwise(monkeypatch):
-    # small batches build one term array, large ones loop over n; both
-    # must give the loop's bits, including one-element batches
+    # small batches build one term array per column block (a new block
+    # wherever N(t) more than doubles), large ones loop over n; all must
+    # give the loop's bits, including one-element batches and blocks
     rng = np.random.default_rng(20261018)
     wide = np.append(rng.uniform(RS_SEAM, 9e4, 248), [RS_SEAM, 9e4])
     rng.shuffle(wide)
@@ -220,6 +228,17 @@ def test_main_sum_forms_match_loop_bitwise(monkeypatch):
             ts = np.append(rng.uniform(band, hi, size - 1), hi)
             rng.shuffle(ts)
             batches.append(ts)
+    # row-shaped batches: 21-node panels spread over 1e2-6e4, in one or
+    # many blocks, and one-node blocks at either end and in the middle
+    for count in (1, 2, 5, 10, 30):
+        batches.append(_panels(rng, 1e2, 6e4, count))
+    batches.append(np.append(RS_SEAM, _panels(rng, 1e3, 2e3, 3)))
+    batches.append(np.append(_panels(rng, 1e2, 2e2, 3), 6e4))
+    batches.append(np.concatenate([_panels(rng, 1e2, 2e2, 2), [1e3], _panels(rng, 5e3, 6e3, 2)]))
+    # right at SMALL_BATCH_TERMS, and one term over: N(t_max) = 64
+    top = 2.0 * math.pi * 64.5 ** 2
+    for size in (SMALL_BATCH_TERMS // 64, SMALL_BATCH_TERMS // 64 + 1):
+        batches.append(np.append(rng.uniform(RS_SEAM, top, size - 1), top))
     _assert_matches_reference(monkeypatch, batches, "_rs_main_sum", _loop_main_sum)
 
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from .arith import dirichlet_D
 from .constants import B2K, EULER_GAMMA, T_FLOOR
 from .errors import DomainError, LadderLabError, unwrap
-from .gram import DEFAULT_STRATEGY, gram_points, t1_increment, t2_increment
+from .gram import DEFAULT_STRATEGY, gram_index_range, t1_increment_all, t2_increment_all
 from .integral import CheckpointCache
 from .ladder import DEFAULT_RESIDUAL_TOL, ascend_all, build_tower
 from .serialize import to_json
@@ -124,15 +124,19 @@ def gamma_functional(x: float, tau_grid: list[float],
 
 
 def _factorization(fid: str, parameter: float, tau_grid: list[float],
-                   cache: CheckpointCache | None, increment, const: float,
+                   cache: CheckpointCache | None, increment_all, const: float,
                    metadata: dict) -> FunctionalReport:
-    """increment(lo, ascend(lo)) / (const * [ln Gamma(ascend(lo)) - ln Gamma(lo)])
-    along tau_grid, target 1."""
+    """increment / (const * [ln Gamma(ascend(lo)) - ln Gamma(lo)]) along
+    tau_grid, target 1, the increments of all rungs (lo, ascend(lo)) from
+    one increment_all call; the first error in tau order is raised."""
     cache = cache if cache is not None else CheckpointCache()
     taus, values = [float(tau) for tau in tau_grid], []
-    for lo, res in zip(taus, ascend_all(taus, cache)):
+    ups = ascend_all(taus, cache)
+    sums = iter(increment_all([(lo, res[0]) for lo, res in zip(taus, ups)
+                               if not isinstance(res, LadderLabError)]))
+    for lo, res in zip(taus, ups):
         hi = unwrap(res)[0]
-        values.append(increment(lo, hi) / (const * (ln_gamma(hi) - ln_gamma(lo))))
+        values.append(unwrap(next(sums)) / (const * (ln_gamma(hi) - ln_gamma(lo))))
     return FunctionalReport(
         functional_id=fid, parameter=parameter, target=1.0,
         tau_grid=taus, values=values, metadata=metadata,
@@ -148,7 +152,7 @@ def verify_factorization_D(tau_grid: list[float],
     """
     return _factorization(
         "d", 0.0, tau_grid, cache,
-        lambda lo, hi: dirichlet_D(hi) - dirichlet_D(math.ceil(lo) - 1),
+        lambda rungs: [dirichlet_D(hi) - dirichlet_D(math.ceil(lo) - 1) for lo, hi in rungs],
         1.0, _base_metadata(),
     )
 
@@ -158,7 +162,7 @@ def verify_factorization_T1(tau_grid: list[float],
     """Gram one-point sum over (tau, tau^1] vs (1/pi) ln Gamma increment."""
     const = 1.0 / math.pi
     return _factorization(
-        "t1", const, tau_grid, cache, t1_increment,
+        "t1", const, tau_grid, cache, t1_increment_all,
         const, _base_metadata(strategy=DEFAULT_STRATEGY, constant=const),
     )
 
@@ -168,7 +172,7 @@ def verify_factorization_T2(tau_grid: list[float],
     """Gram pair sum over (tau, tau^1] vs ((1+c)/pi) ln Gamma increment."""
     const = (1.0 + EULER_GAMMA) / math.pi
     return _factorization(
-        "t2", const, tau_grid, cache, t2_increment,
+        "t2", const, tau_grid, cache, t2_increment_all,
         const, _base_metadata(strategy=DEFAULT_STRATEGY, constant=const),
     )
 
@@ -195,16 +199,16 @@ def verify_chain(tau: float, k: int, cache: CheckpointCache | None = None) -> Ch
 
     rung_ratios[r] compares rung r+1 alone; total_ratio compares the
     whole (tau, tau^k] range. The rung sums partition the total exactly,
-    so additivity_defect is pure floating-point fold noise.
+    so additivity_defect is pure floating-point fold noise. The rung sums
+    and the total come from one t1_increment_all call.
     """
     tower = build_tower(tau, k, cache=cache)
     it = tower.iterates
-    rung_sums = [t1_increment(it[r], it[r + 1]) for r in range(k)]
+    *rung_sums, total_sum = map(unwrap, t1_increment_all([*zip(it, it[1:]), (it[0], it[k])]))
     rung_ratios = [
         math.pi * s / (ln_gamma(it[r + 1]) - ln_gamma(it[r]))
         for r, s in enumerate(rung_sums)
     ]
-    total_sum = t1_increment(it[0], it[k])
     total_ratio = math.pi * total_sum / (ln_gamma(it[k]) - ln_gamma(it[0]))
     defect = abs(math.fsum(rung_sums) - total_sum)
     return ChainReport(
@@ -250,16 +254,17 @@ def verify_shifted_ratio(tau: float, cache: CheckpointCache | None = None) -> Sh
     against tau * exp(pi * [shifted Gram sum difference]).
 
     Also counts Gram points in (tau, tau+1], whose expected number is
-    ln tau / 2pi.
+    ln tau / 2pi, from their index range (gram_index_range) alone. Both
+    Gram sums come from one t1_increment_all call.
     """
     if not T_FLOOR <= tau < math.inf:
         raise DomainError(f"tau must be finite and >= {T_FLOOR}")
     u_hi, u_lo = (unwrap(res)[0] for res in ascend_all([tau + 1.0, tau], cache))
     lhs_log = ln_gamma(u_hi) - ln_gamma(u_lo)
-    rhs_log = math.log(tau) + math.pi * (
-        t1_increment(tau + 1.0, u_hi) - t1_increment(tau, u_lo)
-    )
-    count = len(gram_points(tau, tau + 1.0))
+    s_hi, s_lo = map(unwrap, t1_increment_all([(tau + 1.0, u_hi), (tau, u_lo)]))
+    rhs_log = math.log(tau) + math.pi * (s_hi - s_lo)
+    nu_lo, nu_hi = gram_index_range(tau, tau + 1.0)
+    count = nu_hi - nu_lo + 1
     return ShiftedReport(
         tau=float(tau), lhs_log=lhs_log, rhs_log=rhs_log,
         log_difference=lhs_log - rhs_log,
@@ -294,7 +299,8 @@ def verify_legendre_factorization(tau: float,
     matching combination of pi-weighted Gram sums. Statements of this
     identity circulate with exponent 2^(2 tau + 1), which is inconsistent
     with the duplication formula itself; we use the consistent
-    2^(2 tau - 1) and flag the convention in the metadata.
+    2^(2 tau - 1) and flag the convention in the metadata. The three
+    Gram sums come from one t1_increment_all call.
     """
     if not T_FLOOR <= tau < math.inf:
         raise DomainError(f"tau must be finite and >= {T_FLOOR}")
@@ -304,11 +310,8 @@ def verify_legendre_factorization(tau: float,
         - ((2.0 * tau - 1.0) * math.log(2.0) - 0.5 * math.log(math.pi)
            + ln_gamma(u1) + ln_gamma(uh))
     )
-    log_rhs = math.pi * (
-        t1_increment(2.0 * tau, u2)
-        - t1_increment(tau, u1)
-        - t1_increment(tau + 0.5, uh)
-    )
+    s2, s1, sh = map(unwrap, t1_increment_all([(2.0 * tau, u2), (tau, u1), (tau + 0.5, uh)]))
+    log_rhs = math.pi * (s2 - s1 - sh)
     return LegendreReport(
         tau=float(tau), log_lhs=log_lhs, log_rhs=log_rhs,
         log_difference=log_lhs - log_rhs, strategy=DEFAULT_STRATEGY,

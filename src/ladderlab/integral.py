@@ -16,10 +16,11 @@ Riemann-Siegel sum, and a cold build to the scan reach evaluates 582,414
 of them. The engine's Z error bound is folded into the estimate via
 Cauchy-Schwarz on each panel. Each panel's Kronrod and Gauss values are
 summed node after node, so a panel's bits do not depend on the batch it
-is evaluated in. Every segment, stride cell and read's panel meets one
-absolute tolerance, AUTO_TOL_RATE per unit of width (at least one
-unit); a panel is bisected only where its estimate misses its share,
-which no stride cell up to T_MAX needs.
+is evaluated in. Every segment and stride cell meets one absolute
+tolerance, AUTO_TOL_RATE per unit of width (at least one unit); a panel
+is bisected only where its estimate misses its share, which no stride
+cell up to T_MAX needs, and every final panel of those cells meets that
+tolerance on its own (the worst at 0.79 of it).
 
 J is expensive enough that ladder solves want checkpoints: a
 CheckpointCache holds J at every DEFAULT_STRIDE multiple, and in memory
@@ -27,20 +28,22 @@ also J at a knot on every final panel edge inside each stride cell,
 taken from the panel values the cell's quadrature already produced, so
 adjacent stored points t0 < t1 are one panel apart. Between them J(T)
 is J(t0) + P(T), P the integral from t0 of p^2, p the degree-20
-interpolant of Z at the panel's 21 Kronrod nodes (_read_in_panels); its
-estimate is the one stored at t1, J(t0)'s plus the panel's. A read
-costs one lookup plus one Z call on that panel, and a stored point none.
-CheckpointCache.invert solves J(U) = target on the same model of the
-same panel and reads J(U) off it, so J(U) is hl_integral(U) by
-construction and an ascent makes one Z call of 21 nodes.
-One generator, _quad, integrates every span (a segment, a build's stride
-cells, a read's panel, invert's panels) in one Z call per group of
-consecutive spans, up to 2^14 first-panel nodes; panel values do not
-depend on their batch, so the grouping moves no bit. A cell from load()
-gets its knots (CheckpointCache._fill) from the first read that lands in
-it; invert fills the cells of all its targets in one grouped pass.
-hl_integral_all reads many T with one _quad pass over their panels, one
-Z call on a warm cache; hl_integral is its one-T case.
+interpolant of Z at the panel's 21 Kronrod nodes (_read_in_panel); its
+estimate is the one stored at t1, J(t0)'s plus the panel's. The panel is
+one its stride cell already accepted, so a read evaluates Z at its 21
+Kronrod nodes (_panel_z) and integrates nothing: one lookup plus one Z
+call, and a stored point none. CheckpointCache.invert solves
+J(U) = target on the same model of the same panel (_solve_in_panel) and
+reads J(U) off it, so J(U) is hl_integral(U) by construction and an
+ascent makes one Z call of 21 nodes.
+One generator, _quad, integrates every span, a segment or a build's
+stride cells, in one Z call per group of consecutive spans, up to 2^14
+first-panel nodes; panel values do not depend on their batch, so the
+grouping moves no bit. A cell from load() gets its knots
+(CheckpointCache._fill) from the first read that lands in it; invert
+fills the cells of all its targets in one grouped pass.
+hl_integral_all reads many T with one Z call per 780 panels, so one on a
+warm cache; hl_integral is its one-T case.
 """
 
 from __future__ import annotations
@@ -127,9 +130,9 @@ CELL_TOL = AUTO_TOL_RATE * DEFAULT_STRIDE
 # First line of every cache file; load() accepts no other.
 _VERSION_TAG = "# ladderlab cache v"
 _HEADER = f"{_VERSION_TAG}{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}"
-# Most Z nodes in one grouped call of _quad, a build's or invert's (a
-# stride cell has 231 to 567 from the seam to T_MAX); larger groups cost
-# peak RSS.
+# Most Z nodes in one z_array call, for a group of _quad's spans (a stride
+# cell has 231 to 567 from the seam to T_MAX) or of _panel_z's panels;
+# larger groups cost peak RSS.
 _GROUP_NODES = 2**14
 # The mean value J(t) ~ t ln(t / 2 pi) + (2c - 1) t has slope ln t + _MV_SLOPE
 # and is 0 at _MV_ZERO.
@@ -203,6 +206,15 @@ def _panel_edges(a: float, b: float) -> np.ndarray:
     return np.array(edges)
 
 
+def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mid, half, t): the centres and half-widths of the panels [lo, hi]
+    and their 21 Kronrod nodes, (P, 21), for _eval_panels and _panel_z
+    alike."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return mid, half, mid[:, None] + half[:, None] * _XK[None, :]
+
+
 def _eval_panels(
         lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Z at the 21 Kronrod nodes of each panel, (P, 21), from one z_array
@@ -213,10 +225,8 @@ def _eval_panels(
     Each panel's weighted values are added node after node (a running
     sum along the row, not BLAS and not numpy's pairwise sum), so a
     panel's values do not depend on the other panels in the batch."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    t = (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
-    z = (z_array(t) if t.size else t).reshape(-1, _XK.size)
+    mid, half, t = _kronrod_nodes(lo, hi)
+    z = z_array(t.ravel()).reshape(t.shape) if t.size else t
     f = z**2
     vk = np.add.accumulate(f * _WK, axis=1)[:, -1] * half
     vg = np.add.accumulate(f[:, 1::2] * _WG, axis=1)[:, -1] * half
@@ -225,17 +235,26 @@ def _eval_panels(
     return z, vk, vg, eng
 
 
-def _refine(a: float, b: float, lo: np.ndarray, hi: np.ndarray, z: np.ndarray,
-            vk: np.ndarray, vg: np.ndarray, eng: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Final panels of [a, b] from its first panels (lo, hi) and their
-    _eval_panels values: (lo, z, vk, err, nodes).
+def _panel_z(spans: list[tuple[float, float]]) -> Iterator[np.ndarray]:
+    """Z at the 21 Kronrod nodes of each panel [t0, t1] of spans in order,
+    from one z_array call per _GROUP_NODES nodes (780 panels); no call
+    for no panel. These are the panels between adjacent stored points,
+    which their stride cells already accepted, so nothing is refined."""
+    t = _kronrod_nodes(*np.array(spans, dtype=float).reshape(-1, 2).T)[2]
+    per_call = _GROUP_NODES // _NODES_PER_PANEL
+    for k in range(0, len(t), per_call):
+        yield from z_array(t[k:k + per_call].ravel()).reshape(-1, _NODES_PER_PANEL)
 
-    lo are the left panel edges, z the (P, 21) Z values at each panel's
-    Kronrod nodes, vk the Kronrod panel values, err the per-panel estimate
-    |vk - vg| + engine error (vg the Gauss values), and nodes every Z node
-    evaluated. The tolerance is the one quadrature rule,
-    AUTO_TOL_RATE * max(b - a, 1): CELL_TOL on a stride cell. Panels
+
+def _refine(a: float, b: float, lo: np.ndarray, hi: np.ndarray, vk: np.ndarray,
+            vg: np.ndarray, eng: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Final panels of [a, b] from its first panels (lo, hi) and their
+    _eval_panels values: (lo, vk, err, nodes).
+
+    lo are the left panel edges, vk the Kronrod panel values, err the
+    per-panel estimate |vk - vg| + engine error (vg the Gauss values), and
+    nodes every Z node evaluated. The tolerance is the one quadrature
+    rule, AUTO_TOL_RATE * max(b - a, 1): CELL_TOL on a stride cell. Panels
     whose embedded-rule discrepancy exceeds their share of it are
     bisected, and only the new halves evaluated, up to a fixed
     refinement budget; exhaustion raises with the best result attached.
@@ -248,7 +267,7 @@ def _refine(a: float, b: float, lo: np.ndarray, hi: np.ndarray, z: np.ndarray,
         quad_err = np.abs(vk - vg)
         err = quad_err + eng
         if float(np.sum(err)) <= tol:
-            return lo, z, vk, err, nodes
+            return lo, vk, err, nodes
         if float(np.sum(eng)) > 0.5 * tol:
             raise ToleranceError(
                 f"engine error floor exceeds tol={tol:g} on [{a},{b}]",
@@ -261,10 +280,10 @@ def _refine(a: float, b: float, lo: np.ndarray, hi: np.ndarray, z: np.ndarray,
         mid = 0.5 * (lo[bad] + hi[bad])
         new_lo = np.concatenate([lo[bad], mid])
         new_hi = np.concatenate([mid, hi[bad]])
-        new = (new_lo, new_hi, *_eval_panels(new_lo, new_hi))
-        merged = [np.concatenate([old[~bad], n]) for old, n in zip((lo, hi, z, vk, vg, eng), new)]
+        new = (new_lo, new_hi, *_eval_panels(new_lo, new_hi)[1:])
+        merged = [np.concatenate([old[~bad], n]) for old, n in zip((lo, hi, vk, vg, eng), new)]
         order = np.argsort(merged[0], kind="stable")
-        lo, hi, z, vk, vg, eng = (m[order] for m in merged)
+        lo, hi, vk, vg, eng = (m[order] for m in merged)
         nodes += new_lo.size * _NODES_PER_PANEL
     raise ToleranceError(
         f"refinement budget exhausted on [{a},{b}] at tol={tol:g}",
@@ -275,7 +294,8 @@ def _refine(a: float, b: float, lo: np.ndarray, hi: np.ndarray, z: np.ndarray,
 
 def _quad(spans: list[tuple[float, float]]) -> Iterator[tuple | LadderLabError]:
     """For each [a, b] of spans in order, its final panels as _refine
-    returns them, (lo, z, vk, err, nodes), or the LadderLabError it met.
+    returns them, (lo, vk, err, nodes), or the LadderLabError it met: a
+    segment, or the stride cells of a build.
 
     Consecutive spans whose first panels (_panel_edges; a zero-width span
     has none) hold at most _GROUP_NODES nodes, and at least one span,
@@ -289,18 +309,14 @@ def _quad(spans: list[tuple[float, float]]) -> Iterator[tuple | LadderLabError]:
             size += edges[stop].size - 1
             stop += 1
         group = edges[start:stop]
-        if len(group) == 1:  # a segment's one span: no copies, no slices
-            lo, hi = group[0][:-1], group[0][1:]
-            yield attempt(_refine, *spans[start], lo, hi, *_eval_panels(lo, hi))
-        else:
-            lo = np.concatenate([e[:-1] for e in group])
-            hi = np.concatenate([e[1:] for e in group])
-            first = (lo, hi, *_eval_panels(lo, hi))
-            p = 0
-            for (a, b), e in zip(spans[start:stop], group):
-                q = p + e.size - 1
-                yield attempt(_refine, a, b, *[x[p:q] for x in first])
-                p = q
+        lo = np.concatenate([e[:-1] for e in group])
+        hi = np.concatenate([e[1:] for e in group])
+        first = (lo, hi, *_eval_panels(lo, hi)[1:])
+        p = 0
+        for (a, b), e in zip(spans[start:stop], group):
+            q = p + e.size - 1
+            yield attempt(_refine, a, b, *[x[p:q] for x in first])
+            p = q
         start = stop
 
 
@@ -343,68 +359,38 @@ def _square_model(z: np.ndarray, half: float) -> tuple[list[float], list[float],
     return pz[:_NODES_PER_PANEL].tolist(), prim[:_PRIM_SQ.shape[0]], grid
 
 
-def _panel_model(m: int, end: float, lo: np.ndarray, z: np.ndarray) -> tuple:
-    """(a, b, mid, half, p, P, P on _GRID) of panel m of the final panels
-    (lo, z) of [lo[0], end]: its edges, centre and half-width, and
-    _square_model of its 21 Z values."""
-    a, b = float(lo[m]), float(lo[m + 1]) if m + 1 < lo.size else end
-    half = 0.5 * (b - a)
-    return (a, b, 0.5 * (a + b), half, *_square_model(z[m], half))
+def _solve_in_panel(need: float, t0: float, t1: float, z: np.ndarray) -> tuple[float, list[float]]:
+    """(u, P): the u in [t0, t1] whose integral from t0 is need, over the
+    panel [t0, t1] with Z values z at its 21 Kronrod nodes, and the
+    Legendre coefficients of P, the integral of p^2 (_square_model), which
+    _read_in_panel reads J(u) from.
 
-
-def _solve_in_panels(need: float, end: float, lo: np.ndarray, z: np.ndarray,
-                     vk: np.ndarray) -> tuple[float, tuple[int, tuple]]:
-    """(u, (m, model)): the u in [lo[0], end] whose integral from lo[0] is
-    need, over the final panels (lo, z, vk) of [lo[0], end] as _refine
-    returns them, with the panel m it was solved in and that panel's
-    _panel_model, which _read_in_panels can reuse.
-
-    Picks the panel whose cumulative Kronrod value passes need, and solves
-    in it on P, the integral of p^2 (_square_model), with no Z call:
-    Newton, safeguarded by bisection, in the _GRID cell whose P values
-    bracket need, from the linear interpolant. P over a whole panel
-    differs from its Kronrod value by rounding and model error (up to
-    ~5e-13 on full panels), so a need past P's total returns the panel's
-    end, and one of at most 0 its start.
+    Solves on P with no Z call: Newton, safeguarded by bisection, in the
+    _GRID cell whose P values bracket need, from the linear interpolant.
+    P over the whole panel differs from its Kronrod value by rounding and
+    model error (up to ~5e-13 on full panels), so a need past P's total
+    returns t1, and one of at most 0 t0.
     """
-    m = 0
-    for v in vk.tolist()[:-1]:
-        if need < v:
-            break
-        need -= v
-        m += 1
-    model = _panel_model(m, end, lo, z)
-    a, b, mid, half, coef, prim, grid = model
+    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+    coef, prim, grid = _square_model(z, half)
     k = bisect.bisect_left(grid, need)
     if k == 0 or k == len(grid):
-        return (a if k == 0 else b), (m, model)
+        return (t0 if k == 0 else t1), prim
     g0, g1 = grid[k - 1], grid[k]
-    u0, u1 = max(a, mid + half * _GRID[k - 1]), min(b, mid + half * _GRID[k])
+    u0, u1 = max(t0, mid + half * _GRID[k - 1]), min(t1, mid + half * _GRID[k])
 
     def fdf(u):
         v, p = _legval_pair((u - mid) / half, prim, coef)
         return v - need, p * p
 
-    u = safeguarded_newton(fdf, u0, u1, u0 + (u1 - u0) * (need - g0) / (g1 - g0))
-    return u, (m, model)
+    return safeguarded_newton(fdf, u0, u1, u0 + (u1 - u0) * (need - g0) / (g1 - g0)), prim
 
 
-def _read_in_panels(T: float, j0: float, end: float, lo: np.ndarray, z: np.ndarray,
-                    vk: np.ndarray, known: tuple[int, tuple] | None = None) -> float:
-    """J(T) for lo[0] <= T <= end, from j0 = J(lo[0]) and the final panels
-    (lo, z, vk) of [lo[0], end] as _refine returns them: j0 plus the
-    Kronrod values of the panels before T's, plus P(T), the integral of
-    p^2 (_square_model) over T's panel up to T. T's panel is the last one
-    starting at or below T; known = (m, _panel_model of panel m), from
-    _solve_in_panels, saves building panel m's model again.
-
-    On a one-panel span [t0, t1] between adjacent stored points, which is
-    what every read and every invert target evaluates unless the panel
-    refines, this is J(t0) + P(T)."""
-    m = bisect.bisect_right(lo.tolist(), T) - 1
-    _, _, mid, half, _, prim, _ = (
-        known[1] if known is not None and known[0] == m else _panel_model(m, end, lo, z))
-    return j0 + math.fsum([*vk.tolist()[:m], _legval((T - mid) / half, prim)])
+def _read_in_panel(T: float, j0: float, t0: float, t1: float, prim: list[float]) -> float:
+    """J(T) = J(t0) + P(T) for t0 <= T <= t1, j0 = J(t0) and P the
+    integral from t0 of p^2 over the panel [t0, t1], from P's Legendre
+    coefficients prim (_square_model)."""
+    return j0 + _legval((T - 0.5 * (t0 + t1)) / (0.5 * (t1 - t0)), prim)
 
 
 def integrate_segment(a: float, b: float) -> IntegralResult:
@@ -417,7 +403,7 @@ def integrate_segment(a: float, b: float) -> IntegralResult:
     if not 0.0 <= a <= b < math.inf:
         raise DomainError("integrate_segment requires finite 0 <= a <= b")
     _check_t_max(b)
-    _, _, vk, err, nodes = unwrap(next(_quad([(a, b)])))
+    _, vk, err, nodes = unwrap(next(_quad([(a, b)])))
     return IntegralResult(
         a=a,
         b=b,
@@ -444,7 +430,9 @@ class CheckpointCache:
     edge of its final panel list, so adjacent stored points are one
     panel apart; in memory only and keyed by cell: save() never writes
     them and equality ignores them. J between two adjacent stored points
-    is read off the model of the one panel between them (hl_integral).
+    is read off the model of the one panel between them (hl_integral),
+    which the cell's quadrature already accepted, so a read evaluates Z
+    on it and refines nothing.
     extend_to() stores the knots of the cells it integrates, with one Z
     call per group of cells; a cell from load() gets them on the first
     hl_integral read that lands in it, or in invert's one grouped fill
@@ -513,7 +501,7 @@ class CheckpointCache:
         nodes = 0
         spans = [(k * DEFAULT_STRIDE, (k + 1) * DEFAULT_STRIDE) for k in cells]
         for i, (_, b), refined in zip(cells, spans, _quad(spans)):
-            clo, _, vk, err, n = unwrap(refined)
+            clo, vk, err, n = unwrap(refined)
             j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
             vals = vk.tolist()
             self._knots[i] = (
@@ -578,14 +566,15 @@ class CheckpointCache:
         the cells from load() that lack their knots are then filled in one
         grouped pass (_cells). The adjacent stored points t0 < t1 whose J
         values bracket the target, J(t0) <= target < J(t1), are one panel
-        apart, and these panels go through _quad together: the one Z call,
-        of 21 nodes per target, on a warm cache. U is solved in [t0, t1],
-        in the panel whose cumulative value passes target, on the integral
-        of p^2, p the degree-20 interpolant of the panel's 21 Z values
-        (_solve_in_panels), and J(U) is read off that same model
-        (_read_in_panels), or is the stored J when U is t0 or t1. So J(U)
-        is hl_integral(U, self).value, bit for bit. Panel values do not
-        depend on their batch, so U and J(U) depend only on target and the
+        apart, a panel its stride cell already accepted, so Z is evaluated
+        at its 21 Kronrod nodes and nothing is integrated or refined: one
+        Z call of 21 nodes per target on a warm cache, for up to 780
+        targets (_panel_z). U is solved in [t0, t1] on the integral of p^2,
+        p the degree-20 interpolant of the panel's 21 Z values
+        (_solve_in_panel), and J(U) is read off that same model
+        (_read_in_panel), or is the stored J when U is t0 or t1. So J(U)
+        is hl_integral(U, self).value, bit for bit. Z values do not depend
+        on their batch, so U and J(U) depend only on target and the
         history-independent knots.
         """
         out: list = [attempt(self._target_cell, target) for target in targets]
@@ -595,14 +584,10 @@ class CheckpointCache:
             if not isinstance(i, LadderLabError):
                 out[k] = self._bracket(targets[k], 1) if i in self._knots else filled
         ok = [k for k, span in enumerate(out) if not isinstance(span, LadderLabError)]
-        for k, refined in zip(ok, _quad([(out[k][0][0], out[k][1][0]) for k in ok])):
-            if not isinstance(refined, LadderLabError):
-                (t0, j0, _), (t1, j1, _) = out[k]
-                lo, z, vk = refined[:3]
-                U, known = _solve_in_panels(targets[k] - j0, t1, lo, z, vk)
-                refined = (U, j0 if U == t0 else j1 if U == t1 else
-                           _read_in_panels(U, j0, t1, lo, z, vk, known))
-            out[k] = refined
+        for k, z in zip(ok, _panel_z([(out[k][0][0], out[k][1][0]) for k in ok])):
+            (t0, j0, _), (t1, j1, _) = out[k]
+            U, prim = _solve_in_panel(targets[k] - j0, t0, t1, z)
+            out[k] = (U, j0 if U == t0 else j1 if U == t1 else _read_in_panel(U, j0, t0, t1, prim))
         return out
 
     def save(self, path: str) -> None:
@@ -662,10 +647,10 @@ def hl_integral_all(Ts, cache: CheckpointCache | None = None
     """hl_integral(T, cache) for each T, or the LadderLabError its read met.
 
     The cache is extended and filled for each T in input order, so each
-    slot's node_count is that of a read after the ones before it; then
-    the panels of all reads between stored points go through one _quad
-    pass, one Z call of 21 nodes per read on a warm cache for up to 780
-    of them (2^14 nodes). Panel values do not depend on their batch, so
+    slot's node_count is that of a read after the ones before it; then Z
+    is evaluated on the panels of all reads between stored points
+    (_panel_z), one Z call of 21 nodes per read on a warm cache for up to
+    780 of them (2^14 nodes). Z values do not depend on their batch, so
     each slot has the bits of a one-T call.
     """
     cache = cache if cache is not None else CheckpointCache()
@@ -679,14 +664,11 @@ def hl_integral_all(Ts, cache: CheckpointCache | None = None
                                         node_count=nodes)
             else:
                 reads.append(k)
-    for k, refined in zip(reads, _quad([(out[k][0][0], out[k][1][0]) for k in reads])):
-        if not isinstance(refined, LadderLabError):
-            (_, j0, _), (t1, _, e1), nodes = out[k]
-            lo, z, vk, _, n = refined
-            value = _read_in_panels(Ts[k], j0, t1, lo, z, vk)
-            refined = IntegralResult(a=0.0, b=Ts[k], value=value, abs_error_estimate=e1,
-                                     node_count=nodes + n)
-        out[k] = refined
+    for k, z in zip(reads, _panel_z([(out[k][0][0], out[k][1][0]) for k in reads])):
+        (t0, j0, _), (t1, _, e1), nodes = out[k]
+        prim = _square_model(z, 0.5 * (t1 - t0))[1]
+        out[k] = IntegralResult(a=0.0, b=Ts[k], value=_read_in_panel(Ts[k], j0, t0, t1, prim),
+                                abs_error_estimate=e1, node_count=nodes + _NODES_PER_PANEL)
     return out
 
 
@@ -695,9 +677,10 @@ def hl_integral(T: float, cache: CheckpointCache | None = None) -> IntegralResul
     Z call, or else J(t0) + P(T) between the adjacent stored points
     t0 < T < t1, P the integral from t0 of p^2, p the degree-20
     interpolant of Z at the 21 Kronrod nodes of the panel [t0, t1]
-    (_read_in_panels, after one _quad call on that panel). The estimate
-    is the one stored at t1: J(t0)'s plus the panel's |K21 - G10| and
-    engine terms.
+    (_read_in_panel, after one Z call on that panel's nodes; the stride
+    cell already accepted the panel, so nothing is integrated or
+    refined). The estimate is the one stored at t1: J(t0)'s plus the
+    panel's |K21 - G10| and engine terms.
 
     The checkpoints through the stride cell holding T and that cell's
     knots are computed on the way, and memoized in the cache; without

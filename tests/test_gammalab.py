@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ladderlab import gammalab, integral, ladder
+from ladderlab import gammalab, gram, integral, ladder
 from ladderlab.constants import EULER_GAMMA, T_FLOOR
 from ladderlab.errors import DomainError
 from ladderlab.gammalab import (
@@ -192,3 +192,30 @@ def test_warm_gamma_functional_makes_one_z_call(shared_cache, monkeypatch):
     monkeypatch.setattr(integral, "z_array", counting)
     assert gamma_functional(1.0, taus, cache=shared_cache).to_json() == want
     assert calls == [integral._NODES_PER_PANEL * len(taus)], calls
+
+
+def test_warm_gram_reports_make_one_gram_solve_and_one_z_call(shared_cache, monkeypatch):
+    # each report folds all its rungs from one t1/t2_increment_all call:
+    # one Gram solve and one Gram Z call on a warm cache, with the bytes of
+    # fetching its rungs one at a time
+    reports = (
+        lambda: verify_factorization_T1([300.0, 900.0, 2e3, 5e3, 1e4], cache=shared_cache),
+        lambda: verify_factorization_T2([300.0, 2e3, 1e4], cache=shared_cache),
+        lambda: verify_chain(1000.0, 3, cache=shared_cache),
+        lambda: verify_shifted_ratio(700.0, cache=shared_cache),
+        lambda: verify_legendre_factorization(300.0, cache=shared_cache),
+    )
+    with monkeypatch.context() as m:
+        for name in ("t1_increment_all", "t2_increment_all"):
+            fn = getattr(gram, name)
+            m.setattr(gammalab, name, lambda rungs, fn=fn: [fn([r])[0] for r in rungs],
+                      raising=False)
+        want = [f().to_json() for f in reports]
+    calls = []
+    for name in ("_solve_theta_equals", "z_array"):
+        fn = getattr(gram, name)
+        monkeypatch.setattr(gram, name, lambda t, fn=fn, name=name: calls.append(name) or fn(t))
+    for f, js in zip(reports, want):
+        calls.clear()
+        assert f().to_json() == js
+        assert calls == ["_solve_theta_equals", "z_array"], calls

@@ -208,7 +208,7 @@ def test_clenshaw_is_numpy_legval(c, d, x):
 
 
 def test_p_only_clenshaw_is_numpy_legval():
-    # _read_in_panels evaluates P alone: on seeded panels and x, the same
+    # _read_in_panel evaluates P alone: on seeded panels and x, the same
     # bits as P from the pair loop and as numpy's legval
     rng = np.random.default_rng(27)
     for _ in range(50):
@@ -260,6 +260,19 @@ def test_stride_cells_need_no_refinement():
     first = sum(integral._panel_edges(t - DEFAULT_STRIDE, t).size - 1 for t in cache.ts)
     assert len(cache.ts) == T_MAX / DEFAULT_STRIDE
     assert nodes == first * integral._NODES_PER_PANEL
+    # nor does any final panel, the span between two adjacent stored
+    # points, miss AUTO_TOL_RATE * max(width, 1) on its own, which is what
+    # lets a read or an invert target evaluate its panel once, with no
+    # refinement; a panel's estimate is the step in the stored errors
+    worst = 0.0
+    for i in range(len(cache.ts)):
+        kt, _, ke = cache._knots[i]
+        t0, _, e0 = cache._point(i - 1)
+        ts, errs = [t0, *kt, cache.ts[i]], [e0, *ke, cache.errs[i]]
+        for a, b, ea, eb in zip(ts, ts[1:], errs, errs[1:]):
+            worst = max(worst, (eb - ea) / (AUTO_TOL_RATE * max(b - a, 1.0)))
+    print(f"worst final panel estimate / its tolerance = {worst:.3g}")
+    assert worst <= 1.0
 
 
 def test_panel_rule_either_side_of_the_seam():
@@ -525,10 +538,10 @@ def test_invert_targets_just_below_a_stored_j(shared_cache, tmp_path):
                 assert j.hex() == hl_integral(U, cache=shared_cache).value.hex()
     # a need past P's total returns the panel's end, and one of 0 its start
     lo, end = np.array([1e4]), 1e4 + 2.0
-    z, vk, _, _ = integral._eval_panels(lo, np.array([end]))
+    z = integral._eval_panels(lo, np.array([end]))[0]
     total = integral._square_model(z[0], 1.0)[2][-1]
-    assert integral._solve_in_panels(total + 1e-9, end, lo, z, vk)[0] == end
-    assert integral._solve_in_panels(0.0, end, lo, z, vk)[0] == 1e4
+    assert integral._solve_in_panel(total + 1e-9, 1e4, end, z[0])[0] == end
+    assert integral._solve_in_panel(0.0, 1e4, end, z[0])[0] == 1e4
 
 
 def test_invert_root_of_a_loaded_checkpoint_is_the_checkpoint(shared_cache, tmp_path):

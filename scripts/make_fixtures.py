@@ -9,8 +9,8 @@ needs mpmath at runtime. Rerun after any change to the sampling plan:
 
 Takes a few minutes; the second-moment quadrature dominates. Pass one
 function name, `python3 scripts/make_fixtures.py z_table_high`,
-`gram_high`, `j_cells_high`, `j_cell_top` or `j_reads`, to write only
-that fixture.
+`gram_high`, `j_cells_high`, `j_cell_top`, `j_reads` or `z_strip`, to
+write only that fixture.
 """
 
 from __future__ import annotations
@@ -169,6 +169,39 @@ def j_reads() -> None:
         fh.write("\n")
 
 
+# The strip half-heights y' of z_strip, up to the widest the quadrature
+# bound uses; its test reads the largest as that y_max.
+_STRIP_YS = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+
+
+def z_strip() -> None:
+    """|Z(t + i y')| off the critical line, for the a-priori panel bound.
+
+    mpmath siegelz at complex t, dps 20: six log-uniform t on each decade
+    of [100, 1e5] (seeded), plus t = 100 and 1e5, each at every y' of
+    _STRIP_YS. Writes a new file, so the older fixtures stay
+    byte-identical. Run it alone with
+    `python3 scripts/make_fixtures.py z_strip`.
+    """
+    mp.mp.dps = 20
+    rng = np.random.default_rng(SEED + 4)
+    ts = [100.0, 1e5]
+    for lo, hi in ((1e2, 1e3), (1e3, 1e4), (1e4, 1e5)):
+        ts += np.exp(rng.uniform(np.log(lo), np.log(hi), 6)).tolist()
+    points = []
+    t0 = time.time()
+    for t in sorted(ts):
+        for y in _STRIP_YS:
+            points.append({"t": float(t), "y": y,
+                           "abs_z": float(abs(mp.siegelz(mp.mpc(float(t), y))))})
+        print(f"  z strip t={t:.17g}  ({time.time()-t0:.0f}s)")
+    with open(OUT / "z_strip.json", "w") as fh:
+        json.dump({"points": points, "y_max": max(_STRIP_YS),
+                   "oracle": "mpmath siegelz at complex t, dps 20"},
+                  fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def zeros_table() -> None:
     """All 29 zeta zeros with ordinate below 100."""
     mp.mp.dps = 30
@@ -224,7 +257,8 @@ def scalars() -> None:
 def main() -> None:
     OUT.mkdir(parents=True, exist_ok=True)
     single = {"z_table_high": z_table_high, "gram_high": gram_high,
-              "j_cells_high": j_cells_high, "j_cell_top": j_cell_top, "j_reads": j_reads}
+              "j_cells_high": j_cells_high, "j_cell_top": j_cell_top, "j_reads": j_reads,
+              "z_strip": z_strip}
     if len(sys.argv) == 2 and sys.argv[1] in single:
         print(sys.argv[1], "...")
         single[sys.argv[1]]()
@@ -245,6 +279,8 @@ def main() -> None:
     j_cell_top()
     print("J reads ...")
     j_reads()
+    print("Z strip ...")
+    z_strip()
     print("done ->", OUT)
 
 

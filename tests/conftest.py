@@ -73,6 +73,14 @@ def j_reads():
 
 
 @pytest.fixture(scope="session")
+def z_strip():
+    """|Z(t + i y')| from mpmath at complex t, on every decade of [100, 1e5]
+    and y' up to the fixture's y_max."""
+    with open(os.path.join(FIXTURES, "z_strip.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="session")
 def calibration():
     with open(os.path.join(FIXTURES, "calibration.json")) as fh:
         return json.load(fh)

@@ -42,6 +42,30 @@ def test_z_within_bound_above_1e4(z_table_high):
     assert np.all(err <= z_error_bound(ts))
 
 
+def test_strip_model_bounds_z_off_the_line(z_strip):
+    # the approximate functional equation's |Z(t + iy)| <= 4 sqrt(N) e^(|y| L / 2),
+    # N = floor(sqrt(t / 2 pi)) and L = ln(t / 2 pi), on every decade of
+    # [RS_SEAM, T_MAX] and every y' up to y_max. N and L are taken at
+    # t - y', below the point: a Gauss panel's bound takes them at its
+    # right end, and its ellipse of half-height y' reaches less than y'
+    # past that end
+    pts = z_strip["points"]
+    ts = {p["t"] for p in pts}
+    assert min(ts) == RS_SEAM and max(ts) == T_MAX
+    for lo in (1e2, 1e3, 1e4):
+        assert sum(lo < t < 10.0 * lo for t in ts) >= 6, lo
+    assert {p["y"] for p in pts} >= {0.25, 0.5, 1.0, 2.0, z_strip["y_max"]}
+    assert all(0.0 < p["y"] <= z_strip["y_max"] for p in pts)
+    worst = 0.0
+    for p in pts:
+        t = p["t"] - p["y"]
+        model = 4.0 * math.sqrt(math.floor(math.sqrt(t / (2.0 * math.pi)))) * math.exp(
+            0.5 * p["y"] * math.log(t / (2.0 * math.pi)))
+        assert p["abs_z"] <= model, (p, model)
+        worst = max(worst, p["abs_z"] / model)
+    print(f"worst |Z(t + iy')| / model = {worst:.3g}")
+
+
 def test_z_at_zero_ordinates(zero_table):
     ts = np.array([g for _, g in zero_table])
     assert float(np.abs(z_array(ts)).max()) <= 1e-5

@@ -86,6 +86,22 @@ _XK = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
 _WK = np.array(_WGK + _WGK[-2::-1])
 _WG = np.array(_WG_HALF + _WG_HALF[::-1])
 _NODES_PER_PANEL = _XK.size
+# The 12-point Gauss-Legendre rule of every panel from RS_SEAM on: its
+# abscissae from 1 down to the centre and their weights, at 33 digits
+# (mpmath gauss_quadrature at 40).
+_XGL_HALF = (0.981560634246719250690549090149281, 0.904117256370474856678465866119096,
+             0.769902674194304687036893833212818, 0.587317954286617447296702418940534,
+             0.367831498998180193752691536643718, 0.125233408511468915472441369463853)
+_WGL_HALF = (0.0471753363865118271946159614850171, 0.106939325995318430960254718193996,
+             0.160078328543346226334652529543359, 0.203167426723065921749064455809798,
+             0.233492536538354808760849898924878, 0.249147045813402785000562436042951)
+_XGL = np.array([-x for x in _XGL_HALF] + list(_XGL_HALF[::-1]))
+_WGL = np.array(_WGL_HALF + _WGL_HALF[::-1])
+_GAUSS_NODES = _XGL.size
+# Its a-priori estimate (_gauss_bound) takes Z^2 on a Bernstein ellipse
+# of each panel through t +- iy, y at most this; the strip model behind
+# it is checked against mpmath up to here (tests/fixtures/z_strip.json).
+_STRIP_Y = 3.0
 # invert() solves on P(x), the integral from -1 of p^2, p the degree-20
 # interpolant of the Z values z at the 21 Kronrod nodes. _Z_MAP @ z holds
 # the 21 Legendre coefficients of p, then p at 41 Chebyshev points, which
@@ -118,7 +134,7 @@ _LOW_PANEL_CAP = 4.0 * math.pi
 
 # Bump on every change that moves Z values or saved checkpoints: load()
 # rejects other versions. Knots are never saved, so moving them does not.
-ENGINE_VERSION = "7"
+ENGINE_VERSION = "8"
 # The one quadrature tolerance, absolute per unit of integration length
 # (_refine). The engine's own error bound contributes ~6e-6 per unit in
 # the worst band, so this is the tightest rate that cannot trip the
@@ -215,24 +231,60 @@ def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return mid, half, mid[:, None] + half[:, None] * _XK[None, :]
 
 
-def _eval_panels(
-        lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Z at the 21 Kronrod nodes of each panel, (P, 21), from one z_array
-    call, with the Kronrod and embedded Gauss panel values (vk, vg) of
-    their squares and the engine error, for a batch of panels; no call
-    for a batch of no panel.
+def _node_count(lo: np.ndarray) -> int:
+    """Z nodes of the panels whose left edges are lo: the 12-point Gauss
+    rule's from RS_SEAM on, K21's below it."""
+    return int(np.where(lo >= RS_SEAM, _GAUSS_NODES, _NODES_PER_PANEL).sum())
 
-    Each panel's weighted values are added node after node (a running
-    sum along the row, not BLAS and not numpy's pairwise sum), so a
-    panel's values do not depend on the other panels in the batch."""
-    mid, half, t = _kronrod_nodes(lo, hi)
-    z = z_array(t.ravel()).reshape(t.shape) if t.size else t
-    f = z**2
-    vk = np.add.accumulate(f * _WK, axis=1)[:, -1] * half
-    vg = np.add.accumulate(f[:, 1::2] * _WG, axis=1)[:, -1] * half
+
+def _gauss_bound(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """A-priori bound on the 12-point Gauss error for Z^2 on each panel
+    [lo, hi] (Trefethen, SIAM Rev. 2008, Thm 4.5): with h the half-width,
+    f = Z^2 analytic in the Bernstein ellipse E_rho through t +- i y and
+    |f| <= M there,
+        |I - I_n| <= h (64/15) M rho^(-2n) / (rho^2 - 1),
+    rho = y/h + sqrt(1 + (y/h)^2), and M = 16 N e^(y L) is the square of
+    the approximate functional equation's |Z(t + iy)| <= 4 sqrt(N) e^(|y| L / 2),
+    N = floor(sqrt(t / 2 pi)) and L = ln(t / 2 pi), at the panel's right
+    end. y = 2n/L, which minimizes e^(y L) rho^(-2n) for rho ~ 2y/h, up to
+    _STRIP_Y."""
+    half = 0.5 * (hi - lo)
+    x = hi / (2.0 * math.pi)
+    log_x = np.log(x)
+    y = np.minimum(2.0 * _GAUSS_NODES / log_x, _STRIP_Y)
+    s = y / half
+    rho = s + np.sqrt(1.0 + s * s)
+    m = 16.0 * np.floor(np.sqrt(x)) * np.exp(y * log_x)
+    return half * (64.0 / 15.0) * m * rho ** (-2.0 * _GAUSS_NODES) / (rho * rho - 1.0)
+
+
+def _eval_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(v, est, eng) for a batch of panels [lo, hi], from one z_array call
+    (none for a batch of no panel): each panel's value of the integral of
+    Z^2, the estimate of its rule error, and the engine error.
+
+    A panel from RS_SEAM on takes the 12-point Gauss rule, its estimate
+    the a-priori _gauss_bound; one below it takes K21, its estimate
+    |K21 - G10| from the same 21 values. Each panel's weighted values are
+    added node after node (a running sum along the row, not BLAS and not
+    numpy's pairwise sum), so a panel's values do not depend on the other
+    panels in the batch."""
+    gauss = lo >= RS_SEAM
+    _, khalf, kt = _kronrod_nodes(lo[~gauss], hi[~gauss])
+    glo, ghi = lo[gauss], hi[gauss]
+    ghalf = 0.5 * (ghi - glo)
+    gt = (0.5 * (glo + ghi))[:, None] + ghalf[:, None] * _XGL[None, :]
+    t = np.concatenate([kt.ravel(), gt.ravel()])
+    f = z_array(t) ** 2 if t.size else t
+    fk, fg = f[:kt.size].reshape(kt.shape), f[kt.size:].reshape(gt.shape)
+    v, est = np.empty(lo.size), np.empty(lo.size)
+    v[~gauss] = np.add.accumulate(fk * _WK, axis=1)[:, -1] * khalf
+    est[~gauss] = np.abs(v[~gauss] - np.add.accumulate(fk[:, 1::2] * _WG, axis=1)[:, -1] * khalf)
+    v[gauss] = np.add.accumulate(fg * _WGL, axis=1)[:, -1] * ghalf
+    est[gauss] = _gauss_bound(glo, ghi)
     # engine contribution: |d integral| <= 2 int |Z| eps <= 2 eps sqrt(I w)
-    eng = 2.0 * z_error_bound(mid) * np.sqrt(np.maximum(vk, 0.0) * (hi - lo))
-    return z, vk, vg, eng
+    eng = 2.0 * z_error_bound(0.5 * (lo + hi)) * np.sqrt(np.maximum(v, 0.0) * (hi - lo))
+    return v, est, eng
 
 
 def _panel_z(spans: list[tuple[float, float]]) -> Iterator[np.ndarray]:
@@ -246,72 +298,72 @@ def _panel_z(spans: list[tuple[float, float]]) -> Iterator[np.ndarray]:
         yield from z_array(t[k:k + per_call].ravel()).reshape(-1, _NODES_PER_PANEL)
 
 
-def _refine(a: float, b: float, lo: np.ndarray, hi: np.ndarray, vk: np.ndarray,
-            vg: np.ndarray, eng: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _refine(a: float, b: float, lo: np.ndarray, hi: np.ndarray, v: np.ndarray,
+            est: np.ndarray, eng: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Final panels of [a, b] from its first panels (lo, hi) and their
-    _eval_panels values: (lo, vk, err, nodes).
+    _eval_panels values: (lo, v, err, nodes).
 
-    lo are the left panel edges, vk the Kronrod panel values, err the
-    per-panel estimate |vk - vg| + engine error (vg the Gauss values), and
-    nodes every Z node evaluated. The tolerance is the one quadrature
-    rule, AUTO_TOL_RATE * max(b - a, 1): CELL_TOL on a stride cell. Panels
-    whose embedded-rule discrepancy exceeds their share of it are
-    bisected, and only the new halves evaluated, up to a fixed
-    refinement budget; exhaustion raises with the best result attached.
-    The engine-bound part of the estimate is a floor no refinement can
-    cross, so a tolerance below it fails fast.
+    lo are the left panel edges, v the panel values, err the per-panel
+    estimate, rule estimate + engine error, and nodes every Z node
+    evaluated. The tolerance is the one quadrature rule,
+    AUTO_TOL_RATE * max(b - a, 1): CELL_TOL on a stride cell. Panels whose
+    rule estimate exceeds their share of it are bisected, and only the
+    new halves evaluated, up to a fixed refinement budget; exhaustion
+    raises with the best result attached. The engine-bound part of the
+    estimate is a floor no refinement can cross, so a tolerance below it
+    fails fast.
     """
     tol = AUTO_TOL_RATE * max(b - a, 1.0)
-    nodes = lo.size * _NODES_PER_PANEL
+    nodes = _node_count(lo)
     for _ in range(24):
-        quad_err = np.abs(vk - vg)
-        err = quad_err + eng
+        err = est + eng
         if float(np.sum(err)) <= tol:
-            return lo, vk, err, nodes
+            return lo, v, err, nodes
         if float(np.sum(eng)) > 0.5 * tol:
             raise ToleranceError(
                 f"engine error floor exceeds tol={tol:g} on [{a},{b}]",
-                best_value=math.fsum(vk),
+                best_value=math.fsum(v),
                 best_error=float(np.sum(err)),
             )
-        bad = quad_err > 0.25 * tol * (hi - lo) / (b - a)
+        bad = est > 0.25 * tol * (hi - lo) / (b - a)
         if not bad.any():
-            bad = quad_err >= np.max(quad_err)
+            bad = est >= np.max(est)
         mid = 0.5 * (lo[bad] + hi[bad])
         new_lo = np.concatenate([lo[bad], mid])
         new_hi = np.concatenate([mid, hi[bad]])
-        new = (new_lo, new_hi, *_eval_panels(new_lo, new_hi)[1:])
-        merged = [np.concatenate([old[~bad], n]) for old, n in zip((lo, hi, vk, vg, eng), new)]
+        new = (new_lo, new_hi, *_eval_panels(new_lo, new_hi))
+        merged = [np.concatenate([old[~bad], n]) for old, n in zip((lo, hi, v, est, eng), new)]
         order = np.argsort(merged[0], kind="stable")
-        lo, hi, vk, vg, eng = (m[order] for m in merged)
-        nodes += new_lo.size * _NODES_PER_PANEL
+        lo, hi, v, est, eng = (m[order] for m in merged)
+        nodes += _node_count(new_lo)
     raise ToleranceError(
         f"refinement budget exhausted on [{a},{b}] at tol={tol:g}",
-        best_value=math.fsum(vk),
-        best_error=float(np.sum(np.abs(vk - vg) + eng)),
+        best_value=math.fsum(v),
+        best_error=float(np.sum(est + eng)),
     )
 
 
 def _quad(spans: list[tuple[float, float]]) -> Iterator[tuple | LadderLabError]:
     """For each [a, b] of spans in order, its final panels as _refine
-    returns them, (lo, vk, err, nodes), or the LadderLabError it met: a
+    returns them, (lo, v, err, nodes), or the LadderLabError it met: a
     segment, or the stride cells of a build.
 
     Consecutive spans whose first panels (_panel_edges; a zero-width span
-    has none) hold at most _GROUP_NODES nodes, and at least one span,
-    share one _eval_panels call; each span then refines on its own."""
+    has none) hold at most _GROUP_NODES nodes (_node_count), and at least
+    one span, share one _eval_panels call; each span then refines on its
+    own."""
     edges = [_panel_edges(a, b) for a, b in spans]
+    sizes = [_node_count(e[:-1]) for e in edges]
     start = 0
     while start < len(spans):
-        stop, size = start + 1, edges[start].size - 1
-        while stop < len(spans) and (
-                size + edges[stop].size - 1) * _NODES_PER_PANEL <= _GROUP_NODES:
-            size += edges[stop].size - 1
+        stop, size = start + 1, sizes[start]
+        while stop < len(spans) and size + sizes[stop] <= _GROUP_NODES:
+            size += sizes[stop]
             stop += 1
         group = edges[start:stop]
         lo = np.concatenate([e[:-1] for e in group])
         hi = np.concatenate([e[1:] for e in group])
-        first = (lo, hi, *_eval_panels(lo, hi)[1:])
+        first = (lo, hi, *_eval_panels(lo, hi))
         p = 0
         for (a, b), e in zip(spans[start:stop], group):
             q = p + e.size - 1
@@ -403,11 +455,11 @@ def integrate_segment(a: float, b: float) -> IntegralResult:
     if not 0.0 <= a <= b < math.inf:
         raise DomainError("integrate_segment requires finite 0 <= a <= b")
     _check_t_max(b)
-    _, vk, err, nodes = unwrap(next(_quad([(a, b)])))
+    _, v, err, nodes = unwrap(next(_quad([(a, b)])))
     return IntegralResult(
         a=a,
         b=b,
-        value=math.fsum(vk),
+        value=math.fsum(v),
         abs_error_estimate=float(np.sum(err)),
         node_count=nodes,
     )
@@ -428,8 +480,8 @@ class CheckpointCache:
 
     Each stride cell also holds knots (t, J(t), err(t)) at every inner
     edge of its final panel list, so adjacent stored points are one
-    panel apart; in memory only and keyed by cell: save() never writes
-    them and equality ignores them. J between two adjacent stored points
+    panel apart; in memory only: save() never writes them and equality
+    ignores them. J between two adjacent stored points
     is read off the model of the one panel between them (hl_integral),
     which the cell's quadrature already accepted, so a read evaluates Z
     on it and refines nothing.
@@ -439,20 +491,24 @@ class CheckpointCache:
     of its targets' cells, from the same panels at the same tol, so every
     read sees the same knots whatever the cache's history.
 
-    Checkpoints are held in array('d'), as knots are; lists passed to the
-    constructor are copied into arrays.
+    Checkpoints are held in array('d'); lists passed to the constructor
+    are copied into arrays. Knots are held in three cache-wide arrays,
+    t, J and err, with each cell's knots one run of them; cells append
+    their runs in the order they are filled, which for cells from load()
+    is any order.
     """
 
     ts: array = field(default_factory=lambda: array("d"))
     js: array = field(default_factory=lambda: array("d"))
     errs: array = field(default_factory=lambda: array("d"))
-    # cell index -> the (t, J, err) arrays of that cell's knots, each
-    # built from a list so that it is exactly sized
-    _knots: dict[int, tuple[array, array, array]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.ts, self.js, self.errs = (array("d", v) for v in (self.ts, self.js, self.errs))
+        # the knots of every filled cell, and cell i's run of them,
+        # [_kstart[i], _kstop[i]); _kstart[i] is -1, or past the end, for
+        # a cell without its knots
+        self._kt, self._kj, self._ke = array("d"), array("d"), array("d")
+        self._kstart, self._kstop = array("q"), array("q")
 
     def _validate(self, start: int = 0) -> None:
         for i in range(max(start, 1), len(self.ts)):
@@ -478,6 +534,13 @@ class CheckpointCache:
         """Checkpoint row i as (T, J, err), the origin (0, 0, 0) for i = -1."""
         return (self.ts[i], self.js[i], self.errs[i]) if i >= 0 else (0.0, 0.0, 0.0)
 
+    def _knot_run(self, i: int) -> tuple[int, int] | None:
+        """(start, stop) of stride cell i's knots in the knot arrays, or
+        None if the cell does not hold them."""
+        if i < len(self._kstart) and self._kstart[i] >= 0:
+            return self._kstart[i], self._kstop[i]
+        return None
+
     def _bracket(self, x: float, key: int = 0) -> tuple[tuple, tuple | None]:
         """Adjacent stored points (t, J, err) around x, by t (key 0) or by
         J (key 1): the last whose key is <= x, a checkpoint, a knot or the
@@ -486,10 +549,11 @@ class CheckpointCache:
         Bisects the checkpoints, then the knots of that one stride cell; a
         cell from load() without its knots brackets x by its checkpoints."""
         i = bisect.bisect_right((self.ts, self.js)[key], x)
-        kt, kj, ke = knots = self._knots.get(i, ((), (), ()))
-        k = bisect.bisect_right(knots[key], x)
-        below = (kt[k - 1], kj[k - 1], ke[k - 1]) if k else self._point(i - 1)
-        if k < len(kt):
+        lo, hi = self._knot_run(i) or (0, 0)
+        kt, kj, ke = self._kt, self._kj, self._ke
+        k = bisect.bisect_right((kt, kj)[key], x, lo, hi)
+        below = (kt[k - 1], kj[k - 1], ke[k - 1]) if k > lo else self._point(i - 1)
+        if k < hi:
             return below, (kt[k], kj[k], ke[k])
         return below, self._point(i) if i < len(self.ts) else None
 
@@ -501,14 +565,18 @@ class CheckpointCache:
         nodes = 0
         spans = [(k * DEFAULT_STRIDE, (k + 1) * DEFAULT_STRIDE) for k in cells]
         for i, (_, b), refined in zip(cells, spans, _quad(spans)):
-            clo, vk, err, n = unwrap(refined)
+            clo, v, err, n = unwrap(refined)
             j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
-            vals = vk.tolist()
-            self._knots[i] = (
-                array("d", clo[1:].tolist()),
-                array("d", [j0 + math.fsum(vals[:m]) for m in range(1, clo.size)]),
-                array("d", (e0 + np.cumsum(err)[:-1]).tolist()),
-            )
+            vals = v.tolist()
+            if i >= len(self._kstart):
+                unfilled = array("q", [-1]) * (i + 1 - len(self._kstart))
+                self._kstart.extend(unfilled)
+                self._kstop.extend(unfilled)
+            self._kstart[i] = len(self._kt)
+            self._kt.extend(clo[1:].tolist())
+            self._kj.extend([j0 + math.fsum(vals[:m]) for m in range(1, clo.size)])
+            self._ke.extend((e0 + np.cumsum(err)[:-1]).tolist())
+            self._kstop[i] = len(self._kt)
             if i == len(self.ts):
                 self.ts.append(b)
                 self.js.append(j0 + math.fsum(vals))
@@ -519,7 +587,7 @@ class CheckpointCache:
     def _fill(self, i: int) -> int:
         """Store the knots of stride cell i unless it holds them already,
         as a cell from load() does not; returns the Z nodes evaluated."""
-        return 0 if i in self._knots else self._cells([i])
+        return 0 if self._knot_run(i) else self._cells([i])
 
     def extend_to(self, T: float) -> int:
         """Add checkpoints at stride multiples up to T, with their cells'
@@ -579,10 +647,10 @@ class CheckpointCache:
         """
         out: list = [attempt(self._target_cell, target) for target in targets]
         filled = attempt(self._cells, sorted(
-            {i for i in out if not isinstance(i, LadderLabError)} - self._knots.keys()))
+            {i for i in out if not isinstance(i, LadderLabError) and not self._knot_run(i)}))
         for k, i in enumerate(out):
             if not isinstance(i, LadderLabError):
-                out[k] = self._bracket(targets[k], 1) if i in self._knots else filled
+                out[k] = self._bracket(targets[k], 1) if self._knot_run(i) else filled
         ok = [k for k, span in enumerate(out) if not isinstance(span, LadderLabError)]
         for k, z in zip(ok, _panel_z([(out[k][0][0], out[k][1][0]) for k in ok])):
             (t0, j0, _), (t1, j1, _) = out[k]

@@ -196,6 +196,22 @@ def test_kronrod_rule_table():
         assert grid[0] == 0.0 and abs(grid[-1] - w @ z**2) <= 4e-15
 
 
+def test_gauss_rule_table():
+    # the 12-point Gauss-Legendre rule of the panels from RS_SEAM on is
+    # exact through degree 23 and no further
+    x, w = integral._XGL, integral._WGL
+    n = integral._GAUSS_NODES
+    assert n == x.size == w.size == 12
+    for k in range(2 * n):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(w @ x**k - exact) <= 4e-16
+    assert abs(w @ x**(2 * n) - 2.0 / (2 * n + 1)) > 1e-9
+    assert np.all(x == -x[::-1]) and np.all(np.diff(x) > 0.0)
+    assert np.all(w > 0.0) and np.all(w == w[::-1]) and abs(w.sum() - 2.0) <= 4e-16
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - xg)) <= 1e-15 and np.max(np.abs(w - wg)) <= 1e-15
+
+
 @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=3, max_size=42),
        st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=3, max_size=42),
        st.floats(min_value=-1.0, max_value=1.0))
@@ -221,58 +237,71 @@ def test_p_only_clenshaw_is_numpy_legval():
 
 
 def test_panel_estimate_bounds_true_error():
-    # against a 40-node Gauss-Legendre reference on the widest panels
+    # against 40-node Gauss-Legendre on each half of the widest panels:
+    # K21 below the seam, and the 12-point Gauss rule with its a-priori
+    # bound on every decade from just above the seam to T_MAX
     x40, w40 = np.polynomial.legendre.leggauss(40)
     rng = np.random.default_rng(2024)
-    worst = 0.0
-    for t in (1e2, 1e3, 1e4, 3e4, 5.8e4):
+    worst = {}
+    for t in (20.0, RS_SEAM, 3e2, 1e3, 3e3, 1e4, 3e4, 5.8e4, T_MAX - 100.0):
         lo = t + rng.uniform(0.0, 50.0, 40)
-        hi = lo + integral._PANEL_CAP / np.log(lo)
-        _, vk, vg, eng = integral._eval_panels(lo, hi)
-        err = np.abs(vk - vg) + eng
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        z = integral.z_array((mid[:, None] + half[:, None] * x40).ravel()).reshape(-1, 40)
-        ref = (z**2 @ w40) * half
-        ratio = np.abs(vk - ref) / err
+        cap = integral._PANEL_CAP if t >= RS_SEAM else integral._LOW_PANEL_CAP
+        hi = lo + cap / np.log(lo)
+        v, est, eng = integral._eval_panels(lo, hi)
+        quarter = 0.25 * (hi - lo)
+        ref = 0.0
+        for mid in (lo + quarter, hi - quarter):
+            z = integral.z_array((mid[:, None] + quarter[:, None] * x40).ravel()).reshape(-1, 40)
+            ref = ref + (z**2 @ w40) * quarter
+        ratio = np.abs(v - ref) / (est + eng)
         assert np.all(ratio <= 1.0), (t, ratio.max())
-        worst = max(worst, float(ratio.max()))
-    print(f"worst |K21 - GL40| / err = {worst:.3g}")
+        worst[t] = float(ratio.max())
+    print("worst |rule - GL40 on two halves| / err:",
+          ", ".join(f"{t:g}: {r:.3g}" for t, r in worst.items()))
 
 
 def test_panel_values_independent_of_batch():
-    # a panel's Kronrod, Gauss and engine values have the same bits
-    # whatever other panels share its batch
+    # a panel's value, rule estimate and engine error have the same bits
+    # whatever other panels share its batch, K21 and Gauss panels mixed
     rng = np.random.default_rng(31)
     for P in range(1, 101, 3):
-        lo = 3e4 + rng.uniform(0.0, 50.0, P)
+        lo = rng.choice([60.0, 3e4], P) + rng.uniform(0.0, 50.0, P)
         hi = lo + integral._PANEL_CAP / np.log(lo)
-        _, vk, vg, eng = integral._eval_panels(lo, hi)
+        v, est, eng = integral._eval_panels(lo, hi)
         for k in range(P):
-            _, ak, ag, aeng = integral._eval_panels(lo[k:k + 1], hi[k:k + 1])
-            assert (vk[k], vg[k], eng[k]) == (ak[0], ag[0], aeng[0]), (P, k)
+            av, aest, aeng = integral._eval_panels(lo[k:k + 1], hi[k:k + 1])
+            assert (v[k], est[k], eng[k]) == (av[0], aest[0], aeng[0]), (P, k)
 
 
 def test_stride_cells_need_no_refinement():
-    # every cell up to T_MAX meets CELL_TOL on its first panels; a panel
-    # cap too wide for the rule would show here as extra nodes
+    # every cell up to T_MAX meets CELL_TOL on its first panels, each
+    # evaluated at its own rule's nodes; a panel cap too wide for the
+    # rule would show here as extra nodes
     cache = CheckpointCache()
     nodes = cache.extend_to(T_MAX)
-    first = sum(integral._panel_edges(t - DEFAULT_STRIDE, t).size - 1 for t in cache.ts)
+    first = sum(integral._node_count(integral._panel_edges(t - DEFAULT_STRIDE, t)[:-1])
+                for t in cache.ts)
     assert len(cache.ts) == T_MAX / DEFAULT_STRIDE
-    assert nodes == first * integral._NODES_PER_PANEL
+    assert nodes == first
+    worst_cell = max((b - a) / CELL_TOL for a, b in zip([0.0, *cache.errs], cache.errs))
     # nor does any final panel, the span between two adjacent stored
     # points, miss AUTO_TOL_RATE * max(width, 1) on its own, which is what
     # lets a read or an invert target evaluate its panel once, with no
     # refinement; a panel's estimate is the step in the stored errors
-    worst = 0.0
+    worst = {False: 0.0, True: 0.0}  # K21 below the seam, Gauss from it on
     for i in range(len(cache.ts)):
-        kt, _, ke = cache._knots[i]
+        kt, _, ke = _knots(cache, i)
         t0, _, e0 = cache._point(i - 1)
         ts, errs = [t0, *kt, cache.ts[i]], [e0, *ke, cache.errs[i]]
         for a, b, ea, eb in zip(ts, ts[1:], errs, errs[1:]):
-            worst = max(worst, (eb - ea) / (AUTO_TOL_RATE * max(b - a, 1.0)))
-    print(f"worst final panel estimate / its tolerance = {worst:.3g}")
-    assert worst <= 1.0
+            gauss = a >= RS_SEAM
+            worst[gauss] = max(worst[gauss], (eb - ea) / (AUTO_TOL_RATE * max(b - a, 1.0)))
+    print(f"worst cell estimate / CELL_TOL = {worst_cell:.3g}; worst final panel estimate / "
+          f"its tolerance = {worst[False]:.3g} (K21), {worst[True]:.3g} (Gauss)")
+    # the worst cell and Gauss panel sit at the top cell, where the Gauss
+    # bound is widest; the K21 panels keep their estimates
+    assert 0.38 <= worst_cell <= 0.40
+    assert 0.78 <= worst[False] <= 0.80 and 0.39 <= worst[True] <= 0.41
 
 
 def test_panel_rule_either_side_of_the_seam():
@@ -285,6 +314,12 @@ def test_panel_rule_either_side_of_the_seam():
             cap = 7.0 * math.pi if lo >= RS_SEAM else 4.0 * math.pi
             width = cap / math.log(max(lo, 20.0))
             assert hi == lo + width or (hi == b and hi < lo + width), (a, lo)
+
+
+def _knots(cache, i):
+    """Stride cell i's knots as (t, J, err) arrays, None if it holds none."""
+    run = cache._knot_run(i)
+    return run and tuple(a[run[0]:run[1]] for a in (cache._kt, cache._kj, cache._ke))
 
 
 def test_cells_below_the_seam_keep_their_bits():
@@ -321,6 +356,7 @@ def test_cache_corruption(tmp_path):
                           ("# ladderlab cache v4 stride=50 tol=0.0015\n", "version 4,"),
                           ("# ladderlab cache v5 stride=50 tol=0.0015\n", "version 5,"),
                           ("# ladderlab cache v6 stride=50 tol=0.0015\n", "version 6,"),
+                          ("# ladderlab cache v7 stride=50 tol=0.0015\n", "version 7,"),
                           ("", "version missing,")):
         with open(path, "w") as fh:
             fh.write(header + "T,J,abs_err\n50,10,0\n100,20,0\n")
@@ -422,7 +458,7 @@ def test_read_evaluates_one_panel_and_a_stored_point_none(shared_cache, monkeypa
     # read between two stored points evaluates the one panel between
     # them and carries the estimate stored at the upper one
     shared_cache.extend_to(2e4)
-    kt, kj, ke = shared_cache._knots[200]
+    kt, kj, ke = _knots(shared_cache, 200)
     sizes = []
     z_array = integral.z_array
 
@@ -487,7 +523,7 @@ def test_invert_returns_the_plain_read_of_j_at_its_root(shared_cache, monkeypatc
     rng = random.Random(21)
     targets = [rng.uniform(30.0, shared_cache.js[-1]) for _ in range(20)]
     for i in (3, 150, 390):
-        targets += [shared_cache._knots[i][1][1], shared_cache.js[i]]
+        targets += [_knots(shared_cache, i)[1][1], shared_cache.js[i]]
     rng.shuffle(targets)
     for target, (U, j) in zip(targets, shared_cache.invert(targets)):
         assert j.hex() == hl_integral(U, cache=shared_cache).value.hex()
@@ -498,7 +534,7 @@ def test_invert_returns_the_plain_read_of_j_at_its_root(shared_cache, monkeypatc
     # Z call
     stored = []
     for i in range(3, 400, 40):
-        kt, kj, _ = shared_cache._knots[i]
+        kt, kj, _ = _knots(shared_cache, i)
         stored += [*zip(kt, kj), (shared_cache.ts[i], shared_cache.js[i])]
     sizes = []
     z_array = integral.z_array
@@ -525,7 +561,7 @@ def test_invert_targets_just_below_a_stored_j(shared_cache, tmp_path):
     loaded = CheckpointCache.load(path)
     spans = []
     for i in (3, 150, 390):
-        kt, kj, _ = shared_cache._knots[i]
+        kt, kj, _ = _knots(shared_cache, i)
         pts = [(shared_cache.ts[i - 1], shared_cache.js[i - 1])] + list(zip(kt, kj))
         pts.append((shared_cache.ts[i], shared_cache.js[i]))
         spans += [pts[k:k + 2] for k in (0, len(pts) // 2, len(pts) - 2)]
@@ -537,11 +573,11 @@ def test_invert_targets_just_below_a_stored_j(shared_cache, tmp_path):
                 assert abs(j - target) <= 1e-8
                 assert j.hex() == hl_integral(U, cache=shared_cache).value.hex()
     # a need past P's total returns the panel's end, and one of 0 its start
-    lo, end = np.array([1e4]), 1e4 + 2.0
-    z = integral._eval_panels(lo, np.array([end]))[0]
-    total = integral._square_model(z[0], 1.0)[2][-1]
-    assert integral._solve_in_panel(total + 1e-9, 1e4, end, z[0])[0] == end
-    assert integral._solve_in_panel(0.0, 1e4, end, z[0])[0] == 1e4
+    end = 1e4 + 2.0
+    z = next(integral._panel_z([(1e4, end)]))
+    total = integral._square_model(z, 1.0)[2][-1]
+    assert integral._solve_in_panel(total + 1e-9, 1e4, end, z)[0] == end
+    assert integral._solve_in_panel(0.0, 1e4, end, z)[0] == 1e4
 
 
 def test_invert_root_of_a_loaded_checkpoint_is_the_checkpoint(shared_cache, tmp_path):
@@ -558,7 +594,7 @@ def test_invert_root_of_a_loaded_checkpoint_is_the_checkpoint(shared_cache, tmp_
     for i, (U, j) in zip(rows, res):
         assert (U, j) == (shared_cache.ts[i], shared_cache.js[i])
         assert j.hex() == hl_integral(U, cache=shared_cache).value.hex()
-    assert all(i not in loaded._knots for i in rows)
+    assert all(loaded._knot_run(i) is None for i in rows)
 
 
 def test_invert_fills_loaded_cells_in_one_grouped_pass(shared_cache, tmp_path, monkeypatch):
@@ -582,7 +618,8 @@ def test_invert_fills_loaded_cells_in_one_grouped_pass(shared_cache, tmp_path, m
 
     monkeypatch.setattr(integral, "z_array", counting)
     assert [(U.hex(), j.hex()) for U, j in loaded.invert(targets)] == want
-    assert len(loaded._knots) > 80 and max(sizes) <= integral._GROUP_NODES
+    filled = sum(loaded._knot_run(i) is not None for i in range(len(loaded.ts)))
+    assert filled > 80 and max(sizes) <= integral._GROUP_NODES
     assert len(sizes) <= math.ceil(sum(sizes) / integral._GROUP_NODES) + 1, sizes
 
 
@@ -617,6 +654,11 @@ def test_knot_reads_independent_of_cache_history(tmp_path):
         assert _bits(hl_integral(T, cache=loaded)) == want
         assert _bits(hl_integral(T, cache=CheckpointCache())) == want  # cold cache
     assert loaded == cache and len(loaded.ts) == 41
+    # the loaded cache filled its cells in the shuffled order of the reads,
+    # into the same cache-wide knot arrays, and holds the same knots per cell
+    assert loaded._kt != cache._kt
+    for i in range(len(cache.ts)):
+        assert _knots(loaded, i) == _knots(cache, i), i
 
 
 def test_save_writes_checkpoints_only(tmp_path):
@@ -675,7 +717,7 @@ def test_uncached_read_integrates_cell_by_cell(monkeypatch, shared_cache):
 
 
 def _build_state(cache):
-    knots = {i: tuple(a.tobytes() for a in arrays) for i, arrays in cache._knots.items()}
+    knots = {i: tuple(a.tobytes() for a in _knots(cache, i)) for i in range(len(cache.ts))}
     return [(t.hex(), j.hex(), e.hex()) for t, j, e in zip(cache.ts, cache.js, cache.errs)], knots
 
 

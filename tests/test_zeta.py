@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ladderlab import zeta
+from ladderlab import integral, zeta
 from ladderlab.constants import T_MAX
 from ladderlab.errors import DomainError, InfeasibleError
 from ladderlab.zeta import (
@@ -56,6 +56,7 @@ def test_strip_model_bounds_z_off_the_line(z_strip):
         assert sum(lo < t < 10.0 * lo for t in ts) >= 6, lo
     assert {p["y"] for p in pts} >= {0.25, 0.5, 1.0, 2.0, z_strip["y_max"]}
     assert all(0.0 < p["y"] <= z_strip["y_max"] for p in pts)
+    assert integral._STRIP_Y <= z_strip["y_max"]  # the Gauss bound's widest strip
     worst = 0.0
     for p in pts:
         t = p["t"] - p["y"]

@@ -1,26 +1,31 @@
 """Second moment of zeta on the critical line, with checkpointing.
 
 J(T) = integral of |zeta(1/2+it)|^2 over [0, T], evaluated by panelized
-Gauss-Kronrod (10, 21) quadrature on Z(t)^2. Panels never exceed
-7 pi/ln t from RS_SEAM on, 2.9 wavelengths 2 pi/ln(t/2 pi) of Z^2's
-fastest component at t = 5.8e4, and 4 pi/ln max(t, 20) below it; the
-10-point Gauss rule on every other Kronrod node gives the error estimate
-from the same 21 Z values. Against a 40-node Gauss-Legendre reference on
-200 seeded full-width panels near each of t = 1e2, 1e3, 1e4, 3e4 and
-5.8e4, |K21 - GL40| is at most 0.0015 of the panel's estimate and
-3.8e-9 abs at 5.8e4, no stride cell up to T_MAX needs a refinement
-round (the worst cell's estimate is 0.22 of CELL_TOL), and the cells of
-the mpmath J oracle above 1e4 lie within their estimates. Fewer, wider
-panels are what pays: a Z node's cost is the cosines of its
-Riemann-Siegel sum, and a cold build to the scan reach evaluates 582,414
-of them. The engine's Z error bound is folded into the estimate via
-Cauchy-Schwarz on each panel. Each panel's Kronrod and Gauss values are
-summed node after node, so a panel's bits do not depend on the batch it
-is evaluated in. Every segment and stride cell meets one absolute
-tolerance, AUTO_TOL_RATE per unit of width (at least one unit); a panel
-is bisected only where its estimate misses its share, which no stride
-cell up to T_MAX needs, and every final panel of those cells meets that
-tolerance on its own (the worst at 0.79 of it).
+quadrature on Z(t)^2. Panels never exceed 7 pi/ln t from RS_SEAM on,
+2.9 wavelengths 2 pi/ln(t/2 pi) of Z^2's fastest component at t = 5.8e4,
+and 4 pi/ln max(t, 20) below it. From RS_SEAM on each panel takes the
+12-point Gauss-Legendre rule, and its estimate is an a-priori bound
+(_gauss_bound: Trefethen's Gauss bound with the approximate functional
+equation's |Z(t + iy)| model, checked against mpmath in
+tests/fixtures/z_strip.json); below it each panel takes Gauss-Kronrod
+(10, 21), whose 10-point Gauss rule on every other Kronrod node gives
+the estimate |K21 - G10| from the same 21 Z values. Against 40-node
+Gauss-Legendre on each half of 200 seeded full-width panels near each of
+t = 1e2, 1e3, 1e4, 3e4, 5.8e4 and 9.99e4, the 12-point rule misses by at
+most 6e-8 abs and 0.006 of the panel's estimate; no stride cell up to
+T_MAX needs a refinement round (the worst cell's estimate is 0.39 of
+CELL_TOL), and the cells of the mpmath J oracle above 1e4 lie within
+their estimates. Fewer nodes are what pays: a Z node's cost is the
+cosines of its Riemann-Siegel sum, and a cold build to the scan reach
+evaluates 333,096 of them (582,414 with K21 on every panel). The
+engine's Z error bound is folded into the estimate via Cauchy-Schwarz on
+each panel. Each panel's weighted values are summed node after node, so
+a panel's bits do not depend on the batch it is evaluated in. Every
+segment and stride cell meets one absolute tolerance, AUTO_TOL_RATE per
+unit of width (at least one unit); a panel is bisected only where its
+estimate misses its share, which no stride cell up to T_MAX needs, and
+every final panel of those cells meets that tolerance on its own (the
+worst at 0.79 of it below the seam, 0.40 from it on).
 
 J is expensive enough that ladder solves want checkpoints: a
 CheckpointCache holds J at every DEFAULT_STRIDE multiple, and in memory
@@ -38,7 +43,7 @@ reads J(U) off it, so J(U) is hl_integral(U) by construction and an
 ascent makes one Z call of 21 nodes.
 One generator, _quad, integrates every span, a segment or a build's
 stride cells, in one Z call per group of consecutive spans, up to 2^14
-first-panel nodes; panel values do not depend on their batch, so the
+first-panel nodes, each panel counted at its own rule's; panel values do not depend on their batch, so the
 grouping moves no bit. A cell from load() gets its knots
 (CheckpointCache._fill) from the first read that lands in it; invert
 fills the cells of all its targets in one grouped pass.
@@ -124,11 +129,12 @@ _CLENSHAW = [(nd - 2, (nd - 1) / nd, (2 * nd - 1) / nd) for nd in range(_CHEB.si
 # _LOW_PANEL_CAP / ln max(t, 20) below it, so the Euler-Maclaurin cells
 # [0, 50] and [50, 100], whose estimates a 6 pi cap would take to 0.79 of
 # CELL_TOL, keep their panels. At t = 5.8e4, 7 pi / ln t is 2.9
-# wavelengths 2 pi / ln(t / 2 pi), |K21 - GL40| stays below 0.0015 of the
-# estimate (module docstring), and a cold build to the scan reach
-# evaluates 582,414 Z nodes. The cap stops at 7 pi: the worst stride cell
-# to T_MAX reads 0.22 of CELL_TOL there, 0.77 at 7.5 pi, and from
-# 7.75 pi cells refine and a build evaluates more nodes than at 7 pi.
+# wavelengths 2 pi / ln(t / 2 pi). The read model sets the cap, not the
+# estimate: a J read between stored points, and an ascent, solve on the
+# integral of p^2, p the interpolant of Z at the panel's 21 Kronrod nodes
+# (_square_model), which misreads J by 1.3e-11 to 1.5e-9 on 7 pi panels
+# and by 4e-5 to 5e-4 on panels of 17 pi to 40 pi, the widths the Gauss
+# bound would allow.
 _PANEL_CAP = 7.0 * math.pi
 _LOW_PANEL_CAP = 4.0 * math.pi
 
@@ -147,8 +153,8 @@ CELL_TOL = AUTO_TOL_RATE * DEFAULT_STRIDE
 _VERSION_TAG = "# ladderlab cache v"
 _HEADER = f"{_VERSION_TAG}{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}"
 # Most Z nodes in one z_array call, for a group of _quad's spans (a stride
-# cell has 231 to 567 from the seam to T_MAX) or of _panel_z's panels;
-# larger groups cost peak RSS.
+# cell has 132 to 324 from the seam to T_MAX, 12 a panel, and 294 and 378
+# below it) or of _panel_z's panels; larger groups cost peak RSS.
 _GROUP_NODES = 2**14
 # The mean value J(t) ~ t ln(t / 2 pi) + (2c - 1) t has slope ln t + _MV_SLOPE
 # and is 0 at _MV_ZERO.
@@ -419,9 +425,10 @@ def _solve_in_panel(need: float, t0: float, t1: float, z: np.ndarray) -> tuple[f
 
     Solves on P with no Z call: Newton, safeguarded by bisection, in the
     _GRID cell whose P values bracket need, from the linear interpolant.
-    P over the whole panel differs from its Kronrod value by rounding and
-    model error (up to ~5e-13 on full panels), so a need past P's total
-    returns t1, and one of at most 0 t0.
+    P over the whole panel differs from the panel's stored quadrature
+    value by rule and model error (up to 6.8e-8 on the 12-point Gauss
+    panels to T_MAX, 5.9e-10 on the K21 panels below RS_SEAM), so a need
+    past P's total returns t1, and one of at most 0 t0.
     """
     mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
     coef, prim, grid = _square_model(z, half)
@@ -505,8 +512,8 @@ class CheckpointCache:
     def __post_init__(self) -> None:
         self.ts, self.js, self.errs = (array("d", v) for v in (self.ts, self.js, self.errs))
         # the knots of every filled cell, and cell i's run of them,
-        # [_kstart[i], _kstop[i]); _kstart[i] is -1, or past the end, for
-        # a cell without its knots
+        # [_kstart[i], _kstop[i]); a cell at -1 there, or past the end of
+        # _kstart, holds no knots
         self._kt, self._kj, self._ke = array("d"), array("d"), array("d")
         self._kstart, self._kstop = array("q"), array("q")
 
@@ -748,14 +755,15 @@ def hl_integral(T: float, cache: CheckpointCache | None = None) -> IntegralResul
     (_read_in_panel, after one Z call on that panel's nodes; the stride
     cell already accepted the panel, so nothing is integrated or
     refined). The estimate is the one stored at t1: J(t0)'s plus the
-    panel's |K21 - G10| and engine terms.
+    panel's rule estimate and engine term.
 
     The checkpoints through the stride cell holding T and that cell's
     knots are computed on the way, and memoized in the cache; without
     one, the read goes through a fresh cache, so J(T) has the same bits
     either way. node_count counts those cells' nodes as well as the
     panel's. hl_integral_all for one T. integrate_segment is a separate
-    route to J: a K21 quadrature of any [a, b], with no cache.
+    route to J: a quadrature of any [a, b] on the same rules, with no
+    cache.
     """
     return unwrap(hl_integral_all([T], cache)[0])
 

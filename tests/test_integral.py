@@ -550,10 +550,10 @@ def test_invert_returns_the_plain_read_of_j_at_its_root(shared_cache, monkeypatc
 
 def test_invert_targets_just_below_a_stored_j(shared_cache, tmp_path):
     # U is solved on the integral P of p^2, which over a whole panel
-    # differs from the stored Kronrod increment j1 - j0 by rounding and
-    # model error (up to ~5e-13 on full 7 pi panels), so a target just
-    # below j1 can lie past P's total; U stays in [t0, t1], on a warm
-    # cache and on a loaded one that must fill its knots
+    # differs from the stored increment j1 - j0 by rule and model error
+    # (up to 6.8e-8 on full Gauss panels), so a target just below j1 can
+    # lie past P's total; U stays in [t0, t1], on a warm cache and on a
+    # loaded one that must fill its knots
     shared_cache.extend_to(2e4)
     path = os.path.join(tmp_path, "cache.csv")
     CheckpointCache(ts=shared_cache.ts[:400], js=shared_cache.js[:400],

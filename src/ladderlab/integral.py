@@ -43,8 +43,8 @@ reads J(U) off it, so J(U) is hl_integral(U) by construction and an
 ascent makes one Z call of 21 nodes.
 One generator, _quad, integrates every span, a segment or a build's
 stride cells, in one Z call per group of consecutive spans, up to 2^14
-first-panel nodes, each panel counted at its own rule's; panel values do not depend on their batch, so the
-grouping moves no bit. A cell from load() gets its knots
+first-panel nodes, each panel counted at its own rule's; panel values do
+not depend on their batch, so the grouping moves no bit. A cell from load() gets its knots
 (CheckpointCache._fill) from the first read that lands in it; invert
 fills the cells of all its targets in one grouped pass.
 hl_integral_all reads many T with one Z call per 780 panels, so one on a
@@ -228,13 +228,12 @@ def _panel_edges(a: float, b: float) -> np.ndarray:
     return np.array(edges)
 
 
-def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mid, half, t): the centres and half-widths of the panels [lo, hi]
-    and their 21 Kronrod nodes, (P, 21), for _eval_panels and _panel_z
-    alike."""
-    mid = 0.5 * (lo + hi)
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(half, t): the half-widths of the panels [lo, hi] and their nodes
+    at the abscissae x of a rule on [-1, 1], (P, x.size), for
+    _eval_panels and _panel_z alike."""
     half = 0.5 * (hi - lo)
-    return mid, half, mid[:, None] + half[:, None] * _XK[None, :]
+    return half, (0.5 * (lo + hi))[:, None] + half[:, None] * x[None, :]
 
 
 def _node_count(lo: np.ndarray) -> int:
@@ -276,10 +275,8 @@ def _eval_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     numpy's pairwise sum), so a panel's values do not depend on the other
     panels in the batch."""
     gauss = lo >= RS_SEAM
-    _, khalf, kt = _kronrod_nodes(lo[~gauss], hi[~gauss])
-    glo, ghi = lo[gauss], hi[gauss]
-    ghalf = 0.5 * (ghi - glo)
-    gt = (0.5 * (glo + ghi))[:, None] + ghalf[:, None] * _XGL[None, :]
+    khalf, kt = _panel_nodes(lo[~gauss], hi[~gauss], _XK)
+    ghalf, gt = _panel_nodes(lo[gauss], hi[gauss], _XGL)
     t = np.concatenate([kt.ravel(), gt.ravel()])
     f = z_array(t) ** 2 if t.size else t
     fk, fg = f[:kt.size].reshape(kt.shape), f[kt.size:].reshape(gt.shape)
@@ -287,7 +284,7 @@ def _eval_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     v[~gauss] = np.add.accumulate(fk * _WK, axis=1)[:, -1] * khalf
     est[~gauss] = np.abs(v[~gauss] - np.add.accumulate(fk[:, 1::2] * _WG, axis=1)[:, -1] * khalf)
     v[gauss] = np.add.accumulate(fg * _WGL, axis=1)[:, -1] * ghalf
-    est[gauss] = _gauss_bound(glo, ghi)
+    est[gauss] = _gauss_bound(lo[gauss], hi[gauss])
     # engine contribution: |d integral| <= 2 int |Z| eps <= 2 eps sqrt(I w)
     eng = 2.0 * z_error_bound(0.5 * (lo + hi)) * np.sqrt(np.maximum(v, 0.0) * (hi - lo))
     return v, est, eng
@@ -298,7 +295,7 @@ def _panel_z(spans: list[tuple[float, float]]) -> Iterator[np.ndarray]:
     from one z_array call per _GROUP_NODES nodes (780 panels); no call
     for no panel. These are the panels between adjacent stored points,
     which their stride cells already accepted, so nothing is refined."""
-    t = _kronrod_nodes(*np.array(spans, dtype=float).reshape(-1, 2).T)[2]
+    t = _panel_nodes(*np.array(spans, dtype=float).reshape(-1, 2).T, _XK)[1]
     per_call = _GROUP_NODES // _NODES_PER_PANEL
     for k in range(0, len(t), per_call):
         yield from z_array(t[k:k + per_call].ravel()).reshape(-1, _NODES_PER_PANEL)
@@ -488,10 +485,10 @@ class CheckpointCache:
     Each stride cell also holds knots (t, J(t), err(t)) at every inner
     edge of its final panel list, so adjacent stored points are one
     panel apart; in memory only: save() never writes them and equality
-    ignores them. J between two adjacent stored points
-    is read off the model of the one panel between them (hl_integral),
-    which the cell's quadrature already accepted, so a read evaluates Z
-    on it and refines nothing.
+    ignores them. J between two adjacent stored points is read off the
+    model of the one panel between them (hl_integral), which the cell's
+    quadrature already accepted, so a read evaluates Z on it and refines
+    nothing.
     extend_to() stores the knots of the cells it integrates, with one Z
     call per group of cells; a cell from load() gets them on the first
     hl_integral read that lands in it, or in invert's one grouped fill

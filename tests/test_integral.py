@@ -705,6 +705,12 @@ def test_uncached_read_integrates_cell_by_cell(monkeypatch, shared_cache):
     res = hl_integral(5e3)
     assert len(sizes) > 1 and max(sizes) <= integral._GROUP_NODES
     assert res.node_count == sum(sizes)
+    # each group but the last build group (then the read's panel) is full
+    # to within one cell, counted at each panel's own rule: 12 nodes a
+    # Gauss panel, 21 a K21 one
+    cell = max(integral._node_count(integral._panel_edges(a, a + DEFAULT_STRIDE)[:-1])
+               for a in np.arange(0.0, 5e3, DEFAULT_STRIDE))
+    assert all(n > integral._GROUP_NODES - cell for n in sizes[:-2]), sizes
 
     # nor does a warm-cache invert batch grow with the number of targets
     shared_cache.extend_to(2e4)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -29,7 +29,7 @@ from .gammalab import C0_CONVENTION, ln_gamma
 from .gram import DEFAULT_STRATEGY, t1_increment_all, t2_increment_all
 from .integral import CheckpointCache, hl_integral_all, hl_representation
 from .ladder import ascend_all
-from .serialize import to_json
+from .serialize import field_dict, to_json
 
 DEFAULT_TAU_GRID = (1e2, 3e2, 1e3, 3e3, 1e4)
 DEFAULT_T_CAP = 5e4
@@ -65,8 +65,10 @@ class FermatRational:
 
     @property
     def value(self) -> float:
+        """q as the nearest float: int true division rounds correctly, as
+        float(self.fraction) does, with no Fraction built."""
         try:
-            return float(self.fraction)
+            return self.numerator / self.z ** self.n
         except OverflowError as exc:
             raise InfeasibleError(f"({self.x},{self.y},{self.z})^{self.n} "
                                   "does not fit a float") from exc
@@ -144,7 +146,7 @@ class ScanRow:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return field_dict(self)
 
 
 @dataclass(frozen=True)
@@ -257,8 +259,9 @@ class _Functional:
     def exp_valued(self) -> bool:
         return self.value is _exp_per_tau
 
-    def multipliers(self, q: FermatRational) -> tuple[float, ...]:
-        return (float(q.numerator), float(q.z ** q.n)) if self.ratio else (q.value,)
+    def multipliers(self, q: FermatRational, v: float) -> tuple[float, ...]:
+        """The a of each T(tau, a) for q, of value v."""
+        return (float(q.numerator), float(q.z ** q.n)) if self.ratio else (v,)
 
     def t_of(self, tau: float, a: float) -> float:
         return _pow(tau, a) if self.power else a * tau / _SCALE
@@ -300,11 +303,10 @@ def _lookup(functional: str) -> _Functional:
     return f
 
 
-def _row_grid(fid: str, f: _Functional, q: FermatRational, tau_grid,
+def _row_grid(fid: str, f: _Functional, v: float, mults: tuple[float, ...], tau_grid,
               t_cap: float) -> list[float]:
-    """Taus in the feasible window, whose every T(tau, a) lies in [T_FLOOR, t_cap]."""
-    v = q.value
-    mults = f.multipliers(q)
+    """Taus in the feasible window, whose every T(tau, a) lies in [T_FLOOR, t_cap],
+    for the rational of value v and multipliers mults."""
     a_lo = min(mults)
     lo = max(f.tau_of(T_FLOOR, a_lo), 20.0)  # keep ln(tau) away from 0 for the log forms
     while f.t_of(lo, a_lo) < T_FLOOR:  # the inverse map can round under the floor
@@ -343,8 +345,8 @@ def evaluate_equivalent(functional: str, q: FermatRational,
     target = None if f.exp_valued and v > _EXP_Q_CAP else f.limit(v)
     forbidden = f.limit(1.0)
     try:
-        grid = _row_grid(functional, f, q, tau_grid, t_cap)
-        mults = f.multipliers(q)
+        mults = f.multipliers(q, v)
+        grid = _row_grid(functional, f, v, mults, tau_grid, t_cap)
         incs = f.increment([f.t_of(tau, a) for tau in grid for a in mults], cache)
         values = []
         for k, tau in enumerate(grid):
@@ -376,7 +378,7 @@ def evaluate_equivalent(functional: str, q: FermatRational,
     distance = abs(v_last - forbidden)
     status = _STATUS_RESOLVED if distance > est else _STATUS_UNRESOLVED
     return ScanRow(functional=functional, x=q.x, y=q.y, z=q.z, n=q.n,
-                   q=q.value, tau_max=tau_last, value=v_last, target=target,
+                   q=v, tau_max=tau_last, value=v_last, target=target,
                    forbidden=forbidden, distance=distance,
                    est_error=est if math.isfinite(est) else None,
                    status=status if math.isfinite(est) else _STATUS_UNRESOLVED)

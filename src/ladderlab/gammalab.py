@@ -15,7 +15,7 @@ bands live in the test fixtures.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .arith import dirichlet_D
 from .constants import B2K, EULER_GAMMA, T_FLOOR
@@ -23,12 +23,15 @@ from .errors import DomainError, LadderLabError, unwrap
 from .gram import DEFAULT_STRATEGY, gram_index_range, t1_increment_all, t2_increment_all
 from .integral import CheckpointCache
 from .ladder import DEFAULT_RESIDUAL_TOL, ascend_all, build_tower
-from .serialize import to_json
+from .serialize import field_dict, to_json
 
 _SHIFT_TO = 20.0
 _HALF_LN_TWO_PI = 0.91893853320467274
 
 C0_CONVENTION = 0.0  # integration constant of the representation, fixed at zero
+# The Stirling terms B_2k / (2k (2k-1) x^(2k-1)), k = 1..8: B_2k with its
+# divisor 2k (2k-1) as the float that int * float converts it to.
+_STIRLING = tuple((b, float((2 * k) * (2 * k - 1))) for k, b in enumerate(B2K[:8], start=1))
 
 
 def ln_gamma(x: float) -> float:
@@ -47,8 +50,8 @@ def ln_gamma(x: float) -> float:
     res = (w - 0.5) * math.log(w) - w + _HALF_LN_TWO_PI
     w2 = w * w
     p = w
-    for k, b in enumerate(B2K[:8], start=1):
-        res += b / ((2 * k) * (2 * k - 1) * p)
+    for b, d in _STIRLING:
+        res += b / (d * p)
         p *= w2
     for j in range(shift):
         res -= math.log(x + j)
@@ -191,7 +194,7 @@ class ChainReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return to_json(asdict(self))
+        return to_json(field_dict(self))
 
 
 def verify_chain(tau: float, k: int, cache: CheckpointCache | None = None) -> ChainReport:
@@ -246,7 +249,7 @@ class ShiftedReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return to_json(asdict(self))
+        return to_json(field_dict(self))
 
 
 def verify_shifted_ratio(tau: float, cache: CheckpointCache | None = None) -> ShiftedReport:
@@ -287,7 +290,7 @@ class LegendreReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return to_json(asdict(self))
+        return to_json(field_dict(self))
 
 
 def verify_legendre_factorization(tau: float,

@@ -54,7 +54,7 @@ warm cache; hl_integral is its one-T case.
 from __future__ import annotations
 
 import bisect
-import io
+import itertools
 import math
 import os
 from array import array
@@ -515,19 +515,27 @@ class CheckpointCache:
         self._kstart, self._kstop = array("q"), array("q")
 
     def _validate(self, start: int = 0) -> None:
-        for i in range(max(start, 1), len(self.ts)):
-            if not (self.ts[i] > self.ts[i - 1] and self.js[i] > self.js[i - 1]):
+        """Refuse (CacheCorruptionError) the first row from start on that
+        holds a non-finite value, is not strictly above the row before it
+        in both T and J, is off the stride grid or has a negative error."""
+        # row 0 has no row before it
+        t0, j0 = (self.ts[start - 1], self.js[start - 1]) if start else (-math.inf, -math.inf)
+        finite = math.isfinite
+        for i, t, j, e in zip(range(start, len(self.ts)), self.ts[start:], self.js[start:],
+                              self.errs[start:]):
+            if not (finite(t) and finite(j) and finite(e)):
                 raise CacheCorruptionError(
-                    f"cache not strictly increasing at row {i}: "
-                    f"T {self.ts[i-1]}->{self.ts[i]}, J {self.js[i-1]}->{self.js[i]}"
-                )
-        for i in range(start, len(self.ts)):
-            if self.ts[i] != (i + 1) * DEFAULT_STRIDE:
+                    f"cache row {i} holds a non-finite value: T={t!r}, J={j!r}, abs_err={e!r}")
+            if not (t > t0 and j > j0):
                 raise CacheCorruptionError(
-                    f"cache row {i} at T={self.ts[i]!r} is off the stride grid, "
+                    f"cache not strictly increasing at row {i}: T {t0}->{t}, J {j0}->{j}")
+            if t != (i + 1) * DEFAULT_STRIDE:
+                raise CacheCorruptionError(
+                    f"cache row {i} at T={t!r} is off the stride grid, "
                     f"expected T={(i + 1) * DEFAULT_STRIDE:g}")
-        if any(e < 0 for e in self.errs[start:]):
-            raise CacheCorruptionError("negative error estimate in cache")
+            if e < 0:
+                raise CacheCorruptionError("negative error estimate in cache")
+            t0, j0 = t, j
 
     def nearest_below(self, T: float) -> tuple[float, float, float]:
         """Largest stored point (T0, J0, err0) with T0 <= T, checkpoint or
@@ -663,18 +671,22 @@ class CheckpointCache:
         return out
 
     def save(self, path: str) -> None:
-        buf = io.StringIO()
-        buf.write(_HEADER + "\n")
-        buf.write("T,J,abs_err\n")
-        for t, j, e in zip(self.ts, self.js, self.errs):
-            buf.write(f"{t:.17g},{j:.17g},{e:.17g}\n")
+        """Write the header line, the column line and one "T,J,abs_err"
+        line per checkpoint, each float at 17 significant digits; knots
+        are never written."""
+        rows = ["%.17g,%.17g,%.17g\n" % row for row in zip(self.ts, self.js, self.errs)]
         with open(path, "w", newline="\n") as fh:
-            fh.write(buf.getvalue())
+            fh.write(_HEADER + "\nT,J,abs_err\n" + "".join(rows))
 
     @classmethod
     def load(cls, path: str) -> "CheckpointCache":
+        """The cache a file from save() holds, without knots; refuses
+        (CacheCorruptionError) an empty file, a missing column line,
+        another header (a stale engine version, or another stride or tol),
+        a row that is not three floats, and the first row _validate
+        refuses. Blank lines are skipped."""
         with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+            lines = [ln for ln in fh.read().split("\n") if ln.strip()]
         if not lines:
             raise CacheCorruptionError(f"empty cache file {path}")
         header = lines.pop(0) if lines[0].startswith("#") else ""
@@ -689,14 +701,15 @@ class CheckpointCache:
             raise CacheCorruptionError(
                 f"cache {path} has header {header!r}, expected {_HEADER!r}; "
                 "delete it and rebuild with `ladderlab cache`")
-        cache = cls()
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 3:
+        rows = [ln.split(",") for ln in lines[1:]]
+        for ln, row in zip(lines[1:], rows):
+            if len(row) != 3:
                 raise CacheCorruptionError(f"bad cache row {ln!r} in {path}")
-            cache.ts.append(float(parts[0]))
-            cache.js.append(float(parts[1]))
-            cache.errs.append(float(parts[2]))
+        try:
+            values = list(map(float, itertools.chain.from_iterable(rows)))
+        except ValueError as exc:
+            raise CacheCorruptionError(f"bad cache value in {path}: {exc}") from None
+        cache = cls(values[0::3], values[1::3], values[2::3])
         cache._validate()
         return cache
 

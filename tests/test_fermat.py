@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ladderlab import fermat
 from ladderlab.constants import EULER_GAMMA, T_FLOOR
@@ -26,6 +26,20 @@ def test_rational_exact_arithmetic():
     assert q.numerator == 728
     assert q.fraction == Fraction(728, 729)
     assert q.value == 728 / 729
+
+
+@given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(1, 10**6), st.integers(3, 60))
+@example(10**6, 1, 1, 60)  # 1e360 overflows
+@example(1, 1, 10**6, 60)  # 2e-360 underflows to 0
+def test_rational_value_is_the_fraction_rounded(x, y, z, n):
+    q = FermatRational(x, y, z, n)
+    try:
+        want = float(q.fraction)
+    except OverflowError:
+        with pytest.raises(InfeasibleError, match="does not fit a float"):
+            q.value
+    else:
+        assert q.value == want
 
 
 def test_rational_validation():
@@ -201,12 +215,13 @@ def test_row_grid_maps_into_served_range(x, y, z, t_cap):
     q = FermatRational(x, y, z, 3)
     reach = t_cap * (1.0 + 5.0 * (1.0 - EULER_GAMMA) / math.log(t_cap))
     for fid, f in fermat._FUNCTIONALS.items():
+        mults = f.multipliers(q, q.value)
         try:
-            grid = fermat._row_grid(fid, f, q, DEFAULT_TAU_GRID, t_cap)
+            grid = fermat._row_grid(fid, f, q.value, mults, DEFAULT_TAU_GRID, t_cap)
         except InfeasibleError:
             continue
         for tau in grid:
-            for a in f.multipliers(q):
+            for a in mults:
                 assert T_FLOOR <= f.t_of(tau, a) <= reach, (fid, tau, a)
 
 

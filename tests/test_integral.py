@@ -339,6 +339,23 @@ def test_cache_corruption(tmp_path):
     with pytest.raises(CacheCorruptionError, match="not strictly increasing"):
         CheckpointCache.load(path)
 
+    # non-finite values, refused by name with the row that holds them: a nan
+    # or inf error passes every other check, and so does an inf J on the
+    # last row; a nan J would otherwise be caught only as not increasing
+    for rows, bad in (("50,10,0\n100,20,nan\n", "row 1"), ("50,10,inf\n100,20,0\n", "row 0"),
+                      ("50,10,0\n100,inf,0\n", "row 1"), ("50,10,0\n100,nan,0\n", "row 1")):
+        with open(path, "w") as fh:
+            fh.write(f"# ladderlab cache v{ENGINE_VERSION} stride=50 tol=0.0015\nT,J,abs_err\n" + rows)
+        with pytest.raises(CacheCorruptionError, match=f"cache {bad} holds a non-finite value"):
+            CheckpointCache.load(path)
+
+    # a row that is not three floats
+    for rows in ("50,10\n", "50,10,0,0\n", "50,ten,0\n"):
+        with open(path, "w") as fh:
+            fh.write(f"# ladderlab cache v{ENGINE_VERSION} stride=50 tol=0.0015\nT,J,abs_err\n" + rows)
+        with pytest.raises(CacheCorruptionError, match="bad cache"):
+            CheckpointCache.load(path)
+
     with open(path, "w") as fh:
         fh.write("not,a,cache\n")
     with pytest.raises(CacheCorruptionError):

@@ -3,12 +3,62 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ladderlab.fermat import ScanRow
+from ladderlab.fermat import ScanRow, scan
 from ladderlab.gammalab import ChainReport, LegendreReport, ShiftedReport
-from ladderlab.serialize import to_json, write_json
+from ladderlab.serialize import field_dict, to_json, write_json
+
+
+def reference_to_json(obj, indent: int = 0) -> str:
+    """The first, recursive emitter, kept as the reference that pins
+    to_json's bytes."""
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        out = obj.replace("\\", "\\\\").replace('"', '\\"')
+        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
+        return f'"{out}"'
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isnan(obj) or math.isinf(obj):
+            raise ValueError(f"non-finite float {obj} cannot be serialized")
+        return format(obj, ".17g")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        rows = ",\n".join(inner + reference_to_json(v, indent + 2) for v in obj)
+        return "[\n" + rows + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        rows = ",\n".join(
+            f'{inner}{reference_to_json(str(k))}: {reference_to_json(obj[k], indent + 2)}'
+            for k in sorted(obj, key=str)
+        )
+        return "{\n" + rows + "\n" + pad + "}"
+    raise TypeError(f"unsupported type for JSON: {type(obj)!r}")
+
+
+# strings with every escaped character, and keys that share a str
+_TEXT = st.text(alphabet=st.sampled_from('ab\\"\n\r\t é\x01'), max_size=6)
+_LEAVES = (st.floats(allow_nan=False, allow_infinity=False) | st.integers() | st.booleans()
+           | st.none() | _TEXT)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(_TEXT | st.integers(-3, 3), inner, max_size=4)),
+    max_leaves=30,
+)
 
 
 def test_basic_values():
@@ -57,6 +107,30 @@ def test_nested_structures():
     assert json.loads(to_json(obj)) == obj
 
 
+@given(_DOCS, st.integers(0, 4))
+def test_matches_reference_bytes(doc, indent):
+    assert to_json(doc, indent) == reference_to_json(doc, indent)
+
+
+def test_subclasses_match_reference_bytes():
+    class Name(str):
+        pass
+
+    doc = {"x": np.float64(0.1), Name("k\t"): [np.float64(-1e300), Name('q"'), True, None],
+           "n": (np.float64(5e-324),)}
+    assert to_json(doc, 2) == reference_to_json(doc, 2)
+    with pytest.raises(ValueError):
+        to_json([np.float64("nan")])
+    with pytest.raises(TypeError):
+        to_json([np.int64(1)])
+
+
+def test_matches_reference_on_a_scan_report(shared_cache):
+    text = scan(["gamma"], n=3, max_xyz=12, cache=shared_cache).to_json()
+    assert text == reference_to_json(json.loads(text))
+    assert json.loads(text)["rows"]
+
+
 def test_rejects_unknown_types():
     with pytest.raises(TypeError):
         to_json({1, 2})
@@ -91,3 +165,8 @@ def test_repeatable_bytes():
 def test_report_json_keys_are_the_fields(report):
     text = to_json(report.to_dict()) if isinstance(report, ScanRow) else report.to_json()
     assert set(json.loads(text)) == {f.name for f in dataclasses.fields(report)}
+    # the shallow field dict the reports serialize is dataclasses.asdict
+    shallow = report.to_dict() if isinstance(report, ScanRow) else field_dict(report)
+    assert shallow == dataclasses.asdict(report)
+    assert list(shallow) == [f.name for f in dataclasses.fields(report)]
+    assert text == reference_to_json(dataclasses.asdict(report))

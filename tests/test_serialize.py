@@ -126,9 +126,12 @@ def test_subclasses_match_reference_bytes():
 
 
 def test_matches_reference_on_a_scan_report(shared_cache):
-    text = scan(["gamma"], n=3, max_xyz=12, cache=shared_cache).to_json()
-    assert text == reference_to_json(json.loads(text))
-    assert json.loads(text)["rows"]
+    rep = scan(["gamma"], n=3, max_xyz=12, cache=shared_cache)
+    assert rep.rows
+    doc = {"functionals": list(rep.functional_ids), "n": rep.n, "max_xyz": rep.max_xyz,
+           "window": rep.window, "rows": [dataclasses.asdict(r) for r in rep.rows],
+           "metadata": rep.metadata}
+    assert rep.to_json() == reference_to_json(doc)
 
 
 def test_rejects_unknown_types():

@@ -9,8 +9,8 @@ needs mpmath at runtime. Rerun after any change to the sampling plan:
 
 Takes a few minutes; the second-moment quadrature dominates. Pass one
 function name, `python3 scripts/make_fixtures.py z_table_high`,
-`gram_high`, `j_cells_high`, `j_cell_top`, `j_reads` or `z_strip`, to
-write only that fixture.
+`gram_high`, `j_cells_high`, `j_cell_top`, `j_reads`, `z_strip` or
+`z_strip_low`, to write only that fixture.
 """
 
 from __future__ import annotations
@@ -202,6 +202,38 @@ def z_strip() -> None:
         fh.write("\n")
 
 
+# The ordinates of z_strip_low: t = 0 up to the seam, densest near 0.
+_STRIP_LOW_TS = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 12.0,
+                 15.0, 20.0, 30.0, 45.0, 60.0, 80.0, 99.0)
+# Its half-heights: every t takes these, which stay below the singularity
+# of theta at t = i/2 and the pole of zeta at t = -i/2.
+_STRIP_LOW_NEAR_YS = (0.1, 0.2, 0.3, 0.4, 0.45)
+
+
+def z_strip_low() -> None:
+    """|Z(t + i y')| off the critical line below t = 100, for the a-priori
+    panel bound near t = 0.
+
+    mpmath siegelz at complex t, dps 20, at each t of _STRIP_LOW_TS: every
+    t at each y' of _STRIP_LOW_NEAR_YS, and each t >= 4 also at every y'
+    of _STRIP_YS, which there stays far from the poles on the imaginary
+    axis. Writes a new file, so the older fixtures stay byte-identical.
+    Run it alone with `python3 scripts/make_fixtures.py z_strip_low`.
+    """
+    mp.mp.dps = 20
+    points = []
+    for t in _STRIP_LOW_TS:
+        ys = sorted(set(_STRIP_LOW_NEAR_YS) | (set(_STRIP_YS) if t >= 4.0 else set()))
+        for y in ys:
+            points.append({"t": t, "y": y,
+                           "abs_z": float(abs(mp.siegelz(mp.mpc(t, y))))})
+    with open(OUT / "z_strip_low.json", "w") as fh:
+        json.dump({"points": points, "y_max": max(_STRIP_YS),
+                   "oracle": "mpmath siegelz at complex t, dps 20"},
+                  fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def zeros_table() -> None:
     """All 29 zeta zeros with ordinate below 100."""
     mp.mp.dps = 30
@@ -258,7 +290,7 @@ def main() -> None:
     OUT.mkdir(parents=True, exist_ok=True)
     single = {"z_table_high": z_table_high, "gram_high": gram_high,
               "j_cells_high": j_cells_high, "j_cell_top": j_cell_top, "j_reads": j_reads,
-              "z_strip": z_strip}
+              "z_strip": z_strip, "z_strip_low": z_strip_low}
     if len(sys.argv) == 2 and sys.argv[1] in single:
         print(sys.argv[1], "...")
         single[sys.argv[1]]()
@@ -281,6 +313,8 @@ def main() -> None:
     j_reads()
     print("Z strip ...")
     z_strip()
+    print("Z strip low ...")
+    z_strip_low()
     print("done ->", OUT)
 
 

@@ -81,6 +81,14 @@ def z_strip():
 
 
 @pytest.fixture(scope="session")
+def z_strip_low():
+    """|Z(t + i y')| from mpmath at complex t, from t = 0 up to 99, y' up
+    to 0.45 at every t and up to the fixture's y_max from t = 4 on."""
+    with open(os.path.join(FIXTURES, "z_strip_low.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="session")
 def calibration():
     with open(os.path.join(FIXTURES, "calibration.json")) as fh:
         return json.load(fh)

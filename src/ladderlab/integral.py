@@ -1,31 +1,28 @@
 """Second moment of zeta on the critical line, with checkpointing.
 
 J(T) = integral of |zeta(1/2+it)|^2 over [0, T], evaluated by panelized
-quadrature on Z(t)^2. Panels never exceed 7 pi/ln t from RS_SEAM on,
-2.9 wavelengths 2 pi/ln(t/2 pi) of Z^2's fastest component at t = 5.8e4,
-and 4 pi/ln max(t, 20) below it. From RS_SEAM on each panel takes the
+quadrature on Z(t)^2. Panels are 0.8 wide below t = 8 and never exceed
+7 pi/ln max(t, 20) from there on, 2.9 wavelengths 2 pi/ln(t/2 pi) of
+Z^2's fastest component at t = 5.8e4. Every panel, from t = 0, takes the
 12-point Gauss-Legendre rule, and its estimate is an a-priori bound
 (_gauss_bound: Trefethen's Gauss bound with the approximate functional
 equation's |Z(t + iy)| model, checked against mpmath in
-tests/fixtures/z_strip.json); below it each panel takes Gauss-Kronrod
-(10, 21), whose 10-point Gauss rule on every other Kronrod node gives
-the estimate |K21 - G10| from the same 21 Z values. Against 40-node
-Gauss-Legendre on each half of 200 seeded full-width panels near each of
-t = 1e2, 1e3, 1e4, 3e4, 5.8e4 and 9.99e4, the 12-point rule misses by at
-most 6e-8 abs and 0.006 of the panel's estimate; no stride cell up to
-T_MAX needs a refinement round (the worst cell's estimate is 0.39 of
-CELL_TOL), and the cells of the mpmath J oracle above 1e4 lie within
-their estimates. Fewer nodes are what pays: a Z node's cost is the
-cosines of its Riemann-Siegel sum, and a cold build to the scan reach
-evaluates 333,096 of them (582,414 with K21 on every panel). The
-engine's Z error bound is folded into the estimate via Cauchy-Schwarz on
-each panel. Each panel's weighted values are summed node after node, so
-a panel's bits do not depend on the batch it is evaluated in. Every
-segment and stride cell meets one absolute tolerance, AUTO_TOL_RATE per
-unit of width (at least one unit); a panel is bisected only where its
-estimate misses its share, which no stride cell up to T_MAX needs, and
-every final panel of those cells meets that tolerance on its own (the
-worst at 0.79 of it below the seam, 0.40 from it on).
+tests/fixtures/z_strip.json and z_strip_low.json); below t = 8 each
+ellipse stays under y = 0.45, clear of the singularities at t = +-i/2.
+Against 40-node Gauss-Legendre on each half of seeded full-width panels
+from t = 0 to 9.99e4, the rule misses by at most 0.006 of the panel's
+estimate, and by at most 1/530 of it on the panels of [0, 100]; the
+worst stride cell's estimate up to T_MAX is 0.39 of CELL_TOL, and the
+mpmath J oracle lies within the estimates. Fewer nodes are what pays: a
+Z node's cost is the cosines of its Riemann-Siegel sum, and a cold build
+to the scan reach evaluates 332,760 of them. The engine's Z error bound
+is folded into the estimate via Cauchy-Schwarz on each panel. Each
+panel's weighted values are summed node after node, so a panel's bits do
+not depend on the batch it is evaluated in. Every segment and stride
+cell meets one absolute tolerance, AUTO_TOL_RATE per unit of width (at
+least one unit), on its panels as they are, or raises ToleranceError;
+every final panel of the stride cells to T_MAX meets that tolerance on
+its own (the worst at 0.52 of it).
 
 J is expensive enough that ladder solves want checkpoints: a
 CheckpointCache holds J at every DEFAULT_STRIDE multiple, and in memory
@@ -43,8 +40,8 @@ reads J(U) off it, so J(U) is hl_integral(U) by construction and an
 ascent makes one Z call of 21 nodes.
 One generator, _quad, integrates every span, a segment or a build's
 stride cells, in one Z call per group of consecutive spans, up to 2^14
-first-panel nodes, each panel counted at its own rule's; panel values do
-not depend on their batch, so the grouping moves no bit. A cell from load() gets its knots
+nodes; panel values do not depend on their batch, so the grouping moves
+no bit. A cell from load() gets its knots
 (CheckpointCache._fill) from the first read that lands in it; invert
 fills the cells of all its targets in one grouped pass.
 hl_integral_all reads many T with one Z call per 780 panels, so one on a
@@ -66,32 +63,20 @@ import numpy as np
 from .constants import EULER_GAMMA, LN_TWO_PI, T_MAX
 from .errors import (CacheCorruptionError, DomainError, InfeasibleError, LadderLabError,
                      ToleranceError, attempt, unwrap)
-from .zeta import RS_SEAM, z_array, z_error_bound
+from .zeta import z_array, z_error_bound
 
-# The Gauss-Kronrod (10, 21) pair as QUADPACK qk21 tabulates it (Piessens
-# et al. 1983): the Kronrod abscissae from 1 down to the centre, their
-# weights, and the weights of the 10-point Gauss rule, whose abscissae are
-# the 2nd, 4th, ..., 10th Kronrod abscissae.
+# The read model's nodes: the 21 Gauss-Kronrod abscissae of QUADPACK qk21
+# (Piessens et al. 1983) from 1 down to the centre; no panel is integrated
+# on them.
 _XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
         0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
         0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
         0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
         0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
-_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-        0.149445554002916905664936468389821)
-_WG_HALF = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-            0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-            0.295524224714752870173892994651338)
-# Ascending on [-1, 1]; the Gauss nodes are _XK[1::2], and the centre is not one.
+# Ascending on [-1, 1].
 _XK = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
-_WK = np.array(_WGK + _WGK[-2::-1])
-_WG = np.array(_WG_HALF + _WG_HALF[::-1])
-_NODES_PER_PANEL = _XK.size
-# The 12-point Gauss-Legendre rule of every panel from RS_SEAM on: its
+_READ_NODES = _XK.size
+# The 12-point Gauss-Legendre rule of every panel from t = 0 on: its
 # abscissae from 1 down to the centre and their weights, at 33 digits
 # (mpmath gauss_quadrature at 40).
 _XGL_HALF = (0.981560634246719250690549090149281, 0.904117256370474856678465866119096,
@@ -105,17 +90,24 @@ _WGL = np.array(_WGL_HALF + _WGL_HALF[::-1])
 _GAUSS_NODES = _XGL.size
 # Its a-priori estimate (_gauss_bound) takes Z^2 on a Bernstein ellipse
 # of each panel through t +- iy, y at most this; the strip model behind
-# it is checked against mpmath up to here (tests/fixtures/z_strip.json).
+# it is checked against mpmath up to here (tests/fixtures/z_strip.json
+# and z_strip_low.json).
 _STRIP_Y = 3.0
+# Panels starting below _NEAR_ZERO are _NEAR_ZERO_WIDTH wide and their
+# ellipses at most _NEAR_ZERO_Y high, clear of the singularity of theta
+# at t = i/2 and of zeta's pole at t = -i/2.
+_NEAR_ZERO = 8.0
+_NEAR_ZERO_WIDTH = 0.8
+_NEAR_ZERO_Y = 0.45
 # invert() solves on P(x), the integral from -1 of p^2, p the degree-20
 # interpolant of the Z values z at the 21 Kronrod nodes. _Z_MAP @ z holds
 # the 21 Legendre coefficients of p, then p at 41 Chebyshev points, which
 # fix p^2 (degree 40); _SQ_MAP @ p(those points)^2 holds the 42 Legendre
 # coefficients of P, then P on _GRID. Z has half the bandwidth of Z^2, so
 # p^2 follows Z^2 between the nodes closer than an interpolant of Z^2.
-_LEG = np.linalg.inv(np.polynomial.legendre.legvander(_XK, _NODES_PER_PANEL - 1))
-_CHEB = np.cos(np.pi * (np.arange(2 * _NODES_PER_PANEL - 1) + 0.5) / (2 * _NODES_PER_PANEL - 1))
-_Z_MAP = np.vstack([_LEG, np.polynomial.legendre.legvander(_CHEB, _NODES_PER_PANEL - 1) @ _LEG])
+_LEG = np.linalg.inv(np.polynomial.legendre.legvander(_XK, _READ_NODES - 1))
+_CHEB = np.cos(np.pi * (np.arange(2 * _READ_NODES - 1) + 0.5) / (2 * _READ_NODES - 1))
+_Z_MAP = np.vstack([_LEG, np.polynomial.legendre.legvander(_CHEB, _READ_NODES - 1) @ _LEG])
 _PRIM_SQ = np.polynomial.legendre.legint(
     np.linalg.inv(np.polynomial.legendre.legvander(_CHEB, _CHEB.size - 1)), lbnd=-1.0)
 _GRID = np.linspace(-1.0, 1.0, 65).tolist()
@@ -125,10 +117,9 @@ _SQ_MAP = np.vstack([_PRIM_SQ, np.polynomial.legendre.legvander(_GRID, _CHEB.siz
 # down to 2.
 _CLENSHAW = [(nd - 2, (nd - 1) / nd, (2 * nd - 1) / nd) for nd in range(_CHEB.size, 1, -1)]
 
-# Widest panel starting at t is _PANEL_CAP / ln t from RS_SEAM on, and
-# _LOW_PANEL_CAP / ln max(t, 20) below it, so the Euler-Maclaurin cells
-# [0, 50] and [50, 100], whose estimates a 6 pi cap would take to 0.79 of
-# CELL_TOL, keep their panels. At t = 5.8e4, 7 pi / ln t is 2.9
+# A panel starting at t >= _NEAR_ZERO is _PANEL_CAP / ln max(t, 20) wide
+# (or cut at its span's end): one cap from t = 8 on, below the seam as
+# above it. At t = 5.8e4, 7 pi / ln t is 2.9
 # wavelengths 2 pi / ln(t / 2 pi). The read model sets the cap, not the
 # estimate: a J read between stored points, and an ascent, solve on the
 # integral of p^2, p the interpolant of Z at the panel's 21 Kronrod nodes
@@ -136,13 +127,12 @@ _CLENSHAW = [(nd - 2, (nd - 1) / nd, (2 * nd - 1) / nd) for nd in range(_CHEB.si
 # and by 4e-5 to 5e-4 on panels of 17 pi to 40 pi, the widths the Gauss
 # bound would allow.
 _PANEL_CAP = 7.0 * math.pi
-_LOW_PANEL_CAP = 4.0 * math.pi
 
 # Bump on every change that moves Z values or saved checkpoints: load()
 # rejects other versions. Knots are never saved, so moving them does not.
-ENGINE_VERSION = "8"
+ENGINE_VERSION = "9"
 # The one quadrature tolerance, absolute per unit of integration length
-# (_refine). The engine's own error bound contributes ~6e-6 per unit in
+# (_check). The engine's own error bound contributes ~6e-6 per unit in
 # the worst band, so this is the tightest rate that cannot trip the
 # engine-floor guard.
 AUTO_TOL_RATE = 3e-5
@@ -153,7 +143,7 @@ CELL_TOL = AUTO_TOL_RATE * DEFAULT_STRIDE
 _VERSION_TAG = "# ladderlab cache v"
 _HEADER = f"{_VERSION_TAG}{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}"
 # Most Z nodes in one z_array call, for a group of _quad's spans (a stride
-# cell has 132 to 324 from the seam to T_MAX, 12 a panel, and 294 and 378
+# cell has 132 to 324 from the seam to T_MAX, 12 a panel, and 216 and 120
 # below it) or of _panel_z's panels; larger groups cost peak RSS.
 _GROUP_NODES = 2**14
 # The mean value J(t) ~ t ln(t / 2 pi) + (2c - 1) t has slope ln t + _MV_SLOPE
@@ -220,8 +210,10 @@ def _panel_edges(a: float, b: float) -> np.ndarray:
     add, log = edges.append, math.log
     cur = a
     while cur < b:
-        cap = _PANEL_CAP if cur >= RS_SEAM else _LOW_PANEL_CAP
-        cur += cap / log(cur if cur > 20.0 else 20.0)
+        if cur < _NEAR_ZERO:
+            cur += _NEAR_ZERO_WIDTH
+        else:
+            cur += _PANEL_CAP / log(cur if cur > 20.0 else 20.0)
         if cur > b:
             cur = b
         add(cur)
@@ -236,127 +228,92 @@ def _panel_nodes(lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> tuple[np.ndar
     return half, (0.5 * (lo + hi))[:, None] + half[:, None] * x[None, :]
 
 
-def _node_count(lo: np.ndarray) -> int:
-    """Z nodes of the panels whose left edges are lo: the 12-point Gauss
-    rule's from RS_SEAM on, K21's below it."""
-    return int(np.where(lo >= RS_SEAM, _GAUSS_NODES, _NODES_PER_PANEL).sum())
-
-
 def _gauss_bound(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """A-priori bound on the 12-point Gauss error for Z^2 on each panel
     [lo, hi] (Trefethen, SIAM Rev. 2008, Thm 4.5): with h the half-width,
     f = Z^2 analytic in the Bernstein ellipse E_rho through t +- i y and
     |f| <= M there,
         |I - I_n| <= h (64/15) M rho^(-2n) / (rho^2 - 1),
-    rho = y/h + sqrt(1 + (y/h)^2), and M = 16 N e^(y L) is the square of
-    the approximate functional equation's |Z(t + iy)| <= 4 sqrt(N) e^(|y| L / 2),
-    N = floor(sqrt(t / 2 pi)) and L = ln(t / 2 pi), at the panel's right
-    end. y = 2n/L, which minimizes e^(y L) rho^(-2n) for rho ~ 2y/h, up to
-    _STRIP_Y."""
+    rho = y/h + sqrt(1 + (y/h)^2), and M = 16 N e^(y |L|) is the square of
+    the approximate functional equation's |Z(t + iy)| <= 4 sqrt(N) e^(|y| |L| / 2),
+    N = floor(sqrt(t / 2 pi)) at the panel's right end, at least 1, and
+    |L| = |ln(t / 2 pi)| at the end where it is larger: the right end from
+    2 pi on, the left one below it, each end taken at t >= 1. y = 2n/|L|, which
+    minimizes e^(y |L|) rho^(-2n) for rho ~ 2y/h, up to _STRIP_Y, and up
+    to _NEAR_ZERO_Y on a panel starting below _NEAR_ZERO."""
     half = 0.5 * (hi - lo)
-    x = hi / (2.0 * math.pi)
-    log_x = np.log(x)
-    y = np.minimum(2.0 * _GAUSS_NODES / log_x, _STRIP_Y)
-    s = y / half
+    x = np.maximum(hi, 1.0) / (2.0 * math.pi)
+    log_x = np.maximum(np.log(x), -np.log(np.maximum(lo, 1.0) / (2.0 * math.pi)))
+    y = np.minimum(2.0 * _GAUSS_NODES / log_x, np.where(lo < _NEAR_ZERO, _NEAR_ZERO_Y, _STRIP_Y))
+    # s at most 1e100, so a sliver of a panel has bound 0 with no overflow
+    s = y / np.maximum(half, 1e-100 * y)
     rho = s + np.sqrt(1.0 + s * s)
-    m = 16.0 * np.floor(np.sqrt(x)) * np.exp(y * log_x)
+    m = 16.0 * np.maximum(np.floor(np.sqrt(x)), 1.0) * np.exp(y * log_x)
     return half * (64.0 / 15.0) * m * rho ** (-2.0 * _GAUSS_NODES) / (rho * rho - 1.0)
 
 
 def _eval_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(v, est, eng) for a batch of panels [lo, hi], from one z_array call
-    (none for a batch of no panel): each panel's value of the integral of
-    Z^2, the estimate of its rule error, and the engine error.
+    (none for a batch of no panel): each panel's 12-point Gauss value of
+    the integral of Z^2, its a-priori rule error bound (_gauss_bound), and
+    the engine error.
 
-    A panel from RS_SEAM on takes the 12-point Gauss rule, its estimate
-    the a-priori _gauss_bound; one below it takes K21, its estimate
-    |K21 - G10| from the same 21 values. Each panel's weighted values are
-    added node after node (a running sum along the row, not BLAS and not
-    numpy's pairwise sum), so a panel's values do not depend on the other
-    panels in the batch."""
-    gauss = lo >= RS_SEAM
-    khalf, kt = _panel_nodes(lo[~gauss], hi[~gauss], _XK)
-    ghalf, gt = _panel_nodes(lo[gauss], hi[gauss], _XGL)
-    t = np.concatenate([kt.ravel(), gt.ravel()])
-    f = z_array(t) ** 2 if t.size else t
-    fk, fg = f[:kt.size].reshape(kt.shape), f[kt.size:].reshape(gt.shape)
-    v, est = np.empty(lo.size), np.empty(lo.size)
-    v[~gauss] = np.add.accumulate(fk * _WK, axis=1)[:, -1] * khalf
-    est[~gauss] = np.abs(v[~gauss] - np.add.accumulate(fk[:, 1::2] * _WG, axis=1)[:, -1] * khalf)
-    v[gauss] = np.add.accumulate(fg * _WGL, axis=1)[:, -1] * ghalf
-    est[gauss] = _gauss_bound(lo[gauss], hi[gauss])
+    Each panel's weighted values are added node after node (a running sum
+    along the row, not BLAS and not numpy's pairwise sum), so a panel's
+    values do not depend on the other panels in the batch."""
+    half, t = _panel_nodes(lo, hi, _XGL)
+    f = z_array(t.ravel()).reshape(t.shape) ** 2 if t.size else t
+    v = np.add.accumulate(f * _WGL, axis=1)[:, -1] * half
     # engine contribution: |d integral| <= 2 int |Z| eps <= 2 eps sqrt(I w)
     eng = 2.0 * z_error_bound(0.5 * (lo + hi)) * np.sqrt(np.maximum(v, 0.0) * (hi - lo))
-    return v, est, eng
+    return v, _gauss_bound(lo, hi), eng
 
 
 def _panel_z(spans: list[tuple[float, float]]) -> Iterator[np.ndarray]:
-    """Z at the 21 Kronrod nodes of each panel [t0, t1] of spans in order,
-    from one z_array call per _GROUP_NODES nodes (780 panels); no call
-    for no panel. These are the panels between adjacent stored points,
-    which their stride cells already accepted, so nothing is refined."""
+    """Z at the 21 Kronrod read nodes of each panel [t0, t1] of spans in
+    order, from one z_array call per _GROUP_NODES nodes (780 panels); no
+    call for no panel. These are the panels between adjacent stored
+    points, which their stride cells already accepted."""
     t = _panel_nodes(*np.array(spans, dtype=float).reshape(-1, 2).T, _XK)[1]
-    per_call = _GROUP_NODES // _NODES_PER_PANEL
+    per_call = _GROUP_NODES // _READ_NODES
     for k in range(0, len(t), per_call):
-        yield from z_array(t[k:k + per_call].ravel()).reshape(-1, _NODES_PER_PANEL)
+        yield from z_array(t[k:k + per_call].ravel()).reshape(-1, _READ_NODES)
 
 
-def _refine(a: float, b: float, lo: np.ndarray, hi: np.ndarray, v: np.ndarray,
-            est: np.ndarray, eng: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Final panels of [a, b] from its first panels (lo, hi) and their
-    _eval_panels values: (lo, v, err, nodes).
+def _check(a: float, b: float, lo: np.ndarray, v: np.ndarray, est: np.ndarray,
+           eng: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(lo, v, err, nodes) of [a, b] from its panels' left edges lo and
+    their _eval_panels values, once their estimates meet the one
+    quadrature tolerance AUTO_TOL_RATE * max(b - a, 1), CELL_TOL on a
+    stride cell: err is the per-panel estimate, rule bound + engine
+    error, and nodes the Z nodes evaluated.
 
-    lo are the left panel edges, v the panel values, err the per-panel
-    estimate, rule estimate + engine error, and nodes every Z node
-    evaluated. The tolerance is the one quadrature rule,
-    AUTO_TOL_RATE * max(b - a, 1): CELL_TOL on a stride cell. Panels whose
-    rule estimate exceeds their share of it are bisected, and only the
-    new halves evaluated, up to a fixed refinement budget; exhaustion
-    raises with the best result attached. The engine-bound part of the
-    estimate is a floor no refinement can cross, so a tolerance below it
-    fails fast.
-    """
+    A total estimate over the tolerance raises ToleranceError with the
+    value and estimate attached; one whose engine part alone exceeds half
+    the tolerance is named as the engine floor, which no narrower panel
+    could cross."""
     tol = AUTO_TOL_RATE * max(b - a, 1.0)
-    nodes = _node_count(lo)
-    for _ in range(24):
-        err = est + eng
-        if float(np.sum(err)) <= tol:
-            return lo, v, err, nodes
-        if float(np.sum(eng)) > 0.5 * tol:
-            raise ToleranceError(
-                f"engine error floor exceeds tol={tol:g} on [{a},{b}]",
-                best_value=math.fsum(v),
-                best_error=float(np.sum(err)),
-            )
-        bad = est > 0.25 * tol * (hi - lo) / (b - a)
-        if not bad.any():
-            bad = est >= np.max(est)
-        mid = 0.5 * (lo[bad] + hi[bad])
-        new_lo = np.concatenate([lo[bad], mid])
-        new_hi = np.concatenate([mid, hi[bad]])
-        new = (new_lo, new_hi, *_eval_panels(new_lo, new_hi))
-        merged = [np.concatenate([old[~bad], n]) for old, n in zip((lo, hi, v, est, eng), new)]
-        order = np.argsort(merged[0], kind="stable")
-        lo, hi, v, est, eng = (m[order] for m in merged)
-        nodes += _node_count(new_lo)
+    err = est + eng
+    if float(np.sum(err)) <= tol:
+        return lo, v, err, _GAUSS_NODES * lo.size
+    what = "engine error floor" if float(np.sum(eng)) > 0.5 * tol else "panel error bound"
     raise ToleranceError(
-        f"refinement budget exhausted on [{a},{b}] at tol={tol:g}",
+        f"{what} exceeds tol={tol:g} on [{a},{b}]",
         best_value=math.fsum(v),
-        best_error=float(np.sum(est + eng)),
+        best_error=float(np.sum(err)),
     )
 
 
 def _quad(spans: list[tuple[float, float]]) -> Iterator[tuple | LadderLabError]:
-    """For each [a, b] of spans in order, its final panels as _refine
-    returns them, (lo, v, err, nodes), or the LadderLabError it met: a
-    segment, or the stride cells of a build.
+    """For each [a, b] of spans in order, its panels as _check returns
+    them, (lo, v, err, nodes), or the LadderLabError it met: a segment, or
+    the stride cells of a build.
 
-    Consecutive spans whose first panels (_panel_edges; a zero-width span
-    has none) hold at most _GROUP_NODES nodes (_node_count), and at least
-    one span, share one _eval_panels call; each span then refines on its
-    own."""
+    Consecutive spans whose panels (_panel_edges; a zero-width span has
+    none) hold at most _GROUP_NODES nodes, and at least one span, share
+    one _eval_panels call."""
     edges = [_panel_edges(a, b) for a, b in spans]
-    sizes = [_node_count(e[:-1]) for e in edges]
+    sizes = [_GAUSS_NODES * (e.size - 1) for e in edges]
     start = 0
     while start < len(spans):
         stop, size = start + 1, sizes[start]
@@ -366,11 +323,11 @@ def _quad(spans: list[tuple[float, float]]) -> Iterator[tuple | LadderLabError]:
         group = edges[start:stop]
         lo = np.concatenate([e[:-1] for e in group])
         hi = np.concatenate([e[1:] for e in group])
-        first = (lo, hi, *_eval_panels(lo, hi))
+        first = (lo, *_eval_panels(lo, hi))
         p = 0
         for (a, b), e in zip(spans[start:stop], group):
             q = p + e.size - 1
-            yield attempt(_refine, a, b, *[x[p:q] for x in first])
+            yield attempt(_check, a, b, *[x[p:q] for x in first])
             p = q
         start = stop
 
@@ -408,10 +365,10 @@ def _square_model(z: np.ndarray, half: float) -> tuple[list[float], list[float],
     integral of p^2 from -1, scaled by the panel's half-width; P(-1) is
     exactly 0."""
     pz = _Z_MAP @ z
-    prim = (_SQ_MAP @ pz[_NODES_PER_PANEL:] ** 2 * half).tolist()
+    prim = (_SQ_MAP @ pz[_READ_NODES:] ** 2 * half).tolist()
     grid = prim[_PRIM_SQ.shape[0]:]
     grid[0] = 0.0
-    return pz[:_NODES_PER_PANEL].tolist(), prim[:_PRIM_SQ.shape[0]], grid
+    return pz[:_READ_NODES].tolist(), prim[:_PRIM_SQ.shape[0]], grid
 
 
 def _solve_in_panel(need: float, t0: float, t1: float, z: np.ndarray) -> tuple[float, list[float]]:
@@ -423,9 +380,9 @@ def _solve_in_panel(need: float, t0: float, t1: float, z: np.ndarray) -> tuple[f
     Solves on P with no Z call: Newton, safeguarded by bisection, in the
     _GRID cell whose P values bracket need, from the linear interpolant.
     P over the whole panel differs from the panel's stored quadrature
-    value by rule and model error (up to 6.8e-8 on the 12-point Gauss
-    panels to T_MAX, 5.9e-10 on the K21 panels below RS_SEAM), so a need
-    past P's total returns t1, and one of at most 0 t0.
+    value by rule and model error (up to 6.8e-8 on the panels to T_MAX,
+    4e-11 on those below t = 100), so a need past P's total returns t1,
+    and one of at most 0 t0.
     """
     mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
     coef, prim, grid = _square_model(z, half)
@@ -450,11 +407,12 @@ def _read_in_panel(T: float, j0: float, t0: float, t1: float, prim: list[float])
 
 
 def integrate_segment(a: float, b: float) -> IntegralResult:
-    """Quadrature of Z^2 over [a, b], with |error| <= estimate <=
+    """Quadrature of Z^2 over [a, b] on its panels, each evaluated once at
+    the 12-point Gauss rule, with |error| <= estimate <=
     AUTO_TOL_RATE * max(b - a, 1).
 
-    Raises ToleranceError when refinement cannot meet that tolerance, and
-    InfeasibleError when b exceeds T_MAX.
+    Raises ToleranceError when the panels' bounds miss that tolerance
+    (no segment to T_MAX does), and InfeasibleError when b exceeds T_MAX.
     """
     if not 0.0 <= a <= b < math.inf:
         raise DomainError("integrate_segment requires finite 0 <= a <= b")
@@ -487,8 +445,8 @@ class CheckpointCache:
     panel apart; in memory only: save() never writes them and equality
     ignores them. J between two adjacent stored points is read off the
     model of the one panel between them (hl_integral), which the cell's
-    quadrature already accepted, so a read evaluates Z on it and refines
-    nothing.
+    quadrature already accepted, so a read evaluates Z on it and
+    integrates nothing.
     extend_to() stores the knots of the cells it integrates, with one Z
     call per group of cells; a cell from load() gets them on the first
     hl_integral read that lands in it, or in invert's one grouped fill
@@ -576,8 +534,8 @@ class CheckpointCache:
         follows it in order); returns the Z nodes."""
         nodes = 0
         spans = [(k * DEFAULT_STRIDE, (k + 1) * DEFAULT_STRIDE) for k in cells]
-        for i, (_, b), refined in zip(cells, spans, _quad(spans)):
-            clo, v, err, n = unwrap(refined)
+        for i, (_, b), checked in zip(cells, spans, _quad(spans)):
+            clo, v, err, n = unwrap(checked)
             j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
             vals = v.tolist()
             if i >= len(self._kstart):
@@ -647,7 +605,7 @@ class CheckpointCache:
         grouped pass (_cells). The adjacent stored points t0 < t1 whose J
         values bracket the target, J(t0) <= target < J(t1), are one panel
         apart, a panel its stride cell already accepted, so Z is evaluated
-        at its 21 Kronrod nodes and nothing is integrated or refined: one
+        at its 21 Kronrod nodes and nothing is integrated: one
         Z call of 21 nodes per target on a warm cache, for up to 780
         targets (_panel_z). U is solved in [t0, t1] on the integral of p^2,
         p the degree-20 interpolant of the panel's 21 Z values
@@ -753,7 +711,7 @@ def hl_integral_all(Ts, cache: CheckpointCache | None = None
         (t0, j0, _), (t1, _, e1), nodes = out[k]
         prim = _square_model(z, 0.5 * (t1 - t0))[1]
         out[k] = IntegralResult(a=0.0, b=Ts[k], value=_read_in_panel(Ts[k], j0, t0, t1, prim),
-                                abs_error_estimate=e1, node_count=nodes + _NODES_PER_PANEL)
+                                abs_error_estimate=e1, node_count=nodes + _READ_NODES)
     return out
 
 
@@ -763,8 +721,8 @@ def hl_integral(T: float, cache: CheckpointCache | None = None) -> IntegralResul
     t0 < T < t1, P the integral from t0 of p^2, p the degree-20
     interpolant of Z at the 21 Kronrod nodes of the panel [t0, t1]
     (_read_in_panel, after one Z call on that panel's nodes; the stride
-    cell already accepted the panel, so nothing is integrated or
-    refined). The estimate is the one stored at t1: J(t0)'s plus the
+    cell already accepted the panel, so nothing is integrated). The
+    estimate is the one stored at t1: J(t0)'s plus the
     panel's rule estimate and engine term.
 
     The checkpoints through the stride cell holding T and that cell's

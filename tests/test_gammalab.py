@@ -191,7 +191,7 @@ def test_warm_gamma_functional_makes_one_z_call(shared_cache, monkeypatch):
 
     monkeypatch.setattr(integral, "z_array", counting)
     assert gamma_functional(1.0, taus, cache=shared_cache).to_json() == want
-    assert calls == [integral._NODES_PER_PANEL * len(taus)], calls
+    assert calls == [integral._READ_NODES * len(taus)], calls
 
 
 def test_warm_gram_reports_make_one_gram_solve_and_one_z_call(shared_cache, monkeypatch):

@@ -166,39 +166,38 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_kronrod_rule_table():
-    x, w, wg = integral._XK, integral._WK, integral._WG
-    n = integral._NODES_PER_PANEL
-    assert n == x.size == w.size == 21
-    # K21 is exact through degree 31 and no further
-    for k in range(32):
-        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        assert abs(w @ x**k - exact) <= 4e-16
-    assert abs(w @ x**32 - 2.0 / 33) > 1e-13
+    # the read model's nodes: the 21 Kronrod abscissae, symmetric about
+    # the centre, with the 10 Gauss-Legendre nodes at every other one
+    x, n = integral._XK, integral._READ_NODES
+    assert n == x.size == 21
     assert np.all(x == -x[::-1]) and np.all(np.diff(x) > 0.0) and x[n // 2] == 0.0
-    assert np.all(w > 0.0) and np.all(w == w[::-1]) and abs(w.sum() - 2.0) <= 4e-16
-    # the embedded rule is Gauss-Legendre 10 on every other Kronrod node
-    xg, wg10 = np.polynomial.legendre.leggauss(10)
-    assert np.max(np.abs(x[1::2] - xg)) <= 4e-16 and np.max(np.abs(wg - wg10)) <= 4e-16
-    # the degree-20 interpolant p of the 21 values integrates to their K21 value
+    assert np.max(np.abs(x[1::2] - np.polynomial.legendre.leggauss(10)[0])) <= 4e-16
     rng = np.random.default_rng(12)
-    f = rng.random((50, n))
-    leg = f @ integral._LEG.T
-    assert leg.shape == (50, 21)
-    assert np.max(np.abs(2.0 * leg[:, 0] - f @ w)) <= 4e-15
-    # invert() solves on the integral of p^2: for z of degree <= 15, p is z
-    # and z^2 lies in K21's exact range, so over [-1, 1] it is K21 of z^2
+    # the degree-20 interpolant p of the values of a polynomial of degree
+    # <= 20 is that polynomial: its Legendre coefficients, and so its
+    # integral over [-1, 1], twice the first
+    for _ in range(50):
+        c = rng.normal(size=rng.integers(1, n + 1))
+        leg = integral._LEG @ np.polynomial.legendre.legval(x, c)
+        assert leg.shape == (21,) and np.max(np.abs(leg[:c.size] - c)) <= 1e-13
+        assert np.max(np.abs(leg[c.size:]), initial=0.0) <= 1e-13
+    # invert() solves on the integral of p^2: for z of degree <= 20, p is
+    # z, so over [-1, 1] it is the exact integral of z^2, the sum of
+    # c_k^2 2 / (2k + 1) over z's Legendre coefficients c
     for _ in range(200):
-        z = np.polynomial.legendre.legval(x, rng.normal(size=rng.integers(1, 17)))
-        z /= np.max(np.abs(z))
-        coef, prim, grid = integral._square_model(z, 1.0)
+        c = rng.normal(size=rng.integers(1, n + 1))
+        z = np.polynomial.legendre.legval(x, c)
+        scale = np.max(np.abs(z))
+        exact = float(np.sum((c / scale) ** 2 * 2.0 / (2.0 * np.arange(c.size) + 1.0)))
+        coef, prim, grid = integral._square_model(z / scale, 1.0)
         assert len(coef) == 21 and len(prim) == 42 and len(grid) == len(integral._GRID)
-        assert abs(np.polynomial.legendre.legval(1.0, prim) - w @ z**2) <= 4e-15
-        assert grid[0] == 0.0 and abs(grid[-1] - w @ z**2) <= 4e-15
+        assert abs(np.polynomial.legendre.legval(1.0, prim) - exact) <= 1e-13
+        assert grid[0] == 0.0 and abs(grid[-1] - exact) <= 1e-13
 
 
 def test_gauss_rule_table():
-    # the 12-point Gauss-Legendre rule of the panels from RS_SEAM on is
-    # exact through degree 23 and no further
+    # the 12-point Gauss-Legendre rule of every panel is exact through
+    # degree 23 and no further
     x, w = integral._XGL, integral._WGL
     n = integral._GAUSS_NODES
     assert n == x.size == w.size == 12
@@ -228,7 +227,7 @@ def test_p_only_clenshaw_is_numpy_legval():
     # bits as P from the pair loop and as numpy's legval
     rng = np.random.default_rng(27)
     for _ in range(50):
-        coef, prim, _ = integral._square_model(rng.normal(size=integral._NODES_PER_PANEL),
+        coef, prim, _ = integral._square_model(rng.normal(size=integral._READ_NODES),
                                                rng.uniform(0.05, 0.5))
         for x in rng.uniform(-1.0, 1.0, 20).tolist():
             want = float(np.polynomial.legendre.legval(x, np.array(prim))).hex()
@@ -236,17 +235,23 @@ def test_p_only_clenshaw_is_numpy_legval():
             assert integral._legval(x, prim).hex() == want
 
 
+def _full_panels(lo):
+    """The full-width panels starting at lo, as the panel rule cuts them."""
+    return np.array([integral._panel_edges(t, t + 100.0)[1] for t in lo])
+
+
 def test_panel_estimate_bounds_true_error():
-    # against 40-node Gauss-Legendre on each half of the widest panels:
-    # K21 below the seam, and the 12-point Gauss rule with its a-priori
-    # bound on every decade from just above the seam to T_MAX
+    # against 40-node Gauss-Legendre on each half of full-width panels,
+    # the 12-point Gauss rule with its a-priori bound plus the engine term:
+    # near zero, where the panels are 0.8 wide up to t = 8, and on every
+    # decade from just above the seam to T_MAX
     x40, w40 = np.polynomial.legendre.leggauss(40)
     rng = np.random.default_rng(2024)
     worst = {}
-    for t in (20.0, RS_SEAM, 3e2, 1e3, 3e3, 1e4, 3e4, 5.8e4, T_MAX - 100.0):
-        lo = t + rng.uniform(0.0, 50.0, 40)
-        cap = integral._PANEL_CAP if t >= RS_SEAM else integral._LOW_PANEL_CAP
-        hi = lo + cap / np.log(lo)
+    for t in (0.0, 4.0, 20.0, 50.0, RS_SEAM, 3e2, 1e3, 3e3, 1e4, 3e4, 5.8e4, T_MAX - 100.0):
+        lo = t + rng.uniform(0.0, 4.0 if t < RS_SEAM else 50.0, 40)
+        lo[0] = t
+        hi = _full_panels(lo)
         v, est, eng = integral._eval_panels(lo, hi)
         quarter = 0.25 * (hi - lo)
         ref = 0.0
@@ -262,57 +267,79 @@ def test_panel_estimate_bounds_true_error():
 
 def test_panel_values_independent_of_batch():
     # a panel's value, rule estimate and engine error have the same bits
-    # whatever other panels share its batch, K21 and Gauss panels mixed
+    # whatever other panels share its batch, near-zero and high panels mixed
     rng = np.random.default_rng(31)
     for P in range(1, 101, 3):
-        lo = rng.choice([60.0, 3e4], P) + rng.uniform(0.0, 50.0, P)
-        hi = lo + integral._PANEL_CAP / np.log(lo)
+        lo = rng.choice([0.0, 4.0, 60.0, 3e4], P) + rng.uniform(0.0, 8.0, P)
+        hi = _full_panels(lo)
         v, est, eng = integral._eval_panels(lo, hi)
         for k in range(P):
             av, aest, aeng = integral._eval_panels(lo[k:k + 1], hi[k:k + 1])
             assert (v[k], est[k], eng[k]) == (av[0], aest[0], aeng[0]), (P, k)
 
 
+def _first_nodes(a, b):
+    """The Z nodes of the panels of [a, b], 12 a panel."""
+    return integral._GAUSS_NODES * (integral._panel_edges(a, b).size - 1)
+
+
 def test_stride_cells_need_no_refinement():
-    # every cell up to T_MAX meets CELL_TOL on its first panels, each
-    # evaluated at its own rule's nodes; a panel cap too wide for the
-    # rule would show here as extra nodes
+    # every cell up to T_MAX meets CELL_TOL on its panels, each evaluated
+    # once at the 12 Gauss nodes; a cell whose bound missed would raise
     cache = CheckpointCache()
     nodes = cache.extend_to(T_MAX)
-    first = sum(integral._node_count(integral._panel_edges(t - DEFAULT_STRIDE, t)[:-1])
-                for t in cache.ts)
     assert len(cache.ts) == T_MAX / DEFAULT_STRIDE
-    assert nodes == first
+    assert nodes == sum(_first_nodes(t - DEFAULT_STRIDE, t) for t in cache.ts)
     worst_cell = max((b - a) / CELL_TOL for a, b in zip([0.0, *cache.errs], cache.errs))
     # nor does any final panel, the span between two adjacent stored
     # points, miss AUTO_TOL_RATE * max(width, 1) on its own, which is what
-    # lets a read or an invert target evaluate its panel once, with no
-    # refinement; a panel's estimate is the step in the stored errors
-    worst = {False: 0.0, True: 0.0}  # K21 below the seam, Gauss from it on
+    # lets a read or an invert target evaluate its panel once; a panel's
+    # estimate is the step in the stored errors
+    worst = 0.0
     for i in range(len(cache.ts)):
         kt, _, ke = _knots(cache, i)
         t0, _, e0 = cache._point(i - 1)
         ts, errs = [t0, *kt, cache.ts[i]], [e0, *ke, cache.errs[i]]
         for a, b, ea, eb in zip(ts, ts[1:], errs, errs[1:]):
-            gauss = a >= RS_SEAM
-            worst[gauss] = max(worst[gauss], (eb - ea) / (AUTO_TOL_RATE * max(b - a, 1.0)))
+            worst = max(worst, (eb - ea) / (AUTO_TOL_RATE * max(b - a, 1.0)))
     print(f"worst cell estimate / CELL_TOL = {worst_cell:.3g}; worst final panel estimate / "
-          f"its tolerance = {worst[False]:.3g} (K21), {worst[True]:.3g} (Gauss)")
-    # the worst cell and Gauss panel sit at the top cell, where the Gauss
-    # bound is widest; the K21 panels keep their estimates
+          f"its tolerance = {worst:.3g}")
+    # the worst cell sits at the top cell, where the Gauss bound is widest;
+    # the worst panel is [23.5, 30.4], a 7 pi panel below the seam, and the
+    # 0.8-wide ones below t = 8 use at most 3e-5 of theirs
     assert 0.38 <= worst_cell <= 0.40
-    assert 0.78 <= worst[False] <= 0.80 and 0.39 <= worst[True] <= 0.41
+    assert 0.51 <= worst <= 0.52
+
+
+def test_one_shot_check_passes_near_zero_and_across_the_seam():
+    # seeded segments that start in [0, 8], where the panels are 0.8 wide,
+    # or straddle the seam, from 1e-3 to 150 units: each meets its
+    # tolerance on its panels in one evaluation
+    rng = random.Random(8)
+    spans = [(a, a + w) for a, w in ((rng.uniform(0.0, 8.0), rng.choice([1e-3, 0.3, 5.0, 150.0]))
+                                     for _ in range(40))]
+    spans += [(a, a + w) for a, w in ((rng.uniform(60.0, 100.0), rng.uniform(0.0, 150.0))
+                                      for _ in range(20))]
+    spans += [(0.0, 8.0), (7.9, 8.1), (99.9, 100.1), (0.0, RS_SEAM)]
+    # slivers at t = 0, whose panels' ellipses would overflow a bound
+    # computed without a cap
+    spans += [(0.0, 5e-324), (0.0, 2.6e-205), (0.0, 1e-100)]
+    for a, b in spans:
+        seg = integrate_segment(a, b)
+        assert seg.abs_error_estimate <= AUTO_TOL_RATE * max(b - a, 1.0), (a, b)
+        assert seg.node_count == _first_nodes(a, b), (a, b)
 
 
 def test_panel_rule_either_side_of_the_seam():
-    # a panel starting at t is 4 pi / ln max(t, 20) wide below RS_SEAM and
-    # 7 pi / ln t from it on; the last panel of a range ends at its end
-    for a, b in ((0.0, 50.0), (50.0, 100.0), (90.0, 130.0), (100.0, 150.0), (5.8e4, 5.805e4)):
+    # a panel starting at t is 0.8 wide below t = 8 and 7 pi / ln max(t, 20)
+    # from it on, on either side of the seam; the last panel of a range
+    # ends at its end
+    for a, b in ((0.0, 50.0), (50.0, 100.0), (3.3, 20.0), (90.0, 130.0), (100.0, 150.0),
+                 (5.8e4, 5.805e4)):
         edges = integral._panel_edges(a, b).tolist()
         assert edges[0] == a and edges[-1] == b
         for lo, hi in zip(edges, edges[1:]):
-            cap = 7.0 * math.pi if lo >= RS_SEAM else 4.0 * math.pi
-            width = cap / math.log(max(lo, 20.0))
+            width = 0.8 if lo < 8.0 else 7.0 * math.pi / math.log(max(lo, 20.0))
             assert hi == lo + width or (hi == b and hi < lo + width), (a, lo)
 
 
@@ -323,12 +350,13 @@ def _knots(cache, i):
 
 
 def test_cells_below_the_seam_keep_their_bits():
-    # the two Euler-Maclaurin cells keep their 4 pi panels, and so the
-    # bits of their checkpoints
+    # the two Euler-Maclaurin cells, on the one Gauss rule: their
+    # checkpoints' bits are pinned, and J(100) lies within its estimate of
+    # the mpmath oracle (test_j_oracle_values)
     cache = CheckpointCache()
     cache.extend_to(100.0)
-    assert [j.hex() for j in cache.js] == ["0x1.cfa59df27481ep+6", "0x1.27a295d9e8ae4p+8"]
-    assert [e.hex() for e in cache.errs] == ["0x1.a103472e8a875p-14", "0x1.a10360dc2823fp-14"]
+    assert [j.hex() for j in cache.js] == ["0x1.cfa59df2e8a81p+6", "0x1.27a295da05c8bp+8"]
+    assert [e.hex() for e in cache.errs] == ["0x1.2036e89ef097ap-12", "0x1.657d87eda96b6p-12"]
 
 
 def test_cache_corruption(tmp_path):
@@ -374,6 +402,7 @@ def test_cache_corruption(tmp_path):
                           ("# ladderlab cache v5 stride=50 tol=0.0015\n", "version 5,"),
                           ("# ladderlab cache v6 stride=50 tol=0.0015\n", "version 6,"),
                           ("# ladderlab cache v7 stride=50 tol=0.0015\n", "version 7,"),
+                          ("# ladderlab cache v8 stride=50 tol=0.0015\n", "version 8,"),
                           ("", "version missing,")):
         with open(path, "w") as fh:
             fh.write(header + "T,J,abs_err\n50,10,0\n100,20,0\n")
@@ -410,9 +439,9 @@ def test_load_rejects_off_grid_rows(tmp_path):
 
 
 def test_node_count_counts_every_evaluated_node(monkeypatch):
-    # a tolerance of 1e-10 on [0, 30] forces three refinement rounds after
-    # the first panels; each bisects one panel and evaluates only its two
-    # halves
+    # a segment evaluates each of its panels once, at 12 nodes; a rate
+    # whose tolerance of 1e-10 on [0, 30] its panels' bounds miss raises
+    # with the value and estimate attached, after that one evaluation
     sizes = []
     z_array = integral.z_array
 
@@ -421,12 +450,15 @@ def test_node_count_counts_every_evaluated_node(monkeypatch):
         return z_array(t)
 
     monkeypatch.setattr(integral, "z_array", counting)
+    res = integrate_segment(0.0, 30.0)
+    assert sizes == [res.node_count] == [12 * (integral._panel_edges(0.0, 30.0).size - 1)]
+    sizes.clear()
     with monkeypatch.context() as m:
         m.setattr(integral, "AUTO_TOL_RATE", 1e-10 / 30.0)
-        res = integrate_segment(0.0, 30.0)
-    first = integral._panel_edges(0.0, 30.0).size - 1
-    assert sizes == [n * integral._NODES_PER_PANEL for n in (first, 2, 2, 2)]
-    assert res.node_count == sum(sizes)
+        with pytest.raises(ToleranceError, match=r"panel error bound exceeds tol=1e-10 ") as exc:
+            integrate_segment(0.0, 30.0)
+    assert sizes == [res.node_count]
+    assert exc.value.best_value == res.value and exc.value.best_error == res.abs_error_estimate
 
     # a cached read counts the checkpoints it builds and the knots it
     # fills, not only its tail
@@ -489,7 +521,7 @@ def test_read_evaluates_one_panel_and_a_stored_point_none(shared_cache, monkeypa
         assert (res.value, res.abs_error_estimate, res.node_count) == (j, e, 0)
     assert sizes == []
     res = hl_integral(0.5 * (kt[3] + kt[4]), cache=shared_cache)
-    assert sizes == [integral._NODES_PER_PANEL] == [res.node_count]
+    assert sizes == [integral._READ_NODES] == [res.node_count]
     assert res.abs_error_estimate == ke[4] and kj[3] < res.value < kj[4]
 
 
@@ -526,7 +558,7 @@ def test_batched_reads_same_bits_as_sequential_reads(monkeypatch):
     sizes.clear()
     assert [_read_bits(r)[:2] for r in hl_integral_all(Ts[:5] + Ts[6:], batched)] == [
         _read_bits(r)[:2] for r in got]
-    assert sizes == [integral._NODES_PER_PANEL * (len(Ts) - 4)]  # 1.2e5, 1000, 0, 2500 make none
+    assert sizes == [integral._READ_NODES * (len(Ts) - 4)]  # 1.2e5, 1000, 0, 2500 make none
     # a loaded cache fills the cells it reads, with the same bits
     loaded = CheckpointCache(ts=batched.ts, js=batched.js, errs=batched.errs)
     assert [_read_bits(r)[:2] for r in hl_integral_all(Ts[:5] + Ts[6:], loaded)] == [
@@ -562,7 +594,7 @@ def test_invert_returns_the_plain_read_of_j_at_its_root(shared_cache, monkeypatc
 
     monkeypatch.setattr(integral, "z_array", counting)
     assert shared_cache.invert([j for _, j in stored]) == stored
-    assert sizes == [integral._NODES_PER_PANEL * len(stored)]
+    assert sizes == [integral._READ_NODES * len(stored)]
 
 
 def test_invert_targets_just_below_a_stored_j(shared_cache, tmp_path):
@@ -710,7 +742,8 @@ def test_uncached_read_is_the_cached_read(shared_cache):
 
 def test_uncached_read_integrates_cell_by_cell(monkeypatch, shared_cache):
     # an uncached read builds its cells in groups of at most _GROUP_NODES
-    # first-pass nodes, so no Z batch, and no memory, grows with T
+    # nodes, each panel evaluated once, so no Z batch, and no memory,
+    # grows with T
     sizes = []
     z_array = integral.z_array
 
@@ -723,10 +756,8 @@ def test_uncached_read_integrates_cell_by_cell(monkeypatch, shared_cache):
     assert len(sizes) > 1 and max(sizes) <= integral._GROUP_NODES
     assert res.node_count == sum(sizes)
     # each group but the last build group (then the read's panel) is full
-    # to within one cell, counted at each panel's own rule: 12 nodes a
-    # Gauss panel, 21 a K21 one
-    cell = max(integral._node_count(integral._panel_edges(a, a + DEFAULT_STRIDE)[:-1])
-               for a in np.arange(0.0, 5e3, DEFAULT_STRIDE))
+    # to within one cell, at 12 nodes a panel
+    cell = max(_first_nodes(a, a + DEFAULT_STRIDE) for a in np.arange(0.0, 5e3, DEFAULT_STRIDE))
     assert all(n > integral._GROUP_NODES - cell for n in sizes[:-2]), sizes
 
     # nor does a warm-cache invert batch grow with the number of targets

@@ -116,7 +116,7 @@ def test_row_z_call_budget(shared_cache, monkeypatch):
         row = evaluate_equivalent("gamma", q, cache=shared_cache)
         assert row.tau_max is not None
     assert calls == [1] * len(calls), calls
-    assert all(n <= integral._NODES_PER_PANEL * r for n, r in zip(nodes, rungs)), (nodes, rungs)
+    assert all(n <= integral._READ_NODES * r for n, r in zip(nodes, rungs)), (nodes, rungs)
 
 
 def test_row_reads_and_gram_rungs_share_one_call(shared_cache, monkeypatch):

@@ -42,13 +42,24 @@ def test_z_within_bound_above_1e4(z_table_high):
     assert np.all(err <= z_error_bound(ts))
 
 
-def test_strip_model_bounds_z_off_the_line(z_strip):
-    # the approximate functional equation's |Z(t + iy)| <= 4 sqrt(N) e^(|y| L / 2),
-    # N = floor(sqrt(t / 2 pi)) and L = ln(t / 2 pi), on every decade of
-    # [RS_SEAM, T_MAX] and every y' up to y_max. N and L are taken at
-    # t - y', below the point: a Gauss panel's bound takes them at its
-    # right end, and its ellipse of half-height y' reaches less than y'
-    # past that end
+def _strip_model(t: float, y: float) -> float:
+    """The approximate functional equation's |Z(t + iy)| <= 4 sqrt(N) e^(|y| |L| / 2),
+    N = floor(sqrt(t / 2 pi)), at least 1, and L = ln(t / 2 pi), each at
+    its least within y of t, and L at t >= 1: a Gauss panel's bound takes
+    N at its right end and |L| at the end where it is larger, and its
+    ellipse of half-height y reaches less than y past its ends."""
+    lo, hi = max(t - y, 1.0), max(t + y, 1.0)
+    log_x = 0.0 if lo <= 2.0 * math.pi <= hi else min(
+        abs(math.log(lo / (2.0 * math.pi))), abs(math.log(hi / (2.0 * math.pi))))
+    n = max(math.floor(math.sqrt(max(t - y, 0.0) / (2.0 * math.pi))), 1)
+    return 4.0 * math.sqrt(n) * math.exp(0.5 * y * log_x)
+
+
+def test_strip_model_bounds_z_off_the_line(z_strip, z_strip_low):
+    # the strip model bounds mpmath's |Z(t + iy')| on every decade of
+    # [RS_SEAM, T_MAX] at every y' up to y_max, and below the seam down to
+    # t = 0: there at every y' up to 0.45, clear of theta's singularity at
+    # t = i/2, and from t = 4 on up to y_max
     pts = z_strip["points"]
     ts = {p["t"] for p in pts}
     assert min(ts) == RS_SEAM and max(ts) == T_MAX
@@ -57,14 +68,22 @@ def test_strip_model_bounds_z_off_the_line(z_strip):
     assert {p["y"] for p in pts} >= {0.25, 0.5, 1.0, 2.0, z_strip["y_max"]}
     assert all(0.0 < p["y"] <= z_strip["y_max"] for p in pts)
     assert integral._STRIP_Y <= z_strip["y_max"]  # the Gauss bound's widest strip
-    worst = 0.0
-    for p in pts:
-        t = p["t"] - p["y"]
-        model = 4.0 * math.sqrt(math.floor(math.sqrt(t / (2.0 * math.pi)))) * math.exp(
-            0.5 * p["y"] * math.log(t / (2.0 * math.pi)))
-        assert p["abs_z"] <= model, (p, model)
-        worst = max(worst, p["abs_z"] / model)
-    print(f"worst |Z(t + iy')| / model = {worst:.3g}")
+    low = z_strip_low["points"]
+    low_ts = sorted({p["t"] for p in low})
+    assert low_ts[0] == 0.0 and low_ts[-1] < RS_SEAM and len(low_ts) >= 20
+    assert z_strip_low["y_max"] == z_strip["y_max"]
+    for t in low_ts:
+        ys = {p["y"] for p in low if p["t"] == t}
+        assert integral._NEAR_ZERO_Y in ys and max(ys) == (
+            z_strip["y_max"] if t >= 4.0 else integral._NEAR_ZERO_Y), t
+    worst = {"high": 0.0, "low": 0.0}
+    for name, points in (("high", pts), ("low", low)):
+        for p in points:
+            model = _strip_model(p["t"], p["y"])
+            assert p["abs_z"] <= model, (p, model)
+            worst[name] = max(worst[name], p["abs_z"] / model)
+    print(f"worst |Z(t + iy')| / model = {worst['high']:.3g} from the seam on, "
+          f"{worst['low']:.3g} below it")
 
 
 def test_z_at_zero_ordinates(zero_table):

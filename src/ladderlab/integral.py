@@ -144,7 +144,11 @@ _VERSION_TAG = "# ladderlab cache v"
 _HEADER = f"{_VERSION_TAG}{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}"
 # Most Z nodes in one z_array call, for a group of _quad's spans (a stride
 # cell has 132 to 324 from the seam to T_MAX, 12 a panel, and 216 and 120
-# below it) or of _panel_z's panels; larger groups cost peak RSS.
+# below it) or of _panel_z's panels; larger groups cost peak RSS. At v9,
+# with z_array splitting a batch across two CPUs, cache-build read 2^15
+# at 0.95x the build_ref of 2^14 (8 of 10 pairs) for +2.9 MB peak RSS,
+# and 2^13 at 1.76x: its groups fall under zeta's split floor and run on
+# one CPU.
 _GROUP_NODES = 2**14
 # The mean value J(t) ~ t ln(t / 2 pi) + (2c - 1) t has slope ln t + _MV_SLOPE
 # and is 0 at _MV_ZERO.

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .arith import dirichlet_D
 from .constants import EULER_GAMMA, T_FLOOR, T_MAX
 from .errors import DomainError, InfeasibleError, LadderLabError, attempt, unwrap
-from .gammalab import C0_CONVENTION, ln_gamma
+from .gammalab import C0_CONVENTION, d_increment_all, ln_gamma_increment_all
 from .gram import DEFAULT_STRATEGY, t1_increment_all, t2_increment_all
 from .integral import CheckpointCache, hl_integral_all, hl_representation
 from .ladder import ascend_all
@@ -182,11 +181,6 @@ def _rung_integral(Ts, cache: CheckpointCache) -> list:
             for T, j in zip(Ts, hl_integral_all(Ts, cache))]
 
 
-def _each(delta: Callable[[float, float], float]):
-    """delta(T, U) for each rung (T, U], or the LadderLabError it met."""
-    return lambda rungs: [attempt(delta, T, U) for T, U in rungs]
-
-
 def _over_ascent(deltas: Callable[[list], list], err: float):
     """Increments over the rungs (T, U], U the ascent of T, all ascended
     together and passed to deltas in one call, with a fixed numeric error."""
@@ -199,8 +193,8 @@ def _over_ascent(deltas: Callable[[list], list], err: float):
     return increments
 
 
-_D = _over_ascent(_each(lambda T, U: dirichlet_D(U) - dirichlet_D(T)), 2.0)
-_LN_GAMMA = _over_ascent(_each(lambda T, U: ln_gamma(U) - ln_gamma(T)), 1e-5)
+_D = _over_ascent(d_increment_all, 2.0)
+_LN_GAMMA = _over_ascent(ln_gamma_increment_all, 1e-5)
 _T1 = _over_ascent(t1_increment_all, 1e-5)
 _T2 = _over_ascent(t2_increment_all, 1e-5)
 

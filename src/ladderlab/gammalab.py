@@ -1,8 +1,9 @@
 """Gamma-function laboratory.
 
-Log-gamma by Stirling with shift-up, the ladder Gamma-functional, and
-the empirical factorization checks that tie ln Gamma increments over a
-rung (tau, tau^1] to divisor sums and Gram-point zeta sums.
+ln Gamma (the stdlib's math.lgamma behind a domain check), its increment
+and the divisor-sum increment over a rung, the ladder Gamma-functional,
+and the empirical factorization checks that tie ln Gamma increments over
+a rung (tau, tau^1] to divisor sums and Gram-point zeta sums.
 
 Everything runs in log space: a rung at tau = 1e4 is ~500 wide, so the
 Gamma ratios themselves overflow float64 astronomically.
@@ -18,44 +19,40 @@ import math
 from dataclasses import dataclass, field
 
 from .arith import dirichlet_D
-from .constants import B2K, EULER_GAMMA, T_FLOOR
+from .constants import EULER_GAMMA, T_FLOOR
 from .errors import DomainError, LadderLabError, unwrap
 from .gram import DEFAULT_STRATEGY, gram_index_range, t1_increment_all, t2_increment_all
 from .integral import CheckpointCache
 from .ladder import DEFAULT_RESIDUAL_TOL, ascend_all, build_tower
 from .serialize import field_dict, to_json
 
-_SHIFT_TO = 20.0
-_HALF_LN_TWO_PI = 0.91893853320467274
-
 C0_CONVENTION = 0.0  # integration constant of the representation, fixed at zero
-# The Stirling terms B_2k / (2k (2k-1) x^(2k-1)), k = 1..8: B_2k with its
-# divisor 2k (2k-1) as the float that int * float converts it to.
-_STIRLING = tuple((b, float((2 * k) * (2 * k - 1))) for k, b in enumerate(B2K[:8], start=1))
 
 
 def ln_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0; Stirling series after shifting x above 20.
+    """ln Gamma(x) for finite x > 0, by math.lgamma.
 
-    Absolute error below 1e-12 on [1, 1e308]; the recurrence subtraction
-    costs a few ulps more below 1.
+    Within 1e-15 of mpmath on [0.5, 9e4], relative (absolute where
+    |ln Gamma| < 1); inf above x ~ 2.56e305, where ln Gamma(x) passes the
+    largest float64.
     """
     if not 0.0 < x < math.inf:
         raise DomainError(f"ln_gamma requires finite x > 0, got {x}")
-    shift = 0
-    w = x
-    while w < _SHIFT_TO:
-        w += 1.0
-        shift += 1
-    res = (w - 0.5) * math.log(w) - w + _HALF_LN_TWO_PI
-    w2 = w * w
-    p = w
-    for b, d in _STIRLING:
-        res += b / (d * p)
-        p *= w2
-    for j in range(shift):
-        res -= math.log(x + j)
-    return res
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
+def ln_gamma_increment_all(rungs) -> list[float]:
+    """ln Gamma(hi) - ln Gamma(lo) for each rung (lo, hi]."""
+    return [ln_gamma(hi) - ln_gamma(lo) for lo, hi in rungs]
+
+
+def d_increment_all(rungs) -> list[int]:
+    """sum_{lo <= n <= hi} d(n) = D(hi) - D(ceil(lo) - 1) for each rung
+    (lo, hi]: the lower end is closed, so an integer lo counts d(lo)."""
+    return [dirichlet_D(hi) - dirichlet_D(math.ceil(lo) - 1) for lo, hi in rungs]
 
 
 @dataclass(frozen=True)
@@ -135,11 +132,11 @@ def _factorization(fid: str, parameter: float, tau_grid: list[float],
     cache = cache if cache is not None else CheckpointCache()
     taus, values = [float(tau) for tau in tau_grid], []
     ups = ascend_all(taus, cache)
-    sums = iter(increment_all([(lo, res[0]) for lo, res in zip(taus, ups)
-                               if not isinstance(res, LadderLabError)]))
-    for lo, res in zip(taus, ups):
-        hi = unwrap(res)[0]
-        values.append(unwrap(next(sums)) / (const * (ln_gamma(hi) - ln_gamma(lo))))
+    rungs = [(lo, res[0]) for lo, res in zip(taus, ups) if not isinstance(res, LadderLabError)]
+    sums, rises = iter(increment_all(rungs)), iter(ln_gamma_increment_all(rungs))
+    for res in ups:
+        unwrap(res)
+        values.append(unwrap(next(sums)) / (const * next(rises)))
     return FunctionalReport(
         functional_id=fid, parameter=parameter, target=1.0,
         tau_grid=taus, values=values, metadata=metadata,
@@ -151,13 +148,10 @@ def verify_factorization_D(tau_grid: list[float],
     """Divisor-sum factorization: sum d(n) over [tau, tau^1] vs ln Gamma.
 
     value = sum_{tau <= n <= tau^1} d(n) / (ln Gamma(tau^1) - ln Gamma(tau)),
-    target 1. The lower end is closed: D(hi) - D(ceil(lo) - 1).
+    target 1. The lower end is closed (d_increment_all), as in the scan's
+    d-linear and d-log rows.
     """
-    return _factorization(
-        "d", 0.0, tau_grid, cache,
-        lambda rungs: [dirichlet_D(hi) - dirichlet_D(math.ceil(lo) - 1) for lo, hi in rungs],
-        1.0, _base_metadata(),
-    )
+    return _factorization("d", 0.0, tau_grid, cache, d_increment_all, 1.0, _base_metadata())
 
 
 def verify_factorization_T1(tau_grid: list[float],
@@ -207,12 +201,11 @@ def verify_chain(tau: float, k: int, cache: CheckpointCache | None = None) -> Ch
     """
     tower = build_tower(tau, k, cache=cache)
     it = tower.iterates
-    *rung_sums, total_sum = map(unwrap, t1_increment_all([*zip(it, it[1:]), (it[0], it[k])]))
-    rung_ratios = [
-        math.pi * s / (ln_gamma(it[r + 1]) - ln_gamma(it[r]))
-        for r, s in enumerate(rung_sums)
-    ]
-    total_ratio = math.pi * total_sum / (ln_gamma(it[k]) - ln_gamma(it[0]))
+    rungs = [*zip(it, it[1:]), (it[0], it[k])]
+    *rung_sums, total_sum = map(unwrap, t1_increment_all(rungs))
+    *rises, total_rise = ln_gamma_increment_all(rungs)
+    rung_ratios = [math.pi * s / g for s, g in zip(rung_sums, rises)]
+    total_ratio = math.pi * total_sum / total_rise
     defect = abs(math.fsum(rung_sums) - total_sum)
     return ChainReport(
         tau=float(tau), k=k, strategy=DEFAULT_STRATEGY, iterates=list(it),

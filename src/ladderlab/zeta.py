@@ -85,17 +85,18 @@ _LOGN = np.log(_N)
 _ISQN = 1.0 / np.sqrt(_N)
 
 
-def _psi_taylor(n_coeff: int = 44, radius: float = 1.5, n_fft: int = 4096) -> np.ndarray:
-    """Taylor coefficients of Psi about p = 1/2 via a Cauchy integral.
+def _psi_taylor() -> np.ndarray:
+    """The first 44 Taylor coefficients of Psi about p = 1/2, by a Cauchy
+    integral: a 4096-point FFT on the circle of radius 1.5.
 
     The contour radius must avoid the removable singularities at
     p = (2k+1)/4, which sit at distances {0.25, 0.75, 1.25, ...} from
     the center; 1.5 clears them and keeps the FFT well conditioned.
     """
-    k = np.arange(n_fft)
-    zs = 0.5 + radius * np.exp(2j * np.pi * k / n_fft)
+    k = np.arange(4096)
+    zs = 0.5 + 1.5 * np.exp(2j * np.pi * k / 4096)
     vals = np.cos(TWO_PI * (zs * zs - zs - 1.0 / 16.0)) / np.cos(TWO_PI * zs)
-    coeff = (np.fft.fft(vals) / n_fft)[:n_coeff] / radius ** np.arange(n_coeff)
+    coeff = (np.fft.fft(vals) / 4096)[:44] / 1.5 ** np.arange(44)
     return coeff.real
 
 
@@ -329,8 +330,9 @@ def _z_riemann_siegel_into(t: np.ndarray, out: np.ndarray) -> None:
         raise failed[min(failed)]
 
 
-def _zeta_euler_maclaurin(t: np.ndarray, kmax: int = 12) -> np.ndarray:
-    """zeta(1/2 + i*t) for ascending t below the seam."""
+def _zeta_euler_maclaurin(t: np.ndarray) -> np.ndarray:
+    """zeta(1/2 + i*t) for ascending t below the seam, with the B_2..B_24
+    terms of the Euler-Maclaurin tail."""
     s = 0.5 + 1j * t
     nterms = np.maximum(24, (1.3 * t).astype(np.int64) + 8)
     nmax = int(nterms[-1])
@@ -349,7 +351,7 @@ def _zeta_euler_maclaurin(t: np.ndarray, kmax: int = 12) -> np.ndarray:
     total += 0.5 * n_minus_s
     total += n_minus_s * nf / (s - 1.0)
     rising = s.copy()  # (s)_{2k-1}, rebuilt incrementally
-    for k in range(1, kmax + 1):
+    for k in range(1, 13):
         if k > 1:
             rising = rising * (s + (2 * k - 3)) * (s + (2 * k - 2))
         total += B2K[k - 1] / math.factorial(2 * k) * rising * n_minus_s * nf ** (1 - 2 * k)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ladderlab import fermat
+from ladderlab.arith import divisor_count
 from ladderlab.constants import EULER_GAMMA, T_FLOOR
 from ladderlab.errors import DomainError, InfeasibleError
 from ladderlab.fermat import (
@@ -18,7 +19,9 @@ from ladderlab.fermat import (
     exhaustive_exact_check,
     scan,
 )
+from ladderlab.gammalab import ln_gamma, verify_factorization_D
 from ladderlab.integral import CheckpointCache
+from ladderlab.ladder import ascend
 
 
 def test_rational_exact_arithmetic():
@@ -198,6 +201,17 @@ def test_all_functional_ids_run(shared_cache):
         assert row.status in ("resolved", "unresolved at desk scale", "infeasible")
         if row.value is not None:
             assert math.isfinite(row.value)
+
+
+@pytest.mark.parametrize("T", [50_000.0, 1234.5])
+def test_d_rung_closes_its_lower_end(shared_cache, T):
+    # the scan's d rows and verify_factorization_D sum d(n) over T <= n <= U
+    U = ascend(T, shared_cache)
+    want = sum(divisor_count(n) for n in range(math.ceil(T), math.floor(U) + 1))
+    (inc, _), = fermat._FUNCTIONALS["d-linear"].increment([T], shared_cache)
+    assert inc == want
+    (value,) = verify_factorization_D([T], shared_cache).values
+    assert value == want / (ln_gamma(U) - ln_gamma(T))
 
 
 def test_log_window_lower_edge_reaches_floor(shared_cache):

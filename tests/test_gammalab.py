@@ -1,7 +1,8 @@
 import math
+import random
 
+import mpmath
 import pytest
-from hypothesis import given, strategies as st
 
 from ladderlab import gammalab, gram, integral, ladder
 from ladderlab.constants import EULER_GAMMA, T_FLOOR
@@ -21,17 +22,21 @@ from ladderlab.gammalab import (
 from ladderlab.integral import CheckpointCache
 
 
-def test_ln_gamma_against_stdlib():
-    for x in (0.5, 1.0, 2.0, 10.0, 123.456, 1e4, 9.9e4):
-        assert ln_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-12, abs=1e-10)
+def test_ln_gamma_against_mpmath():
+    rng = random.Random(2024)
+    xs = [0.5, 1.0, 1.5, 2.0, 100.0, 5e4]
+    xs += [math.exp(rng.uniform(math.log(0.5), math.log(9e4))) for _ in range(400)]
+    with mpmath.workdps(40):
+        for x in xs:
+            want = float(mpmath.loggamma(x))
+            # relative, or absolute near the zeros of ln Gamma at 1 and 2
+            assert abs(ln_gamma(x) - want) <= 2e-15 * max(abs(want), 1.0), x
     for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             ln_gamma(bad)
-
-
-@given(st.floats(min_value=0.5, max_value=1e5))
-def test_ln_gamma_matches_everywhere(x):
-    assert ln_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-10, abs=1e-9)
+    # ln Gamma passes the largest float64 near x = 2.56e305: inf, not OverflowError
+    assert ln_gamma(2.6e305) == math.inf
+    assert ln_gamma(1e308) == math.inf
 
 
 def test_report_validation():

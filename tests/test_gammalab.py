@@ -3,6 +3,7 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from ladderlab import gammalab, gram, integral, ladder
 from ladderlab.constants import EULER_GAMMA, T_FLOOR
@@ -20,6 +21,21 @@ from ladderlab.gammalab import (
     verify_shifted_ratio,
 )
 from ladderlab.integral import CheckpointCache
+
+
+def test_ln_gamma_against_stdlib():
+    for x in (0.5, 1.0, 2.0, 10.0, 123.456, 1e4, 9.9e4):
+        assert ln_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-12, abs=1e-10)
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            ln_gamma(bad)
+
+
+@given(st.floats(min_value=0.5, max_value=1e5))
+def test_ln_gamma_matches_everywhere(x):
+    with mpmath.workdps(40):
+        want = float(mpmath.loggamma(x))
+    assert abs(ln_gamma(x) - want) <= 2e-15 * max(abs(want), 1.0)
 
 
 def test_ln_gamma_against_mpmath():

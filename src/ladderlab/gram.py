@@ -136,8 +136,10 @@ def _certified(ts: np.ndarray, resid: np.ndarray) -> None:
 
 
 def _gram_slices(spans, extra: int = 0) -> list[GramSlice | LadderLabError]:
-    """gram_points(frm, to, extra) for each (frm, to) of spans, or the
-    LadderLabError it met.
+    """gram_points(frm, to) for each (frm, to) of spans, plus `extra`
+    points beyond to, or the LadderLabError it met. An extra lets a pair
+    sum fetch the nu+1 neighbor of the last in-range point without a
+    second solve.
 
     The indices of every range come from one theta call, the distinct
     indices of all ranges from one Gram solve and one z_array call, and
@@ -177,14 +179,10 @@ def _gram_slices(spans, extra: int = 0) -> list[GramSlice | LadderLabError]:
     return out
 
 
-def gram_points(frm: float, to: float, extra: int = 0) -> GramSlice:
-    """All Gram points with ordinate in (frm, to], plus `extra` beyond.
-
-    Requires finite T_MIN <= frm < to. The extras let pair sums fetch the
-    nu+1 neighbor of the last in-range point without a second solve.
-    _gram_slices for one range.
-    """
-    return unwrap(_gram_slices([(frm, to)], extra)[0])
+def gram_points(frm: float, to: float) -> GramSlice:
+    """All Gram points with ordinate in (frm, to]; requires finite
+    T_MIN <= frm < to. _gram_slices for one range."""
+    return unwrap(_gram_slices([(frm, to)])[0])
 
 
 def _pair_values(slice_: GramSlice, in_range: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,8 +210,8 @@ def _pair_sum(sl: GramSlice, b: float) -> float:
 
 
 def _increments(name: str, fold, extra: int, rungs) -> list[float | LadderLabError]:
-    """fold(gram_points(a, b, extra), b) for each rung (a, b), or the
-    LadderLabError it met, all rungs from one _gram_slices call."""
+    """fold(_gram_slices([(a, b)], extra)[0], b) for each rung (a, b), or
+    the LadderLabError it met, all rungs from one _gram_slices call."""
     out: list = [None if a < b else DomainError(f"{name} requires a < b") for a, b in rungs]
     ok = [k for k, x in enumerate(out) if x is None]
     for k, sl in zip(ok, _gram_slices([rungs[k] for k in ok], extra)):

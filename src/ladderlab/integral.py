@@ -569,8 +569,10 @@ class CheckpointCache:
         if not math.isfinite(T):
             raise DomainError(f"extend_to requires finite T, got {T}")
         _check_t_max(T)
-        start = len(self.ts)
-        nodes = self._cells(range(start, max(start, int(T // DEFAULT_STRIDE))))
+        start, stop = len(self.ts), int(T // DEFAULT_STRIDE)
+        if stop <= start:
+            return 0
+        nodes = self._cells(range(start, stop))
         self._validate(start)
         return nodes
 

@@ -78,12 +78,12 @@ def _render(obj, pad: str, labels: dict) -> str:
     raise TypeError(f"unsupported type for JSON: {type(obj)!r}")
 
 
-def to_json(obj, indent: int = 0) -> str:
+def to_json(obj) -> str:
     """obj as JSON: floats at 17 significant digits (ValueError on a
     non-finite one), dict keys sorted by their str, two-space indent per
-    level past indent; None, bools, ints, strs, lists, tuples and dicts
-    only (TypeError)."""
-    return _render(obj, " " * indent, {})
+    level; None, bools, ints, strs, lists, tuples and dicts only
+    (TypeError)."""
+    return _render(obj, "", {})
 
 
 def write_json(path: str, obj) -> None:

@@ -31,11 +31,16 @@ remainder. Ordinates above T_MAX
 negative ones with DomainError.
 
 All evaluation paths are pure: equal inputs give bitwise-equal outputs
-regardless of how calls are batched. Small batches build the
-Riemann-Siegel main sum as term arrays, one per column block wherever
-N(t) more than doubles, and the correction polynomials as one array,
-large ones loop over n or over the four polynomials, and the
-Euler-Maclaurin sum always loops over n; one rule covers every form:
+regardless of how calls are batched. Every batch is sorted by one
+stable argsort and scattered back. Each form serves traffic that needs
+it: a small batch within one doubling of N(t) is one Riemann-Siegel
+term array (warm J reads' 21-node panels); a small batch spread wider
+is cut into one term array per column block wherever N(t) more than
+doubles (a scan row's batches span t = 1e2-5e4); small batches run the
+correction polynomials on one flat vector; large ones loop over n
+(cold cache builds, Gram batches), broadcast each Horner step over the
+four polynomials, and split into chunks that balance sum N(t); the
+Euler-Maclaurin sum always loops over n. One rule covers every form:
 each element sees the same IEEE operations in the same order, with no
 BLAS or pairwise reduction across elements. Sums therefore reduce over
 axis 0 of an array with two or more columns (numpy adds its rows one
@@ -123,10 +128,8 @@ def _rs_correction_table() -> np.ndarray:
 
 
 _RS_C = _rs_correction_table()
-# Horner order, highest power first: one (4,) column per step for the
-# whole-array form, one list of Python floats per polynomial for the loop
+# Horner order, highest power first: one (4,) column per step
 _RS_COLS = np.ascontiguousarray(_RS_C.T[::-1])
-_RS_ROWS = [row[::-1].tolist() for row in _RS_C]
 
 
 def _theta_series(t: np.ndarray, lt: np.ndarray | None = None) -> np.ndarray:
@@ -185,9 +188,7 @@ def _term_array_sum(t: np.ndarray, th: np.ndarray, trunc: np.ndarray) -> np.ndar
     np.subtract(th, terms, out=terms)
     np.cos(terms, out=terms)
     terms *= _ISQN[:nmax, None]
-    lo = int(trunc[0])  # rows below lo lie inside every element's N(t)
-    tail = terms[lo:]
-    tail[_N[lo:nmax, None] > trunc] = 0.0
+    terms[_N[:nmax, None] > trunc] = 0.0
     if t.size > 1:
         return np.add.reduce(terms, axis=0)
     # one column is contiguous along axis 0, and numpy sums a
@@ -231,8 +232,9 @@ def _rs_correction(x: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """C0..C3 at x = p - 1/2 as a (4, x.size) array, by elementwise Horner.
 
     Not a BLAS product, which would break batch invariance. Small batches
-    run the 22 steps on one (4 * x.size,) vector, large ones on each row
-    in place.
+    run the 22 steps on one (4 * x.size,) vector, large ones on a
+    (4, x.size) array in place, each step broadcasting one column of
+    _RS_COLS over the rows.
     """
     k = x.size
     if _RS_C.size * k <= SMALL_BATCH_TERMS:
@@ -245,10 +247,9 @@ def _rs_correction(x: np.ndarray, x2: np.ndarray) -> np.ndarray:
         c = c.reshape(4, k)
     else:
         c = np.zeros((4, k))
-        for row, coeffs in zip(c, _RS_ROWS):
-            for a in coeffs:
-                row *= x2
-                row += a
+        for col in _RS_COLS[:, :, None]:
+            c *= x2
+            c += col
     c[1::2] *= x
     return c
 
@@ -376,19 +377,13 @@ def _check_range(lo: float, hi: float) -> None:
 
 
 def _z_kernel(ts: np.ndarray) -> np.ndarray:
-    """Z on an arbitrary float64 array, preserving order.
-
-    A non-decreasing batch, as every first batch of quadrature panels
-    is, skips the sort and the scatter back; Z is elementwise, so the
-    bits are the same either way."""
+    """Z on an arbitrary float64 array, preserving order: one stable
+    argsort, the branches on the sorted batch, and a scatter back. Z is
+    elementwise, so the order of a batch moves no bit."""
     if ts.size == 0:
         return ts.copy()
-    ascending = bool(np.all(ts[1:] >= ts[:-1]))  # False on any NaN
-    if ascending:
-        sorted_t = ts
-    else:
-        order = np.argsort(ts, kind="stable")
-        sorted_t = ts[order]
+    order = np.argsort(ts, kind="stable")
+    sorted_t = ts[order]
     _check_range(sorted_t[0], sorted_t[-1])
     out_sorted = np.empty_like(sorted_t)
     nlow = int(np.searchsorted(sorted_t, RS_SEAM, side="left"))
@@ -396,8 +391,6 @@ def _z_kernel(ts: np.ndarray) -> np.ndarray:
         out_sorted[:nlow] = _z_low(sorted_t[:nlow])
     if nlow < sorted_t.size:
         _z_riemann_siegel_into(sorted_t[nlow:], out_sorted[nlow:])
-    if ascending:
-        return out_sorted
     out = np.empty_like(out_sorted)
     out[order] = out_sorted
     return out

@@ -207,7 +207,7 @@ def test_single_summand_reading():
     slc = gram_points(200.0, 400.0)
     want = math.fsum((-1.0) ** (int(nu) - 1) * z for nu, z in zip(slc.nus, slc.zs))
     assert t1_increment(200.0, 400.0) == want
-    ext = gram_points(200.0, 400.0, extra=1)
+    ext = gram._gram_slices([(200.0, 400.0)], 1)[0]
     assert ext.ts[-2] <= 400.0 < ext.ts[-1]
     assert t2_increment(200.0, 400.0) == -math.fsum(ext.zs[:-1] * ext.zs[1:])
 

@@ -480,6 +480,24 @@ def test_node_count_counts_every_evaluated_node(monkeypatch):
     assert len(sizes) == 2 and res.node_count == sum(sizes)
 
 
+def test_extend_to_covered_reach_touches_no_cell(monkeypatch):
+    # a warm read extends to a reach the checkpoints already cover: that
+    # returns 0 before any cell walk or validation
+    cache = CheckpointCache()
+    cache.extend_to(150.0)
+
+    def fail(*args):
+        raise AssertionError("no cell is due")
+
+    monkeypatch.setattr(CheckpointCache, "_cells", fail)
+    monkeypatch.setattr(CheckpointCache, "_validate", fail)
+    for T in (0.0, 10.0, 99.9, 150.0, 199.9):
+        assert cache.extend_to(T) == 0
+    assert list(cache.ts) == [50.0, 100.0, 150.0]
+    with pytest.raises(AssertionError):
+        cache.extend_to(200.0)
+
+
 def _checkpoint_below(cache, T):
     i = bisect.bisect_right(cache.ts, T)
     return (cache.ts[i - 1], cache.js[i - 1], cache.errs[i - 1]) if i else (0.0, 0.0, 0.0)

@@ -211,7 +211,7 @@ def _chunk_sizes(monkeypatch):
 
 
 def test_sorted_and_shuffled_batches_same_bits(monkeypatch):
-    # an ascending batch skips the sort and the scatter back, and a large
+    # every batch, ascending or not, takes one stable argsort, and a large
     # one is cut into one chunk per usable CPU; each element must get the
     # bits it gets in the same batch shuffled, and on one CPU
     rng = np.random.default_rng(20261020)
@@ -235,9 +235,9 @@ def test_sorted_and_shuffled_batches_same_bits(monkeypatch):
         monkeypatch.setattr(zeta, "_usable_cpus", lambda: cpus)
         sorts.clear()
         ascending = z_array(ts)
-        assert sorts == []
-        shuffled = z_array(ts[perm])
         assert sorts == [ts.size]
+        shuffled = z_array(ts[perm])
+        assert sorts == [ts.size, ts.size]
         assert np.array_equal(shuffled.view(np.int64), ascending[perm].view(np.int64))
         bits.append(ascending.view(np.int64))
         # two calls, each cut into `cpus` chunks that cover the RS nodes
@@ -362,9 +362,9 @@ def test_main_sum_forms_match_loop_bitwise(monkeypatch):
 
 
 def test_correction_forms_match_horner_bitwise(monkeypatch):
-    # up to `cap` nodes Horner runs on one flat vector, above it on each
-    # row; both must give the broadcast Horner's bits, and a batch split
-    # across the cap must give the same bits as the whole
+    # up to `cap` nodes Horner runs on one flat vector, above it on the
+    # (4, n) array in place; both must give the broadcast Horner's bits,
+    # and a batch split across the cap must give the same bits as the whole
     cap = SMALL_BATCH_TERMS // zeta._RS_C.size
     rng = np.random.default_rng(20261019)
     batches = []

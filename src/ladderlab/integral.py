@@ -39,9 +39,11 @@ J(U) = target on the same model of the same panel (_solve_in_panel) and
 reads J(U) off it, so J(U) is hl_integral(U) by construction and an
 ascent makes one Z call of 21 nodes.
 One generator, _quad, integrates every span, a segment or a build's
-stride cells, in one Z call per group of consecutive spans, up to 2^14
-nodes; panel values do not depend on their batch, so the grouping moves
-no bit. A cell from load() gets its knots
+stride cells: it cuts the panels of all its spans, in order, into groups
+of up to 2^14 nodes, one Z call each, and evaluates them ahead of the
+span it checks, side by side on the usable CPUs (_in_order); panel
+values do not depend on their batch, so the cut and the threads move no
+bit. A cell from load() gets its knots
 (CheckpointCache._fill) from the first read that lands in it; invert
 fills the cells of all its targets in one grouped pass.
 hl_integral_all reads many T with one Z call per 780 panels, so one on a
@@ -55,7 +57,9 @@ import itertools
 import math
 import os
 from array import array
-from collections.abc import Iterator
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,13 +146,14 @@ CELL_TOL = AUTO_TOL_RATE * DEFAULT_STRIDE
 # First line of every cache file; load() accepts no other.
 _VERSION_TAG = "# ladderlab cache v"
 _HEADER = f"{_VERSION_TAG}{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}"
-# Most Z nodes in one z_array call, for a group of _quad's spans (a stride
-# cell has 132 to 324 from the seam to T_MAX, 12 a panel, and 216 and 120
-# below it) or of _panel_z's panels; larger groups cost peak RSS. At v9,
-# with z_array splitting a batch across two CPUs, cache-build read 2^15
-# at 0.95x the build_ref of 2^14 (8 of 10 pairs) for +2.9 MB peak RSS,
-# and 2^13 at 1.76x: its groups fall under zeta's split floor and run on
-# one CPU.
+# Most Z nodes in one z_array call: a group of _quad's panels or of
+# _panel_z's. _in_order runs one group per CPU at once, so peak RSS grows
+# with the group, and a smaller one pays more Python per node in the
+# kernel. On 2 vCPUs, as a share of the old z_array split's cold-build
+# seconds (fresh processes, 10-20 rounds), and cache-build peak_rss_mb at
+# equal pass counts: 2^13 0.98-1.06x, +1.0-1.6 MB; 3 * 2^12 0.86-1.01x,
+# +1.9-2.3 MB; 2^14 0.88-0.92x (0.86x in one process, 3 * 2^12 0.90x),
+# +2.3-2.6 MB; 2^15 0.89-0.91x, +5.8-6.9 MB.
 _GROUP_NODES = 2**14
 # The mean value J(t) ~ t ln(t / 2 pi) + (2c - 1) t has slope ln t + _MV_SLOPE
 # and is 0 at _MV_ZERO.
@@ -273,15 +278,49 @@ def _eval_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return v, _gauss_bound(lo, hi), eng
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_order(fn: Callable, groups: Iterable[tuple]) -> Iterator:
+    """fn(*g) for each g of groups, in order: inline, starting no thread,
+    for one group or one usable CPU; else on a pool of one worker thread
+    per usable CPU, drawing groups at most that many ahead of the one the
+    caller holds. A group's exception is raised at its turn. Closing the
+    generator, or an exception, waits for the groups in flight and shuts
+    the pool down. fn must count or log nothing: it may run in a worker."""
+    groups = iter(groups)
+    head = list(itertools.islice(groups, 2))
+    workers = _usable_cpus() if len(head) > 1 else 1
+    if workers < 2:
+        yield from itertools.starmap(fn, itertools.chain(head, groups))
+        return
+    # imported here, not with the module: concurrent.futures imports
+    # logging, about 7 ms that a process with no pooled call need not pay
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        ahead = deque(pool.submit(fn, *g)
+                      for g in itertools.chain(head, itertools.islice(groups, workers - 2)))
+        for g in groups:
+            done = ahead.popleft().result()
+            ahead.append(pool.submit(fn, *g))
+            yield done
+        while ahead:
+            yield ahead.popleft().result()
+
+
 def _panel_z(spans: list[tuple[float, float]]) -> Iterator[np.ndarray]:
     """Z at the 21 Kronrod read nodes of each panel [t0, t1] of spans in
-    order, from one z_array call per _GROUP_NODES nodes (780 panels); no
-    call for no panel. These are the panels between adjacent stored
-    points, which their stride cells already accepted."""
+    order, from one z_array call per _GROUP_NODES nodes (780 panels),
+    run by _in_order; no call for no panel. These are the panels between
+    adjacent stored points, which their stride cells already accepted."""
     t = _panel_nodes(*np.array(spans, dtype=float).reshape(-1, 2).T, _XK)[1]
-    per_call = _GROUP_NODES // _READ_NODES
-    for k in range(0, len(t), per_call):
-        yield from z_array(t[k:k + per_call].ravel()).reshape(-1, _READ_NODES)
+    per = _GROUP_NODES // _READ_NODES
+    for z in _in_order(z_array, [(t[k:k + per].ravel(),) for k in range(0, len(t), per)]):
+        yield from z.reshape(-1, _READ_NODES)
 
 
 def _check(a: float, b: float, lo: np.ndarray, v: np.ndarray, est: np.ndarray,
@@ -313,27 +352,41 @@ def _quad(spans: list[tuple[float, float]]) -> Iterator[tuple | LadderLabError]:
     them, (lo, v, err, nodes), or the LadderLabError it met: a segment, or
     the stride cells of a build.
 
-    Consecutive spans whose panels (_panel_edges; a zero-width span has
-    none) hold at most _GROUP_NODES nodes, and at least one span, share
-    one _eval_panels call."""
+    The panels of all spans (_panel_edges; a zero-width span has none)
+    are cut, in order, into groups of _GROUP_NODES // _GAUSS_NODES, so a
+    group may end inside a span and a long span takes many groups. The
+    groups are evaluated (_eval_panels) by _in_order, ahead of the span
+    being checked here."""
     edges = [_panel_edges(a, b) for a, b in spans]
-    sizes = [_GAUSS_NODES * (e.size - 1) for e in edges]
-    start = 0
-    while start < len(spans):
-        stop, size = start + 1, sizes[start]
-        while stop < len(spans) and size + sizes[stop] <= _GROUP_NODES:
-            size += sizes[stop]
-            stop += 1
-        group = edges[start:stop]
-        lo = np.concatenate([e[:-1] for e in group])
-        hi = np.concatenate([e[1:] for e in group])
-        first = (lo, *_eval_panels(lo, hi))
-        p = 0
-        for (a, b), e in zip(spans[start:stop], group):
-            q = p + e.size - 1
-            yield attempt(_check, a, b, *[x[p:q] for x in first])
-            p = q
-        start = stop
+    per = _GROUP_NODES // _GAUSS_NODES
+
+    def groups():
+        # cut as _in_order draws them, so only the groups in flight hold a
+        # copy of their edges
+        lo, hi, n = [], [], 0  # the edges not yet in a group, and their panels
+        for e in edges:
+            lo.append(e[:-1])
+            hi.append(e[1:])
+            n += e.size - 1
+            if n >= per:
+                los, his = np.concatenate(lo), np.concatenate(hi)
+                full = n - n % per
+                for k in range(0, full, per):
+                    yield los[k:k + per], his[k:k + per]
+                lo, hi, n = [los[full:]], [his[full:]], n - full
+        if n:
+            yield np.concatenate(lo), np.concatenate(hi)
+
+    # closed with this generator: a ToleranceError's traceback can hold
+    # this frame, and with it the pool, past the generator's end
+    with closing(_in_order(_eval_panels, groups())) as results:
+        vals = [np.empty(0)] * 3  # (v, est, eng) of the evaluated panels not yet checked
+        for (a, b), e in zip(spans, edges):
+            n = e.size - 1
+            while vals[0].size < n:
+                vals = [np.concatenate(x) for x in zip(vals, next(results))]
+            yield attempt(_check, a, b, e[:-1], *[x[:n] for x in vals])
+            vals = [x[n:] for x in vals]
 
 
 def _legval_pair(x: float, c: list[float], d: list[float]) -> tuple[float, float]:
@@ -421,7 +474,8 @@ def integrate_segment(a: float, b: float) -> IntegralResult:
     if not 0.0 <= a <= b < math.inf:
         raise DomainError("integrate_segment requires finite 0 <= a <= b")
     _check_t_max(b)
-    _, v, err, nodes = unwrap(next(_quad([(a, b)])))
+    with closing(_quad([(a, b)])) as checks:
+        _, v, err, nodes = unwrap(next(checks))
     return IntegralResult(
         a=a,
         b=b,
@@ -538,24 +592,26 @@ class CheckpointCache:
         follows it in order); returns the Z nodes."""
         nodes = 0
         spans = [(k * DEFAULT_STRIDE, (k + 1) * DEFAULT_STRIDE) for k in cells]
-        for i, (_, b), checked in zip(cells, spans, _quad(spans)):
-            clo, v, err, n = unwrap(checked)
-            j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
-            vals = v.tolist()
-            if i >= len(self._kstart):
-                unfilled = array("q", [-1]) * (i + 1 - len(self._kstart))
-                self._kstart.extend(unfilled)
-                self._kstop.extend(unfilled)
-            self._kstart[i] = len(self._kt)
-            self._kt.extend(clo[1:].tolist())
-            self._kj.extend([j0 + math.fsum(vals[:m]) for m in range(1, clo.size)])
-            self._ke.extend((e0 + np.cumsum(err)[:-1]).tolist())
-            self._kstop[i] = len(self._kt)
-            if i == len(self.ts):
-                self.ts.append(b)
-                self.js.append(j0 + math.fsum(vals))
-                self.errs.append(e0 + float(np.sum(err)))
-            nodes += n
+        # closed on a ToleranceError too, so _quad's pool shuts down
+        with closing(_quad(spans)) as checks:
+            for i, (_, b), checked in zip(cells, spans, checks):
+                clo, v, err, n = unwrap(checked)
+                j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
+                vals = v.tolist()
+                if i >= len(self._kstart):
+                    unfilled = array("q", [-1]) * (i + 1 - len(self._kstart))
+                    self._kstart.extend(unfilled)
+                    self._kstop.extend(unfilled)
+                self._kstart[i] = len(self._kt)
+                self._kt.extend(clo[1:].tolist())
+                self._kj.extend([j0 + math.fsum(vals[:m]) for m in range(1, clo.size)])
+                self._ke.extend((e0 + np.cumsum(err)[:-1]).tolist())
+                self._kstop[i] = len(self._kt)
+                if i == len(self.ts):
+                    self.ts.append(b)
+                    self.js.append(j0 + math.fsum(vals))
+                    self.errs.append(e0 + float(np.sum(err)))
+                nodes += n
         return nodes
 
     def _fill(self, i: int) -> int:

@@ -31,32 +31,30 @@ remainder. Ordinates above T_MAX
 negative ones with DomainError.
 
 All evaluation paths are pure: equal inputs give bitwise-equal outputs
-regardless of how calls are batched. Every batch is sorted by one
-stable argsort and scattered back. Each form serves traffic that needs
-it: a small batch within one doubling of N(t) is one Riemann-Siegel
-term array (warm J reads' 21-node panels); a small batch spread wider
+regardless of how calls are batched, within one numpy build on one SIMD
+target (numpy's exp, log and power round their last bits differently on
+other targets; across hosts, tests/fixtures/calibration.json at rel 1e-9
+is the contract). Every batch is sorted by one stable argsort and
+scattered back. Each form serves traffic that needs it: a small batch
+within one doubling of N(t) is one Riemann-Siegel term array (warm J
+reads' 21-node panels); a small batch spread wider
 is cut into one term array per column block wherever N(t) more than
 doubles (a scan row's batches span t = 1e2-5e4); small batches run the
 correction polynomials on one flat vector; large ones loop over n
-(cold cache builds, Gram batches), broadcast each Horner step over the
-four polynomials, and split into chunks that balance sum N(t); the
-Euler-Maclaurin sum always loops over n. One rule covers every form:
-each element sees the same IEEE operations in the same order, with no
-BLAS or pairwise reduction across elements. Sums therefore reduce over
-axis 0 of an array with two or more columns (numpy adds its rows one
-after another) or by accumulate, never along a contiguous run, by `@`
-or by einsum. A Riemann-Siegel batch of at least 2 * CHUNK_NODES nodes
-and 2 * CHUNK_TERMS main-sum terms is split across threads, one per CPU
-in the process's affinity mask at most, only into contiguous node
-chunks, and each chunk runs the whole serial kernel, so the split moves
-no bit either.
+(cold cache builds, Gram batches) and broadcast each Horner step over
+the four polynomials; the Euler-Maclaurin sum always loops over n. One
+rule covers every form: each element sees the same IEEE operations in
+the same order, with no BLAS or pairwise reduction across elements.
+Sums therefore reduce over axis 0 of an array with two or more columns
+(numpy adds its rows one after another) or by accumulate, never along
+a contiguous run, by `@` or by einsum. Every call runs in the calling
+thread; callers that want more CPUs run batches side by side
+(integral._in_order), which moves no bit either.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 
 import numpy as np
 
@@ -73,15 +71,6 @@ RS_SEAM = 100.0
 # polynomials. Above it a loop touches less memory; below it the per-step
 # Python overhead dominates.
 SMALL_BATCH_TERMS = 2 ** 15
-
-# Fewest Riemann-Siegel main-sum terms, and nodes, per chunk of a batch
-# split across threads (_z_riemann_siegel_into). Two chunks of fewer
-# terms save less than thread start-up and GIL hand-offs cost; chunks of
-# fewer nodes run ufuncs too short to cover a hand-off each. On a 2-vCPU
-# host, a scan's Gram batches (3k-6k nodes over t = 1e2-5e4) took 1.04x
-# the serial seconds in two chunks, 2^13-2^14 nodes near 3e4 0.65-0.85x.
-CHUNK_TERMS = 2 ** 17
-CHUNK_NODES = 2 ** 12
 
 # n, log n and n^(-1/2) for every n the Riemann-Siegel main sum reaches:
 # n <= N(T_MAX) = 126, and _check_range refuses t above T_MAX.
@@ -278,59 +267,6 @@ def _z_riemann_siegel(t: np.ndarray) -> np.ndarray:
     return main
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where there is one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _z_riemann_siegel_into(t: np.ndarray, out: np.ndarray) -> None:
-    """out = _z_riemann_siegel(t), across CPUs for a large batch.
-
-    A batch of fewer than 2 * CHUNK_NODES nodes or 2 * CHUNK_TERMS
-    main-sum terms, t.size * N(t_max), runs serially, judged from t.size
-    and t[-1] alone. A larger one is cut into k contiguous chunks, with
-    k at most the usable CPUs, t.size / CHUNK_NODES and
-    sum N(t) / CHUNK_TERMS: each chunk but the last ends at the first node
-    where the running sum of N(t) reaches its share, so each holds
-    sum N(t) / k terms, give or take one node's N(t). Each chunk runs the
-    whole serial kernel into its slice of out, so the cut moves no bit.
-    The calling thread runs the first chunk and joins the others, then
-    re-raises the first failed chunk's exception.
-    """
-    chunks = 1
-    if (t.size >= 2 * CHUNK_NODES
-            and t.size * math.floor(math.sqrt(t[-1] / TWO_PI)) >= 2 * CHUNK_TERMS):
-        cum = np.cumsum(np.floor(np.sqrt(t / TWO_PI)))
-        chunks = min(_usable_cpus(), t.size // CHUNK_NODES, int(cum[-1]) // CHUNK_TERMS)
-    if chunks < 2:
-        out[:] = _z_riemann_siegel(t)
-        return
-    shares = cum[-1] * np.arange(1, chunks) / chunks
-    cuts = [0, *(np.searchsorted(cum, shares, side="left") + 1).tolist(), t.size]
-    failed = {}
-
-    def run(i: int, j: int) -> None:
-        try:
-            out[i:j] = _z_riemann_siegel(t[i:j])
-        except BaseException as exc:  # re-raised by the calling thread
-            failed[i] = exc
-
-    started = []
-    try:
-        for ij in zip(cuts[1:-1], cuts[2:]):
-            worker = threading.Thread(target=run, args=ij)
-            worker.start()
-            started.append(worker)
-        out[:cuts[1]] = _z_riemann_siegel(t[:cuts[1]])
-    finally:
-        for worker in started:
-            worker.join()
-    if failed:
-        raise failed[min(failed)]
-
-
 def _zeta_euler_maclaurin(t: np.ndarray) -> np.ndarray:
     """zeta(1/2 + i*t) for ascending t below the seam, with the B_2..B_24
     terms of the Euler-Maclaurin tail."""
@@ -390,7 +326,7 @@ def _z_kernel(ts: np.ndarray) -> np.ndarray:
     if nlow:
         out_sorted[:nlow] = _z_low(sorted_t[:nlow])
     if nlow < sorted_t.size:
-        _z_riemann_siegel_into(sorted_t[nlow:], out_sorted[nlow:])
+        out_sorted[nlow:] = _z_riemann_siegel(sorted_t[nlow:])
     out = np.empty_like(out_sorted)
     out[order] = out_sorted
     return out

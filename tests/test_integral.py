@@ -2,6 +2,8 @@ import bisect
 import math
 import os
 import random
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -759,9 +761,9 @@ def test_uncached_read_is_the_cached_read(shared_cache):
 
 
 def test_uncached_read_integrates_cell_by_cell(monkeypatch, shared_cache):
-    # an uncached read builds its cells in groups of at most _GROUP_NODES
-    # nodes, each panel evaluated once, so no Z batch, and no memory,
-    # grows with T
+    # an uncached read builds its cells, and a segment integrates its
+    # span, in groups of at most _GROUP_NODES nodes, each panel evaluated
+    # once, so no Z batch, and no memory, grows with T
     sizes = []
     z_array = integral.z_array
 
@@ -770,13 +772,16 @@ def test_uncached_read_integrates_cell_by_cell(monkeypatch, shared_cache):
         return z_array(t)
 
     monkeypatch.setattr(integral, "z_array", counting)
-    res = hl_integral(5e3)
-    assert len(sizes) > 1 and max(sizes) <= integral._GROUP_NODES
-    assert res.node_count == sum(sizes)
-    # each group but the last build group (then the read's panel) is full
-    # to within one cell, at 12 nodes a panel
-    cell = max(_first_nodes(a, a + DEFAULT_STRIDE) for a in np.arange(0.0, 5e3, DEFAULT_STRIDE))
-    assert all(n > integral._GROUP_NODES - cell for n in sizes[:-2]), sizes
+    # every group but the last is full, at 12 nodes a panel; the groups
+    # run side by side, so they are counted in no set order, and a read
+    # adds its panel's 21 nodes after them
+    full = integral._GROUP_NODES - integral._GROUP_NODES % integral._GAUSS_NODES
+    for read, partial in ((lambda: hl_integral(5e3), 2), (lambda: integrate_segment(0.0, 5e3), 1)):
+        sizes.clear()
+        res = read()
+        assert len(sizes) > 1 and max(sizes) <= integral._GROUP_NODES
+        assert res.node_count == sum(sizes)
+        assert sorted(sizes)[partial:] == [full] * (len(sizes) - partial), sizes
 
     # nor does a warm-cache invert batch grow with the number of targets
     shared_cache.extend_to(2e4)
@@ -809,6 +814,130 @@ def test_grouped_build_same_bits_as_cell_by_cell():
     nodes = sum(single.extend_to(DEFAULT_STRIDE * (i + 1)) for i in range(int(T / DEFAULT_STRIDE)))
     assert nodes == want_nodes and _build_state(single) == want
     assert len(whole.ts) == 1200
+
+
+def _thread_recording(monkeypatch):
+    # record the thread of every z_array call
+    threads = []
+    z_array = integral.z_array
+
+    def recording(t):
+        threads.append(threading.get_ident())
+        return z_array(t)
+
+    monkeypatch.setattr(integral, "z_array", recording)
+    return threads
+
+
+def test_pool_same_bits_on_one_two_three_workers(monkeypatch):
+    # _quad's groups run inline on one CPU and side by side on more; a
+    # group may end inside a span, and no checkpoint, knot or segment bit
+    # moves with the cut or the workers
+    monkeypatch.setattr(integral, "_GROUP_NODES", 100 * integral._GAUSS_NODES)
+    threads = _thread_recording(monkeypatch)
+    want = None
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(integral, "_usable_cpus", lambda: workers)
+        threads.clear()
+        cache = CheckpointCache()
+        nodes = cache.extend_to(1e4)
+        seg = integrate_segment(123.4, 9876.5)
+        got = (_build_state(cache), nodes, _bits(seg), seg.node_count)
+        assert want is None or got == want, workers
+        want = got
+        assert len(threads) > 70
+        main = threading.get_ident()
+        assert all((ident == main) == (workers == 1) for ident in threads), workers
+
+
+class _GroupFailure(Exception):
+    pass
+
+
+def test_group_failure_raised_at_its_turn(monkeypatch):
+    # a worker's exception is raised when its group's turn comes: the
+    # spans wholly before it are yielded first, and of two failed groups
+    # the lower one raises, even when the higher one failed first; no
+    # worker outlives the failure
+    monkeypatch.setattr(integral, "_GROUP_NODES", 20 * integral._GAUSS_NODES)
+    monkeypatch.setattr(integral, "_usable_cpus", lambda: 3)
+    spans = [(a, a + DEFAULT_STRIDE) for a in np.arange(0.0, 2e3, DEFAULT_STRIDE)]
+    first = 4 * 20 * integral._GAUSS_NODES  # the first node of group 4
+    eval_panels = integral._eval_panels
+    starts = []
+
+    def failing(lo, hi):
+        k = bisect.bisect_left(starts, lo[0])
+        if k in (4, 5):
+            if k == 4:
+                time.sleep(0.05)  # fail after group 5 has
+            raise _GroupFailure(k)
+        return eval_panels(lo, hi)
+
+    lo = np.concatenate([integral._panel_edges(a, b)[:-1] for a, b in spans])
+    starts.extend(lo[::20].tolist())
+    monkeypatch.setattr(integral, "_eval_panels", failing)
+    before = threading.active_count()
+    yielded = []
+    with pytest.raises(_GroupFailure) as info:
+        for res in integral._quad(spans):
+            yielded.append(res)
+    assert info.value.args == (4,)
+    assert sum(res[3] for res in yielded) <= first
+    assert sum(res[3] for res in yielded) + _first_nodes(*spans[len(yielded)]) > first
+    assert threading.active_count() == before
+
+
+def test_one_group_runs_inline(shared_cache, monkeypatch):
+    # a call of one group starts no thread, on any number of CPUs: a
+    # segment, a warm read, a batch of warm reads and a one-cell fill
+    monkeypatch.setattr(integral, "_usable_cpus", lambda: 4)
+    shared_cache.extend_to(1e4)
+    threads = _thread_recording(monkeypatch)
+    before = threading.active_count()
+    integrate_segment(1e3, 2e3)
+    hl_integral(5432.1, cache=shared_cache)
+    hl_integral_all([100.0 * k + 0.5 for k in range(1, 99)], cache=shared_cache)
+    CheckpointCache(ts=shared_cache.ts[:20], js=shared_cache.js[:20],
+                    errs=shared_cache.errs[:20])._fill(7)
+    assert len(threads) == 4 and set(threads) == {threading.get_ident()}
+    assert threading.active_count() == before
+
+
+def test_no_worker_outlives_a_build(monkeypatch):
+    # the pool shuts down after a build and a segment, after a
+    # ToleranceError in the middle of either, and when _quad is dropped
+    # or closed with groups still in flight
+    monkeypatch.setattr(integral, "_GROUP_NODES", 50 * integral._GAUSS_NODES)
+    monkeypatch.setattr(integral, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    CheckpointCache().extend_to(3e3)
+    assert threading.active_count() == before
+    check = integral._check
+
+    def failing(a, b, *rest):
+        if a == 1e3:
+            raise ToleranceError("fails on purpose", best_value=0.0, best_error=1.0)
+        return check(a, b, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(integral, "_check", failing)
+        cache = CheckpointCache()
+        with pytest.raises(ToleranceError):
+            cache.extend_to(3e3)
+        assert cache.ts[-1] == 1e3 and threading.active_count() == before
+        with pytest.raises(ToleranceError):
+            integrate_segment(1e3, 3e3)
+        assert threading.active_count() == before
+    integrate_segment(0.0, 3e3)
+    assert threading.active_count() == before
+    spans = [(a, a + DEFAULT_STRIDE) for a in np.arange(0.0, 3e3, DEFAULT_STRIDE)]
+    next(integral._quad(spans))  # dropped unclosed, with groups in flight
+    assert threading.active_count() == before
+    gen = integral._quad(spans)
+    next(gen)
+    gen.close()
+    assert threading.active_count() == before
 
 
 def test_cold_ascent_builds_cells_in_groups(monkeypatch):

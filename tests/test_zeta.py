@@ -1,6 +1,4 @@
 import math
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -10,8 +8,6 @@ from ladderlab import integral, zeta
 from ladderlab.constants import T_MAX
 from ladderlab.errors import DomainError, InfeasibleError
 from ladderlab.zeta import (
-    CHUNK_NODES,
-    CHUNK_TERMS,
     RS_SEAM,
     SMALL_BATCH_TERMS,
     theta,
@@ -197,23 +193,9 @@ def test_batch_invariance_bitwise():
         assert z_array(ts[i:i + 1])[0] == batch[i], ts[i]
 
 
-def _chunk_sizes(monkeypatch):
-    # record the size of every _z_riemann_siegel call, from any thread
-    sizes = []
-    kernel = zeta._z_riemann_siegel
-
-    def recording(t):
-        sizes.append(t.size)
-        return kernel(t)
-
-    monkeypatch.setattr(zeta, "_z_riemann_siegel", recording)
-    return sizes
-
-
 def test_sorted_and_shuffled_batches_same_bits(monkeypatch):
-    # every batch, ascending or not, takes one stable argsort, and a large
-    # one is cut into one chunk per usable CPU; each element must get the
-    # bits it gets in the same batch shuffled, and on one CPU
+    # every batch, ascending or not, takes one stable argsort; each
+    # element must get the bits it gets in the same batch shuffled
     rng = np.random.default_rng(20261020)
     ts = np.sort(np.concatenate([
         rng.uniform(0.0, RS_SEAM, 200),
@@ -229,68 +211,11 @@ def test_sorted_and_shuffled_batches_same_bits(monkeypatch):
         return argsort(a, *args, **kwargs)
 
     monkeypatch.setattr(zeta.np, "argsort", counting)
-    sizes = _chunk_sizes(monkeypatch)
-    bits = []
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(zeta, "_usable_cpus", lambda: cpus)
-        sorts.clear()
-        ascending = z_array(ts)
-        assert sorts == [ts.size]
-        shuffled = z_array(ts[perm])
-        assert sorts == [ts.size, ts.size]
-        assert np.array_equal(shuffled.view(np.int64), ascending[perm].view(np.int64))
-        bits.append(ascending.view(np.int64))
-        # two calls, each cut into `cpus` chunks that cover the RS nodes
-        assert len(sizes) == 2 * cpus and sum(sizes) == 2 * (ts.size - 200), (cpus, sizes)
-        if cpus == 3:
-            assert len(set(sizes)) > 1, sizes  # the cuts balance N(t), not nodes
-        sizes.clear()
-    assert all(np.array_equal(bits[0], b) for b in bits[1:])
-
-
-def test_split_threshold_same_bits(monkeypatch):
-    # a batch splits from 2 * CHUNK_TERMS terms and 2 * CHUNK_NODES nodes:
-    # with N(t) = 16 the terms decide (16,384 nodes), with N(t) = 64 the
-    # nodes (8,192); one node fewer runs serially, and both match halves
-    rng = np.random.default_rng(20261021)
-    monkeypatch.setattr(zeta, "_usable_cpus", lambda: 2)
-    for n, size in ((16, 2 * CHUNK_TERMS // 16), (64, 2 * CHUNK_NODES)):
-        lo, hi = 2.0 * math.pi * n**2, 2.0 * math.pi * (n + 1) ** 2
-        for nodes, chunks in ((size - 1, [size - 1]), (size, [size // 2, size // 2])):
-            ts = np.sort(rng.uniform(lo, hi, nodes))
-            with monkeypatch.context() as m:
-                sizes = _chunk_sizes(m)
-                got = z_array(ts)
-            assert sorted(sizes) == chunks, (n, nodes)
-            half = nodes // 2
-            want = np.concatenate([z_array(ts[:half]), z_array(ts[half:])])
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-class _ChunkFailure(Exception):
-    pass
-
-
-def test_worker_failure_reraised(monkeypatch):
-    # a chunk that raises in a worker thread raises from z_array, the
-    # lowest failed chunk's exception first, and every worker is joined
-    ts = np.linspace(1e4, 6e4, 2**14)
-    kernel = zeta._z_riemann_siegel
-
-    def failing(t):
-        if t[0] != ts[0]:
-            time.sleep(0.05)  # fail after the first chunk is done
-            raise _ChunkFailure(t[0])
-        return kernel(t)
-
-    monkeypatch.setattr(zeta, "_z_riemann_siegel", failing)
-    monkeypatch.setattr(zeta, "_usable_cpus", lambda: 3)
-    before = threading.active_count()
-    with pytest.raises(_ChunkFailure) as info:
-        z_array(ts)
-    assert threading.active_count() == before
-    second = info.value.args[0]
-    assert ts[0] < second and np.count_nonzero(ts < second) < ts.size // 2
+    ascending = z_array(ts)
+    assert sorts == [ts.size]
+    shuffled = z_array(ts[perm])
+    assert sorts == [ts.size, ts.size]
+    assert np.array_equal(shuffled.view(np.int64), ascending[perm].view(np.int64))
 
 
 def _loop_main_sum(t, th, trunc):

@@ -41,10 +41,11 @@ ascent makes one Z call of 21 nodes.
 One generator, _quad, integrates every span, a segment or a build's
 stride cells: it cuts the panels of all its spans, in order, into groups
 of up to 2^14 nodes, one Z call each, and evaluates them ahead of the
-span it checks, side by side on the usable CPUs (_in_order); panel
-values do not depend on their batch, so the cut and the threads move no
-bit. A cell from load() gets its knots
-(CheckpointCache._fill) from the first read that lands in it; invert
+span it checks, side by side on the usable CPUs (_in_order, on
+Executor.map); panel values do not depend on their batch, so the cut
+and the threads move no bit. The knots of all filled cells are one run
+sorted by t. A cell from load() gets its knots (CheckpointCache._fill),
+spliced into that run, from the first read that lands in it; invert
 fills the cells of all its targets in one grouped pass.
 hl_integral_all reads many T with one Z call per 780 panels, so one on a
 warm cache; hl_integral is its one-T case.
@@ -57,8 +58,7 @@ import itertools
 import math
 import os
 from array import array
-from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from contextlib import closing
 from dataclasses import dataclass, field
 
@@ -147,13 +147,14 @@ CELL_TOL = AUTO_TOL_RATE * DEFAULT_STRIDE
 _VERSION_TAG = "# ladderlab cache v"
 _HEADER = f"{_VERSION_TAG}{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}"
 # Most Z nodes in one z_array call: a group of _quad's panels or of
-# _panel_z's. _in_order runs one group per CPU at once, so peak RSS grows
-# with the group, and a smaller one pays more Python per node in the
-# kernel. On 2 vCPUs, as a share of the old z_array split's cold-build
-# seconds (fresh processes, 10-20 rounds), and cache-build peak_rss_mb at
-# equal pass counts: 2^13 0.98-1.06x, +1.0-1.6 MB; 3 * 2^12 0.86-1.01x,
-# +1.9-2.3 MB; 2^14 0.88-0.92x (0.86x in one process, 3 * 2^12 0.90x),
-# +2.3-2.6 MB; 2^15 0.89-0.91x, +5.8-6.9 MB.
+# _panel_z's. _in_order queues every group at once and runs one per CPU
+# at a time, so peak RSS grows with the group, and a smaller one pays
+# more Python per node in the kernel. On 2 vCPUs, as a share of the old
+# z_array split's cold-build seconds (fresh processes, 10-20 rounds), and
+# cache-build peak_rss_mb at equal pass counts: 2^13 0.98-1.06x,
+# +1.0-1.6 MB; 3 * 2^12 0.86-1.01x, +1.9-2.3 MB; 2^14 0.88-0.92x (0.86x
+# in one process, 3 * 2^12 0.90x), +2.3-2.6 MB; 2^15 0.89-0.91x,
+# +5.8-6.9 MB.
 _GROUP_NODES = 2**14
 # The mean value J(t) ~ t ln(t / 2 pi) + (2c - 1) t has slope ln t + _MV_SLOPE
 # and is 0 at _MV_ZERO.
@@ -285,31 +286,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _in_order(fn: Callable, groups: Iterable[tuple]) -> Iterator:
+def _in_order(fn: Callable, groups: list[tuple]) -> Iterator:
     """fn(*g) for each g of groups, in order: inline, starting no thread,
-    for one group or one usable CPU; else on a pool of one worker thread
-    per usable CPU, drawing groups at most that many ahead of the one the
-    caller holds. A group's exception is raised at its turn. Closing the
-    generator, or an exception, waits for the groups in flight and shuts
-    the pool down. fn must count or log nothing: it may run in a worker."""
-    groups = iter(groups)
-    head = list(itertools.islice(groups, 2))
-    workers = _usable_cpus() if len(head) > 1 else 1
-    if workers < 2:
-        yield from itertools.starmap(fn, itertools.chain(head, groups))
+    for one group or one usable CPU; else queued at once on a pool of one
+    worker thread per usable CPU, at most one per group (Executor.map). A
+    group's exception is raised at its turn. Closing the generator, or an
+    exception, cancels the groups not yet started, waits for the running
+    ones and shuts the pool down. fn must count or log nothing: it may run
+    in a worker."""
+    if len(groups) < 2 or _usable_cpus() < 2:
+        yield from itertools.starmap(fn, groups)
         return
     # imported here, not with the module: concurrent.futures imports
     # logging, about 7 ms that a process with no pooled call need not pay
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        ahead = deque(pool.submit(fn, *g)
-                      for g in itertools.chain(head, itertools.islice(groups, workers - 2)))
-        for g in groups:
-            done = ahead.popleft().result()
-            ahead.append(pool.submit(fn, *g))
-            yield done
-        while ahead:
-            yield ahead.popleft().result()
+    with ThreadPoolExecutor(min(_usable_cpus(), len(groups))) as pool:
+        yield from pool.map(fn, *zip(*groups))
 
 
 def _panel_z(spans: list[tuple[float, float]]) -> Iterator[np.ndarray]:
@@ -359,27 +351,12 @@ def _quad(spans: list[tuple[float, float]]) -> Iterator[tuple | LadderLabError]:
     being checked here."""
     edges = [_panel_edges(a, b) for a, b in spans]
     per = _GROUP_NODES // _GAUSS_NODES
-
-    def groups():
-        # cut as _in_order draws them, so only the groups in flight hold a
-        # copy of their edges
-        lo, hi, n = [], [], 0  # the edges not yet in a group, and their panels
-        for e in edges:
-            lo.append(e[:-1])
-            hi.append(e[1:])
-            n += e.size - 1
-            if n >= per:
-                los, his = np.concatenate(lo), np.concatenate(hi)
-                full = n - n % per
-                for k in range(0, full, per):
-                    yield los[k:k + per], his[k:k + per]
-                lo, hi, n = [los[full:]], [his[full:]], n - full
-        if n:
-            yield np.concatenate(lo), np.concatenate(hi)
-
+    lo = np.concatenate([np.empty(0), *(e[:-1] for e in edges)])
+    hi = np.concatenate([np.empty(0), *(e[1:] for e in edges)])
+    groups = [(lo[k:k + per], hi[k:k + per]) for k in range(0, lo.size, per)]
     # closed with this generator: a ToleranceError's traceback can hold
     # this frame, and with it the pool, past the generator's end
-    with closing(_in_order(_eval_panels, groups())) as results:
+    with closing(_in_order(_eval_panels, groups)) as results:
         vals = [np.empty(0)] * 3  # (v, est, eng) of the evaluated panels not yet checked
         for (a, b), e in zip(spans, edges):
             n = e.size - 1
@@ -512,10 +489,12 @@ class CheckpointCache:
     read sees the same knots whatever the cache's history.
 
     Checkpoints are held in array('d'); lists passed to the constructor
-    are copied into arrays. Knots are held in three cache-wide arrays,
-    t, J and err, with each cell's knots one run of them; cells append
-    their runs in the order they are filled, which for cells from load()
-    is any order.
+    are copied into arrays, and columns of unequal length are refused
+    (CacheCorruptionError). Knots are held in three cache-wide arrays,
+    t, J and err, one run sorted by t, and so by J, whatever order the
+    cells were filled in: a build appends a cell's knots, and a cell from
+    load() splices them in. _bracket bisects the checkpoints and the
+    knots and takes the nearer point on each side.
     """
 
     ts: array = field(default_factory=lambda: array("d"))
@@ -524,11 +503,12 @@ class CheckpointCache:
 
     def __post_init__(self) -> None:
         self.ts, self.js, self.errs = (array("d", v) for v in (self.ts, self.js, self.errs))
-        # the knots of every filled cell, and cell i's run of them,
-        # [_kstart[i], _kstop[i]); a cell at -1 there, or past the end of
-        # _kstart, holds no knots
+        if not len(self.ts) == len(self.js) == len(self.errs):
+            raise CacheCorruptionError(
+                f"cache columns of unequal length: {len(self.ts)} T, {len(self.js)} J, "
+                f"{len(self.errs)} abs_err")
+        # the knots of every filled cell, one run sorted by t, and so by J
         self._kt, self._kj, self._ke = array("d"), array("d"), array("d")
-        self._kstart, self._kstop = array("q"), array("q")
 
     def _validate(self, start: int = 0) -> None:
         """Refuse (CacheCorruptionError) the first row from start on that
@@ -562,26 +542,28 @@ class CheckpointCache:
         """Checkpoint row i as (T, J, err), the origin (0, 0, 0) for i = -1."""
         return (self.ts[i], self.js[i], self.errs[i]) if i >= 0 else (0.0, 0.0, 0.0)
 
-    def _knot_run(self, i: int) -> tuple[int, int] | None:
-        """(start, stop) of stride cell i's knots in the knot arrays, or
-        None if the cell does not hold them."""
-        if i < len(self._kstart) and self._kstart[i] >= 0:
-            return self._kstart[i], self._kstop[i]
-        return None
+    def _holds_knots(self, i: int) -> bool:
+        """Whether stride cell i holds its knots: it has at least 6 inner
+        panel edges, so a filled cell has a knot inside it."""
+        k = bisect.bisect_right(self._kt, i * DEFAULT_STRIDE)
+        return k < len(self._kt) and self._kt[k] < (i + 1) * DEFAULT_STRIDE
 
     def _bracket(self, x: float, key: int = 0) -> tuple[tuple, tuple | None]:
         """Adjacent stored points (t, J, err) around x, by t (key 0) or by
         J (key 1): the last whose key is <= x, a checkpoint, a knot or the
         origin, and the next one, None past the last checkpoint.
 
-        Bisects the checkpoints, then the knots of that one stride cell; a
-        cell from load() without its knots brackets x by its checkpoints."""
+        Bisects the checkpoints and the knots and takes the nearer point
+        on each side; a cell from load() without its knots brackets x by
+        its checkpoints."""
         i = bisect.bisect_right((self.ts, self.js)[key], x)
-        lo, hi = self._knot_run(i) or (0, 0)
         kt, kj, ke = self._kt, self._kj, self._ke
-        k = bisect.bisect_right((kt, kj)[key], x, lo, hi)
-        below = (kt[k - 1], kj[k - 1], ke[k - 1]) if k > lo else self._point(i - 1)
-        if k < hi:
+        k = bisect.bisect_right((kt, kj)[key], x)
+        below = self._point(i - 1)
+        if k and kt[k - 1] > below[0]:
+            below = (kt[k - 1], kj[k - 1], ke[k - 1])
+        # a knot above x lies below the last checkpoint, so i is a row
+        if k < len(kt) and kt[k] < self.ts[i]:
             return below, (kt[k], kj[k], ke[k])
         return below, self._point(i) if i < len(self.ts) else None
 
@@ -598,15 +580,11 @@ class CheckpointCache:
                 clo, v, err, n = unwrap(checked)
                 j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
                 vals = v.tolist()
-                if i >= len(self._kstart):
-                    unfilled = array("q", [-1]) * (i + 1 - len(self._kstart))
-                    self._kstart.extend(unfilled)
-                    self._kstop.extend(unfilled)
-                self._kstart[i] = len(self._kt)
-                self._kt.extend(clo[1:].tolist())
-                self._kj.extend([j0 + math.fsum(vals[:m]) for m in range(1, clo.size)])
-                self._ke.extend((e0 + np.cumsum(err)[:-1]).tolist())
-                self._kstop[i] = len(self._kt)
+                # after every knot below b: a build appends, a loaded cell splices
+                k = bisect.bisect_right(self._kt, b)
+                self._kt[k:k] = array("d", clo[1:].tolist())
+                self._kj[k:k] = array("d", [j0 + math.fsum(vals[:m]) for m in range(1, clo.size)])
+                self._ke[k:k] = array("d", (e0 + np.cumsum(err)[:-1]).tolist())
                 if i == len(self.ts):
                     self.ts.append(b)
                     self.js.append(j0 + math.fsum(vals))
@@ -617,7 +595,7 @@ class CheckpointCache:
     def _fill(self, i: int) -> int:
         """Store the knots of stride cell i unless it holds them already,
         as a cell from load() does not; returns the Z nodes evaluated."""
-        return 0 if self._knot_run(i) else self._cells([i])
+        return 0 if self._holds_knots(i) else self._cells([i])
 
     def extend_to(self, T: float) -> int:
         """Add checkpoints at stride multiples up to T, with their cells'
@@ -679,10 +657,10 @@ class CheckpointCache:
         """
         out: list = [attempt(self._target_cell, target) for target in targets]
         filled = attempt(self._cells, sorted(
-            {i for i in out if not isinstance(i, LadderLabError) and not self._knot_run(i)}))
+            {i for i in out if not isinstance(i, LadderLabError) and not self._holds_knots(i)}))
         for k, i in enumerate(out):
             if not isinstance(i, LadderLabError):
-                out[k] = self._bracket(targets[k], 1) if self._knot_run(i) else filled
+                out[k] = self._bracket(targets[k], 1) if self._holds_knots(i) else filled
         ok = [k for k, span in enumerate(out) if not isinstance(span, LadderLabError)]
         for k, z in zip(ok, _panel_z([(out[k][0][0], out[k][1][0]) for k in ok])):
             (t0, j0, _), (t1, j1, _) = out[k]

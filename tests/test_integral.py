@@ -346,9 +346,10 @@ def test_panel_rule_either_side_of_the_seam():
 
 
 def _knots(cache, i):
-    """Stride cell i's knots as (t, J, err) arrays, None if it holds none."""
-    run = cache._knot_run(i)
-    return run and tuple(a[run[0]:run[1]] for a in (cache._kt, cache._kj, cache._ke))
+    """Stride cell i's knots as (t, J, err) arrays, bisected from the knot
+    run between its checkpoints; empty if it holds none."""
+    lo, hi = (bisect.bisect_right(cache._kt, k * DEFAULT_STRIDE) for k in (i, i + 1))
+    return tuple(a[lo:hi] for a in (cache._kt, cache._kj, cache._ke))
 
 
 def test_cells_below_the_seam_keep_their_bits():
@@ -423,6 +424,15 @@ def test_cache_corruption(tmp_path):
             CheckpointCache.load(path)
         msg = str(exc.value)
         assert header in msg and f"stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}" in msg
+
+
+def test_unequal_columns_refused():
+    # zip would truncate to the shortest column and pass _validate, and a
+    # read would then index past the end of a short one
+    for ts, js, errs in (([50.0, 100.0], [1.0], [0.0, 0.0]), ([50.0], [1.0, 2.0], [0.0]),
+                         ([50.0, 100.0], [1.0, 2.0], [0.0])):
+        with pytest.raises(CacheCorruptionError, match="unequal length"):
+            CheckpointCache(ts=ts, js=js, errs=errs)
 
 
 def test_load_rejects_off_grid_rows(tmp_path):
@@ -663,7 +673,7 @@ def test_invert_root_of_a_loaded_checkpoint_is_the_checkpoint(shared_cache, tmp_
     for i, (U, j) in zip(rows, res):
         assert (U, j) == (shared_cache.ts[i], shared_cache.js[i])
         assert j.hex() == hl_integral(U, cache=shared_cache).value.hex()
-    assert all(loaded._knot_run(i) is None for i in rows)
+    assert not any(_knots(loaded, i)[0] for i in rows)
 
 
 def test_invert_fills_loaded_cells_in_one_grouped_pass(shared_cache, tmp_path, monkeypatch):
@@ -687,7 +697,7 @@ def test_invert_fills_loaded_cells_in_one_grouped_pass(shared_cache, tmp_path, m
 
     monkeypatch.setattr(integral, "z_array", counting)
     assert [(U.hex(), j.hex()) for U, j in loaded.invert(targets)] == want
-    filled = sum(loaded._knot_run(i) is not None for i in range(len(loaded.ts)))
+    filled = sum(bool(_knots(loaded, i)[0]) for i in range(len(loaded.ts)))
     assert filled > 80 and max(sizes) <= integral._GROUP_NODES
     assert len(sizes) <= math.ceil(sum(sizes) / integral._GROUP_NODES) + 1, sizes
 
@@ -724,10 +734,38 @@ def test_knot_reads_independent_of_cache_history(tmp_path):
         assert _bits(hl_integral(T, cache=CheckpointCache())) == want  # cold cache
     assert loaded == cache and len(loaded.ts) == 41
     # the loaded cache filled its cells in the shuffled order of the reads,
-    # into the same cache-wide knot arrays, and holds the same knots per cell
-    assert loaded._kt != cache._kt
-    for i in range(len(cache.ts)):
-        assert _knots(loaded, i) == _knots(cache, i), i
+    # splicing each into the one sorted knot run, so it holds the built
+    # cache's knot arrays byte for byte
+    for got, want in zip((loaded._kt, loaded._kj, loaded._ke), (cache._kt, cache._kj, cache._ke)):
+        assert len(got) > 40 * 6 and got.tobytes() == want.tobytes()
+
+
+def test_bracket_on_filled_and_bare_cells_side_by_side(shared_cache):
+    # a loaded cache holds knots in some cells, filled out of order, next to
+    # bare ones: a filled cell brackets as the warm cache does, a bare one
+    # by its checkpoints, by t and by J, at and just below every knot and
+    # checkpoint, at the origin and past the last checkpoint
+    shared_cache.extend_to(1000.0)
+    rows = 20
+    loaded = CheckpointCache(ts=shared_cache.ts[:rows], js=shared_cache.js[:rows],
+                             errs=shared_cache.errs[:rows])
+    filled = {1, 2, 3, 7, 9, 10, 15, 19}
+    for i in (10, 2, 19, 7, 1, 15, 3, 9):
+        assert loaded._fill(i) > 0
+    for key in (0, 1):
+        xs = [0.0, (loaded.ts, loaded.js)[key][-1] + 10.0]
+        for i in range(rows):
+            xs += [*_knots(shared_cache, i)[key], (shared_cache.ts, shared_cache.js)[key][i]]
+        xs += [math.nextafter(x, 0.0) for x in xs[2:]]
+        for x in xs:
+            i = bisect.bisect_right((loaded.ts, loaded.js)[key], x)
+            if i == rows:
+                want = loaded._point(i - 1), None
+            elif i in filled:
+                want = shared_cache._bracket(x, key)
+            else:
+                want = loaded._point(i - 1), loaded._point(i)
+            assert loaded._bracket(x, key) == want, (key, x)
 
 
 def test_save_writes_checkpoints_only(tmp_path):
@@ -850,6 +888,28 @@ def test_pool_same_bits_on_one_two_three_workers(monkeypatch):
         assert all((ident == main) == (workers == 1) for ident in threads), workers
 
 
+def test_read_batches_same_bits_on_one_two_three_workers(shared_cache, monkeypatch):
+    # warm hl_integral_all and invert batches of more than 780 read panels
+    # take several _panel_z groups: inline on one CPU, and on more only in
+    # worker threads, with the same bits
+    shared_cache.extend_to(2e4)
+    rng = random.Random(37)
+    Ts = [rng.uniform(0.0, 2e4) for _ in range(2000)]
+    targets = [rng.uniform(0.0, shared_cache.js[399]) for _ in range(2000)]
+    threads = _thread_recording(monkeypatch)
+    want = None
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(integral, "_usable_cpus", lambda: workers)
+        threads.clear()
+        got = ([_read_bits(r) for r in hl_integral_all(Ts, shared_cache)],
+               [(U.hex(), j.hex()) for U, j in shared_cache.invert(targets)])
+        assert want is None or got == want, workers
+        want = got
+        assert len(threads) == 2 * math.ceil(2000 / (integral._GROUP_NODES // integral._READ_NODES))
+        main = threading.get_ident()
+        assert all((ident == main) == (workers == 1) for ident in threads), workers
+
+
 class _GroupFailure(Exception):
     pass
 
@@ -907,7 +967,8 @@ def test_one_group_runs_inline(shared_cache, monkeypatch):
 def test_no_worker_outlives_a_build(monkeypatch):
     # the pool shuts down after a build and a segment, after a
     # ToleranceError in the middle of either, and when _quad is dropped
-    # or closed with groups still in flight
+    # or closed with groups still in flight; the groups still queued then
+    # are cancelled, not evaluated
     monkeypatch.setattr(integral, "_GROUP_NODES", 50 * integral._GAUSS_NODES)
     monkeypatch.setattr(integral, "_usable_cpus", lambda: 2)
     before = threading.active_count()
@@ -938,6 +999,31 @@ def test_no_worker_outlives_a_build(monkeypatch):
     next(gen)
     gen.close()
     assert threading.active_count() == before
+
+    # a build of over 40 groups that fails in its third cell evaluates
+    # few of them
+    monkeypatch.setattr(integral, "_GROUP_NODES", 10 * integral._GAUSS_NODES)
+    groups = math.ceil(sum(_first_nodes(a, b) for a, b in spans) / integral._GROUP_NODES)
+    assert groups >= 40
+    evaluated = []
+    eval_panels = integral._eval_panels
+
+    def slow(lo, hi):
+        evaluated.append(lo[0])
+        time.sleep(0.01)  # a group takes longer than checking a span
+        return eval_panels(lo, hi)
+
+    def early(a, b, *rest):
+        if a == 100.0:
+            raise ToleranceError("fails on purpose", best_value=0.0, best_error=1.0)
+        return check(a, b, *rest)
+
+    monkeypatch.setattr(integral, "_eval_panels", slow)
+    monkeypatch.setattr(integral, "_check", early)
+    with pytest.raises(ToleranceError):
+        CheckpointCache().extend_to(3e3)
+    assert threading.active_count() == before
+    assert len(evaluated) <= groups // 4, (len(evaluated), groups)
 
 
 def test_cold_ascent_builds_cells_in_groups(monkeypatch):

@@ -172,7 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--functionals", default="gamma", metavar="ID1,ID2,...")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--max-xyz", type=int, required=True)
-    q.add_argument("--tau-grid", type=_floats, default=None, metavar="T1,T2,...")
+    q.add_argument("--tau-grid", type=_floats, default=None, metavar="T1,T2,...",
+                   help="finite and strictly ascending taus (default: "
+                        + ",".join(f"{t:g}" for t in fermat.DEFAULT_TAU_GRID) + ")")
     q.add_argument("--window-eps", type=float, default=None)
     q.add_argument("--t-cap", type=float, default=fermat.DEFAULT_T_CAP)
     q.add_argument("--out", default=None)

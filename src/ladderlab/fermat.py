@@ -77,10 +77,10 @@ def enumerate_fermat_rationals(n: int, max_xyz: int,
                                window: tuple[float, float] | None = None) -> list[FermatRational]:
     """Distinct Fermat rationals with x, y, z <= max_xyz, by |q - 1|.
 
-    Deduplicated on exact value keeping the lexicographically smallest
-    witness triple; the optional open window filters on the value.
-    Every triple is exact-checked against x^n + y^n = z^n first
-    (exhaustive_exact_check).
+    Deduplicated on exact value keeping the first witness triple, which
+    is the lexicographically smallest: the loops visit (x, y, z) in that
+    order. The optional open window filters on the value. Every triple
+    is exact-checked against x^n + y^n = z^n first (exhaustive_exact_check).
     """
     if n < 3:
         raise DomainError("exponent n must be >= 3")
@@ -92,15 +92,9 @@ def enumerate_fermat_rationals(n: int, max_xyz: int,
         for y in range(x, max_xyz + 1):  # symmetric in x, y
             num = x ** n + y ** n
             for z in range(1, max_xyz + 1):
-                q = FermatRational(x=x, y=y, z=z, n=n)
                 frac = Fraction(num, z ** n)
-                if window is not None:
-                    v = frac
-                    if not (window[0] < v < window[1]):
-                        continue
-                prev = seen.get(frac)
-                if prev is None or (q.x, q.y, q.z) < (prev.x, prev.y, prev.z):
-                    seen[frac] = q
+                if frac not in seen and (window is None or window[0] < frac < window[1]):
+                    seen[frac] = FermatRational(x=x, y=y, z=z, n=n)
     out = list(seen.values())
     out.sort(key=lambda r: (abs(r.fraction - 1), r.x, r.y, r.z))
     return out
@@ -322,18 +316,27 @@ def _row_grid(fid: str, f: _Functional, v: float, mults: tuple[float, ...], tau_
     return [lo * ratio ** i for i in range(m - 1)] + [hi]
 
 
+def _check_tau_grid(tau_grid) -> None:
+    if not (all(math.isfinite(t) for t in tau_grid)
+            and all(a < b for a, b in zip(tau_grid, tau_grid[1:]))):
+        raise DomainError(f"tau_grid must be finite and strictly ascending, got {list(tau_grid)}")
+
+
 def evaluate_equivalent(functional: str, q: FermatRational,
                         tau_grid=DEFAULT_TAU_GRID,
                         cache: CheckpointCache | None = None,
                         t_cap: float = DEFAULT_T_CAP) -> ScanRow:
     """One evidence row: functional value at the largest feasible tau.
 
-    est_error sums the last-grid drift, a Richardson extrapolation gap
-    in 1/ln(tau) (the convergence scale of every limit here), and the
-    propagated numeric error. status is resolved only when the distance
-    from the forbidden value exceeds est_error.
+    tau_grid must be finite and strictly ascending (DomainError); a row
+    has at least two taus (_row_grid). est_error sums the last-grid
+    drift, a Richardson extrapolation gap in 1/ln(tau) (the convergence
+    scale of every limit here), and the propagated numeric error. status
+    is resolved only when the distance from the forbidden value exceeds
+    est_error.
     """
     f = _lookup(functional)
+    _check_tau_grid(tau_grid)
     cache = cache if cache is not None else CheckpointCache()
     v = q.value
     target = None if f.exp_valued and v > _EXP_Q_CAP else f.limit(v)
@@ -356,19 +359,15 @@ def evaluate_equivalent(functional: str, q: FermatRational,
                        forbidden=forbidden, distance=None, est_error=None,
                        status=_STATUS_INFEASIBLE if hard else _STATUS_UNRESOLVED,
                        note=str(exc) if infeasible else f"solver: {exc}")
-    tau_last, v_last, num_err = values[-1]
-    if len(values) >= 2:
-        tau_prev, v_prev, _ = values[-2]
-        drift = abs(v_last - v_prev)
-        if len(values) >= 3:
-            # a lone drift can cancel by accident; take the worse of two
-            drift = max(drift, abs(v_prev - values[-3][1]))
-        l_prev, l_last = math.log(tau_prev), math.log(tau_last)
-        # v ~ limit + beta/ln(tau): gap to the extrapolated limit
-        extrap_gap = drift * (1.0 / l_last) / (1.0 / l_prev - 1.0 / l_last)
-        est = drift + extrap_gap + num_err
-    else:
-        est = math.inf
+    (tau_prev, v_prev, _), (tau_last, v_last, num_err) = values[-2:]
+    drift = abs(v_last - v_prev)
+    if len(values) >= 3:
+        # a lone drift can cancel by accident; take the worse of two
+        drift = max(drift, abs(v_prev - values[-3][1]))
+    l_prev, l_last = math.log(tau_prev), math.log(tau_last)
+    # v ~ limit + beta/ln(tau): gap to the extrapolated limit
+    extrap_gap = drift * (1.0 / l_last) / (1.0 / l_prev - 1.0 / l_last)
+    est = drift + extrap_gap + num_err
     distance = abs(v_last - forbidden)
     status = _STATUS_RESOLVED if distance > est else _STATUS_UNRESOLVED
     return ScanRow(functional=functional, x=q.x, y=q.y, z=q.z, n=q.n,
@@ -389,14 +388,13 @@ def scan(functional_ids, n: int, max_xyz: int,
     through its own stride cell, and a cell's values do not depend on
     evaluation order, so the report is the same for any row order.
 
-    t_cap must be finite and at least T_FLOOR and every tau_grid value
-    finite (DomainError), and t_cap's reach must not pass T_MAX
+    t_cap must be finite and >= T_FLOOR, tau_grid finite and strictly
+    ascending (DomainError), and t_cap's reach within T_MAX
     (InfeasibleError, t_cap <= ~84,290); all are checked before any work.
     """
     if not (math.isfinite(t_cap) and t_cap >= T_FLOOR):
         raise DomainError(f"t_cap must be finite and >= T_FLOOR={T_FLOOR:g}, got {t_cap:g}")
-    if not all(math.isfinite(t) for t in tau_grid):
-        raise DomainError(f"tau_grid must be finite, got {list(tau_grid)}")
+    _check_tau_grid(tau_grid)
     # the farthest J read of a row is the cell holding the ascent root of
     # t_cap, a rung of ~(1-c)t_cap/ln(t_cap/2pi) up; the margin is 3-4 rungs
     reach = t_cap * (1.0 + 5.0 * _SCALE / math.log(t_cap))

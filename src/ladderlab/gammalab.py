@@ -90,9 +90,7 @@ class FunctionalReport:
 
 
 def _base_metadata(**extra) -> dict:
-    meta = {"c0_convention": C0_CONVENTION, "residual_tol": DEFAULT_RESIDUAL_TOL}
-    meta.update(extra)
-    return meta
+    return {"c0_convention": C0_CONVENTION, "residual_tol": DEFAULT_RESIDUAL_TOL, **extra}
 
 
 def gamma_functional(x: float, tau_grid: list[float],
@@ -154,28 +152,35 @@ def verify_factorization_D(tau_grid: list[float],
     return _factorization("d", 0.0, tau_grid, cache, d_increment_all, 1.0, _base_metadata())
 
 
+def _gram_factorization(fid: str, const: float, increment_all, tau_grid: list[float],
+                        cache: CheckpointCache | None) -> FunctionalReport:
+    """Gram sum over (tau, tau^1] vs const * ln Gamma increment, parameter const."""
+    return _factorization(fid, const, tau_grid, cache, increment_all, const,
+                          _base_metadata(strategy=DEFAULT_STRATEGY, constant=const))
+
+
 def verify_factorization_T1(tau_grid: list[float],
                             cache: CheckpointCache | None = None) -> FunctionalReport:
     """Gram one-point sum over (tau, tau^1] vs (1/pi) ln Gamma increment."""
-    const = 1.0 / math.pi
-    return _factorization(
-        "t1", const, tau_grid, cache, t1_increment_all,
-        const, _base_metadata(strategy=DEFAULT_STRATEGY, constant=const),
-    )
+    return _gram_factorization("t1", 1.0 / math.pi, t1_increment_all, tau_grid, cache)
 
 
 def verify_factorization_T2(tau_grid: list[float],
                             cache: CheckpointCache | None = None) -> FunctionalReport:
     """Gram pair sum over (tau, tau^1] vs ((1+c)/pi) ln Gamma increment."""
-    const = (1.0 + EULER_GAMMA) / math.pi
-    return _factorization(
-        "t2", const, tau_grid, cache, t2_increment_all,
-        const, _base_metadata(strategy=DEFAULT_STRATEGY, constant=const),
-    )
+    return _gram_factorization("t2", (1.0 + EULER_GAMMA) / math.pi, t2_increment_all,
+                               tau_grid, cache)
+
+
+class _FieldReport:
+    """to_json for a report whose JSON is its fields, in declaration order."""
+
+    def to_json(self) -> str:
+        return to_json(field_dict(self))
 
 
 @dataclass(frozen=True)
-class ChainReport:
+class ChainReport(_FieldReport):
     """Telescoped rung-by-rung Gram sums against one long ln Gamma span."""
 
     tau: float
@@ -186,9 +191,6 @@ class ChainReport:
     total_ratio: float
     additivity_defect: float
     metadata: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return to_json(field_dict(self))
 
 
 def verify_chain(tau: float, k: int, cache: CheckpointCache | None = None) -> ChainReport:
@@ -229,7 +231,7 @@ def pi_via_gamma(tau: float, k: int, cache: CheckpointCache | None = None) -> fl
 
 
 @dataclass(frozen=True)
-class ShiftedReport:
+class ShiftedReport(_FieldReport):
     """Shifted-rung ratio: Gamma at the ascents of tau+1 vs tau."""
 
     tau: float
@@ -240,9 +242,6 @@ class ShiftedReport:
     count_target: float
     strategy: str
     metadata: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return to_json(field_dict(self))
 
 
 def verify_shifted_ratio(tau: float, cache: CheckpointCache | None = None) -> ShiftedReport:
@@ -272,7 +271,7 @@ def verify_shifted_ratio(tau: float, cache: CheckpointCache | None = None) -> Sh
 
 
 @dataclass(frozen=True)
-class LegendreReport:
+class LegendreReport(_FieldReport):
     """Duplication-formula factorization over three parallel ascents."""
 
     tau: float
@@ -281,9 +280,6 @@ class LegendreReport:
     log_difference: float
     strategy: str
     metadata: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return to_json(field_dict(self))
 
 
 def verify_legendre_factorization(tau: float,

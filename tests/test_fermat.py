@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -52,6 +53,22 @@ def test_rational_validation():
         FermatRational(1, 1, 1, 2)
 
 
+def _enumeration_reference(n, max_xyz, window=None):
+    """(|q - 1|, x, y, z) of each distinct q, its least witness, sorted:
+    every triple with x <= y, visited in descending order, so the least
+    witness is found by min() and not by visit order."""
+    witnesses = {}
+    for x, y, z in itertools.product(range(max_xyz, 0, -1), repeat=3):
+        q = Fraction(x ** n + y ** n, z ** n)
+        if x <= y and (window is None or window[0] < q < window[1]):
+            witnesses.setdefault(q, []).append((x, y, z))
+    return sorted((abs(q - 1), *min(ws)) for q, ws in witnesses.items())
+
+
+def _enumeration_keys(rs):
+    return [(abs(r.fraction - 1), r.x, r.y, r.z) for r in rs]
+
+
 def test_enumeration_small():
     rs = enumerate_fermat_rationals(3, 2)
     vals = sorted(float(r.fraction) for r in rs)
@@ -60,6 +77,11 @@ def test_enumeration_small():
     assert [r.fraction for r in rs] == [
         Fraction(9, 8), Fraction(1, 4), Fraction(2), Fraction(9), Fraction(16)]
     assert (rs[0].x, rs[0].y, rs[0].z) == (1, 2, 2)
+    for n in (3, 4, 5):
+        for max_xyz in (1, 2, 7, 13):
+            rs = enumerate_fermat_rationals(n, max_xyz)
+            assert all(r.n == n for r in rs)
+            assert _enumeration_keys(rs) == _enumeration_reference(n, max_xyz)
 
 
 def test_enumeration_window():
@@ -68,6 +90,11 @@ def test_enumeration_window():
     assert all(0.99 < float(r.fraction) < 1.01 for r in rs)
     assert all(abs(a.fraction - 1) <= abs(b.fraction - 1)
                for a, b in zip(rs, rs[1:]))
+    for n in (3, 4, 5):
+        for window in ((0.99, 1.01), (0.5, 1.5), (1.0, 2.0)):
+            rs = enumerate_fermat_rationals(n, 12, window=window)
+            assert rs and all(r.n == n for r in rs)
+            assert _enumeration_keys(rs) == _enumeration_reference(n, 12, window)
 
 
 def test_enumeration_dedupes_scaled_triples():
@@ -176,11 +203,18 @@ def test_scan_window_passthrough(shared_cache):
 
 
 def test_non_finite_tau_grid_refused_before_any_row():
-    # refused before any row, not after every row by the serializer
+    # refused before any row, not after every row by the serializer; a
+    # repeated tau would make the error bar divide by zero, and a
+    # descending grid would take drift and extrapolation out of tau order
     cache = CheckpointCache()
-    for grid in ([math.nan], [1e2, math.inf]):
+    for grid in ([math.nan], [1e2, math.inf], [1e4, 1e4], [3e3, 3e2]):
         with pytest.raises(DomainError, match="tau_grid must be finite"):
             scan(["gamma"], n=3, max_xyz=3, tau_grid=grid, cache=cache)
+    assert len(cache.ts) == 0
+    # a row refuses it too, as an error rather than an unresolved row
+    for grid in ((1e4, 1e4), (3e3, 3e2), (1e2, math.nan)):
+        with pytest.raises(DomainError, match="strictly ascending"):
+            evaluate_equivalent("gamma", FermatRational(1, 1, 1, 3), grid, cache)
     assert len(cache.ts) == 0
 
 

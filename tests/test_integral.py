@@ -352,14 +352,35 @@ def _knots(cache, i):
     return tuple(a[lo:hi] for a in (cache._kt, cache._kj, cache._ke))
 
 
+def _numpy_on_pinned_simd_targets():
+    """Whether numpy's float64 exp, log and power run on the SIMD targets
+    the pinned bits below were measured on (X86_V4). Their last bits
+    differ between targets; numpy < 2 has no introspect to tell."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return False
+    info = opt_func_info(func_name="^(exp|log|power)$", signature="float64")
+    current = {name: [sig["current"] for sig in sigs.values()] for name, sigs in info.items()}
+    return current == {"exp": ["X86_V4"], "log": ["X86_V4"], "power": ["X86_V4"]}
+
+
 def test_cells_below_the_seam_keep_their_bits():
     # the two Euler-Maclaurin cells, on the one Gauss rule: their
-    # checkpoints' bits are pinned, and J(100) lies within its estimate of
-    # the mpmath oracle (test_j_oracle_values)
+    # checkpoints' bits are pinned where numpy runs the kernels they were
+    # measured on, and within 2 ulps elsewhere; J(100) lies within its
+    # estimate of the mpmath oracle (test_j_oracle_values)
     cache = CheckpointCache()
     cache.extend_to(100.0)
-    assert [j.hex() for j in cache.js] == ["0x1.cfa59df2e8a81p+6", "0x1.27a295da05c8bp+8"]
-    assert [e.hex() for e in cache.errs] == ["0x1.2036e89ef097ap-12", "0x1.657d87eda96b6p-12"]
+    js = [float.fromhex(h) for h in ("0x1.cfa59df2e8a81p+6", "0x1.27a295da05c8bp+8")]
+    errs = [float.fromhex(h) for h in ("0x1.2036e89ef097ap-12", "0x1.657d87eda96b6p-12")]
+    if _numpy_on_pinned_simd_targets():
+        assert list(cache.js) == js and list(cache.errs) == errs
+    else:
+        for got, want in zip([*cache.js, *cache.errs], js + errs):
+            assert abs(got - want) <= 2 * math.ulp(want)
+    # on any kernel, a cell's checkpoint is the segment read of the cell
+    assert cache.js[0] == integrate_segment(0.0, 50.0).value
 
 
 def test_cache_corruption(tmp_path):

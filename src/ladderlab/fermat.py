@@ -316,6 +316,19 @@ def _row_grid(fid: str, f: _Functional, v: float, mults: tuple[float, ...], tau_
     return [lo * ratio ** i for i in range(m - 1)] + [hi]
 
 
+def _check_t_cap(t_cap: float) -> None:
+    """Refuse a t_cap that is not finite or lies below T_FLOOR
+    (DomainError), and one whose reach passes T_MAX (InfeasibleError)."""
+    if not (math.isfinite(t_cap) and t_cap >= T_FLOOR):
+        raise DomainError(f"t_cap must be finite and >= T_FLOOR={T_FLOOR:g}, got {t_cap:g}")
+    # the farthest J read of a row is the cell holding the ascent root of
+    # t_cap, a rung of ~(1-c)t_cap/ln(t_cap/2pi) up; the margin is 3-4 rungs
+    reach = t_cap * (1.0 + 5.0 * _SCALE / math.log(t_cap))
+    if reach > T_MAX:
+        raise InfeasibleError(f"t_cap={t_cap:g} needs the cache up to T={reach:.6g}, "
+                              f"beyond the served range T <= T_MAX={T_MAX:g}")
+
+
 def _check_tau_grid(tau_grid) -> None:
     if not (all(math.isfinite(t) for t in tau_grid)
             and all(a < b for a, b in zip(tau_grid, tau_grid[1:]))):
@@ -328,8 +341,9 @@ def evaluate_equivalent(functional: str, q: FermatRational,
                         t_cap: float = DEFAULT_T_CAP) -> ScanRow:
     """One evidence row: functional value at the largest feasible tau.
 
-    tau_grid must be finite and strictly ascending (DomainError); a row
-    has at least two taus (_row_grid). est_error sums the last-grid
+    tau_grid must be finite and strictly ascending, and t_cap as scan
+    takes it (_check_t_cap); both are refused with an error, not a row.
+    A row has at least two taus (_row_grid). est_error sums the last-grid
     drift, a Richardson extrapolation gap in 1/ln(tau) (the convergence
     scale of every limit here), and the propagated numeric error. status
     is resolved only when the distance from the forbidden value exceeds
@@ -337,7 +351,7 @@ def evaluate_equivalent(functional: str, q: FermatRational,
     """
     f = _lookup(functional)
     _check_tau_grid(tau_grid)
-    cache = cache if cache is not None else CheckpointCache()
+    _check_t_cap(t_cap)
     v = q.value
     target = None if f.exp_valued and v > _EXP_Q_CAP else f.limit(v)
     forbidden = f.limit(1.0)
@@ -392,15 +406,8 @@ def scan(functional_ids, n: int, max_xyz: int,
     ascending (DomainError), and t_cap's reach within T_MAX
     (InfeasibleError, t_cap <= ~84,290); all are checked before any work.
     """
-    if not (math.isfinite(t_cap) and t_cap >= T_FLOOR):
-        raise DomainError(f"t_cap must be finite and >= T_FLOOR={T_FLOOR:g}, got {t_cap:g}")
     _check_tau_grid(tau_grid)
-    # the farthest J read of a row is the cell holding the ascent root of
-    # t_cap, a rung of ~(1-c)t_cap/ln(t_cap/2pi) up; the margin is 3-4 rungs
-    reach = t_cap * (1.0 + 5.0 * _SCALE / math.log(t_cap))
-    if reach > T_MAX:
-        raise InfeasibleError(f"t_cap={t_cap:g} needs the cache up to T={reach:.6g}, "
-                              f"beyond the served range T <= T_MAX={T_MAX:g}")
+    _check_t_cap(t_cap)
     ids = list(functional_ids)
     for f in ids:
         _lookup(f)

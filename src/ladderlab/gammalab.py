@@ -104,7 +104,6 @@ def gamma_functional(x: float, tau_grid: list[float],
     """
     if not 0.0 < x < math.inf:
         raise DomainError("gamma_functional requires finite x > 0")
-    cache = cache if cache is not None else CheckpointCache()
     Ts = [x * tau / (1.0 - EULER_GAMMA) for tau in tau_grid]
     taus, values = [], []
     skipped: dict[str, str] = {}
@@ -127,7 +126,6 @@ def _factorization(fid: str, parameter: float, tau_grid: list[float],
     """increment / (const * [ln Gamma(ascend(lo)) - ln Gamma(lo)]) along
     tau_grid, target 1, the increments of all rungs (lo, ascend(lo)) from
     one increment_all call; the first error in tau order is raised."""
-    cache = cache if cache is not None else CheckpointCache()
     taus, values = [float(tau) for tau in tau_grid], []
     ups = ascend_all(taus, cache)
     rungs = [(lo, res[0]) for lo, res in zip(taus, ups) if not isinstance(res, LadderLabError)]

@@ -185,13 +185,6 @@ def gram_points(frm: float, to: float) -> GramSlice:
     return unwrap(_gram_slices([(frm, to)])[0])
 
 
-def _pair_values(slice_: GramSlice, in_range: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Z at nu, Z at nu+1) for the first in_range points of the slice."""
-    if slice_.ts.size < in_range + 1:
-        raise DomainError("pair sum needs one extra Gram point beyond the range")
-    return slice_.zs[:in_range], slice_.zs[1: in_range + 1]
-
-
 def _gram_sign(nus: np.ndarray) -> np.ndarray:
     """(-1)^(nu-1), the rotation e^{i theta} = +-1 at Gram points."""
     return np.where((nus - 1) % 2 == 0, 1.0, -1.0)
@@ -205,8 +198,9 @@ def _pair_sum(sl: GramSlice, b: float) -> float:
     n_in = int(np.count_nonzero(sl.ts <= b))
     if n_in == 0:
         return 0.0
-    z, z_next = _pair_values(sl, n_in)
-    return math.fsum(-(z * z_next))
+    if sl.ts.size < n_in + 1:
+        raise DomainError("pair sum needs one extra Gram point beyond the range")
+    return math.fsum(-(sl.zs[:n_in] * sl.zs[1:n_in + 1]))
 
 
 def _increments(name: str, fold, extra: int, rungs) -> list[float | LadderLabError]:
@@ -254,12 +248,10 @@ def spacing_ratios(slice_: GramSlice, reference: str = "log_t") -> np.ndarray:
     reference="log_t" is the documented band check; "log_t_over_2pi"
     matches the true asymptotic spacing and is the diagnostic companion.
     """
+    if reference not in ("log_t", "log_t_over_2pi"):
+        raise DomainError(f"unknown spacing reference {reference!r}")
     if slice_.ts.size < 2:
         return np.empty(0)
-    gaps = np.diff(slice_.ts)
     t = slice_.ts[:-1]
-    if reference == "log_t":
-        return gaps * np.log(t) / TWO_PI
-    if reference == "log_t_over_2pi":
-        return gaps * np.log(t / TWO_PI) / TWO_PI
-    raise DomainError(f"unknown spacing reference {reference!r}")
+    ref = np.log(t) if reference == "log_t" else np.log(t / TWO_PI)
+    return np.diff(slice_.ts) * ref / TWO_PI

@@ -43,7 +43,9 @@ stride cells: it cuts the panels of all its spans, in order, into groups
 of up to 2^14 nodes, one Z call each, and evaluates them ahead of the
 span it checks, side by side on the usable CPUs (_in_order, on
 Executor.map); panel values do not depend on their batch, so the cut
-and the threads move no bit. The knots of all filled cells are one run
+and the threads move no bit. A span that misses its tolerance raises
+ToleranceError out of _quad, after the spans before it, with the pool
+shut down. The knots of all filled cells are one run
 sorted by t. A cell from load() gets its knots (CheckpointCache._fill),
 spliced into that run, from the first read that lands in it; invert
 fills the cells of all its targets in one grouped pass.
@@ -315,13 +317,11 @@ def _panel_z(spans: list[tuple[float, float]]) -> Iterator[np.ndarray]:
         yield from z.reshape(-1, _READ_NODES)
 
 
-def _check(a: float, b: float, lo: np.ndarray, v: np.ndarray, est: np.ndarray,
-           eng: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """(lo, v, err, nodes) of [a, b] from its panels' left edges lo and
-    their _eval_panels values, once their estimates meet the one
+def _check(a: float, b: float, v: np.ndarray, est: np.ndarray, eng: np.ndarray) -> np.ndarray:
+    """err, the per-panel estimate (rule bound + engine error), of [a, b]
+    from its panels' _eval_panels values, once the estimates meet the one
     quadrature tolerance AUTO_TOL_RATE * max(b - a, 1), CELL_TOL on a
-    stride cell: err is the per-panel estimate, rule bound + engine
-    error, and nodes the Z nodes evaluated.
+    stride cell.
 
     A total estimate over the tolerance raises ToleranceError with the
     value and estimate attached; one whose engine part alone exceeds half
@@ -330,7 +330,7 @@ def _check(a: float, b: float, lo: np.ndarray, v: np.ndarray, est: np.ndarray,
     tol = AUTO_TOL_RATE * max(b - a, 1.0)
     err = est + eng
     if float(np.sum(err)) <= tol:
-        return lo, v, err, _GAUSS_NODES * lo.size
+        return err
     what = "engine error floor" if float(np.sum(eng)) > 0.5 * tol else "panel error bound"
     raise ToleranceError(
         f"{what} exceeds tol={tol:g} on [{a},{b}]",
@@ -339,10 +339,12 @@ def _check(a: float, b: float, lo: np.ndarray, v: np.ndarray, est: np.ndarray,
     )
 
 
-def _quad(spans: list[tuple[float, float]]) -> Iterator[tuple | LadderLabError]:
-    """For each [a, b] of spans in order, its panels as _check returns
-    them, (lo, v, err, nodes), or the LadderLabError it met: a segment, or
-    the stride cells of a build.
+def _quad(spans: list[tuple[float, float]]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For each [a, b] of spans in order, (lo, v, err): its panels' left
+    edges, Gauss values and estimates (_check), over _GAUSS_NODES * lo.size
+    Z nodes: a segment, or the stride cells of a build. A span that
+    misses its tolerance raises _check's ToleranceError here, after the
+    spans before it are yielded and with the pool shut down.
 
     The panels of all spans (_panel_edges; a zero-width span has none)
     are cut, in order, into groups of _GROUP_NODES // _GAUSS_NODES, so a
@@ -354,25 +356,27 @@ def _quad(spans: list[tuple[float, float]]) -> Iterator[tuple | LadderLabError]:
     lo = np.concatenate([np.empty(0), *(e[:-1] for e in edges)])
     hi = np.concatenate([np.empty(0), *(e[1:] for e in edges)])
     groups = [(lo[k:k + per], hi[k:k + per]) for k in range(0, lo.size, per)]
-    # closed with this generator: a ToleranceError's traceback can hold
-    # this frame, and with it the pool, past the generator's end
+    # closed on the way out, a ToleranceError's too: its traceback can
+    # hold this frame, and with it the pool, past the generator's end
     with closing(_in_order(_eval_panels, groups)) as results:
         vals = [np.empty(0)] * 3  # (v, est, eng) of the evaluated panels not yet checked
         for (a, b), e in zip(spans, edges):
             n = e.size - 1
             while vals[0].size < n:
                 vals = [np.concatenate(x) for x in zip(vals, next(results))]
-            yield attempt(_check, a, b, e[:-1], *[x[:n] for x in vals])
+            yield e[:-1], vals[0][:n], _check(a, b, *[x[:n] for x in vals])
             vals = [x[n:] for x in vals]
 
 
 def _legval_pair(x: float, c: list[float], d: list[float]) -> tuple[float, float]:
     """(legval(x, c), legval(x, d)) of np.polynomial.legendre, for
-    3 <= len(d) <= len(c) <= 42, on Python floats in one loop.
+    2 <= len(d) <= len(c) <= 42, on Python floats in one loop.
 
     The same Clenshaw recurrences with the same IEEE operations in the
     same order, so the same bits, at a fraction of the cost of two numpy
-    scalar calls."""
+    scalar calls. With len(d) = 2 every step folds c alone, so
+    _legval_pair(x, c, (0.0, 0.0))[0] is legval(x, c) with the operations
+    of c's loop and no more."""
     steps = _CLENSHAW[len(_CLENSHAW) + 2 - len(c):]
     c0, c1 = c[-2], c[-1]
     for i, p, q in steps[:len(c) - len(d)]:
@@ -382,15 +386,6 @@ def _legval_pair(x: float, c: list[float], d: list[float]) -> tuple[float, float
         c0, c1 = c[i] - c1 * p, c0 + c1 * x * q
         d0, d1 = d[i] - d1 * p, d0 + d1 * x * q
     return c0 + c1 * x, d0 + d1 * x
-
-
-def _legval(x: float, c: list[float]) -> float:
-    """legval(x, c) of np.polynomial.legendre for 3 <= len(c) <= 42: the
-    Clenshaw steps of _legval_pair on c alone, so the same bits."""
-    c0, c1 = c[-2], c[-1]
-    for i, p, q in _CLENSHAW[len(_CLENSHAW) + 2 - len(c):]:
-        c0, c1 = c[i] - c1 * p, c0 + c1 * x * q
-    return c0 + c1 * x
 
 
 def _square_model(z: np.ndarray, half: float) -> tuple[list[float], list[float], list[float]]:
@@ -437,7 +432,7 @@ def _read_in_panel(T: float, j0: float, t0: float, t1: float, prim: list[float])
     """J(T) = J(t0) + P(T) for t0 <= T <= t1, j0 = J(t0) and P the
     integral from t0 of p^2 over the panel [t0, t1], from P's Legendre
     coefficients prim (_square_model)."""
-    return j0 + _legval((T - 0.5 * (t0 + t1)) / (0.5 * (t1 - t0)), prim)
+    return j0 + _legval_pair((T - 0.5 * (t0 + t1)) / (0.5 * (t1 - t0)), prim, (0.0, 0.0))[0]
 
 
 def integrate_segment(a: float, b: float) -> IntegralResult:
@@ -451,14 +446,13 @@ def integrate_segment(a: float, b: float) -> IntegralResult:
     if not 0.0 <= a <= b < math.inf:
         raise DomainError("integrate_segment requires finite 0 <= a <= b")
     _check_t_max(b)
-    with closing(_quad([(a, b)])) as checks:
-        _, v, err, nodes = unwrap(next(checks))
+    [(lo, v, err)] = _quad([(a, b)])
     return IntegralResult(
         a=a,
         b=b,
         value=math.fsum(v),
         abs_error_estimate=float(np.sum(err)),
-        node_count=nodes,
+        node_count=_GAUSS_NODES * lo.size,
     )
 
 
@@ -472,8 +466,10 @@ class CheckpointCache:
     integrates the same fixed interval). Not safe for concurrent writers.
 
     Every stride cell is integrated at CELL_TOL; load() rejects a file
-    written with another stride or tolerance, or with a row off the
-    stride grid.
+    written with another stride or tolerance, and the constructor, which
+    load() calls, refuses the rows load() refuses (_validate): a
+    non-finite value, a row off the stride grid, T or J not strictly
+    increasing, a negative error.
 
     Each stride cell also holds knots (t, J(t), err(t)) at every inner
     edge of its final panel list, so adjacent stored points are one
@@ -490,7 +486,7 @@ class CheckpointCache:
 
     Checkpoints are held in array('d'); lists passed to the constructor
     are copied into arrays, and columns of unequal length are refused
-    (CacheCorruptionError). Knots are held in three cache-wide arrays,
+    (CacheCorruptionError) before the rows are. Knots are held in three cache-wide arrays,
     t, J and err, one run sorted by t, and so by J, whatever order the
     cells were filled in: a build appends a cell's knots, and a cell from
     load() splices them in. _bracket bisects the checkpoints and the
@@ -507,6 +503,7 @@ class CheckpointCache:
             raise CacheCorruptionError(
                 f"cache columns of unequal length: {len(self.ts)} T, {len(self.js)} J, "
                 f"{len(self.errs)} abs_err")
+        self._validate()
         # the knots of every filled cell, one run sorted by t, and so by J
         self._kt, self._kj, self._ke = array("d"), array("d"), array("d")
 
@@ -574,22 +571,20 @@ class CheckpointCache:
         follows it in order); returns the Z nodes."""
         nodes = 0
         spans = [(k * DEFAULT_STRIDE, (k + 1) * DEFAULT_STRIDE) for k in cells]
-        # closed on a ToleranceError too, so _quad's pool shuts down
-        with closing(_quad(spans)) as checks:
-            for i, (_, b), checked in zip(cells, spans, checks):
-                clo, v, err, n = unwrap(checked)
-                j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
-                vals = v.tolist()
-                # after every knot below b: a build appends, a loaded cell splices
-                k = bisect.bisect_right(self._kt, b)
-                self._kt[k:k] = array("d", clo[1:].tolist())
-                self._kj[k:k] = array("d", [j0 + math.fsum(vals[:m]) for m in range(1, clo.size)])
-                self._ke[k:k] = array("d", (e0 + np.cumsum(err)[:-1]).tolist())
-                if i == len(self.ts):
-                    self.ts.append(b)
-                    self.js.append(j0 + math.fsum(vals))
-                    self.errs.append(e0 + float(np.sum(err)))
-                nodes += n
+        # _quad first, so the loop drives it to its end
+        for (clo, v, err), i, (_, b) in zip(_quad(spans), cells, spans):
+            j0, e0 = (self.js[i - 1], self.errs[i - 1]) if i else (0.0, 0.0)
+            vals = v.tolist()
+            # after every knot below b: a build appends, a loaded cell splices
+            k = bisect.bisect_right(self._kt, b)
+            self._kt[k:k] = array("d", clo[1:].tolist())
+            self._kj[k:k] = array("d", [j0 + math.fsum(vals[:m]) for m in range(1, clo.size)])
+            self._ke[k:k] = array("d", (e0 + np.cumsum(err)[:-1]).tolist())
+            if i == len(self.ts):
+                self.ts.append(b)
+                self.js.append(j0 + math.fsum(vals))
+                self.errs.append(e0 + float(np.sum(err)))
+            nodes += _GAUSS_NODES * clo.size
         return nodes
 
     def _fill(self, i: int) -> int:
@@ -707,9 +702,7 @@ class CheckpointCache:
             values = list(map(float, itertools.chain.from_iterable(rows)))
         except ValueError as exc:
             raise CacheCorruptionError(f"bad cache value in {path}: {exc}") from None
-        cache = cls(values[0::3], values[1::3], values[2::3])
-        cache._validate()
-        return cache
+        return cls(values[0::3], values[1::3], values[2::3])
 
 
 def _stored_read(T: float, cache: CheckpointCache) -> tuple:

@@ -138,17 +138,15 @@ def _theta_series(t: np.ndarray, lt: np.ndarray | None = None) -> np.ndarray:
 def _lngamma_quarter(t: np.ndarray) -> np.ndarray:
     """Im log Gamma(1/4 + i*t/2) by Stirling, shifting small arguments up."""
     z = 0.25 + 0.5j * t
-    shift = np.where(t < 26.0, 13, 0)
-    w = z + shift
+    small = t < 26.0
+    w = z + np.where(small, 13, 0)
     res = (w - 0.5) * np.log(w) - w
     for k in range(1, 9):
         res = res + B2K[k - 1] / ((2 * k) * (2 * k - 1) * w ** (2 * k - 1))
     im = res.imag
-    for j in range(13):
-        mask = shift > j
-        if not mask.any():
-            break
-        im = im - np.where(mask, np.angle(z + j), 0.0)
+    if small.any():
+        for j in range(13):
+            im = im - np.where(small, np.angle(z + j), 0.0)
     return im
 
 

@@ -218,6 +218,23 @@ def test_non_finite_tau_grid_refused_before_any_row():
     assert len(cache.ts) == 0
 
 
+def test_row_refuses_the_t_caps_scan_refuses(shared_cache):
+    # a row refuses what scan refuses, as an error rather than a row: a
+    # non-finite cap would be a solver row, one below T_FLOOR a row with
+    # no feasible tau, one past T_MAX's reach a row missing its J target
+    shared_cache.extend_to(2e3)
+    rows = len(shared_cache.ts)
+    q = FermatRational(1, 1, 1, 3)
+    for t_cap, error, what in ((math.nan, DomainError, "finite"), (math.inf, DomainError, "finite"),
+                               (50.0, DomainError, "T_FLOOR"), (-1.0, DomainError, "T_FLOOR"),
+                               (1e9, InfeasibleError, "T_MAX"), (9e4, InfeasibleError, "T_MAX")):
+        for call in (lambda: evaluate_equivalent("gamma", q, cache=shared_cache, t_cap=t_cap),
+                     lambda: scan(["gamma"], n=3, max_xyz=3, cache=shared_cache, t_cap=t_cap)):
+            with pytest.raises(error, match=what):
+                call()
+    assert len(shared_cache.ts) == rows
+
+
 def test_scan_matches_calibration(shared_cache, calibration):
     q2 = FermatRational(1, 1, 1, 3)
     row = evaluate_equivalent("gamma", q2, cache=shared_cache)

@@ -229,8 +229,13 @@ def test_spacing_reference_corrected(calibration):
     slc = gram_points(2000.0, 4000.0)
     ratios = spacing_ratios(slc, reference="log_t_over_2pi")
     assert all(0.99 <= r <= 1.01 for r in ratios)
-    with pytest.raises(DomainError):
-        spacing_ratios(slc, reference="nonsense")
+    # a slice of fewer than two points has no gap, but its reference is
+    # still checked
+    empty = gram_points(100.0, 101.0)
+    assert len(empty) == 0 and spacing_ratios(empty).size == 0
+    for sl in (slc, empty):
+        with pytest.raises(DomainError, match="unknown spacing reference"):
+            spacing_ratios(sl, reference="nonsense")
 
 
 @given(st.floats(min_value=100.0, max_value=9000.0),

@@ -225,16 +225,17 @@ def test_clenshaw_is_numpy_legval(c, d, x):
 
 
 def test_p_only_clenshaw_is_numpy_legval():
-    # _read_in_panel evaluates P alone: on seeded panels and x, the same
-    # bits as P from the pair loop and as numpy's legval
+    # _read_in_panel evaluates P alone, as the pair loop with a zero d of
+    # length 2: on seeded panels and x, the same bits as P from the pair
+    # loop with p's coefficients and as numpy's legval
     rng = np.random.default_rng(27)
     for _ in range(50):
         coef, prim, _ = integral._square_model(rng.normal(size=integral._READ_NODES),
                                                rng.uniform(0.05, 0.5))
         for x in rng.uniform(-1.0, 1.0, 20).tolist():
             want = float(np.polynomial.legendre.legval(x, np.array(prim))).hex()
-            assert integral._legval(x, prim).hex() == integral._legval_pair(x, prim, coef)[0].hex()
-            assert integral._legval(x, prim).hex() == want
+            alone = integral._legval_pair(x, prim, (0.0, 0.0))[0].hex()
+            assert alone == integral._legval_pair(x, prim, coef)[0].hex() == want
 
 
 def _full_panels(lo):
@@ -454,6 +455,26 @@ def test_unequal_columns_refused():
                          ([50.0, 100.0], [1.0, 2.0], [0.0])):
         with pytest.raises(CacheCorruptionError, match="unequal length"):
             CheckpointCache(ts=ts, js=js, errs=errs)
+
+
+def test_constructor_refuses_what_load_refuses(tmp_path):
+    # built by its constructor, a cache with a row off the stride grid, a
+    # falling J or a NaN would serve a wrong J: the T = 75 row read as
+    # J(50) gives J(99) = 185.65 against 291.57
+    path = os.path.join(tmp_path, "bad.csv")
+    for ts, js, what in (([75.0], [10.0], "off the stride grid"),
+                         ([50.0, 100.0], [10.0, 5.0], "not strictly increasing"),
+                         ([50.0, 100.0], [10.0, math.nan], "non-finite")):
+        errs = [0.0] * len(ts)
+        with pytest.raises(CacheCorruptionError, match=what) as built:
+            CheckpointCache(ts=ts, js=js, errs=errs)
+        with open(path, "w") as fh:
+            fh.write(f"# ladderlab cache v{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} "
+                     f"tol={CELL_TOL:.17g}\nT,J,abs_err\n")
+            fh.write("".join(f"{t!r},{j!r},{e!r}\n" for t, j, e in zip(ts, js, errs)))
+        with pytest.raises(CacheCorruptionError) as loaded:
+            CheckpointCache.load(path)
+        assert str(loaded.value) == str(built.value)
 
 
 def test_load_rejects_off_grid_rows(tmp_path):
@@ -964,8 +985,9 @@ def test_group_failure_raised_at_its_turn(monkeypatch):
         for res in integral._quad(spans):
             yielded.append(res)
     assert info.value.args == (4,)
-    assert sum(res[3] for res in yielded) <= first
-    assert sum(res[3] for res in yielded) + _first_nodes(*spans[len(yielded)]) > first
+    nodes = sum(integral._GAUSS_NODES * res[0].size for res in yielded)
+    assert nodes <= first
+    assert nodes + _first_nodes(*spans[len(yielded)]) > first
     assert threading.active_count() == before
 
 

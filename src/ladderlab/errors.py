@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class LadderLabError(Exception):
     """Base class for all package errors."""
@@ -28,6 +30,16 @@ class CacheCorruptionError(LadderLabError):
 
 class InfeasibleError(LadderLabError):
     """A requested evaluation violates a feasibility guard."""
+
+
+def require_int(value, least: int, what: str) -> int:
+    """value as an int, an integral float too; anything else, or a value
+    below least, is refused with DomainError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def attempt(fn, *args):

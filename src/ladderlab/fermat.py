@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .constants import EULER_GAMMA, T_FLOOR, T_MAX
-from .errors import DomainError, InfeasibleError, LadderLabError, attempt, unwrap
+from .errors import DomainError, InfeasibleError, LadderLabError, attempt, require_int, unwrap
 from .gammalab import C0_CONVENTION, d_increment_all, ln_gamma_increment_all
 from .gram import DEFAULT_STRATEGY, t1_increment_all, t2_increment_all
 from .integral import CheckpointCache, hl_integral_all, hl_representation
@@ -41,7 +41,8 @@ _STATUS_INFEASIBLE = "infeasible"
 
 @dataclass(frozen=True)
 class FermatRational:
-    """(x^n + y^n)/z^n with exact integer internals."""
+    """(x^n + y^n)/z^n with exact integer internals: x, y, z >= 1 and
+    n >= 3, integral floats stored as ints (require_int)."""
 
     x: int
     y: int
@@ -49,10 +50,8 @@ class FermatRational:
     n: int
 
     def __post_init__(self) -> None:
-        if min(self.x, self.y, self.z) < 1:
-            raise DomainError("x, y, z must be positive integers")
-        if self.n < 3:
-            raise DomainError("exponent n must be >= 3")
+        for name, least in (("x", 1), ("y", 1), ("z", 1), ("n", 3)):
+            object.__setattr__(self, name, require_int(getattr(self, name), least, name))
 
     @property
     def numerator(self) -> int:
@@ -82,10 +81,7 @@ def enumerate_fermat_rationals(n: int, max_xyz: int,
     order. The optional open window filters on the value. Every triple
     is exact-checked against x^n + y^n = z^n first (exhaustive_exact_check).
     """
-    if n < 3:
-        raise DomainError("exponent n must be >= 3")
-    if max_xyz < 1:
-        raise DomainError("max_xyz must be >= 1")
+    n, max_xyz = require_int(n, 3, "exponent n"), require_int(max_xyz, 1, "max_xyz")
     exhaustive_exact_check((n,), max_xyz)
     seen: dict[Fraction, FermatRational] = {}
     for x in range(1, max_xyz + 1):
@@ -106,10 +102,10 @@ def exhaustive_exact_check(n_values, max_xyz: int) -> int:
     Pure integer arithmetic; returns the number of triples checked.
     A hit raises AssertionError and stops the build.
     """
+    max_xyz = require_int(max_xyz, 1, "max_xyz")
     checked = 0
     for n in n_values:
-        if n < 3:
-            raise DomainError("exponent n must be >= 3")
+        n = require_int(n, 3, "exponent n")
         powers = [k ** n for k in range(max_xyz + 1)]
         power_set = set(powers)
         for x in range(1, max_xyz + 1):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .arith import dirichlet_D
 from .constants import EULER_GAMMA, T_FLOOR
-from .errors import DomainError, LadderLabError, unwrap
+from .errors import DomainError, LadderLabError, require_int, unwrap
 from .gram import DEFAULT_STRATEGY, gram_index_range, t1_increment_all, t2_increment_all
 from .integral import CheckpointCache
 from .ladder import DEFAULT_RESIDUAL_TOL, ascend_all, build_tower
@@ -199,6 +199,7 @@ def verify_chain(tau: float, k: int, cache: CheckpointCache | None = None) -> Ch
     so additivity_defect is pure floating-point fold noise. The rung sums
     and the total come from one t1_increment_all call.
     """
+    k = require_int(k, 1, "verify_chain k")
     tower = build_tower(tau, k, cache=cache)
     it = tower.iterates
     rungs = [*zip(it, it[1:]), (it[0], it[k])]
@@ -222,8 +223,7 @@ def pi_via_gamma(tau: float, k: int, cache: CheckpointCache | None = None) -> fl
     Gamma(t+1)/Gamma(t) = t, so no ln_gamma evaluation is needed; the
     ladder tower is the whole computation. Compare against prime_pi.
     """
-    if k < 1:
-        raise DomainError("pi_via_gamma requires k >= 1")
+    k = require_int(k, 1, "pi_via_gamma k")
     tower = build_tower(tau, k, cache=cache)
     return (tower.iterates[k] - tau) / ((1.0 - EULER_GAMMA) * k)
 

@@ -115,7 +115,9 @@ def _index_ranges(frm: np.ndarray, to: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def gram_index_range(frm: float, to: float) -> tuple[int, int]:
-    """Indices nu of Gram points inside (frm, to]: [lo, hi] inclusive."""
+    """Indices nu of Gram points inside (frm, to]: [lo, hi] inclusive;
+    refuses the spans gram_points refuses (_check_span)."""
+    _check_span(frm, to)
     lo, hi = _index_ranges(np.array([frm]), np.array([to]))
     return int(lo[0]), int(hi[0])
 

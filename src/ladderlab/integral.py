@@ -36,8 +36,8 @@ one its stride cell already accepted, so a read evaluates Z at its 21
 Kronrod nodes (_panel_z) and integrates nothing: one lookup plus one Z
 call, and a stored point none. CheckpointCache.invert solves
 J(U) = target on the same model of the same panel (_solve_in_panel) and
-reads J(U) off it, so J(U) is hl_integral(U) by construction and an
-ascent makes one Z call of 21 nodes.
+reads J(U) off it, so J(U) is hl_integral(U) by construction and a warm
+ascent makes one Z call of 21 nodes and nothing else.
 One generator, _quad, integrates every span, a segment or a build's
 stride cells: it cuts the panels of all its spans, in order, into groups
 of up to 2^14 nodes, one Z call each, and evaluates them ahead of the
@@ -45,10 +45,11 @@ span it checks, side by side on the usable CPUs (_in_order, on
 Executor.map); panel values do not depend on their batch, so the cut
 and the threads move no bit. A span that misses its tolerance raises
 ToleranceError out of _quad, after the spans before it, with the pool
-shut down. The knots of all filled cells are one run
-sorted by t. A cell from load() gets its knots (CheckpointCache._fill),
-spliced into that run, from the first read that lands in it; invert
-fills the cells of all its targets in one grouped pass.
+shut down; these groups are all the work that runs on a thread, and no
+read starts one. The knots of all filled cells are one run sorted by t.
+A cell from load() gets its knots (CheckpointCache._fill), spliced into
+that run, from the first read that lands in it; invert fills its
+targets' cells in one grouped pass, and builds nothing on a warm cache.
 hl_integral_all reads many T with one Z call per 780 panels, so one on a
 warm cache; hl_integral is its one-T case.
 """
@@ -60,7 +61,7 @@ import itertools
 import math
 import os
 from array import array
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass, field
 
@@ -149,7 +150,7 @@ CELL_TOL = AUTO_TOL_RATE * DEFAULT_STRIDE
 _VERSION_TAG = "# ladderlab cache v"
 _HEADER = f"{_VERSION_TAG}{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}"
 # Most Z nodes in one z_array call: a group of _quad's panels or of
-# _panel_z's. _in_order queues every group at once and runs one per CPU
+# _panel_z's. _in_order queues all of _quad's groups and runs one per CPU
 # at a time, so peak RSS grows with the group, and a smaller one pays
 # more Python per node in the kernel. On 2 vCPUs, as a share of the old
 # z_array split's cold-build seconds (fresh processes, 10-20 rounds), and
@@ -288,33 +289,32 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _in_order(fn: Callable, groups: list[tuple]) -> Iterator:
-    """fn(*g) for each g of groups, in order: inline, starting no thread,
-    for one group or one usable CPU; else queued at once on a pool of one
-    worker thread per usable CPU, at most one per group (Executor.map). A
-    group's exception is raised at its turn. Closing the generator, or an
-    exception, cancels the groups not yet started, waits for the running
-    ones and shuts the pool down. fn must count or log nothing: it may run
-    in a worker."""
+def _in_order(groups: list[tuple[np.ndarray, np.ndarray]]) -> Iterator:
+    """_eval_panels(lo, hi) for each panel group (lo, hi) of _quad's, in
+    order: inline, starting no thread, for one group or one usable CPU;
+    else queued at once on a pool of one worker thread per usable CPU, at
+    most one per group (Executor.map). A group's exception is raised at
+    its turn. Closing the generator, or an exception, cancels the groups
+    not yet started, waits for the running ones and shuts the pool down."""
     if len(groups) < 2 or _usable_cpus() < 2:
-        yield from itertools.starmap(fn, groups)
+        yield from itertools.starmap(_eval_panels, groups)
         return
     # imported here, not with the module: concurrent.futures imports
     # logging, about 7 ms that a process with no pooled call need not pay
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(min(_usable_cpus(), len(groups))) as pool:
-        yield from pool.map(fn, *zip(*groups))
+        yield from pool.map(_eval_panels, *zip(*groups))
 
 
 def _panel_z(spans: list[tuple[float, float]]) -> Iterator[np.ndarray]:
     """Z at the 21 Kronrod read nodes of each panel [t0, t1] of spans in
-    order, from one z_array call per _GROUP_NODES nodes (780 panels),
-    run by _in_order; no call for no panel. These are the panels between
+    order, from one z_array call per _GROUP_NODES nodes (780 panels) in
+    the calling thread; no call for no panel. These are the panels between
     adjacent stored points, which their stride cells already accepted."""
     t = _panel_nodes(*np.array(spans, dtype=float).reshape(-1, 2).T, _XK)[1]
     per = _GROUP_NODES // _READ_NODES
-    for z in _in_order(z_array, [(t[k:k + per].ravel(),) for k in range(0, len(t), per)]):
-        yield from z.reshape(-1, _READ_NODES)
+    for k in range(0, len(t), per):
+        yield from z_array(t[k:k + per].ravel()).reshape(-1, _READ_NODES)
 
 
 def _check(a: float, b: float, v: np.ndarray, est: np.ndarray, eng: np.ndarray) -> np.ndarray:
@@ -358,7 +358,7 @@ def _quad(spans: list[tuple[float, float]]) -> Iterator[tuple[np.ndarray, np.nda
     groups = [(lo[k:k + per], hi[k:k + per]) for k in range(0, lo.size, per)]
     # closed on the way out, a ToleranceError's too: its traceback can
     # hold this frame, and with it the pool, past the generator's end
-    with closing(_in_order(_eval_panels, groups)) as results:
+    with closing(_in_order(groups)) as results:
         vals = [np.empty(0)] * 3  # (v, est, eng) of the evaluated panels not yet checked
         for (a, b), e in zip(spans, edges):
             n = e.size - 1
@@ -637,22 +637,22 @@ class CheckpointCache:
 
         Each target's stride cell comes from _target_cell, in input order;
         the cells from load() that lack their knots are then filled in one
-        grouped pass (_cells). The adjacent stored points t0 < t1 whose J
-        values bracket the target, J(t0) <= target < J(t1), are one panel
-        apart, a panel its stride cell already accepted, so Z is evaluated
-        at its 21 Kronrod nodes and nothing is integrated: one
-        Z call of 21 nodes per target on a warm cache, for up to 780
-        targets (_panel_z). U is solved in [t0, t1] on the integral of p^2,
-        p the degree-20 interpolant of the panel's 21 Z values
-        (_solve_in_panel), and J(U) is read off that same model
-        (_read_in_panel), or is the stored J when U is t0 or t1. So J(U)
-        is hl_integral(U, self).value, bit for bit. Z values do not depend
-        on their batch, so U and J(U) depend only on target and the
-        history-independent knots.
+        grouped pass (_cells), none on a warm cache. The adjacent stored
+        points t0 < t1 whose J values bracket the target, J(t0) <= target <
+        J(t1), are one panel apart, a panel its stride cell already
+        accepted, so nothing is integrated: on a warm cache, one Z call of
+        21 nodes per target in the calling thread, for up to 780 targets
+        (_panel_z). U is solved in [t0, t1] on the integral of p^2, p the
+        degree-20 interpolant of the panel's 21 Z values (_solve_in_panel),
+        and J(U) is read off that same model (_read_in_panel), or is the
+        stored J when U is t0 or t1. So J(U) is hl_integral(U, self).value,
+        bit for bit. Z values do not depend on their batch, so U and J(U)
+        depend only on target and the history-independent knots.
         """
         out: list = [attempt(self._target_cell, target) for target in targets]
-        filled = attempt(self._cells, sorted(
-            {i for i in out if not isinstance(i, LadderLabError) and not self._holds_knots(i)}))
+        bare = sorted({i for i in out
+                       if not isinstance(i, LadderLabError) and not self._holds_knots(i)})
+        filled = attempt(self._cells, bare) if bare else None
         for k, i in enumerate(out):
             if not isinstance(i, LadderLabError):
                 out[k] = self._bracket(targets[k], 1) if self._holds_knots(i) else filled
@@ -726,8 +726,8 @@ def hl_integral_all(Ts, cache: CheckpointCache | None = None
     slot's node_count is that of a read after the ones before it; then Z
     is evaluated on the panels of all reads between stored points
     (_panel_z), one Z call of 21 nodes per read on a warm cache for up to
-    780 of them (2^14 nodes). Z values do not depend on their batch, so
-    each slot has the bits of a one-T call.
+    780 of them (2^14 nodes), in the calling thread. Z values do not
+    depend on their batch, so each slot has the bits of a one-T call.
     """
     cache = cache if cache is not None else CheckpointCache()
     out: list = [attempt(_stored_read, T, cache) for T in Ts]

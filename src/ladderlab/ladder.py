@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .constants import EULER_GAMMA, LN_TWO_PI, T_FLOOR
 from .errors import (BracketError, DomainError, LadderLabError, ToleranceError, attempt,
-                     unwrap)
+                     require_int, unwrap)
 from .integral import CheckpointCache, hl_integral, hl_representation, safeguarded_newton
 
 DEFAULT_RESIDUAL_TOL = 1e-6
@@ -85,10 +85,10 @@ def ascend_all(Ts, cache: CheckpointCache | None = None
     read; the J(U) that invert reads off the model U was solved on, and
     which is hl_integral(U), certifies the residual to
     10 * DEFAULT_RESIDUAL_TOL, which does not move U. All Ts are inverted
-    together, so a warm cache makes one Z call of 21 nodes per T for up
-    to 780 of them (2^14 nodes), and each slot has the bits of a one-T
-    call. This is the one ascent path: ascend and build_tower are
-    ascend_all for one T.
+    together: a warm cache makes one Z call of 21 nodes per T for up to
+    780 of them (2^14 nodes), in the calling thread with no quadrature,
+    and each slot has the bits of a one-T call. This is the one ascent
+    path: ascend and build_tower are ascend_all for one T.
     """
     cache = cache if cache is not None else CheckpointCache()
     tol = 10.0 * DEFAULT_RESIDUAL_TOL
@@ -123,8 +123,7 @@ def build_tower(T: float, k: int, cache: CheckpointCache | None = None) -> Ladde
     10 * DEFAULT_RESIDUAL_TOL. The bound certifies only the residuals;
     the iterates are the roots and do not depend on it. k >= 1.
     """
-    if k < 1:
-        raise DomainError("build_tower requires k >= 1")
+    k = require_int(k, 1, "build_tower k")
     cache = cache if cache is not None else CheckpointCache()
     iterates = [float(T)]
     residuals = []

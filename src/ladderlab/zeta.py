@@ -48,7 +48,7 @@ the same order, with no BLAS or pairwise reduction across elements.
 Sums therefore reduce over axis 0 of an array with two or more columns
 (numpy adds its rows one after another) or by accumulate, never along
 a contiguous run, by `@` or by einsum. Every call runs in the calling
-thread; callers that want more CPUs run batches side by side
+thread; the cold build runs its panel groups side by side
 (integral._in_order), which moves no bit either.
 """
 

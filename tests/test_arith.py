@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ladderlab.arith import dirichlet_D, divisor_count, prime_pi
+from ladderlab.arith import DIVISOR_LIMIT, dirichlet_D, divisor_count, prime_pi
 from ladderlab.errors import DomainError, InfeasibleError
 
 # d(1)..d(12)
@@ -52,6 +52,17 @@ def test_prime_pi_known_values():
     assert prime_pi(1000) == 168
     assert prime_pi(10_000) == 1229
     assert prime_pi(1_000_000) == 78_498
+
+
+def test_divisor_limit():
+    # past the limit, an InfeasibleError, not a MemoryError (1e30 asked
+    # numpy for 7 PiB) or minutes of trial division
+    for fn, x in ((dirichlet_D, 1e30), (dirichlet_D, DIVISOR_LIMIT + 1),
+                  (divisor_count, DIVISOR_LIMIT + 1), (divisor_count, 10**18 + 9)):
+        with pytest.raises(InfeasibleError):
+            fn(x)
+    assert divisor_count(DIVISOR_LIMIT) == 169  # 2^12 5^12
+    assert dirichlet_D(DIVISOR_LIMIT) > dirichlet_D(DIVISOR_LIMIT - 1)
 
 
 def test_prime_pi_limit():

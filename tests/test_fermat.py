@@ -47,10 +47,14 @@ def test_rational_value_is_the_fraction_rounded(x, y, z, n):
 
 
 def test_rational_validation():
-    with pytest.raises(DomainError):
-        FermatRational(0, 1, 1, 3)
-    with pytest.raises(DomainError):
-        FermatRational(1, 1, 1, 2)
+    # a fractional entry is refused, not served as q = 4.375; an integral
+    # float is stored as an int, so q keeps exact integer arithmetic
+    for bad in ((0, 1, 1, 3), (1, 1, 1, 2), (1.5, 1, 1, 3), (1, 1, 2, 3.5), (1, 1, math.nan, 3),
+                ("1", 1, 1, 3)):
+        with pytest.raises(DomainError):
+            FermatRational(*bad)
+    q = FermatRational(1.0, 2, 2.0, 3.0)
+    assert q == FermatRational(1, 2, 2, 3) and type(q.z) is int and q.fraction == Fraction(9, 8)
 
 
 def _enumeration_reference(n, max_xyz, window=None):
@@ -106,16 +110,18 @@ def test_enumeration_dedupes_scaled_triples():
 
 
 def test_enumeration_validation():
-    with pytest.raises(DomainError):
-        enumerate_fermat_rationals(2, 5)
-    with pytest.raises(DomainError):
-        enumerate_fermat_rationals(3, 0)
+    # a non-integral n or max_xyz raised a bare TypeError
+    for n, max_xyz in ((2, 5), (3, 0), (3, 3.5), (3.5, 3)):
+        with pytest.raises(DomainError):
+            enumerate_fermat_rationals(n, max_xyz)
+    assert enumerate_fermat_rationals(3.0, 4.0) == enumerate_fermat_rationals(3, 4)
 
 
 def test_exact_check_counts():
     assert exhaustive_exact_check((3,), 10) == 10 * (10 * 11 // 2)
-    with pytest.raises(DomainError):
-        exhaustive_exact_check((2,), 5)
+    for n_values, max_xyz in (((2,), 5), ((3,), 2.5), ((3.5,), 2)):
+        with pytest.raises(DomainError):
+            exhaustive_exact_check(n_values, max_xyz)
 
 
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30),

@@ -142,6 +142,15 @@ def test_pi_surrogate(shared_cache, calibration):
         pi_via_gamma(1e3, 0, cache=shared_cache)
 
 
+def test_tower_reports_refuse_non_integral_k(shared_cache):
+    # a TypeError out of build_tower, or an iterate index, before
+    for fn in (pi_via_gamma, verify_chain):
+        for bad in (1.5, 2.5):
+            with pytest.raises(DomainError):
+                fn(1000.0, bad, cache=shared_cache)
+    assert verify_chain(1000.0, 2.0, cache=shared_cache) == verify_chain(1000.0, 2, cache=shared_cache)
+
+
 def test_shifted_ratio(shared_cache, calibration):
     sh = verify_shifted_ratio(1e3, cache=shared_cache)
     ref = calibration["shifted_1000"]

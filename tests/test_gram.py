@@ -174,8 +174,13 @@ def test_empty_slice():
 
 
 def test_domain_validation():
-    with pytest.raises(DomainError):
-        gram_points(200.0, 100.0)
+    # gram_index_range refuses what gram_points refuses, where it served
+    # (202, 137) for (400, 300)
+    for frm, to in ((400.0, 300.0), (400.0, 400.0), (5.0, 300.0), (math.nan, 300.0),
+                    (100.0, math.inf)):
+        for fn in (gram_index_range, gram_points):
+            with pytest.raises(DomainError):
+                fn(frm, to)
     with pytest.raises(DomainError):
         t1_increment(T_MIN, T_MIN)
 

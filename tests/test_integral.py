@@ -932,24 +932,43 @@ def test_pool_same_bits_on_one_two_three_workers(monkeypatch):
 
 def test_read_batches_same_bits_on_one_two_three_workers(shared_cache, monkeypatch):
     # warm hl_integral_all and invert batches of more than 780 read panels
-    # take several _panel_z groups: inline on one CPU, and on more only in
-    # worker threads, with the same bits
+    # take several _panel_z groups, one after another in the calling
+    # thread on any number of CPUs, with the same bits
     shared_cache.extend_to(2e4)
     rng = random.Random(37)
     Ts = [rng.uniform(0.0, 2e4) for _ in range(2000)]
     targets = [rng.uniform(0.0, shared_cache.js[399]) for _ in range(2000)]
     threads = _thread_recording(monkeypatch)
+    before = threading.active_count()
     want = None
     for workers in (1, 2, 3):
         monkeypatch.setattr(integral, "_usable_cpus", lambda: workers)
         threads.clear()
-        got = ([_read_bits(r) for r in hl_integral_all(Ts, shared_cache)],
-               [(U.hex(), j.hex()) for U, j in shared_cache.invert(targets)])
-        assert want is None or got == want, workers
-        want = got
-        assert len(threads) == 2 * math.ceil(2000 / (integral._GROUP_NODES // integral._READ_NODES))
-        main = threading.get_ident()
-        assert all((ident == main) == (workers == 1) for ident in threads), workers
+        reads = [_read_bits(r) for r in hl_integral_all(Ts, shared_cache)]
+        assert len(threads) == 3
+        roots = [(U.hex(), j.hex()) for U, j in shared_cache.invert(targets)]
+        assert len(threads) == 6
+        assert want is None or (reads, roots) == want, workers
+        want = reads, roots
+        assert set(threads) == {threading.get_ident()}
+        assert threading.active_count() == before
+
+
+def test_warm_invert_builds_nothing(shared_cache, monkeypatch):
+    # a warm invert batch runs no quadrature, not even an empty one; a
+    # loaded cache builds its targets' cells once, then none
+    shared_cache.extend_to(5e3)
+    calls = []
+    quad = integral._quad
+    monkeypatch.setattr(integral, "_quad", lambda spans: calls.append(spans) or quad(spans))
+    rng = random.Random(41)
+    targets = [rng.uniform(0.0, shared_cache.js[99]) for _ in range(50)]
+    want = shared_cache.invert(targets)
+    assert calls == []
+    loaded = CheckpointCache(ts=shared_cache.ts[:100], js=shared_cache.js[:100],
+                             errs=shared_cache.errs[:100])
+    assert loaded.invert(targets) == want and len(calls) == 1
+    assert loaded.invert(targets) == want and len(calls) == 1
 
 
 class _GroupFailure(Exception):

@@ -281,8 +281,10 @@ def test_root_not_above_t_is_a_bracket_error(monkeypatch):
 
 
 def test_tower_k_validation(shared_cache):
-    with pytest.raises(DomainError):
-        build_tower(1000.0, 0, cache=shared_cache)
+    # a non-integral k raised a TypeError out of range()
+    for bad in (0, 1.5, math.nan, "2"):
+        with pytest.raises(DomainError):
+            build_tower(1000.0, bad, cache=shared_cache)
 
 
 def test_lngamma_increment_pair(shared_cache):

@@ -25,8 +25,10 @@ from .ladder import build_tower
 from .zeta import theta, z_array
 
 
-def _load_cache() -> CheckpointCache:
-    path = default_cache_path()
+def _load_cache(path: str | None = None) -> CheckpointCache:
+    """The cache in the file at path, HL_CACHE's by default, when it
+    exists; else an empty one."""
+    path = path or default_cache_path()
     if path and os.path.exists(path):
         return CheckpointCache.load(path)
     return CheckpointCache()
@@ -48,6 +50,16 @@ def _floats(spec: str) -> list[float]:
     if not vals:
         raise argparse.ArgumentTypeError("empty float list")
     return vals
+
+
+def _window_eps(spec: str) -> float:
+    try:
+        eps = float(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad float {spec!r}") from exc
+    if not 0.0 < eps < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {spec!r}")
+    return eps
 
 
 def _cmd_zeta(args) -> int:
@@ -105,12 +117,8 @@ def _cmd_functional(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    window = None
-    if args.window_eps is not None:
-        if not 0.0 < args.window_eps < 1.0:
-            print("scan: --window-eps must be in (0, 1)", file=sys.stderr)
-            return 2
-        window = (1.0 - args.window_eps, 1.0 + args.window_eps)
+    eps = args.window_eps
+    window = None if eps is None else (1.0 - eps, 1.0 + eps)
     ids = [tok for tok in args.functionals.split(",") if tok.strip()]
     rep = fermat.scan(
         ids, n=args.n, max_xyz=args.max_xyz,
@@ -126,7 +134,7 @@ def _cmd_cache(args) -> int:
     if not path:
         print("cache: need --path or HL_CACHE", file=sys.stderr)
         return 2
-    cache = CheckpointCache.load(path) if os.path.exists(path) else CheckpointCache()
+    cache = _load_cache(path)
     cache.extend_to(args.extend_to)
     cache.save(path)
     print(f"checkpoints={len(cache.ts)}")
@@ -175,7 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--tau-grid", type=_floats, default=None, metavar="T1,T2,...",
                    help="finite and strictly ascending taus (default: "
                         + ",".join(f"{t:g}" for t in fermat.DEFAULT_TAU_GRID) + ")")
-    q.add_argument("--window-eps", type=float, default=None)
+    q.add_argument("--window-eps", type=_window_eps, default=None, metavar="EPS",
+                   help="keep q in (1 - EPS, 1 + EPS), 0 < EPS < 1")
     q.add_argument("--t-cap", type=float, default=fermat.DEFAULT_T_CAP)
     q.add_argument("--out", default=None)
     q.set_defaults(fn=_cmd_scan)

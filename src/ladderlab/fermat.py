@@ -72,16 +72,30 @@ class FermatRational:
                                   "does not fit a float") from exc
 
 
+def _check_window(window) -> None:
+    """Refuse (DomainError) a window that is not two finite numbers lo < hi."""
+    try:
+        lo, hi = window
+        ok = math.isfinite(lo) and math.isfinite(hi) and lo < hi
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise DomainError(f"window must be two finite numbers lo < hi, got {window!r}")
+
+
 def enumerate_fermat_rationals(n: int, max_xyz: int,
                                window: tuple[float, float] | None = None) -> list[FermatRational]:
     """Distinct Fermat rationals with x, y, z <= max_xyz, by |q - 1|.
 
     Deduplicated on exact value keeping the first witness triple, which
     is the lexicographically smallest: the loops visit (x, y, z) in that
-    order. The optional open window filters on the value. Every triple
-    is exact-checked against x^n + y^n = z^n first (exhaustive_exact_check).
+    order. The optional open window (lo, hi) filters on the value; it must
+    be two finite numbers lo < hi (_check_window). Every triple is
+    exact-checked against x^n + y^n = z^n first (exhaustive_exact_check).
     """
     n, max_xyz = require_int(n, 3, "exponent n"), require_int(max_xyz, 1, "max_xyz")
+    if window is not None:
+        _check_window(window)
     exhaustive_exact_check((n,), max_xyz)
     seen: dict[Fraction, FermatRational] = {}
     for x in range(1, max_xyz + 1):
@@ -399,8 +413,9 @@ def scan(functional_ids, n: int, max_xyz: int,
     evaluation order, so the report is the same for any row order.
 
     t_cap must be finite and >= T_FLOOR, tau_grid finite and strictly
-    ascending (DomainError), and t_cap's reach within T_MAX
-    (InfeasibleError, t_cap <= ~84,290); all are checked before any work.
+    ascending, a window two finite numbers lo < hi (DomainError), and
+    t_cap's reach within T_MAX (InfeasibleError, t_cap <= ~84,290); all
+    are checked before any work.
     """
     _check_tau_grid(tau_grid)
     _check_t_cap(t_cap)

@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass, field
 
 from .arith import dirichlet_D
-from .constants import EULER_GAMMA, T_FLOOR
+from .constants import EULER_GAMMA
 from .errors import DomainError, LadderLabError, require_int, unwrap
 from .gram import DEFAULT_STRATEGY, gram_index_range, t1_increment_all, t2_increment_all
 from .integral import CheckpointCache
-from .ladder import DEFAULT_RESIDUAL_TOL, ascend_all, build_tower
+from .ladder import DEFAULT_RESIDUAL_TOL, _require_floor, ascend_all, build_tower
 from .serialize import field_dict, to_json
 
 C0_CONVENTION = 0.0  # integration constant of the representation, fixed at zero
@@ -250,8 +250,7 @@ def verify_shifted_ratio(tau: float, cache: CheckpointCache | None = None) -> Sh
     ln tau / 2pi, from their index range (gram_index_range) alone. Both
     Gram sums come from one t1_increment_all call.
     """
-    if not T_FLOOR <= tau < math.inf:
-        raise DomainError(f"tau must be finite and >= {T_FLOOR}")
+    _require_floor(tau)
     u_hi, u_lo = (unwrap(res)[0] for res in ascend_all([tau + 1.0, tau], cache))
     lhs_log = ln_gamma(u_hi) - ln_gamma(u_lo)
     s_hi, s_lo = map(unwrap, t1_increment_all([(tau + 1.0, u_hi), (tau, u_lo)]))
@@ -292,8 +291,7 @@ def verify_legendre_factorization(tau: float,
     2^(2 tau - 1) and flag the convention in the metadata. The three
     Gram sums come from one t1_increment_all call.
     """
-    if not T_FLOOR <= tau < math.inf:
-        raise DomainError(f"tau must be finite and >= {T_FLOOR}")
+    _require_floor(tau)
     u2, u1, uh = (unwrap(res)[0] for res in ascend_all([2.0 * tau, tau, tau + 0.5], cache))
     log_lhs = (
         ln_gamma(u2)

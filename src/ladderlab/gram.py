@@ -123,8 +123,12 @@ def gram_index_range(frm: float, to: float) -> tuple[int, int]:
 
 
 def _check_span(frm: float, to: float) -> None:
+    """Refuse a span (frm, to] unless finite T_MIN <= frm < to (DomainError)
+    and to <= T_MAX (_check_range, InfeasibleError), before any theta call
+    or solve: every Gram entry point calls it first."""
     if not (T_MIN <= frm < to < math.inf):
         raise DomainError(f"gram_points requires finite {T_MIN} <= from < to")
+    _check_range(frm, to)
 
 
 def _certified(ts: np.ndarray, resid: np.ndarray) -> None:
@@ -150,8 +154,6 @@ def _gram_slices(spans, extra: int = 0) -> list[GramSlice | LadderLabError]:
     a call for it alone."""
     out: list = [attempt(_check_span, frm, to) for frm, to in spans]
     ok = [k for k, x in enumerate(out) if not isinstance(x, LadderLabError)]
-    if not ok:
-        return out
     los, his = _index_ranges(np.array([spans[k][0] for k in ok]),
                              np.array([spans[k][1] for k in ok]))
     his += extra
@@ -183,7 +185,7 @@ def _gram_slices(spans, extra: int = 0) -> list[GramSlice | LadderLabError]:
 
 def gram_points(frm: float, to: float) -> GramSlice:
     """All Gram points with ordinate in (frm, to]; requires finite
-    T_MIN <= frm < to. _gram_slices for one range."""
+    T_MIN <= frm < to <= T_MAX (_check_span). _gram_slices for one range."""
     return unwrap(_gram_slices([(frm, to)])[0])
 
 
@@ -205,27 +207,24 @@ def _pair_sum(sl: GramSlice, b: float) -> float:
     return math.fsum(-(sl.zs[:n_in] * sl.zs[1:n_in + 1]))
 
 
-def _increments(name: str, fold, extra: int, rungs) -> list[float | LadderLabError]:
+def _increments(fold, extra: int, rungs) -> list[float | LadderLabError]:
     """fold(_gram_slices([(a, b)], extra)[0], b) for each rung (a, b), or
     the LadderLabError it met, all rungs from one _gram_slices call."""
-    out: list = [None if a < b else DomainError(f"{name} requires a < b") for a, b in rungs]
-    ok = [k for k, x in enumerate(out) if x is None]
-    for k, sl in zip(ok, _gram_slices([rungs[k] for k in ok], extra)):
-        out[k] = sl if isinstance(sl, LadderLabError) else attempt(fold, sl, rungs[k][1])
-    return out
+    return [sl if isinstance(sl, LadderLabError) else attempt(fold, sl, b)
+            for sl, (_, b) in zip(_gram_slices(rungs, extra), rungs)]
 
 
 def t1_increment_all(rungs) -> list[float | LadderLabError]:
     """t1_increment(a, b) for each rung (a, b), or the LadderLabError it
     met, from one Gram solve and one z_array call (_gram_slices); each
     rung folds its own points, so it has the bits of a call for it alone."""
-    return _increments("t1_increment", _one_point_sum, 0, rungs)
+    return _increments(_one_point_sum, 0, rungs)
 
 
 def t2_increment_all(rungs) -> list[float | LadderLabError]:
     """t2_increment(a, b) for each rung (a, b), or the LadderLabError it
     met, as t1_increment_all: one Gram solve and one z_array call."""
-    return _increments("t2_increment", _pair_sum, 1, rungs)
+    return _increments(_pair_sum, 1, rungs)
 
 
 def t1_increment(a: float, b: float) -> float:

@@ -70,7 +70,7 @@ import numpy as np
 from .constants import EULER_GAMMA, LN_TWO_PI, T_MAX
 from .errors import (CacheCorruptionError, DomainError, InfeasibleError, LadderLabError,
                      ToleranceError, attempt, unwrap)
-from .zeta import z_array, z_error_bound
+from .zeta import _check_range, z_array, z_error_bound
 
 # The read model's nodes: the 21 Gauss-Kronrod abscissae of QUADPACK qk21
 # (Piessens et al. 1983) from 1 down to the centre; no panel is integrated
@@ -173,11 +173,6 @@ def _mean_value(t: float) -> float:
 # most 229 at every checkpoint to T_MAX), so a target above it has its
 # root past T_MAX.
 _TARGET_CEILING = _mean_value(T_MAX + 2.0 * DEFAULT_STRIDE)
-
-
-def _check_t_max(T: float) -> None:
-    if T > T_MAX:
-        raise InfeasibleError(f"T={T:g} exceeds the served range T <= T_MAX={T_MAX:g}")
 
 
 @dataclass(frozen=True)
@@ -441,11 +436,12 @@ def integrate_segment(a: float, b: float) -> IntegralResult:
     AUTO_TOL_RATE * max(b - a, 1).
 
     Raises ToleranceError when the panels' bounds miss that tolerance
-    (no segment to T_MAX does), and InfeasibleError when b exceeds T_MAX.
+    (no segment to T_MAX does), and InfeasibleError when b exceeds T_MAX
+    (_check_range), before any quadrature.
     """
     if not 0.0 <= a <= b < math.inf:
         raise DomainError("integrate_segment requires finite 0 <= a <= b")
-    _check_t_max(b)
+    _check_range(a, b)
     [(lo, v, err)] = _quad([(a, b)])
     return IntegralResult(
         a=a,
@@ -527,7 +523,8 @@ class CheckpointCache:
                     f"cache row {i} at T={t!r} is off the stride grid, "
                     f"expected T={(i + 1) * DEFAULT_STRIDE:g}")
             if e < 0:
-                raise CacheCorruptionError("negative error estimate in cache")
+                raise CacheCorruptionError(f"cache row {i} holds a negative error estimate: "
+                                           f"abs_err={e!r}")
             t0, j0 = t, j
 
     def nearest_below(self, T: float) -> tuple[float, float, float]:
@@ -594,10 +591,11 @@ class CheckpointCache:
 
     def extend_to(self, T: float) -> int:
         """Add checkpoints at stride multiples up to T, with their cells'
-        knots; returns the Z nodes evaluated."""
+        knots; returns the Z nodes evaluated. A negative T adds nothing, one
+        past T_MAX is refused (_check_range on [0, T])."""
         if not math.isfinite(T):
             raise DomainError(f"extend_to requires finite T, got {T}")
-        _check_t_max(T)
+        _check_range(0.0, T)
         start, stop = len(self.ts), int(T // DEFAULT_STRIDE)
         if stop <= start:
             return 0
@@ -711,7 +709,7 @@ def _stored_read(T: float, cache: CheckpointCache) -> tuple:
     through T's stride cell and that cell's knots are computed."""
     if not 0.0 <= T < math.inf:
         raise DomainError("hl_integral requires finite T >= 0")
-    _check_t_max(T)
+    _check_range(0.0, T)
     nodes = cache.extend_to(math.ceil(T / DEFAULT_STRIDE) * DEFAULT_STRIDE)
     if T % DEFAULT_STRIDE:
         nodes += cache._fill(int(T // DEFAULT_STRIDE))

@@ -44,6 +44,7 @@ class LadderTower:
 
 
 def _require_floor(T: float) -> None:
+    """The one T_FLOOR gate, of every ladder solve and gammalab tau report."""
     if not T_FLOOR <= T < math.inf:
         raise DomainError(f"ladder requires finite T >= {T_FLOOR}, got T={T}; the dropped "
                           "representation terms are not small below that")

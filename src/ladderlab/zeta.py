@@ -300,20 +300,23 @@ def _z_low(t: np.ndarray) -> np.ndarray:
 
 
 def _check_range(lo: float, hi: float) -> None:
-    """Refuse a batch by its smallest and largest ordinate: t < 0 with
-    DomainError, and t above T_MAX, which the error model does not cover,
-    or NaN (which sorts last, and makes min and max NaN) with
-    InfeasibleError."""
+    """Refuse a span or batch of ordinates by its smallest and largest:
+    t < 0 with DomainError, and t above T_MAX, which the error model does
+    not cover, or NaN (which sorts last, and makes min and max NaN) with
+    InfeasibleError. The one T_MAX gate: Z, J reads, quadrature, cache
+    extension and Gram spans all refuse their range here, before any
+    work."""
     if lo < 0.0 and not math.isnan(hi):
         raise DomainError("Z is served for t >= 0")
     if not hi <= T_MAX:
-        raise InfeasibleError(f"t={hi:g} exceeds the served range t <= T_MAX={T_MAX:g}")
+        raise InfeasibleError(f"t={float(hi)!r} exceeds the served range t <= T_MAX={T_MAX:g}")
 
 
-def _z_kernel(ts: np.ndarray) -> np.ndarray:
-    """Z on an arbitrary float64 array, preserving order: one stable
-    argsort, the branches on the sorted batch, and a scatter back. Z is
-    elementwise, so the order of a batch moves no bit."""
+def z_array(t) -> np.ndarray:
+    """Z(t) for an array of ordinates 0 <= t <= T_MAX, flattened, in its
+    order: one stable argsort, the branches on the sorted batch, and a
+    scatter back. Z is elementwise, so the order of a batch moves no bit."""
+    ts = np.asarray(t, dtype=float).ravel()
     if ts.size == 0:
         return ts.copy()
     order = np.argsort(ts, kind="stable")
@@ -328,11 +331,6 @@ def _z_kernel(ts: np.ndarray) -> np.ndarray:
     out = np.empty_like(out_sorted)
     out[order] = out_sorted
     return out
-
-
-def z_array(t) -> np.ndarray:
-    """Z(t) for an array of ordinates 0 <= t <= T_MAX."""
-    return _z_kernel(np.asarray(t, dtype=float).ravel())
 
 
 # z_error_bound's steps: _Z_BOUNDS[i] holds from _Z_BOUND_EDGES[i - 1] on

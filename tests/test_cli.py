@@ -14,7 +14,13 @@ from ladderlab.integral import hl_integral, integrate_segment
 def test_usage_error_exits_2():
     for argv in (["zeta"],  # missing --t
                  ["ladder", "--T", "1000", "--k", "1", "--tol", "1e-6"],  # no such option
-                 ["integral", "--from", "0", "--to", "1000", "--tol", "1e-9"]):
+                 ["integral", "--from", "0", "--to", "1000", "--tol", "1e-9"],
+                 # malformed or empty float lists
+                 ["zeta", "--t", "1,x"], ["zeta", "--t", ","],
+                 ["functional", "--id", "gamma", "--tau-grid", "300,,abc"],
+                 ["functional", "--id", "gamma", "--tau-grid", ""],
+                 ["scan", "--n", "3", "--max-xyz", "2", "--tau-grid", "1e3;1e4"],
+                 ["scan", "--n", "3", "--max-xyz", "2", "--tau-grid", " , "]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -168,12 +174,23 @@ def test_scan_json_and_window(tmp_path):
     rep = json.loads(raw)
     assert rep["functionals"] == ["gamma"]
     assert {r["functional"] for r in rep["rows"]} == {"gamma"}
+    assert rep["window"] is None
+    rc = main(["scan", "--functionals", "gamma", "--n", "3", "--max-xyz", "3",
+               "--t-cap", "10000", "--window-eps", "0.5", "--out", out])
+    assert rc == 0
+    with open(out) as fh:
+        rep = json.load(fh)
+    assert rep["window"] == [0.5, 1.5]
+    assert rep["rows"] and all(0.5 < r["q"] < 1.5 for r in rep["rows"])
 
 
 def test_scan_bad_window_eps(capsys):
-    rc = main(["scan", "--functionals", "gamma", "--n", "3", "--max-xyz", "2",
-               "--window-eps", "2.0"])
-    assert rc == 2
+    for eps in ("2.0", "0", "1", "nan", "-0.5", "half"):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--functionals", "gamma", "--n", "3", "--max-xyz", "2",
+                  "--window-eps", eps])
+        assert exc.value.code == 2
+        assert "--window-eps" in capsys.readouterr().err
 
 
 def test_scan_repeat_bytes_identical(tmp_path):

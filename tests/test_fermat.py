@@ -208,6 +208,19 @@ def test_scan_window_passthrough(shared_cache):
     assert parsed["window"] == [0.99, 1.01]
 
 
+def test_bad_window_refused_before_any_row(monkeypatch):
+    # a non-finite edge would reach the serializer only after every row
+    cache = CheckpointCache()
+    monkeypatch.setattr(fermat, "evaluate_equivalent", lambda *a: pytest.fail("row built"))
+    for window in ((math.nan, 2.0), (0.5, math.inf), (-math.inf, 1.5), (1.0,), (0.5, 1.0, 1.5),
+                   (2.0, 1.0), (1.0, 1.0), ("a", "b"), 1.5):
+        with pytest.raises(DomainError, match="window must be two finite numbers lo < hi"):
+            enumerate_fermat_rationals(3, 3, window)
+        with pytest.raises(DomainError, match="window must be two finite numbers lo < hi"):
+            scan(["gamma"], 3, 2, (1e2, 1e3), window, cache=cache)
+    assert len(cache.ts) == 0
+
+
 def test_non_finite_tau_grid_refused_before_any_row():
     # refused before any row, not after every row by the serializer; a
     # repeated tau would make the error bar divide by zero, and a

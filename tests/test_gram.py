@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from ladderlab import gram
 from ladderlab.constants import EULER_GAMMA, T_MAX, T_MIN
-from ladderlab.errors import DomainError, InfeasibleError, LadderLabError
+from ladderlab.errors import DomainError, InfeasibleError, LadderLabError, unwrap
 from ladderlab.gram import (
     FIRST_GRAM,
     GRAM_RESIDUAL_TOL,
@@ -153,6 +153,28 @@ def test_batched_rungs_keep_each_error_in_its_slot():
                 one(*rung)
             assert type(res) is type(alone.value) and str(res) == str(alone.value)
         assert type(got[4]) is InfeasibleError and type(got[0]) is DomainError
+
+
+def test_span_past_t_max_refused_before_any_solve(monkeypatch):
+    # every entry point refuses a span past T_MAX before theta sees an
+    # ordinate of it or the solve a target: (20, 1e6) holds 1.7M points
+    want = t2_increment(200.0, 400.0)
+    seen = {"theta": [], "_solve_theta_equals": []}
+    for name, calls in seen.items():
+        f = getattr(gram, name)
+        monkeypatch.setattr(gram, name,
+                            lambda x, f=f, calls=calls: calls.append(np.max(x, initial=0.0)) or f(x))
+    for call in (lambda: gram_points(20.0, 1e6), lambda: gram_index_range(20.0, 1e6),
+                 lambda: t1_increment(100.0, 1e6), lambda: t2_increment(9.99e4, 1.01e5),
+                 lambda: unwrap(t1_increment_all([(9.99e4, 1.01e5)])[0])):
+        with pytest.raises(InfeasibleError, match="T_MAX"):
+            call()
+    assert set(seen["theta"]) <= {0.0} and set(seen["_solve_theta_equals"]) <= {0.0}
+    # a past-T_MAX slot of a batch: the served slot keeps its bits, and no
+    # ordinate or target of the refused one reaches theta or the solve
+    got = t2_increment_all([(200.0, 400.0), (2e4, 1e6)])
+    assert type(got[1]) is InfeasibleError and got[0].hex() == want.hex()
+    assert max(seen["theta"]) < 500.0 and max(seen["_solve_theta_equals"]) < theta(500.0)
 
 
 def test_theta_residuals_tight():

@@ -402,6 +402,14 @@ def test_cache_corruption(tmp_path):
         with pytest.raises(CacheCorruptionError, match=f"cache {bad} holds a non-finite value"):
             CheckpointCache.load(path)
 
+    # a negative error, named with its row
+    with open(path, "w") as fh:
+        fh.write(f"# ladderlab cache v{ENGINE_VERSION} stride=50 tol=0.0015\nT,J,abs_err\n"
+                 "50,10,0\n100,20,0\n150,30,-0.5\n")
+    with pytest.raises(CacheCorruptionError,
+                       match=r"cache row 2 holds a negative error estimate: abs_err=-0\.5"):
+        CheckpointCache.load(path)
+
     # a row that is not three floats
     for rows in ("50,10\n", "50,10,0,0\n", "50,ten,0\n"):
         with open(path, "w") as fh:
@@ -462,10 +470,11 @@ def test_constructor_refuses_what_load_refuses(tmp_path):
     # falling J or a NaN would serve a wrong J: the T = 75 row read as
     # J(50) gives J(99) = 185.65 against 291.57
     path = os.path.join(tmp_path, "bad.csv")
-    for ts, js, what in (([75.0], [10.0], "off the stride grid"),
-                         ([50.0, 100.0], [10.0, 5.0], "not strictly increasing"),
-                         ([50.0, 100.0], [10.0, math.nan], "non-finite")):
-        errs = [0.0] * len(ts)
+    for ts, js, errs, what in (([75.0], [10.0], [0.0], "off the stride grid"),
+                               ([50.0, 100.0], [10.0, 5.0], [0.0, 0.0], "not strictly increasing"),
+                               ([50.0, 100.0], [10.0, math.nan], [0.0, 0.0], "non-finite"),
+                               ([50.0, 100.0], [10.0, 20.0], [0.0, -1e-3],
+                                "row 1 holds a negative error")):
         with pytest.raises(CacheCorruptionError, match=what) as built:
             CheckpointCache(ts=ts, js=js, errs=errs)
         with open(path, "w") as fh:

@@ -33,11 +33,11 @@ class InfeasibleError(LadderLabError):
 
 
 def require_int(value, least: int, what: str) -> int:
-    """value as an int, an integral float too; anything else, or a value
-    below least, is refused with DomainError."""
+    """value as an int, an integral float too; anything else, a bool among
+    them, or a value below least, is refused with DomainError."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, numbers.Integral) or value < least:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
 

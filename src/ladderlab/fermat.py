@@ -24,7 +24,7 @@ from typing import Callable
 
 from .constants import EULER_GAMMA, T_FLOOR, T_MAX
 from .errors import DomainError, InfeasibleError, LadderLabError, attempt, require_int, unwrap
-from .gammalab import C0_CONVENTION, d_increment_all, ln_gamma_increment_all
+from .gammalab import C0_CONVENTION, _check_tau_grid, d_increment_all, ln_gamma_increment_all
 from .gram import DEFAULT_STRATEGY, t1_increment_all, t2_increment_all
 from .integral import CheckpointCache, hl_integral_all, hl_representation
 from .ladder import ascend_all
@@ -138,7 +138,7 @@ class ScanRow:
     y: int
     z: int
     n: int
-    q: float
+    q: float | None
     tau_max: float | None
     value: float | None
     target: float | None
@@ -258,8 +258,16 @@ class _Functional:
         return self.value is _exp_per_tau
 
     def multipliers(self, q: FermatRational, v: float) -> tuple[float, ...]:
-        """The a of each T(tau, a) for q, of value v."""
-        return (float(q.numerator), float(q.z ** q.n)) if self.ratio else (v,)
+        """The a of each T(tau, a) for q, of value v; InfeasibleError where
+        one rounds to 0 or does not fit a float."""
+        try:
+            mults = (float(q.numerator), float(q.z ** q.n)) if self.ratio else (v,)
+            if min(mults) > 0.0:
+                return mults
+        except OverflowError:
+            pass
+        raise InfeasibleError(f"({q.x},{q.y},{q.z})^{q.n}: a multiplier of T(tau, a) "
+                              "rounds to 0 or does not fit a float")
 
     def t_of(self, tau: float, a: float) -> float:
         return _pow(tau, a) if self.power else a * tau / _SCALE
@@ -339,20 +347,16 @@ def _check_t_cap(t_cap: float) -> None:
                               f"beyond the served range T <= T_MAX={T_MAX:g}")
 
 
-def _check_tau_grid(tau_grid) -> None:
-    if not (all(math.isfinite(t) for t in tau_grid)
-            and all(a < b for a, b in zip(tau_grid, tau_grid[1:]))):
-        raise DomainError(f"tau_grid must be finite and strictly ascending, got {list(tau_grid)}")
-
-
 def evaluate_equivalent(functional: str, q: FermatRational,
                         tau_grid=DEFAULT_TAU_GRID,
                         cache: CheckpointCache | None = None,
                         t_cap: float = DEFAULT_T_CAP) -> ScanRow:
     """One evidence row: functional value at the largest feasible tau.
 
-    tau_grid must be finite and strictly ascending, and t_cap as scan
-    takes it (_check_t_cap); both are refused with an error, not a row.
+    tau_grid must be finite and strictly ascending (_check_tau_grid), and
+    t_cap as scan takes it (_check_t_cap); both are refused with an error,
+    not a row. A rational whose q or z^n does not fit a float is a
+    labeled row, its q null where q itself does not fit.
     A row has at least two taus (_row_grid). est_error sums the last-grid
     drift, a Richardson extrapolation gap in 1/ln(tau) (the convergence
     scale of every limit here), and the propagated numeric error. status
@@ -362,10 +366,12 @@ def evaluate_equivalent(functional: str, q: FermatRational,
     f = _lookup(functional)
     _check_tau_grid(tau_grid)
     _check_t_cap(t_cap)
-    v = q.value
-    target = None if f.exp_valued and v > _EXP_Q_CAP else f.limit(v)
     forbidden = f.limit(1.0)
+    v = target = tau_last = v_last = distance = est = None
+    note = ""
     try:
+        v = q.value
+        target = None if f.exp_valued and v > _EXP_Q_CAP else f.limit(v)
         mults = f.multipliers(q, v)
         grid = _row_grid(functional, f, v, mults, tau_grid, t_cap)
         incs = f.increment([f.t_of(tau, a) for tau in grid for a in mults], cache)
@@ -378,27 +384,26 @@ def evaluate_equivalent(functional: str, q: FermatRational,
         # merely ran out of engine range, which is a desk-scale limit
         infeasible = isinstance(exc, InfeasibleError)
         hard = infeasible and (f.power or f.exp_valued)
-        return ScanRow(functional=functional, x=q.x, y=q.y, z=q.z, n=q.n,
-                       q=v, tau_max=None, value=None, target=target,
-                       forbidden=forbidden, distance=None, est_error=None,
-                       status=_STATUS_INFEASIBLE if hard else _STATUS_UNRESOLVED,
-                       note=str(exc) if infeasible else f"solver: {exc}")
-    (tau_prev, v_prev, _), (tau_last, v_last, num_err) = values[-2:]
-    drift = abs(v_last - v_prev)
-    if len(values) >= 3:
-        # a lone drift can cancel by accident; take the worse of two
-        drift = max(drift, abs(v_prev - values[-3][1]))
-    l_prev, l_last = math.log(tau_prev), math.log(tau_last)
-    # v ~ limit + beta/ln(tau): gap to the extrapolated limit
-    extrap_gap = drift * (1.0 / l_last) / (1.0 / l_prev - 1.0 / l_last)
-    est = drift + extrap_gap + num_err
-    distance = abs(v_last - forbidden)
-    status = _STATUS_RESOLVED if distance > est else _STATUS_UNRESOLVED
+        status = _STATUS_INFEASIBLE if hard else _STATUS_UNRESOLVED
+        note = str(exc) if infeasible else f"solver: {exc}"
+    else:
+        (tau_prev, v_prev, _), (tau_last, v_last, num_err) = values[-2:]
+        drift = abs(v_last - v_prev)
+        if len(values) >= 3:
+            # a lone drift can cancel by accident; take the worse of two
+            drift = max(drift, abs(v_prev - values[-3][1]))
+        l_prev, l_last = math.log(tau_prev), math.log(tau_last)
+        # v ~ limit + beta/ln(tau): gap to the extrapolated limit
+        extrap_gap = drift * (1.0 / l_last) / (1.0 / l_prev - 1.0 / l_last)
+        est = drift + extrap_gap + num_err
+        distance = abs(v_last - forbidden)
+        status = _STATUS_RESOLVED if distance > est else _STATUS_UNRESOLVED
+        if not math.isfinite(est):
+            est, status = None, _STATUS_UNRESOLVED
     return ScanRow(functional=functional, x=q.x, y=q.y, z=q.z, n=q.n,
                    q=v, tau_max=tau_last, value=v_last, target=target,
-                   forbidden=forbidden, distance=distance,
-                   est_error=est if math.isfinite(est) else None,
-                   status=status if math.isfinite(est) else _STATUS_UNRESOLVED)
+                   forbidden=forbidden, distance=distance, est_error=est,
+                   status=status, note=note)
 
 
 def scan(functional_ids, n: int, max_xyz: int,

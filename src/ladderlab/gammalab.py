@@ -55,11 +55,26 @@ def d_increment_all(rungs) -> list[int]:
     return [dirichlet_D(hi) - dirichlet_D(math.ceil(lo) - 1) for lo, hi in rungs]
 
 
-@dataclass(frozen=True)
-class FunctionalReport:
-    """A functional evaluated along an ascending tau grid, with target."""
+def _check_tau_grid(tau_grid) -> None:
+    """Refuse (DomainError) a tau grid that is not finite and strictly ascending."""
+    if not (all(math.isfinite(t) for t in tau_grid)
+            and all(a < b for a, b in zip(tau_grid, tau_grid[1:]))):
+        raise DomainError(f"tau_grid must be finite and strictly ascending, got {list(tau_grid)}")
 
-    functional_id: str
+
+class _FieldReport:
+    """to_json for a report whose JSON is its fields, in declaration order."""
+
+    def to_json(self) -> str:
+        return to_json(field_dict(self))
+
+
+@dataclass(frozen=True)
+class FunctionalReport(_FieldReport):
+    """A functional evaluated along a finite, strictly ascending tau grid
+    (_check_tau_grid), with target."""
+
+    functional: str
     parameter: float
     target: float
     tau_grid: list[float]
@@ -69,24 +84,13 @@ class FunctionalReport:
     def __post_init__(self) -> None:
         if len(self.tau_grid) != len(self.values):
             raise DomainError("tau_grid and values must have equal length")
-        if any(b <= a for a, b in zip(self.tau_grid, self.tau_grid[1:])):
-            raise DomainError("tau_grid must be strictly ascending")
+        _check_tau_grid(self.tau_grid)
         bad = [v for v in list(self.values) + [self.target] if not math.isfinite(v)]
         if bad:
             raise DomainError(f"non-finite report values: {bad}")
 
     def abs_errors(self) -> list[float]:
         return [abs(v - self.target) for v in self.values]
-
-    def to_json(self) -> str:
-        return to_json({
-            "functional": self.functional_id,
-            "parameter": self.parameter,
-            "target": self.target,
-            "tau_grid": list(self.tau_grid),
-            "values": list(self.values),
-            "metadata": self.metadata,
-        })
 
 
 def _base_metadata(**extra) -> dict:
@@ -114,7 +118,7 @@ def gamma_functional(x: float, tau_grid: list[float],
         taus.append(float(tau))
         values.append((ln_gamma(res[0]) - ln_gamma(T)) / tau)
     return FunctionalReport(
-        functional_id="gamma", parameter=x, target=x,
+        functional="gamma", parameter=x, target=x,
         tau_grid=taus, values=values,
         metadata=_base_metadata(skipped=skipped),
     )
@@ -125,7 +129,9 @@ def _factorization(fid: str, parameter: float, tau_grid: list[float],
                    metadata: dict) -> FunctionalReport:
     """increment / (const * [ln Gamma(ascend(lo)) - ln Gamma(lo)]) along
     tau_grid, target 1, the increments of all rungs (lo, ascend(lo)) from
-    one increment_all call; the first error in tau order is raised."""
+    one increment_all call; the grid is checked before any ascent
+    (_check_tau_grid), and the first error in tau order is raised."""
+    _check_tau_grid(tau_grid)
     taus, values = [float(tau) for tau in tau_grid], []
     ups = ascend_all(taus, cache)
     rungs = [(lo, res[0]) for lo, res in zip(taus, ups) if not isinstance(res, LadderLabError)]
@@ -134,7 +140,7 @@ def _factorization(fid: str, parameter: float, tau_grid: list[float],
         unwrap(res)
         values.append(unwrap(next(sums)) / (const * next(rises)))
     return FunctionalReport(
-        functional_id=fid, parameter=parameter, target=1.0,
+        functional=fid, parameter=parameter, target=1.0,
         tau_grid=taus, values=values, metadata=metadata,
     )
 
@@ -150,31 +156,20 @@ def verify_factorization_D(tau_grid: list[float],
     return _factorization("d", 0.0, tau_grid, cache, d_increment_all, 1.0, _base_metadata())
 
 
-def _gram_factorization(fid: str, const: float, increment_all, tau_grid: list[float],
-                        cache: CheckpointCache | None) -> FunctionalReport:
-    """Gram sum over (tau, tau^1] vs const * ln Gamma increment, parameter const."""
-    return _factorization(fid, const, tau_grid, cache, increment_all, const,
-                          _base_metadata(strategy=DEFAULT_STRATEGY, constant=const))
-
-
 def verify_factorization_T1(tau_grid: list[float],
                             cache: CheckpointCache | None = None) -> FunctionalReport:
     """Gram one-point sum over (tau, tau^1] vs (1/pi) ln Gamma increment."""
-    return _gram_factorization("t1", 1.0 / math.pi, t1_increment_all, tau_grid, cache)
+    const = 1.0 / math.pi
+    return _factorization("t1", const, tau_grid, cache, t1_increment_all, const,
+                          _base_metadata(strategy=DEFAULT_STRATEGY, constant=const))
 
 
 def verify_factorization_T2(tau_grid: list[float],
                             cache: CheckpointCache | None = None) -> FunctionalReport:
     """Gram pair sum over (tau, tau^1] vs ((1+c)/pi) ln Gamma increment."""
-    return _gram_factorization("t2", (1.0 + EULER_GAMMA) / math.pi, t2_increment_all,
-                               tau_grid, cache)
-
-
-class _FieldReport:
-    """to_json for a report whose JSON is its fields, in declaration order."""
-
-    def to_json(self) -> str:
-        return to_json(field_dict(self))
+    const = (1.0 + EULER_GAMMA) / math.pi
+    return _factorization("t2", const, tau_grid, cache, t2_increment_all, const,
+                          _base_metadata(strategy=DEFAULT_STRATEGY, constant=const))
 
 
 @dataclass(frozen=True)

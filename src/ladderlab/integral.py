@@ -47,9 +47,9 @@ and the threads move no bit. A span that misses its tolerance raises
 ToleranceError out of _quad, after the spans before it, with the pool
 shut down; these groups are all the work that runs on a thread, and no
 read starts one. The knots of all filled cells are one run sorted by t.
-A cell from load() gets its knots (CheckpointCache._fill), spliced into
-that run, from the first read that lands in it; invert fills its
-targets' cells in one grouped pass, and builds nothing on a warm cache.
+A cell from load() gets its knots (_stored_read), spliced into that
+run, from the first read that lands in it; invert fills its targets'
+cells in one grouped pass, and builds nothing on a warm cache.
 hl_integral_all reads many T with one Z call per 780 panels, so one on a
 warm cache; hl_integral is its one-T case.
 """
@@ -584,11 +584,6 @@ class CheckpointCache:
             nodes += _GAUSS_NODES * clo.size
         return nodes
 
-    def _fill(self, i: int) -> int:
-        """Store the knots of stride cell i unless it holds them already,
-        as a cell from load() does not; returns the Z nodes evaluated."""
-        return 0 if self._holds_knots(i) else self._cells([i])
-
     def extend_to(self, T: float) -> int:
         """Add checkpoints at stride multiples up to T, with their cells'
         knots; returns the Z nodes evaluated. A negative T adds nothing, one
@@ -711,8 +706,9 @@ def _stored_read(T: float, cache: CheckpointCache) -> tuple:
         raise DomainError("hl_integral requires finite T >= 0")
     _check_range(0.0, T)
     nodes = cache.extend_to(math.ceil(T / DEFAULT_STRIDE) * DEFAULT_STRIDE)
-    if T % DEFAULT_STRIDE:
-        nodes += cache._fill(int(T // DEFAULT_STRIDE))
+    i = int(T // DEFAULT_STRIDE)
+    if T % DEFAULT_STRIDE and not cache._holds_knots(i):  # a cell from load()
+        nodes += cache._cells([i])
     return (*cache._bracket(T), nodes)
 
 

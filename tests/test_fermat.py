@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+import numpy as np
+
 from ladderlab import fermat
 from ladderlab.arith import divisor_count
 from ladderlab.constants import EULER_GAMMA, T_FLOOR
@@ -20,9 +22,9 @@ from ladderlab.fermat import (
     exhaustive_exact_check,
     scan,
 )
-from ladderlab.gammalab import ln_gamma, verify_factorization_D
+from ladderlab.gammalab import ln_gamma, pi_via_gamma, verify_chain, verify_factorization_D
 from ladderlab.integral import CheckpointCache
-from ladderlab.ladder import ascend
+from ladderlab.ladder import ascend, build_tower
 
 
 def test_rational_exact_arithmetic():
@@ -115,6 +117,27 @@ def test_enumeration_validation():
         with pytest.raises(DomainError):
             enumerate_fermat_rationals(n, max_xyz)
     assert enumerate_fermat_rationals(3.0, 4.0) == enumerate_fermat_rationals(3, 4)
+
+
+def test_bool_count_refused(shared_cache):
+    # True was taken as 1: build_tower(1000.0, True) served a one-rung
+    # tower and enumerate_fermat_rationals(3, True) enumerated max_xyz = 1
+    for call in (lambda b: FermatRational(b, 1, 1, 3), lambda b: FermatRational(1, 1, 1, b),
+                 lambda b: enumerate_fermat_rationals(3, b),
+                 lambda b: enumerate_fermat_rationals(b, 3),
+                 lambda b: exhaustive_exact_check((3,), b), lambda b: divisor_count(b),
+                 lambda b: build_tower(1000.0, b, cache=shared_cache),
+                 lambda b: pi_via_gamma(1000.0, b, cache=shared_cache),
+                 lambda b: verify_chain(1000.0, b, cache=shared_cache)):
+        for bad in (True, False, np.True_):
+            with pytest.raises(DomainError):
+                call(bad)
+    # numpy integers stay counts
+    q = FermatRational(np.int64(6), np.int32(8), np.uint8(9), np.int64(3))
+    assert q == FermatRational(6, 8, 9, 3)
+    assert enumerate_fermat_rationals(np.int64(3), np.int64(4)) == enumerate_fermat_rationals(3, 4)
+    tower = build_tower(1000.0, np.int64(2), cache=shared_cache)
+    assert tower == build_tower(1000.0, 2, cache=shared_cache)
 
 
 def test_exact_check_counts():
@@ -235,6 +258,33 @@ def test_non_finite_tau_grid_refused_before_any_row():
         with pytest.raises(DomainError, match="strictly ascending"):
             evaluate_equivalent("gamma", FermatRational(1, 1, 1, 3), grid, cache)
     assert len(cache.ts) == 0
+
+
+def test_rational_past_float_range_is_a_labeled_row(shared_cache):
+    # the row derives q, its target and multipliers inside its guard: q =
+    # 2/2^1100 rounds to 0 and raised ZeroDivisionError out of the tau
+    # window, a z^n past float64 raised OverflowError out of a ratio's
+    # multipliers, and a q past it raised InfeasibleError before the row
+    row = evaluate_equivalent("gamma", FermatRational(2, 2, 1, 1100), cache=shared_cache)
+    assert (row.q, row.target, row.value, row.est_error) == (None, None, None, None)
+    assert row.status == "unresolved at desk scale" and "does not fit a float" in row.note
+    ids = ["gamma", "zeta-ratio", "zeta-log-ratio", "gamma-exp", "d-log"]
+    rep = scan(ids, n=1100, max_xyz=2, cache=shared_cache)
+    rows = {(r.functional, r.x, r.y, r.z): r for r in rep.rows}
+    assert len(rows) == len(rep.rows) == 5 * len(ids)
+    hard = {"zeta-log-ratio", "gamma-exp", "d-log"}
+    for f in ids:
+        tiny = rows[f, 1, 1, 2]
+        assert tiny.q == 0.0 and tiny.value is None and "rounds to 0" in tiny.note
+        for x in (1, 2):
+            assert rows[f, x, 2, 1].q is None and "does not fit a float" in rows[f, x, 2, 1].note
+        for key in ((f, 1, 1, 2), (f, 1, 2, 1), (f, 2, 2, 1)):
+            assert rows[key].status == ("infeasible" if f in hard else "unresolved at desk scale")
+        assert rows[f, 1, 1, 1].status == "resolved"
+    # q = 1 + 2^-1100 is served as 1.0, but x^n and z^n fit no float
+    near_one = rows["zeta-ratio", 1, 2, 2]
+    assert near_one.q == 1.0 and "does not fit a float" in near_one.note
+    assert json.loads(rep.to_json())["rows"][0]["functional"] == "gamma"
 
 
 def test_row_refuses_the_t_caps_scan_refuses(shared_cache):

@@ -57,14 +57,39 @@ def test_ln_gamma_against_mpmath():
 
 def test_report_validation():
     with pytest.raises(DomainError):
-        FunctionalReport(functional_id="x", parameter=1.0, target=1.0,
+        FunctionalReport(functional="x", parameter=1.0, target=1.0,
                          tau_grid=[1.0, 2.0], values=[1.0], metadata={})
     with pytest.raises(DomainError):
-        FunctionalReport(functional_id="x", parameter=1.0, target=1.0,
+        FunctionalReport(functional="x", parameter=1.0, target=1.0,
                          tau_grid=[2.0, 1.0], values=[1.0, 1.0], metadata={})
     with pytest.raises(DomainError):
-        FunctionalReport(functional_id="x", parameter=1.0, target=1.0,
+        FunctionalReport(functional="x", parameter=1.0, target=1.0,
                          tau_grid=[1.0], values=[math.nan], metadata={})
+
+
+def test_report_refuses_a_non_finite_tau():
+    # accepted before, and its to_json then raised a bare ValueError
+    for grid in ([1.0, math.inf], [math.nan, 2.0], [1.0, 1.0]):
+        with pytest.raises(DomainError, match="tau_grid must be finite and strictly ascending"):
+            FunctionalReport(functional="x", parameter=1.0, target=1.0,
+                             tau_grid=grid, values=[1.0, 1.0])
+
+
+def test_factorizations_refuse_a_bad_grid_before_any_ascent(shared_cache, monkeypatch):
+    # a descending grid was refused by the report only after every ascent,
+    # a cold build among them
+    with monkeypatch.context() as m:
+        m.setattr(gammalab, "ascend_all", lambda *a: pytest.fail("ascended"))
+        for fn in (verify_factorization_D, verify_factorization_T1, verify_factorization_T2):
+            for grid in ([1e4, 1e3], [1e3, 1e3], [1e2, math.nan], [math.inf]):
+                cache = CheckpointCache()
+                with pytest.raises(DomainError, match="finite and strictly ascending"):
+                    fn(grid, cache=cache)
+                assert len(cache.ts) == 0
+    # an ascending grid ascends and raises its first error in tau order:
+    # 50 sits below the floor and 1e6 past T_MAX
+    with pytest.raises(DomainError, match=f"T >= {T_FLOOR}"):
+        verify_factorization_D([50.0, 200.0, 1e6], cache=shared_cache)
 
 
 def test_report_serialization(shared_cache):

@@ -802,7 +802,7 @@ def test_bracket_on_filled_and_bare_cells_side_by_side(shared_cache):
                              errs=shared_cache.errs[:rows])
     filled = {1, 2, 3, 7, 9, 10, 15, 19}
     for i in (10, 2, 19, 7, 1, 15, 3, 9):
-        assert loaded._fill(i) > 0
+        assert loaded._cells([i]) > 0
     for key in (0, 1):
         xs = [0.0, (loaded.ts, loaded.js)[key][-1] + 10.0]
         for i in range(rows):
@@ -1030,7 +1030,7 @@ def test_one_group_runs_inline(shared_cache, monkeypatch):
     hl_integral(5432.1, cache=shared_cache)
     hl_integral_all([100.0 * k + 0.5 for k in range(1, 99)], cache=shared_cache)
     CheckpointCache(ts=shared_cache.ts[:20], js=shared_cache.js[:20],
-                    errs=shared_cache.errs[:20])._fill(7)
+                    errs=shared_cache.errs[:20])._cells([7])
     assert len(threads) == 4 and set(threads) == {threading.get_ident()}
     assert threading.active_count() == before
 

@@ -1,8 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 computation error, 2 usage error. All numeric
-output is printed at full precision so runs can be diffed; scan reports
-are rendered by the deterministic serializer.
+Exit codes: 0 success, 1 computation or file error, 2 usage error. All
+numeric output is printed at full precision so runs can be diffed; scan
+reports are rendered by the deterministic serializer.
 
 A checkpoint cache file named by the HL_CACHE environment variable is
 loaded (read-only) by the heavy subcommands when it exists; only the
@@ -201,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except LadderLabError as exc:
+    except (LadderLabError, OSError) as exc:
         print(f"ladderlab: {exc}", file=sys.stderr)
         return 1
 

@@ -103,11 +103,12 @@ def gamma_functional(x: float, tau_grid: list[float],
 
     The limit along tau is x itself. Grid points whose ascent ascend_all
     refuses (a T below the ladder floor or not finite) or fails are
-    dropped and their errors recorded in the metadata rather than failing
-    the whole report.
+    dropped and their errors recorded in the metadata; finite tau out of
+    order are refused (_check_tau_grid) before any ascent.
     """
     if not 0.0 < x < math.inf:
         raise DomainError("gamma_functional requires finite x > 0")
+    _check_tau_grid([tau for tau in tau_grid if math.isfinite(tau)])
     Ts = [x * tau / (1.0 - EULER_GAMMA) for tau in tau_grid]
     taus, values = [], []
     skipped: dict[str, str] = {}

@@ -135,9 +135,10 @@ _CLENSHAW = [(nd - 2, (nd - 1) / nd, (2 * nd - 1) / nd) for nd in range(_CHEB.si
 # bound would allow.
 _PANEL_CAP = 7.0 * math.pi
 
-# Bump on every change that moves Z values or saved checkpoints: load()
-# rejects other versions. Knots are never saved, so moving them does not.
-ENGINE_VERSION = "9"
+# Bump on every change that moves Z values, saved checkpoints or the
+# cache file's layout: load() rejects other versions. Knots are never
+# saved, so moving them does not.
+ENGINE_VERSION = "10"
 # The one quadrature tolerance, absolute per unit of integration length
 # (_check). The engine's own error bound contributes ~6e-6 per unit in
 # the worst band, so this is the tightest rate that cannot trip the
@@ -146,9 +147,10 @@ AUTO_TOL_RATE = 3e-5
 DEFAULT_STRIDE = 50.0
 # That tolerance on one stride cell, recorded in the cache header.
 CELL_TOL = AUTO_TOL_RATE * DEFAULT_STRIDE
-# First line of every cache file; load() accepts no other.
+# First line of every cache file but its row count; load() accepts no other.
 _VERSION_TAG = "# ladderlab cache v"
-_HEADER = f"{_VERSION_TAG}{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}"
+_HEADER = (f"{_VERSION_TAG}{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}"
+           " T,J,abs_err <f8")
 # Most Z nodes in one z_array call: a group of _quad's panels or of
 # _panel_z's. _in_order queues all of _quad's groups and runs one per CPU
 # at a time, so peak RSS grows with the group, and a smaller one pays
@@ -657,27 +659,23 @@ class CheckpointCache:
         return out
 
     def save(self, path: str) -> None:
-        """Write the header line, the column line and one "T,J,abs_err"
-        line per checkpoint, each float at 17 significant digits; knots
-        are never written."""
-        rows = ["%.17g,%.17g,%.17g\n" % row for row in zip(self.ts, self.js, self.errs)]
-        with open(path, "w", newline="\n") as fh:
-            fh.write(_HEADER + "\nT,J,abs_err\n" + "".join(rows))
+        """Write the header line, with the row count, then the T, J and
+        abs_err columns as raw little-endian float64; knots are never
+        written."""
+        with open(path, "wb") as fh:
+            fh.write(f"{_HEADER} rows={len(self.ts)}\n".encode())
+            for col in (self.ts, self.js, self.errs):
+                fh.write(np.asarray(col, "<f8").tobytes())
 
     @classmethod
     def load(cls, path: str) -> "CheckpointCache":
         """The cache a file from save() holds, without knots; refuses
-        (CacheCorruptionError) an empty file, a missing column line,
-        another header (a stale engine version, or another stride or tol),
-        a row that is not three floats, and the first row _validate
-        refuses. Blank lines are skipped."""
-        with open(path) as fh:
-            lines = [ln for ln in fh.read().split("\n") if ln.strip()]
-        if not lines:
-            raise CacheCorruptionError(f"empty cache file {path}")
-        header = lines.pop(0) if lines[0].startswith("#") else ""
-        if not lines or lines[0] != "T,J,abs_err":
-            raise CacheCorruptionError(f"bad cache header in {path}")
+        (CacheCorruptionError) another header (a stale engine version, or
+        another stride or tol), a body that is not rows x 24 bytes, and
+        the first row _validate refuses."""
+        with open(path, "rb") as fh:
+            head, _, body = fh.read().partition(b"\n")
+        header, _, rows = head.decode(errors="replace").partition(" rows=")
         if header != _HEADER:
             version = header[len(_VERSION_TAG):].partition(" ")[0] if header.startswith(_VERSION_TAG) else ""
             if version != ENGINE_VERSION:
@@ -687,15 +685,10 @@ class CheckpointCache:
             raise CacheCorruptionError(
                 f"cache {path} has header {header!r}, expected {_HEADER!r}; "
                 "delete it and rebuild with `ladderlab cache`")
-        rows = [ln.split(",") for ln in lines[1:]]
-        for ln, row in zip(lines[1:], rows):
-            if len(row) != 3:
-                raise CacheCorruptionError(f"bad cache row {ln!r} in {path}")
-        try:
-            values = list(map(float, itertools.chain.from_iterable(rows)))
-        except ValueError as exc:
-            raise CacheCorruptionError(f"bad cache value in {path}: {exc}") from None
-        return cls(values[0::3], values[1::3], values[2::3])
+        if len(body) % 24 or rows != str(len(body) // 24):
+            raise CacheCorruptionError(
+                f"bad cache body in {path}: {len(body)} bytes, expected 24 a row for rows={rows!r}")
+        return cls(*np.frombuffer(body, "<f8").reshape(3, -1).tolist())
 
 
 def _stored_read(T: float, cache: CheckpointCache) -> tuple:

@@ -100,6 +100,29 @@ def test_bound_above_t_max_exits_1_at_once(tmp_path, capsys):
     assert not os.path.exists(path)
 
 
+def test_file_errors_exit_1(tmp_path, capsys, monkeypatch):
+    # a cache path that is a directory, a cache of bytes that are not UTF-8,
+    # and a file to write in a missing directory: one ladderlab line, no
+    # traceback and nothing on stdout
+    junk = tmp_path / "junk.cache"
+    junk.write_bytes(b"\xff\xfe\x80\n\x81")
+    missing = str(tmp_path / "missing" / "x")
+    for env, argv in ((str(tmp_path), ["integral", "--from", "0", "--to", "100"]),
+                      (str(junk), ["integral", "--from", "0", "--to", "100"]),
+                      (None, ["cache", "--path", missing, "--extend-to", "100"]),
+                      (None, ["gram", "--from", "100", "--to", "105", "--out", missing]),
+                      (None, ["functional", "--id", "gamma", "--tau-grid", "300",
+                              "--out", missing])):
+        if env is None:
+            monkeypatch.delenv("HL_CACHE", raising=False)
+        else:
+            monkeypatch.setenv("HL_CACHE", env)
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("ladderlab: ") == 1 and captured.err.startswith("ladderlab: ")
+
+
 def test_integral_from_zero_reads_the_cache(capsys, monkeypatch):
     # --from 0 prints hl_integral's bits, the J every ladder and scan row
     # reads; any other --from integrates the segment at the same rule

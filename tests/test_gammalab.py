@@ -92,6 +92,17 @@ def test_factorizations_refuse_a_bad_grid_before_any_ascent(shared_cache, monkey
         verify_factorization_D([50.0, 200.0, 1e6], cache=shared_cache)
 
 
+def test_gamma_functional_refuses_finite_taus_out_of_order_before_any_ascent(monkeypatch):
+    # a descending grid was refused by the report only after its ascents, a
+    # cold build among them; a tau that is not finite is still skipped
+    monkeypatch.setattr(gammalab, "ascend_all", lambda *a: pytest.fail("ascended"))
+    for grid in ([1e4, 1e3], [1e3, 1e3], [1e4, math.nan, 1e3], [math.inf, 1e3, 1e2]):
+        cache = CheckpointCache()
+        with pytest.raises(DomainError, match="finite and strictly ascending"):
+            gamma_functional(1.0, grid, cache=cache)
+        assert len(cache.ts) == 0
+
+
 def test_report_serialization(shared_cache):
     rep = gamma_functional(1.0, [200.0, 400.0], cache=shared_cache)
     js = rep.to_json()

@@ -2,6 +2,7 @@ import bisect
 import math
 import os
 import random
+import struct
 import threading
 import time
 
@@ -384,72 +385,72 @@ def test_cells_below_the_seam_keep_their_bits():
     assert cache.js[0] == integrate_segment(0.0, 50.0).value
 
 
+_CACHE_HEADER = (f"# ladderlab cache v{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} "
+                 f"tol={CELL_TOL:.17g} T,J,abs_err <f8")
+
+
+def _cache_file(rows, header=_CACHE_HEADER, n=None):
+    """A cache file's bytes: the header line with rows=n (len(rows) by
+    default), then the T, J and abs_err columns of rows as <f8."""
+    cols = [v for col in zip(*rows) for v in col]
+    return (f"{header} rows={len(rows) if n is None else n}\n".encode()
+            + struct.pack(f"<{len(cols)}d", *cols))
+
+
 def test_cache_corruption(tmp_path):
-    path = os.path.join(tmp_path, "bad.csv")
-    with open(path, "w") as fh:
-        fh.write(f"# ladderlab cache v{ENGINE_VERSION} stride=50 tol=0.0015\n")
-        fh.write("T,J,abs_err\n50,10,0\n40,20,0\n")
+    path = tmp_path / "bad.cache"
+    path.write_bytes(_cache_file([(50, 10, 0), (40, 20, 0)]))
     with pytest.raises(CacheCorruptionError, match="not strictly increasing"):
         CheckpointCache.load(path)
 
     # non-finite values, refused by name with the row that holds them: a nan
     # or inf error passes every other check, and so does an inf J on the
     # last row; a nan J would otherwise be caught only as not increasing
-    for rows, bad in (("50,10,0\n100,20,nan\n", "row 1"), ("50,10,inf\n100,20,0\n", "row 0"),
-                      ("50,10,0\n100,inf,0\n", "row 1"), ("50,10,0\n100,nan,0\n", "row 1")):
-        with open(path, "w") as fh:
-            fh.write(f"# ladderlab cache v{ENGINE_VERSION} stride=50 tol=0.0015\nT,J,abs_err\n" + rows)
+    nan, inf = math.nan, math.inf
+    for rows, bad in (([(50, 10, 0), (100, 20, nan)], "row 1"),
+                      ([(50, 10, inf), (100, 20, 0)], "row 0"),
+                      ([(50, 10, 0), (100, inf, 0)], "row 1"),
+                      ([(50, 10, 0), (100, nan, 0)], "row 1")):
+        path.write_bytes(_cache_file(rows))
         with pytest.raises(CacheCorruptionError, match=f"cache {bad} holds a non-finite value"):
             CheckpointCache.load(path)
 
     # a negative error, named with its row
-    with open(path, "w") as fh:
-        fh.write(f"# ladderlab cache v{ENGINE_VERSION} stride=50 tol=0.0015\nT,J,abs_err\n"
-                 "50,10,0\n100,20,0\n150,30,-0.5\n")
+    path.write_bytes(_cache_file([(50, 10, 0), (100, 20, 0), (150, 30, -0.5)]))
     with pytest.raises(CacheCorruptionError,
                        match=r"cache row 2 holds a negative error estimate: abs_err=-0\.5"):
         CheckpointCache.load(path)
 
-    # a row that is not three floats
-    for rows in ("50,10\n", "50,10,0,0\n", "50,ten,0\n"):
-        with open(path, "w") as fh:
-            fh.write(f"# ladderlab cache v{ENGINE_VERSION} stride=50 tol=0.0015\nT,J,abs_err\n" + rows)
-        with pytest.raises(CacheCorruptionError, match="bad cache"):
+    # a body that is not rows x 24 bytes: truncated, with extra bytes, or
+    # with a row count that disagrees with it or is not a count
+    good = _cache_file([(50, 10, 0), (100, 20, 0)])
+    for raw in (good[:-1], good + bytes(8), _cache_file([(50, 10, 0), (100, 20, 0)], n=3),
+                _cache_file([(50, 10, 0)], n="one"), good.replace(b" rows=2", b"")):
+        path.write_bytes(raw)
+        with pytest.raises(CacheCorruptionError, match="bad cache body"):
             CheckpointCache.load(path)
 
-    with open(path, "w") as fh:
-        fh.write("not,a,cache\n")
-    with pytest.raises(CacheCorruptionError):
-        CheckpointCache.load(path)
+    # not a cache: text, bytes that are not UTF-8, nothing
+    for raw in (b"not,a,cache\n", b"\xff\xfe\x80\n\x81\x82", b""):
+        path.write_bytes(raw)
+        with pytest.raises(CacheCorruptionError):
+            CheckpointCache.load(path)
 
-    with open(path, "w") as fh:
-        fh.write("")
-    with pytest.raises(CacheCorruptionError):
-        CheckpointCache.load(path)
-
-    # stale: another engine version, or no version header at all
-    for header, found in (("# ladderlab cache v1 stride=50 tol=0.0015\n", "version 1,"),
-                          ("# ladderlab cache v2 stride=50 tol=0.0015\n", "version 2,"),
-                          ("# ladderlab cache v3 stride=50 tol=0.0015\n", "version 3,"),
-                          ("# ladderlab cache v4 stride=50 tol=0.0015\n", "version 4,"),
-                          ("# ladderlab cache v5 stride=50 tol=0.0015\n", "version 5,"),
-                          ("# ladderlab cache v6 stride=50 tol=0.0015\n", "version 6,"),
-                          ("# ladderlab cache v7 stride=50 tol=0.0015\n", "version 7,"),
-                          ("# ladderlab cache v8 stride=50 tol=0.0015\n", "version 8,"),
-                          ("", "version missing,")):
-        with open(path, "w") as fh:
-            fh.write(header + "T,J,abs_err\n50,10,0\n100,20,0\n")
+    # stale: a text file of another engine version, or no version header at all
+    for header, found in [(f"# ladderlab cache v{v} stride=50 tol=0.0015\n", f"version {v},")
+                          for v in range(1, 10)] + [("", "version missing,")]:
+        path.write_text(header + "T,J,abs_err\n50,10,0\n100,20,0\n")
         with pytest.raises(CacheCorruptionError) as exc:
             CheckpointCache.load(path)
         msg = str(exc.value)
         assert found in msg and f"expected {ENGINE_VERSION};" in msg
         assert "ladderlab cache" in msg
 
-    # current version, other stride or tolerance: rejected, naming both lines
-    for header in (f"# ladderlab cache v{ENGINE_VERSION} stride=25 tol=0.0015",
-                   f"# ladderlab cache v{ENGINE_VERSION} stride=50 tol=0.003"):
-        with open(path, "w") as fh:
-            fh.write(header + "\nT,J,abs_err\n50,10,0\n100,20,0\n")
+    # current version, other stride, tolerance or dtype: rejected, naming both lines
+    for header in (f"# ladderlab cache v{ENGINE_VERSION} stride=25 tol=0.0015 T,J,abs_err <f8",
+                   f"# ladderlab cache v{ENGINE_VERSION} stride=50 tol=0.003 T,J,abs_err <f8",
+                   f"# ladderlab cache v{ENGINE_VERSION} stride=50 tol=0.0015 T,J,abs_err >f8"):
+        path.write_bytes(_cache_file([(50, 10, 0), (100, 20, 0)], header=header))
         with pytest.raises(CacheCorruptionError) as exc:
             CheckpointCache.load(path)
         msg = str(exc.value)
@@ -469,7 +470,7 @@ def test_constructor_refuses_what_load_refuses(tmp_path):
     # built by its constructor, a cache with a row off the stride grid, a
     # falling J or a NaN would serve a wrong J: the T = 75 row read as
     # J(50) gives J(99) = 185.65 against 291.57
-    path = os.path.join(tmp_path, "bad.csv")
+    path = tmp_path / "bad.cache"
     for ts, js, errs, what in (([75.0], [10.0], [0.0], "off the stride grid"),
                                ([50.0, 100.0], [10.0, 5.0], [0.0, 0.0], "not strictly increasing"),
                                ([50.0, 100.0], [10.0, math.nan], [0.0, 0.0], "non-finite"),
@@ -477,10 +478,7 @@ def test_constructor_refuses_what_load_refuses(tmp_path):
                                 "row 1 holds a negative error")):
         with pytest.raises(CacheCorruptionError, match=what) as built:
             CheckpointCache(ts=ts, js=js, errs=errs)
-        with open(path, "w") as fh:
-            fh.write(f"# ladderlab cache v{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} "
-                     f"tol={CELL_TOL:.17g}\nT,J,abs_err\n")
-            fh.write("".join(f"{t!r},{j!r},{e!r}\n" for t, j, e in zip(ts, js, errs)))
+        path.write_bytes(_cache_file(list(zip(ts, js, errs))))
         with pytest.raises(CacheCorruptionError) as loaded:
             CheckpointCache.load(path)
         assert str(loaded.value) == str(built.value)
@@ -492,10 +490,8 @@ def test_load_rejects_off_grid_rows(tmp_path):
     cache.extend_to(150.0)
     j = hl_integral(175.0)
     rows = list(zip(cache.ts, cache.js, cache.errs)) + [(175.0, j.value, j.abs_error_estimate)]
-    path = os.path.join(tmp_path, "off.csv")
-    with open(path, "w") as fh:
-        fh.write(f"# ladderlab cache v{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} tol={CELL_TOL:.17g}\n")
-        fh.write("T,J,abs_err\n" + "".join(f"{t:.17g},{v:.17g},{e:.17g}\n" for t, v, e in rows))
+    path = tmp_path / "off.cache"
+    path.write_bytes(_cache_file(rows))
     with pytest.raises(CacheCorruptionError, match="row 3 at T=175.0 is off the stride grid") as exc:
         CheckpointCache.load(path)
     assert "expected T=200" in str(exc.value)
@@ -822,14 +818,12 @@ def test_bracket_on_filled_and_bare_cells_side_by_side(shared_cache):
 def test_save_writes_checkpoints_only(tmp_path):
     cache = CheckpointCache()
     hl_integral(333.3, cache=cache)
-    path = os.path.join(tmp_path, "cache.csv")
+    path = tmp_path / "j.cache"
     cache.save(path)
-    with open(path, "rb") as fh:
-        written = fh.read()
-    rows = "".join(f"{t:.17g},{j:.17g},{e:.17g}\n" for t, j, e in zip(cache.ts, cache.js, cache.errs))
+    n = len(cache.ts)
     want = (f"# ladderlab cache v{ENGINE_VERSION} stride={DEFAULT_STRIDE:.17g} "
-            f"tol={CELL_TOL:.17g}\nT,J,abs_err\n{rows}").encode()
-    assert written == want
+            f"tol={CELL_TOL:.17g} T,J,abs_err <f8 rows={n}\n").encode()
+    assert path.read_bytes() == want + struct.pack(f"<{3 * n}d", *cache.ts, *cache.js, *cache.errs)
     assert CheckpointCache.load(path) == cache
 
 
